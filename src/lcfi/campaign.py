@@ -16,13 +16,16 @@ import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import yaml
 
+from .ir.nodes import IrModule
 from .ir.parser import parse_module, ParseError
 from .ir.validate import validate
-from .instrument import (InputConfig, InjectionPlan, assign_indices, build_plan,
+from .instrument import (InjectionPlan, assign_indices, build_plan,
                          emit_artifacts, load_input_config, InstrumentError)
 from .faults import FaultSpec, make_sampler, FaultError, mix64
 from .vm.machine import IoConfig, Machine, RunOutcome
@@ -88,6 +91,13 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def positive_int(value, what: str) -> int:
+    """`value` if it is an int >= 1 (bools excluded), else a ConfigError."""
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+             f"{what} must be a positive integer")
+    return value
+
+
 def parse_campaign_config(data, base_dir: str = ".",
                           source: str = "<config>") -> CampaignConfig:
     _require(isinstance(data, dict), f"{source}: top level must be a mapping")
@@ -100,22 +110,13 @@ def parse_campaign_config(data, base_dir: str = ".",
     cfg = CampaignConfig(program=resolve(str(data["program"])),
                          input=resolve(str(data["input"])))
 
-    if "runs" in data:
-        _require(isinstance(data["runs"], int) and not isinstance(data["runs"], bool)
-                 and data["runs"] >= 1, f"{source}: runs must be a positive integer")
-        cfg.runs = data["runs"]
+    for key in ("runs", "budget", "jobs"):
+        if key in data:
+            setattr(cfg, key, positive_int(data[key], f"{source}: {key}"))
     if "seed" in data:
         _require(isinstance(data["seed"], int) and not isinstance(data["seed"], bool),
                  f"{source}: seed must be an integer")
         cfg.seed = data["seed"]
-    if "budget" in data:
-        _require(isinstance(data["budget"], int) and data["budget"] >= 1,
-                 f"{source}: budget must be a positive integer")
-        cfg.budget = data["budget"]
-    if "jobs" in data:
-        _require(isinstance(data["jobs"], int) and data["jobs"] >= 1,
-                 f"{source}: jobs must be a positive integer")
-        cfg.jobs = data["jobs"]
     if "output_dir" in data:
         cfg.output_dir = resolve(str(data["output_dir"]))
     if "report_formats" in data:
@@ -150,9 +151,16 @@ def parse_campaign_config(data, base_dir: str = ".",
     mode = cmp_block.get("mode", "exact")
     _require(mode in ("exact", "numeric", "none"),
              f"{source}: compare.mode must be exact, numeric, or none")
-    cfg.compare = CompareSpec(mode=mode,
-                              rel_tol=float(cmp_block.get("rel_tol", 1e-9)),
-                              abs_tol=float(cmp_block.get("abs_tol", 0.0)))
+    tols = {}
+    for key, default in (("rel_tol", 1e-9), ("abs_tol", 0.0)):
+        v = cmp_block.get(key, default)
+        try:
+            tols[key] = float(v)
+        except (TypeError, ValueError):
+            tols[key] = math.nan
+        _require(not isinstance(v, bool) and tols[key] >= 0,
+                 f"{source}: compare.{key} must be a non-negative number")
+    cfg.compare = CompareSpec(mode=mode, **tols)
 
     for i, m in enumerate(data.get("metrics", []) or []):
         _require(isinstance(m, dict), f"{source}: metrics[{i}] must be a mapping")
@@ -244,18 +252,16 @@ def extract_metric(text: str, spec: MetricSpec) -> float | None:
 
 @dataclass
 class RunResult:
+    """Summary of one injection run; its stdout and trace are in the artifact tree."""
     run_index: int
     seed: int
     outcome: str
     activation_count: int
     skipped_nonfinite: int
     steps: int
-    stdout: str
     trap_kind: str = ""
     metrics: dict[str, float] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    trace_lines: list[str] = field(default_factory=list)
-    injection_lines: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -271,40 +277,104 @@ class CampaignResult:
         return 100.0 * self.counts.get(outcome, 0) / max(1, len(self.runs))
 
 
-def _worker_run(module, plan, fault_spec: FaultSpec, io_cfg: IoConfig,
-                budget: int, run_index: int, run_seed: int) -> tuple:
-    sampler = make_sampler(fault_spec, run_seed)
-    machine = Machine(module, io=io_cfg, budget=budget, trace=True,
-                      plan=plan, sampler=sampler)
-    return run_index, machine.run()
+@dataclass(frozen=True)
+class RunContext:
+    """Everything an injection run needs, shared by all runs of a campaign."""
+    config: CampaignConfig
+    module: IrModule
+    plan: InjectionPlan
+    fault_spec: FaultSpec
+    io: IoConfig
+    campaign_seed: int
+    golden: RunOutcome  # stdout only: classification needs no golden trace
+    golden_metrics: dict[str, float]
 
 
-def _injection_log_lines(outcome: RunOutcome, run_index: int, seed: int) -> list[str]:
+def load_program(path: str) -> IrModule:
+    """Read, parse and validate a program; a ConfigError names every problem."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read program: {e}") from e
+    try:
+        module = parse_module(text, source_name=os.path.basename(path))
+    except ParseError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    problems = validate(module)
+    if problems:
+        raise ConfigError(f"{path}: " + "; ".join(str(p) for p in problems))
+    return module
+
+
+def _collect_metrics(text: str, specs: list[MetricSpec], source: str,
+                     metrics: dict[str, float], notes: list[str]) -> None:
+    for spec in specs:
+        if spec.source != source:
+            continue
+        try:
+            v = extract_metric(text, spec)
+        except NonPositiveForLog as e:
+            notes.append(str(e))
+            continue
+        if v is not None:
+            metrics[spec.name] = v
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _injection_log(outcome: RunOutcome, run_index: int, seed: int) -> str:
     lines = [f"run={run_index} seed={seed} activations={outcome.activation_count} "
              f"skipped_nonfinite={outcome.skipped_nonfinite}"]
     for a in outcome.activations:
         lines.append(f"fi_index={a.index} opcode={a.opcode} step={a.step} "
                      f"original={a.original_hex} faulted={a.faulted_hex} "
                      f"error={a.error!r}")
-    return lines
+    return "\n".join(lines) + "\n"
 
 
-def run_campaign(cfg: CampaignConfig, emit_programs: bool = True) -> CampaignResult:
+def _worker_run(ctx: RunContext, run_index: int) -> RunResult:
+    """Run, classify and write one injection run, in whichever process runs it.
+
+    Every artifact path depends only on the run index, so the tree is the
+    same at any job count.
+    """
+    cfg = ctx.config
+    seed = mix64(ctx.campaign_seed, run_index, ctx.fault_spec.seed_salt)
+    oc = Machine(ctx.module, io=ctx.io, budget=cfg.budget, trace=True,
+                 plan=ctx.plan, sampler=make_sampler(ctx.fault_spec, seed)).run()
+    rr = RunResult(run_index=run_index, seed=seed,
+                   outcome=classify_outcome(ctx.golden, oc, cfg.compare),
+                   activation_count=oc.activation_count,
+                   skipped_nonfinite=oc.skipped_nonfinite, steps=oc.steps,
+                   trap_kind=oc.trap.kind if oc.trap else "",
+                   metrics=dict(ctx.golden_metrics))
+    _collect_metrics(oc.stdout, cfg.metrics, "stdout", rr.metrics, rr.notes)
+    if oc.skipped_nonfinite:
+        rr.notes.append(f"{oc.skipped_nonfinite} fault(s) skipped on "
+                        "non-finite target values")
+
+    llfi = os.path.join(cfg.output_dir, "llfi")
+    _write_text(os.path.join(llfi, "std_output", f"std_outputfile-run-{run_index}-0"),
+                oc.stdout)
+    if rr.outcome in ("crash", "hang"):
+        t = oc.trap
+        _write_text(os.path.join(llfi, "error_output", f"errorfile-run-{run_index}-0"),
+                    f"{t.kind}: {t.message}\nfunction: @{t.function} index: {t.index}\n"
+                    if t is not None else f"budget exhausted after {oc.steps} steps\n")
+    stat_dir = os.path.join(llfi, "llfi_stat_output")
+    write_trace(oc.trace, os.path.join(stat_dir, f"llfi.stat.trace.{run_index}-0.txt"))
+    _write_text(os.path.join(stat_dir, f"llfi.stat.fi.injectedfaults.{run_index}-0.txt"),
+                _injection_log(oc, run_index, seed))
+    return rr
+
+
+def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Execute a full campaign and write the artifact tree."""
-    try:
-        with open(cfg.program, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read program: {e}") from e
-    try:
-        module = parse_module(text, source_name=os.path.basename(cfg.program))
-    except ParseError as e:
-        raise ConfigError(f"{cfg.program}: {e}") from e
-    problems = validate(module)
-    if problems:
-        raise ConfigError(f"{cfg.program}: " + "; ".join(str(p) for p in problems))
-
-    indexed = assign_indices(module)
+    indexed = assign_indices(load_program(cfg.program))
     try:
         input_cfg = load_input_config(cfg.input)
         plan = build_plan(indexed, input_cfg)
@@ -313,108 +383,37 @@ def run_campaign(cfg: CampaignConfig, emit_programs: bool = True) -> CampaignRes
     except (InstrumentError, FaultError) as e:
         raise ConfigError(str(e)) from e
 
-    campaign_seed = cfg.seed if cfg.seed is not None else input_cfg.seed
-    io_cfg = cfg.io_config()
-
     out = cfg.output_dir
     baseline_dir = os.path.join(out, "llfi", "baseline")
-    std_dir = os.path.join(out, "llfi", "std_output")
-    err_dir = os.path.join(out, "llfi", "error_output")
-    prog_dir = os.path.join(out, "llfi", "prog_output")
-    stat_dir = os.path.join(out, "llfi", "llfi_stat_output")
-    for d in (baseline_dir, std_dir, err_dir, prog_dir, stat_dir):
-        os.makedirs(d, exist_ok=True)
+    for d in ("baseline", "std_output", "error_output", "prog_output",
+              "llfi_stat_output"):
+        os.makedirs(os.path.join(out, "llfi", d), exist_ok=True)
+    emit_artifacts(indexed, cfg.program, out_dir=out, plan=plan, config=input_cfg)
 
-    if emit_programs:
-        emit_artifacts(indexed, cfg.program, out_dir=out, plan=plan,
-                       config=input_cfg)
-
-    golden_machine = Machine(indexed, io=io_cfg, budget=cfg.budget, trace=True)
-    golden = golden_machine.run()
+    io_cfg = cfg.io_config()
+    golden = Machine(indexed, io=io_cfg, budget=cfg.budget, trace=True).run()
     if golden.status != "ok":
         raise GoldenRunFailed(golden)
-
-    with open(os.path.join(baseline_dir, "golden_std_output"), "w",
-              encoding="utf-8") as fh:
-        fh.write(golden.stdout)
+    _write_text(os.path.join(baseline_dir, "golden_std_output"), golden.stdout)
     write_trace(golden.trace, os.path.join(baseline_dir, "llfi.stat.trace.prof.txt"))
-
     golden_metrics: dict[str, float] = {}
     golden_notes: list[str] = []
-    for spec in cfg.metrics:
-        if spec.source != "golden":
-            continue
-        try:
-            v = extract_metric(golden.stdout, spec)
-        except NonPositiveForLog as e:
-            golden_notes.append(str(e))
-            v = None
-        if v is not None:
-            golden_metrics[spec.name] = v
+    _collect_metrics(golden.stdout, cfg.metrics, "golden", golden_metrics, golden_notes)
 
-    seeds = [mix64(campaign_seed, i, fault_spec.seed_salt) for i in range(cfg.runs)]
-    outcomes: list[RunOutcome] = [None] * cfg.runs
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_worker_run, indexed, plan, fault_spec,
-                                   io_cfg, cfg.budget, i, seeds[i])
-                       for i in range(cfg.runs)]
-            for fut in futures:
-                idx, oc = fut.result()
-                outcomes[idx] = oc
-    else:
-        for i in range(cfg.runs):
-            outcomes[i] = _worker_run(indexed, plan, fault_spec, io_cfg,
-                                      cfg.budget, i, seeds[i])[1]
+    ctx = RunContext(config=cfg, module=indexed, plan=plan, fault_spec=fault_spec,
+                     io=io_cfg,
+                     campaign_seed=cfg.seed if cfg.seed is not None else input_cfg.seed,
+                     golden=RunOutcome(status="ok", stdout=golden.stdout),
+                     golden_metrics=golden_metrics)
+    with (ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1
+          else nullcontext()) as pool:
+        runner = map if pool is None else pool.map
+        runs = list(runner(partial(_worker_run, ctx), range(cfg.runs)))
 
-    results: list[RunResult] = []
     counts = {k: 0 for k in OUTCOMES}
-    for i, oc in enumerate(outcomes):
-        outcome = classify_outcome(golden, oc, cfg.compare)
-        counts[outcome] += 1
-        rr = RunResult(
-            run_index=i, seed=seeds[i], outcome=outcome,
-            activation_count=oc.activation_count,
-            skipped_nonfinite=oc.skipped_nonfinite, steps=oc.steps,
-            stdout=oc.stdout, trap_kind=oc.trap.kind if oc.trap else "")
-        rr.metrics.update(golden_metrics)
-        for spec in cfg.metrics:
-            if spec.source != "stdout":
-                continue
-            try:
-                v = extract_metric(oc.stdout, spec)
-            except NonPositiveForLog as e:
-                rr.notes.append(str(e))
-                v = None
-            if v is not None:
-                rr.metrics[spec.name] = v
-        if oc.skipped_nonfinite:
-            rr.notes.append(f"{oc.skipped_nonfinite} fault(s) skipped on "
-                            "non-finite target values")
-        rr.trace_lines = [r.render() for r in oc.trace]
-        rr.injection_lines = _injection_log_lines(oc, i, seeds[i])
-        results.append(rr)
-
-        with open(os.path.join(std_dir, f"std_outputfile-run-{i}-0"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(oc.stdout)
-        if outcome in ("crash", "hang"):
-            with open(os.path.join(err_dir, f"errorfile-run-{i}-0"), "w",
-                      encoding="utf-8") as fh:
-                if oc.trap is not None:
-                    fh.write(f"{oc.trap.kind}: {oc.trap.message}\n"
-                             f"function: @{oc.trap.function} "
-                             f"index: {oc.trap.index}\n")
-                else:
-                    fh.write(f"budget exhausted after {oc.steps} steps\n")
-        with open(os.path.join(stat_dir, f"llfi.stat.trace.{i}-0.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("\n".join(rr.trace_lines) + ("\n" if rr.trace_lines else ""))
-        with open(os.path.join(stat_dir, f"llfi.stat.fi.injectedfaults.{i}-0.txt"),
-                  "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rr.injection_lines) + "\n")
-
-    result = CampaignResult(config=cfg, plan=plan, golden=golden, runs=results,
+    for r in runs:
+        counts[r.outcome] += 1
+    result = CampaignResult(config=cfg, plan=plan, golden=golden, runs=runs,
                             counts=counts, report_paths=[])
     result.report_paths = write_reports(result, golden_notes)
     return result
@@ -519,7 +518,6 @@ def write_reports(result: CampaignResult, golden_notes: list[str]) -> list[str]:
             content = render_json_report(result, golden_notes)
         else:
             content = render_csv_report(result)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        _write_text(path, content)
         paths.append(path)
     return paths

@@ -12,37 +12,23 @@ import argparse
 import os
 import sys
 
-from .ir.parser import parse_module, ParseError
-from .ir.validate import validate
 from .ir.defuse import build_def_use
 from .instrument import (assign_indices, build_plan, emit_artifacts,
                          load_input_config, InstrumentError)
 from .faults import FaultError, make_sampler
 from .vm.machine import IoConfig, Machine
-from .campaign import (ConfigError, GoldenRunFailed, load_campaign_config,
+from .campaign import (OUTCOMES, ConfigError, GoldenRunFailed,
+                       load_campaign_config, load_program, positive_int,
                        run_campaign)
 from .traces import (TraceFormatError, IndexMismatch, read_trace, trace_diff,
                      trace_union, build_propagation, trace_to_dot, write_trace)
 
 
-def _load_program(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ConfigError(str(e)) from e
-    try:
-        module = parse_module(text, source_name=os.path.basename(path))
-    except ParseError as e:
-        raise ConfigError(f"{path}:{e}") from e
+def _load_indexed(path: str):
+    module = load_program(path)
     for w in module.warnings:
         print(f"{path}: warning: {w}", file=sys.stderr)
-    problems = validate(module)
-    if problems:
-        for p in problems:
-            print(f"{path}: {p}", file=sys.stderr)
-        raise ConfigError(f"{path}: validation failed")
-    return module
+    return assign_indices(module)
 
 
 def _io_from_args(args) -> IoConfig:
@@ -61,13 +47,19 @@ def _io_from_args(args) -> IoConfig:
                     workdir=workdir)
 
 
-def _cmd_instrument(args) -> int:
-    module = assign_indices(_load_program(args.program))
+def _load_plan(args, module):
+    """The --input config, its plan and its fault spec; warnings go to stderr."""
     input_cfg = load_input_config(args.input)
     for w in input_cfg.warnings:
         print(f"{args.input}: warning: {w}", file=sys.stderr)
     plan = build_plan(module, input_cfg)
-    input_cfg.fault_spec(base_dir=os.path.dirname(os.path.abspath(args.input)))
+    spec = input_cfg.fault_spec(base_dir=os.path.dirname(os.path.abspath(args.input)))
+    return input_cfg, plan, spec
+
+
+def _cmd_instrument(args) -> int:
+    module = _load_indexed(args.program)
+    input_cfg, plan, _spec = _load_plan(args, module)
     paths = emit_artifacts(module, args.program, out_dir=args.out or "",
                            plan=plan, config=input_cfg)
     print(f"targets: {sorted(plan.target_indices())} "
@@ -78,7 +70,7 @@ def _cmd_instrument(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    module = assign_indices(_load_program(args.program))
+    module = _load_indexed(args.program)
     machine = Machine(module, io=_io_from_args(args), budget=args.budget,
                       trace=True)
     outcome = machine.run()
@@ -95,12 +87,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    module = assign_indices(_load_program(args.program))
-    input_cfg = load_input_config(args.input)
-    for w in input_cfg.warnings:
-        print(f"{args.input}: warning: {w}", file=sys.stderr)
-    plan = build_plan(module, input_cfg)
-    spec = input_cfg.fault_spec(base_dir=os.path.dirname(os.path.abspath(args.input)))
+    module = _load_indexed(args.program)
+    input_cfg, plan, spec = _load_plan(args, module)
     seed = args.seed if args.seed is not None else input_cfg.seed
     machine = Machine(module, io=_io_from_args(args), budget=args.budget,
                       trace=True, plan=plan, sampler=make_sampler(spec, seed))
@@ -119,12 +107,10 @@ def _cmd_inject(args) -> int:
 def _cmd_campaign(args) -> int:
     cfg = load_campaign_config(args.config)
     if args.jobs is not None:
-        cfg.jobs = args.jobs
+        cfg.jobs = positive_int(args.jobs, "--jobs")
     result = run_campaign(cfg)
-    n = len(result.runs)
-    print(f"{n} runs -> " + "  ".join(
-        f"{k}: {result.counts.get(k, 0)}" for k in
-        ("crash", "hang", "sdc", "benign_masked", "benign_not_activated")))
+    print(f"{len(result.runs)} runs -> " + "  ".join(
+        f"{k}: {result.counts.get(k, 0)}" for k in OUTCOMES))
     for p in result.report_paths:
         print(p)
     return 0
@@ -162,7 +148,7 @@ def _cmd_trace_union(args) -> int:
 
 
 def _cmd_trace_dot(args) -> int:
-    module = assign_indices(_load_program(args.program))
+    module = _load_indexed(args.program)
     graph = build_def_use(module)
     golden = read_trace(args.golden)
     faulty = read_trace(args.faulty)
@@ -256,9 +242,6 @@ def main(argv=None) -> int:
     except (InstrumentError, FaultError, TraceFormatError, IndexMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4 if is_campaign else 2
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -10,10 +10,11 @@ from histogram files and are sampled by piecewise-linear inverse CDF.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .ir.nodes import to_f32, wrap_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -204,22 +205,17 @@ def sample_errors(sampler: Sampler, value: float, n: int) -> np.ndarray:
     return raw * sampler.spec.bound * abs(value)
 
 
-def _wrap_int(v: int, bits: int) -> int:
-    half = 1 << (bits - 1)
-    return ((v + half) & ((1 << bits) - 1)) - half
-
-
 def apply_fault(value, error: float, value_kind: str):
     """Perturb a value: float kinds add and re-round, int kinds round the
     error half-to-even and wrap at the type width."""
     if value_kind == "f64":
         return float(value) + error
     if value_kind == "f32":
-        return struct.unpack("f", struct.pack("f", float(value) + error))[0]
+        return to_f32(float(value) + error)
     if value_kind in ("i32", "i64"):
         bits = 32 if value_kind == "i32" else 64
         delta = round(error)  # Python rounds halves to even
-        return _wrap_int(int(value) + delta, bits)
+        return wrap_int(int(value) + delta, bits)
     raise FaultError(f"cannot inject into value kind {value_kind!r}")
 
 

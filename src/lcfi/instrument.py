@@ -357,36 +357,6 @@ def build_plan(module: IrModule, config: InputConfig) -> InjectionPlan:
     return InjectionPlan(targets=ordered, scope=scope)
 
 
-@dataclass
-class InstrumentedModule:
-    """An indexed module plus the hook configuration the runtime honors.
-
-    mode "profiling": trace every value-producing instruction and store.
-    mode "injection": same tracing, plus fault hooks at the plan's targets.
-    """
-
-    module: IrModule
-    mode: str  # "profiling" | "injection"
-    plan: InjectionPlan | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("profiling", "injection"):
-            raise InstrumentError(f"unknown instrumentation mode {self.mode!r}")
-        if self.mode == "injection":
-            if self.plan is None:
-                raise InstrumentError("injection mode needs an InjectionPlan")
-            have = {ins.index for _f, _b, ins in self.module.all_instructions()}
-            missing = self.plan.target_indices() - have
-            if missing:
-                raise InstrumentError(f"plan targets {sorted(missing)} not in module")
-
-
-def insert_hooks(module: IrModule, mode: str,
-                 plan: InjectionPlan | None = None) -> InstrumentedModule:
-    check_indexed(module)
-    return InstrumentedModule(module=module, mode=mode, plan=plan)
-
-
 def loop_blocks_for(fn: IrFunction, label: str):
     """Innermost loop containing a block, found by back-edge heuristic.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 SUPPORTED_OPCODES = frozenset({
@@ -23,6 +24,17 @@ FCMP_PREDICATES = frozenset({
     "false", "oeq", "ogt", "oge", "olt", "ole", "one", "ord",
     "ueq", "ugt", "uge", "ult", "ule", "une", "uno", "true",
 })
+
+
+def wrap_int(v: int, bits: int) -> int:
+    """Wrap an integer to a signed `bits`-wide value."""
+    half = 1 << (bits - 1)
+    return ((v + half) & ((1 << bits) - 1)) - half
+
+
+def to_f32(x: float) -> float:
+    """Round a double to the nearest f32 value."""
+    return struct.unpack("<f", struct.pack("<f", x))[0]
 
 
 @dataclass(frozen=True)
@@ -143,9 +155,6 @@ class ValueRef:
     base: ValueRef | None = None
     gep_source: IrType | None = None
     indices: tuple[ValueRef, ...] = ()
-
-    def is_reg(self) -> bool:
-        return self.kind == "reg"
 
     def render(self) -> str:
         if self.kind == "reg":

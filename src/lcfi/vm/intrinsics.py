@@ -58,6 +58,11 @@ _FLOAT_TOKEN = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _WORD_TOKEN = re.compile(r"\S+")
 
 
+def _cstring(machine, addr) -> str:
+    addr = int(addr)
+    return machine.mem_for(addr).read_cstring(addr)
+
+
 def _do_printf(machine, fmt: str, args: list) -> int:
     out = []
     argi = 0
@@ -97,7 +102,7 @@ def _do_printf(machine, fmt: str, args: list) -> int:
         elif conv == "c":
             out.append(chr(int(next_arg()) & 0xFF))
         elif conv == "s":
-            out.append(machine.arena.read_cstring(int(next_arg())))
+            out.append(_cstring(machine, next_arg()))
         elif conv == "p":
             out.append("0x%x" % (int(next_arg()) & 0xFFFFFFFFFFFFFFFF))
         else:
@@ -110,14 +115,14 @@ def _do_printf(machine, fmt: str, args: list) -> int:
 def _intrinsic_printf(machine, args):
     if not args:
         machine.trap("bad_intrinsic_arg", "printf: missing format string")
-    fmt = machine.arena.read_cstring(int(args[0]))
+    fmt = _cstring(machine, args[0])
     return _do_printf(machine, fmt, args[1:])
 
 
 def _intrinsic_scanf(machine, args):
     if not args:
         machine.trap("bad_intrinsic_arg", "scanf: missing format string")
-    fmt = machine.arena.read_cstring(int(args[0]))
+    fmt = _cstring(machine, args[0])
     stream = machine.stdin
     assigned = 0
     argi = 1
@@ -128,7 +133,7 @@ def _intrinsic_scanf(machine, args):
             machine.trap("bad_intrinsic_arg", "scanf: not enough pointer arguments")
         p = int(args[argi])
         argi += 1
-        return p
+        return machine.mem_for(p), p
 
     i = 0
     while i < len(fmt):
@@ -164,28 +169,31 @@ def _intrinsic_scanf(machine, args):
             tok = stream.match(_INT_TOKEN)
             if tok is None:
                 break
-            machine.arena.store_int(next_ptr(), int(tok), 64 if longs else 32)
+            mem, addr = next_ptr()
+            mem.store_int(addr, int(tok), 64 if longs else 32)
         elif conv in ("f", "e", "g"):
             stream.skip_ws()
             tok = stream.match(_FLOAT_TOKEN)
             if tok is None:
                 break
-            addr = next_ptr()
+            mem, addr = next_ptr()
             if longs:
-                machine.arena.store_f64(addr, float(tok))
+                mem.store_f64(addr, float(tok))
             else:
-                machine.arena.store_f32(addr, float(tok))
+                mem.store_f32(addr, float(tok))
         elif conv == "s":
             stream.skip_ws()
             tok = stream.match(_WORD_TOKEN)
             if tok is None:
                 break
-            machine.arena.write_cstring(next_ptr(), tok)
+            mem, addr = next_ptr()
+            mem.write_cstring(addr, tok)
         elif conv == "c":
             got = stream.getc()
             if got is None:
                 break
-            machine.arena.store_int(next_ptr(), ord(got) & 0xFF, 8)
+            mem, addr = next_ptr()
+            mem.store_int(addr, ord(got) & 0xFF, 8)
         else:
             machine.trap("bad_intrinsic_arg", f"scanf: %{conv} unsupported")
         assigned += 1
@@ -197,8 +205,8 @@ def _intrinsic_scanf(machine, args):
 def _intrinsic_freopen(machine, args):
     if len(args) != 3:
         machine.trap("bad_intrinsic_arg", "freopen: expected 3 arguments")
-    path = machine.arena.read_cstring(int(args[0]))
-    mode = machine.arena.read_cstring(int(args[1]))
+    path = _cstring(machine, args[0])
+    mode = _cstring(machine, args[1])
     stream = int(args[2])
     if stream != STDIN_HANDLE or "r" not in mode:
         return 0
@@ -212,8 +220,8 @@ def _intrinsic_freopen(machine, args):
 def _intrinsic_fopen(machine, args):
     if len(args) != 2:
         machine.trap("bad_intrinsic_arg", "fopen: expected 2 arguments")
-    path = machine.arena.read_cstring(int(args[0]))
-    mode = machine.arena.read_cstring(int(args[1]))
+    path = _cstring(machine, args[0])
+    mode = _cstring(machine, args[1])
     if "r" not in mode:
         return 0
     content = machine.resolve_file(path)

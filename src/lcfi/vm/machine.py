@@ -18,7 +18,8 @@ import os
 import struct
 from dataclasses import dataclass, field
 
-from ..ir.nodes import IrModule, IrFunction, Instruction, IrType, ValueRef
+from ..ir.nodes import (IrModule, IrFunction, Instruction, IrType, ValueRef,
+                         to_f32, wrap_int)
 from ..faults import Sampler, sample_error, apply_fault
 from ..instrument import InjectionPlan, loop_blocks_for
 from ..traces import TraceRecord
@@ -120,15 +121,6 @@ def value_bits(value, vtype: IrType) -> str:
     if k in ("i1", "i8", "i32"):
         return "%08x" % (int(value) & 0xFFFFFFFF)
     return "00000000"
-
-
-def _wrap(v: int, bits: int) -> int:
-    half = 1 << (bits - 1)
-    return ((v + half) & ((1 << bits) - 1)) - half
-
-
-def _to_f32(x: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", x))[0]
 
 
 class Machine:
@@ -243,19 +235,6 @@ class Machine:
         idxs = [self._const_value(i) for i in v.indices]
         return self._gep_addr(v.gep_source, base, idxs)
 
-    def _store_typed(self, addr: int, value, vtype: IrType) -> None:
-        k = vtype.kind
-        if k == "f64":
-            self.arena.store_f64(addr, float(value))
-        elif k == "f32":
-            self.arena.store_f32(addr, float(value))
-        elif k == "ptr":
-            self.arena.store_int(addr, int(value), 64)
-        elif k in ("i1", "i8", "i32", "i64"):
-            self.arena.store_int(addr, int(value), vtype.int_bits())
-        else:
-            raise VmError(f"cannot store type {vtype.render()}")
-
     # -- services used by intrinsics ----------------------------------------
 
     def write_stdout(self, text: str) -> None:
@@ -369,7 +348,7 @@ class Machine:
             if op == "store":
                 value = self._value(frame, ins.operands[0])
                 addr = int(self._value(frame, ins.operands[1]))
-                self._store_typed_any(addr, value, ins.operands[0].type)
+                self._store_typed(addr, value, ins.operands[0].type)
                 self._trace(ins, None, None)
                 frame.pc += 1
                 continue
@@ -467,7 +446,7 @@ class Machine:
             return mem.load_int(addr, vtype.int_bits())
         raise VmError(f"cannot load type {vtype.render()}")
 
-    def _store_typed_any(self, addr: int, value, vtype: IrType) -> None:
+    def _store_typed(self, addr: int, value, vtype: IrType) -> None:
         mem = self.mem_for(addr)
         k = vtype.kind
         if k == "f64":
@@ -504,19 +483,19 @@ class Machine:
             b = int(self._value(frame, ins.operands[1]))
             bits = ins.result_type.int_bits()
             if op == "add":
-                return _wrap(a + b, bits)
+                return wrap_int(a + b, bits)
             if op == "sub":
-                return _wrap(a - b, bits)
+                return wrap_int(a - b, bits)
             if op == "mul":
-                return _wrap(a * b, bits)
+                return wrap_int(a * b, bits)
             if b == 0:
                 self.trap("division_by_zero", f"{op} by zero")
             q = abs(a) // abs(b)
             if (a < 0) != (b < 0):
                 q = -q
             if op == "sdiv":
-                return _wrap(q, bits)
-            return _wrap(a - q * b, bits)
+                return wrap_int(q, bits)
+            return wrap_int(a - q * b, bits)
 
         if op in ("fadd", "fsub", "fmul", "fdiv"):
             a = float(self._value(frame, ins.operands[0]))
@@ -530,12 +509,12 @@ class Machine:
             else:
                 r = self._fdiv(a, b)
             if ins.result_type.kind == "f32":
-                r = _to_f32(r)
+                r = to_f32(r)
             return r
 
         if op == "fneg":
             r = -float(self._value(frame, ins.operands[0]))
-            return _to_f32(r) if ins.result_type.kind == "f32" else r
+            return to_f32(r) if ins.result_type.kind == "f32" else r
 
         if op == "icmp":
             return self._icmp(frame, ins)
@@ -561,24 +540,24 @@ class Machine:
             if op == "zext":
                 return v & ((1 << src_bits) - 1)
             if op == "trunc":
-                return _wrap(v, ins.result_type.int_bits())
+                return wrap_int(v, ins.result_type.int_bits())
             return v  # sext: values are already sign-canonical
 
         if op == "fptosi":
             v = float(self._value(frame, ins.operands[0]))
             if not math.isfinite(v):
                 return 0
-            return _wrap(math.trunc(v), ins.result_type.int_bits())
+            return wrap_int(math.trunc(v), ins.result_type.int_bits())
 
         if op == "sitofp":
             v = float(int(self._value(frame, ins.operands[0])))
-            return _to_f32(v) if ins.result_type.kind == "f32" else v
+            return to_f32(v) if ins.result_type.kind == "f32" else v
 
         if op == "fpext":
             return float(self._value(frame, ins.operands[0]))
 
         if op == "fptrunc":
-            return _to_f32(float(self._value(frame, ins.operands[0])))
+            return to_f32(float(self._value(frame, ins.operands[0])))
 
         if op == "bitcast":
             v = self._value(frame, ins.operands[0])
@@ -589,11 +568,11 @@ class Machine:
             if src.kind == "i64" and dst.kind == "f64":
                 return struct.unpack("<d", struct.pack("<q", int(v)))[0]
             if src.kind == "f64" and dst.kind == "i64":
-                return _wrap(struct.unpack("<q", struct.pack("<d", float(v)))[0], 64)
+                return wrap_int(struct.unpack("<q", struct.pack("<d", float(v)))[0], 64)
             if src.kind == "i32" and dst.kind == "f32":
                 return struct.unpack("<f", struct.pack("<i", int(v)))[0]
             if src.kind == "f32" and dst.kind == "i32":
-                return _wrap(struct.unpack("<i", struct.pack("<f", float(v)))[0], 32)
+                return wrap_int(struct.unpack("<i", struct.pack("<f", float(v)))[0], 32)
             raise VmError(f"bitcast {src.render()} to {dst.render()} unsupported")
 
         raise VmError(f"opcode {op!r} not executable")

@@ -89,6 +89,12 @@ class TestConfigParsing:
          "transform"),
         ({"metrics": [{"name": "m", "pattern": "(x)", "source": "stderr"}]},
          "source"),
+        ({"budget": True}, "budget"),
+        ({"jobs": True}, "jobs"),
+        ({"compare": {"rel_tol": "tight"}}, "compare.rel_tol"),
+        ({"compare": {"abs_tol": [1]}}, "compare.abs_tol"),
+        ({"compare": {"abs_tol": -1.0}}, "compare.abs_tol"),
+        ({"compare": {"rel_tol": True}}, "compare.rel_tol"),
     ])
     def test_rejected_configs(self, mutate, fragment):
         data = self._minimal()
@@ -302,10 +308,10 @@ class TestDemoCampaign:
 
 
 class TestDeterminismAndParallel:
-    def _cfg(self, out, runs=6, jobs=1):
+    def _cfg(self, out, runs=6, jobs=1, program="demo"):
         return CampaignConfig(
-            program=fixture_path("demo.ll"),
-            input=fixture_path("demo_input.yaml"),
+            program=fixture_path(f"{program}.ll"),
+            input=fixture_path(f"{program}_input.yaml"),
             runs=runs, jobs=jobs, output_dir=str(out),
             files={"in.txt": "4 3 3\n"})
 
@@ -321,14 +327,28 @@ class TestDeterminismAndParallel:
                 right = fh.read()
             assert left == right, name
 
+    @staticmethod
+    def _tree(root):
+        files = {}
+        for dirpath, _dirs, names in os.walk(root):
+            for n in names:
+                path = os.path.join(dirpath, n)
+                with open(path, "rb") as fh:
+                    files[os.path.relpath(path, root)] = fh.read()
+        return files
+
     def test_parallel_matches_serial(self, tmp_path):
-        serial = run_campaign(self._cfg(tmp_path / "s", jobs=1))
-        parallel = run_campaign(self._cfg(tmp_path / "p", jobs=2))
-        with open(os.path.join(serial.config.output_dir, "report.json"), "rb") as fh:
-            left = fh.read()
-        with open(os.path.join(parallel.config.output_dir, "report.json"), "rb") as fh:
-            right = fh.read()
-        assert left == right
+        for program in ("demo", "fragile"):
+            serial = run_campaign(self._cfg(tmp_path / program / "s",
+                                            program=program))
+            parallel = run_campaign(self._cfg(tmp_path / program / "p",
+                                              jobs=2, program=program))
+            left = self._tree(serial.config.output_dir)
+            assert left == self._tree(parallel.config.output_dir), program
+        # fragile crashes, so workers wrote its error files
+        assert serial.counts["crash"] > 0
+        assert any(p.startswith(os.path.join("llfi", "error_output"))
+                   for p in left)
 
 
 GOLDEN_TRAP_SRC = """

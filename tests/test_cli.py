@@ -140,6 +140,14 @@ class TestCampaign:
         assert rc == 0
         assert "2 runs ->" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_override_must_be_positive(self, tmp_path, capsys, jobs):
+        rc = main(["campaign", "--config", self._config(tmp_path),
+                   "--jobs", jobs])
+        assert rc == 4
+        assert "--jobs must be a positive integer" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
 
 class TestTraceDiff:
     def test_identical(self, capsys):

@@ -1,12 +1,11 @@
 import pytest
 
-from lcfi.instrument import (FunctionNotFound, InjectionPlan, InputConfig,
-                             InstrumentError, InstrumentedModule,
+from lcfi.instrument import (FunctionNotFound, InputConfig, InstrumentError,
                              MainFunctionRejected, NonNumericTarget,
                              OccurrenceScope, PlanTarget, TargetConfigError,
                              TargetSpec, VariableNotFound, assign_indices,
                              build_plan, check_indexed, derive_scope,
-                             emit_artifacts, insert_hooks, load_input_config,
+                             emit_artifacts, load_input_config,
                              loop_blocks_for, parse_input_config,
                              resolve_targets)
 from lcfi.ir.parser import parse_module
@@ -258,24 +257,6 @@ done:
 
 
 class TestHooksAndArtifacts:
-    def test_injection_mode_needs_plan(self, demo_indexed):
-        with pytest.raises(InstrumentError, match="needs an InjectionPlan"):
-            insert_hooks(demo_indexed, "injection")
-
-    def test_plan_targets_must_exist(self, demo_indexed):
-        plan = InjectionPlan(targets=(PlanTarget(999, "process", "f64"),),
-                             scope=OccurrenceScope("nth_execution", (1,)))
-        with pytest.raises(InstrumentError, match="999"):
-            insert_hooks(demo_indexed, "injection", plan)
-
-    def test_unknown_mode(self, demo_indexed):
-        with pytest.raises(InstrumentError, match="mode"):
-            InstrumentedModule(demo_indexed, "observe")
-
-    def test_profiling_mode(self, demo_indexed):
-        inst = insert_hooks(demo_indexed, "profiling")
-        assert inst.plan is None
-
     def test_emit_and_reparse(self, demo_indexed, tmp_path):
         cfg = load_input_config(fixture_path("demo_input.yaml"))
         plan = build_plan(demo_indexed, cfg)

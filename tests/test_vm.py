@@ -553,6 +553,24 @@ define i32 @main() {
         assert out.stdout == "hello\n"
         assert out.return_value == 1
 
+    def test_heap_targets(self):
+        out = run_src("""
+@f = constant [7 x i8] c"%lf %s\\00"
+@p = constant [7 x i8] c"%s %g\\0A\\00"
+define i32 @main() {
+  %raw = call i8* @malloc(i64 8)
+  %d = bitcast i8* %raw to double*
+  %buf = call i8* @malloc(i64 16)
+  %r = call i32 (i8*, ...)* @scanf(i8* getelementptr ([7 x i8]* @f, i32 0, i32 0), double* %d, i8* %buf)
+  %v = load double* %d
+  %w = call i32 (i8*, ...)* @printf(i8* getelementptr ([7 x i8]* @p, i32 0, i32 0), i8* %buf, double %v)
+  ret i32 %r
+}
+""", io=IoConfig(stdin_text="2.5 heap"))
+        assert out.status == "ok", out.trap
+        assert out.stdout == "heap 2.5\n"
+        assert out.return_value == 2
+
 
 class TestFilesAndMath:
     def test_freopen_redirects_stdin(self):
