@@ -71,8 +71,8 @@ def _cmd_instrument(args) -> int:
 
 def _cmd_profile(args) -> int:
     module = _load_indexed(args.program)
-    machine = Machine(module, io=_io_from_args(args), budget=args.budget,
-                      trace=True)
+    machine = Machine(module, io=_io_from_args(args),
+                      budget=positive_int(args.budget, "--budget"), trace=True)
     outcome = machine.run()
     sys.stdout.write(outcome.stdout)
     if args.trace_out:
@@ -90,7 +90,8 @@ def _cmd_inject(args) -> int:
     module = _load_indexed(args.program)
     input_cfg, plan, spec = _load_plan(args, module)
     seed = args.seed if args.seed is not None else input_cfg.seed
-    machine = Machine(module, io=_io_from_args(args), budget=args.budget,
+    machine = Machine(module, io=_io_from_args(args),
+                      budget=positive_int(args.budget, "--budget"),
                       trace=True, plan=plan, sampler=make_sampler(spec, seed))
     outcome = machine.run()
     sys.stdout.write(outcome.stdout)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .nodes import IrModule
+from .validate import registers_in
 
 
 class IndicesMissing(Exception):
@@ -32,17 +33,6 @@ class UseGraph:
         return sorted(self.edges)
 
 
-def _registers_in(v) -> list[str]:
-    if v.kind == "reg":
-        return [v.name]
-    if v.kind == "gep":
-        out = _registers_in(v.base)
-        for i in v.indices:
-            out.extend(_registers_in(i))
-        return out
-    return []
-
-
 def build_def_use(module: IrModule) -> UseGraph:
     """Build the module's def-use graph; every instruction must carry an index."""
     edges: set[tuple[int, int]] = set()
@@ -58,7 +48,7 @@ def build_def_use(module: IrModule) -> UseGraph:
                 producer[ins.result] = ins.index
         for ins in fn.instructions():
             for v in ins.operands:
-                for r in _registers_in(v):
+                for r in registers_in(v):
                     p = producer.get(r)
                     if p is not None:
                         edges.add((p, ins.index))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -26,6 +27,14 @@ FCMP_PREDICATES = frozenset({
 })
 
 
+# Memory layout of each scalar kind: (byte size, little-endian struct format).
+# i1 occupies one byte; ptr is an unsigned 64-bit address.
+SCALARS = {
+    "i1": (1, "<B"), "i8": (1, "<b"), "i32": (4, "<i"), "i64": (8, "<q"),
+    "ptr": (8, "<Q"), "f32": (4, "<f"), "f64": (8, "<d"),
+}
+
+
 def wrap_int(v: int, bits: int) -> int:
     """Wrap an integer to a signed `bits`-wide value."""
     half = 1 << (bits - 1)
@@ -33,8 +42,11 @@ def wrap_int(v: int, bits: int) -> int:
 
 
 def to_f32(x: float) -> float:
-    """Round a double to the nearest f32 value."""
-    return struct.unpack("<f", struct.pack("<f", x))[0]
+    """Round a double to the nearest f32 value; past the f32 range, ±inf."""
+    try:
+        return struct.unpack("<f", struct.pack("<f", x))[0]
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 @dataclass(frozen=True)
@@ -71,12 +83,8 @@ class IrType:
         return int(self.kind[1:])
 
     def byte_width(self) -> int:
-        if self.kind == "i1" or self.kind == "i8":
-            return 1
-        if self.kind == "i32" or self.kind == "f32":
-            return 4
-        if self.kind in ("i64", "f64", "ptr"):
-            return 8
+        if self.kind in SCALARS:
+            return SCALARS[self.kind][0]
         if self.kind == "array":
             return self.count * self.elem.byte_width()
         if self.kind == "struct":
@@ -178,8 +186,6 @@ class ValueRef:
 
 def render_float(x: float) -> str:
     # Short scientific form when it round-trips exactly, raw bits otherwise.
-    import struct as _struct
-
     text = f"{x:.6e}"
     try:
         exact = float(text) == x
@@ -187,7 +193,7 @@ def render_float(x: float) -> str:
         exact = False
     if exact:
         return text
-    bits = _struct.unpack(">Q", _struct.pack(">d", x))[0]
+    bits = struct.unpack(">Q", struct.pack(">d", x))[0]
     return f"0x{bits:016X}"
 
 

@@ -113,7 +113,7 @@ def _check_operands(ins: Instruction, block, pos: int, fn: IrFunction,
     diags = []
     local_defs = {i.result for i in block.instructions[:pos] if i.result is not None}
     for v in ins.operands:
-        for r in _registers_in(v):
+        for r in registers_in(v):
             if r not in defined:
                 diags.append(Diagnostic(
                     f"undefined register %{r}", fn.name, block.label, ins.line))
@@ -127,13 +127,14 @@ def _check_operands(ins: Instruction, block, pos: int, fn: IrFunction,
     return diags
 
 
-def _registers_in(v) -> list[str]:
+def registers_in(v) -> list[str]:
+    """Register names an operand reads, constant geps included."""
     if v.kind == "reg":
         return [v.name]
     if v.kind == "gep":
-        out = _registers_in(v.base)
+        out = registers_in(v.base)
         for i in v.indices:
-            out.extend(_registers_in(i))
+            out.extend(registers_in(i))
         return out
     return []
 

@@ -33,13 +33,7 @@ class TraceRecord:
 
 
 def format_record(index: int, opcode: str, value_hex: str) -> str:
-    idx_field = str(index).ljust(5)
-    if not idx_field.endswith(" "):
-        idx_field += " "
-    op_field = opcode.ljust(7)
-    if not op_field.endswith(" "):
-        op_field += " "
-    return f"ID: {idx_field}OPCode: {op_field}Value: {value_hex}"
+    return f"ID: {index:<4} OPCode: {opcode:<6} Value: {value_hex}"
 
 
 _RECORD_RE = re.compile(
@@ -59,8 +53,12 @@ def parse_record(line: str) -> TraceRecord | None:
 def read_trace(source) -> list[TraceRecord]:
     """Read records from a path or an iterable of lines."""
     if isinstance(source, str):
-        with open(source, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as e:
+            raise TraceFormatError(
+                f"{source}: not UTF-8 text (byte {e.start})") from e
     else:
         lines = list(source)
     out = []

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import struct
 
+from ..ir.nodes import SCALARS, to_f32
+
 
 class OutOfBounds(Exception):
     def __init__(self, addr: int, size: int, message: str = ""):
@@ -63,25 +65,23 @@ class MemoryArena:
         off = addr - self.base
         self._mem[off:off + len(data)] = data
 
-    def load_int(self, addr: int, bits: int, signed: bool = True) -> int:
-        raw = self.load_bytes(addr, bits // 8)
-        return int.from_bytes(raw, "little", signed=signed)
+    def load(self, addr: int, kind: str):
+        """The scalar of `kind` (see SCALARS) at `addr`; an i1 keeps one bit."""
+        size, fmt = SCALARS[kind]
+        self._check(addr, size)
+        value = struct.unpack_from(fmt, self._mem, addr - self.base)[0]
+        return value & 1 if kind == "i1" else value
 
-    def store_int(self, addr: int, value: int, bits: int) -> None:
-        mask = (1 << bits) - 1
-        self.store_bytes(addr, (value & mask).to_bytes(bits // 8, "little"))
-
-    def load_f64(self, addr: int) -> float:
-        return struct.unpack("<d", self.load_bytes(addr, 8))[0]
-
-    def store_f64(self, addr: int, value: float) -> None:
-        self.store_bytes(addr, struct.pack("<d", value))
-
-    def load_f32(self, addr: int) -> float:
-        return struct.unpack("<f", self.load_bytes(addr, 4))[0]
-
-    def store_f32(self, addr: int, value: float) -> None:
-        self.store_bytes(addr, struct.pack("<f", value))
+    def store(self, addr: int, kind: str, value) -> None:
+        """Store a scalar: integers are masked to the width, f32 is rounded."""
+        size, fmt = SCALARS[kind]
+        self._check(addr, size)
+        if kind == "f32":
+            value = to_f32(float(value))
+        elif kind != "f64":
+            value = int(value) & ((1 << 8 * size) - 1)
+            fmt = fmt.upper()  # the unsigned format of the same width
+        struct.pack_into(fmt, self._mem, addr - self.base, value)
 
     def read_cstring(self, addr: int, limit: int = 1 << 20) -> str:
         out = bytearray()

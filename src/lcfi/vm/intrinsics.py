@@ -170,17 +170,14 @@ def _intrinsic_scanf(machine, args):
             if tok is None:
                 break
             mem, addr = next_ptr()
-            mem.store_int(addr, int(tok), 64 if longs else 32)
+            mem.store(addr, "i64" if longs else "i32", int(tok))
         elif conv in ("f", "e", "g"):
             stream.skip_ws()
             tok = stream.match(_FLOAT_TOKEN)
             if tok is None:
                 break
             mem, addr = next_ptr()
-            if longs:
-                mem.store_f64(addr, float(tok))
-            else:
-                mem.store_f32(addr, float(tok))
+            mem.store(addr, "f64" if longs else "f32", float(tok))
         elif conv == "s":
             stream.skip_ws()
             tok = stream.match(_WORD_TOKEN)
@@ -193,7 +190,7 @@ def _intrinsic_scanf(machine, args):
             if got is None:
                 break
             mem, addr = next_ptr()
-            mem.store_int(addr, ord(got) & 0xFF, 8)
+            mem.store(addr, "i8", ord(got))
         else:
             machine.trap("bad_intrinsic_arg", f"scanf: %{conv} unsupported")
         assigned += 1

@@ -14,12 +14,13 @@ and counted separately; it is not an activation.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
 
-from ..ir.nodes import (IrModule, IrFunction, Instruction, IrType, ValueRef,
-                         to_f32, wrap_int)
+from ..ir.nodes import (SCALARS, VOID, IrModule, IrFunction, Instruction,
+                         IrType, ValueRef, to_f32, wrap_int)
 from ..faults import Sampler, sample_error, apply_fault
 from ..instrument import InjectionPlan, loop_blocks_for
 from ..traces import TraceRecord
@@ -110,17 +111,42 @@ class Frame:
 
 
 def value_bits(value, vtype: IrType) -> str:
-    """Render a runtime value as the trace's fixed-width hex field."""
+    """Render a runtime value as the trace's fixed-width hex field: 16 digits
+    for 8-byte scalars, 8 for the rest, zeros for no value."""
     k = vtype.kind
-    if k == "f64":
-        return "%016x" % struct.unpack("<Q", struct.pack("<d", float(value)))[0]
-    if k == "f32":
-        return "%08x" % struct.unpack("<I", struct.pack("<f", float(value)))[0]
-    if k in ("ptr", "i64"):
+    if value is None or k not in SCALARS:
+        return "00000000"
+    size, fmt = SCALARS[k]
+    if k == "f32" or k == "f64":
+        value = int.from_bytes(struct.pack(fmt, value), "little")
+    if size == 8:
         return "%016x" % (int(value) & 0xFFFFFFFFFFFFFFFF)
-    if k in ("i1", "i8", "i32"):
-        return "%08x" % (int(value) & 0xFFFFFFFF)
-    return "00000000"
+    return "%08x" % (int(value) & 0xFFFFFFFF)
+
+
+def _fdiv(a: float, b: float) -> float:
+    # IEEE semantics: float division never traps
+    if b == 0.0:
+        if a == 0.0 or math.isnan(a):
+            return math.nan
+        return math.inf if (a > 0) == (math.copysign(1.0, b) > 0) else -math.inf
+    try:
+        return a / b
+    except OverflowError:
+        return math.inf
+
+
+_INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_FLOAT_OPS = {"fadd": operator.add, "fsub": operator.sub, "fmul": operator.mul,
+              "fdiv": _fdiv}
+# icmp and fcmp predicates end in one of these relations.
+_RELATIONS = {"eq": operator.eq, "ne": operator.ne, "gt": operator.gt,
+              "ge": operator.ge, "lt": operator.lt, "le": operator.le}
+# bitcast between same-width integer and float kinds: (source, destination)
+# struct formats.
+_BITCASTS = {(src, dst): (SCALARS[src][1], SCALARS[dst][1])
+             for src, dst in (("i32", "f32"), ("f32", "i32"),
+                              ("i64", "f64"), ("f64", "i64"))}
 
 
 class Machine:
@@ -202,7 +228,7 @@ class Machine:
                                     g.align or g.type.alignment())
             self._globals[g.name] = addr
             if g.external and g.name in handles:
-                self.arena.store_int(addr, handles[g.name], 64)
+                self.arena.store(addr, "ptr", handles[g.name])
                 continue
             init = g.init
             if init is None or init.kind == "zero":
@@ -218,17 +244,21 @@ class Machine:
                     self._store_typed(addr + i * step, self._const_value(v), elem)
 
     def _const_value(self, v: ValueRef):
-        if v.kind == "int":
+        k = v.kind
+        if k == "int":
             return v.ival
-        if v.kind == "float":
+        if k == "float":
             return v.fval
-        if v.kind == "null":
+        if k == "global":
+            try:
+                return self._globals[v.name]
+            except KeyError:
+                raise VmError(f"unknown global @{v.name}") from None
+        if k == "null":
             return 0
-        if v.kind == "global":
-            return self._globals[v.name]
-        if v.kind == "gep":
+        if k == "gep":
             return self._gep_const_addr(v)
-        raise VmError(f"unsupported constant initializer {v.render()}")
+        raise VmError(f"unsupported constant {v.render()}")
 
     def _gep_const_addr(self, v: ValueRef) -> int:
         base = self._const_value(v.base)
@@ -349,7 +379,7 @@ class Machine:
                 value = self._value(frame, ins.operands[0])
                 addr = int(self._value(frame, ins.operands[1]))
                 self._store_typed(addr, value, ins.operands[0].type)
-                self._trace(ins, None, None)
+                self._trace(ins, None, VOID)
                 frame.pc += 1
                 continue
 
@@ -365,10 +395,7 @@ class Machine:
             if ins.result_type.is_void():
                 raise VmError("void call binds a register")
             frame.regs[ins.result] = value
-        if ins.result_type.is_void() or value is None:
-            self._trace(ins, None, None)
-        else:
-            self._trace(ins, value, ins.result_type)
+        self._trace(ins, value, ins.result_type)
         frame.pc += 1
 
     def _do_branch(self, frame: Frame, ins: Instruction) -> None:
@@ -394,26 +421,12 @@ class Machine:
     # -- values -------------------------------------------------------------
 
     def _value(self, frame: Frame, v: ValueRef):
-        k = v.kind
-        if k == "reg":
-            try:
-                return frame.regs[v.name]
-            except KeyError:
-                raise VmError(f"@{frame.fn.name}: %{v.name} read before definition")
-        if k == "int":
-            return v.ival
-        if k == "float":
-            return v.fval
-        if k == "global":
-            try:
-                return self._globals[v.name]
-            except KeyError:
-                raise VmError(f"unknown global @{v.name}")
-        if k == "null":
-            return 0
-        if k == "gep":
-            return self._gep_const_addr(v)
-        raise VmError(f"unsupported operand {v.render()}")
+        if v.kind != "reg":
+            return self._const_value(v)
+        try:
+            return frame.regs[v.name]
+        except KeyError:
+            raise VmError(f"@{frame.fn.name}: %{v.name} read before definition")
 
     def _gep_addr(self, source: IrType, base: int, idxs: list[int]) -> int:
         if not idxs:
@@ -432,33 +445,14 @@ class Machine:
         return addr
 
     def _load_typed(self, addr: int, vtype: IrType):
-        mem = self.mem_for(addr)
-        k = vtype.kind
-        if k == "f64":
-            return mem.load_f64(addr)
-        if k == "f32":
-            return mem.load_f32(addr)
-        if k == "ptr":
-            return mem.load_int(addr, 64, signed=False)
-        if k == "i1":
-            return mem.load_int(addr, 8) & 1
-        if k in ("i8", "i32", "i64"):
-            return mem.load_int(addr, vtype.int_bits())
-        raise VmError(f"cannot load type {vtype.render()}")
+        if vtype.kind not in SCALARS:
+            raise VmError(f"cannot load type {vtype.render()}")
+        return self.mem_for(addr).load(addr, vtype.kind)
 
     def _store_typed(self, addr: int, value, vtype: IrType) -> None:
-        mem = self.mem_for(addr)
-        k = vtype.kind
-        if k == "f64":
-            mem.store_f64(addr, float(value))
-        elif k == "f32":
-            mem.store_f32(addr, float(value))
-        elif k == "ptr":
-            mem.store_int(addr, int(value), 64)
-        elif k in ("i1", "i8", "i32", "i64"):
-            mem.store_int(addr, int(value), vtype.int_bits())
-        else:
+        if vtype.kind not in SCALARS:
             raise VmError(f"cannot store type {vtype.render()}")
+        self.mem_for(addr).store(addr, vtype.kind, value)
 
     # -- instruction semantics ----------------------------------------------
 
@@ -478,16 +472,12 @@ class Machine:
             idxs = [int(self._value(frame, v)) for v in ins.operands[1:]]
             return self._gep_addr(ins.aux_type, base, idxs)
 
-        if op in ("add", "sub", "mul", "sdiv", "srem"):
+        if op in _INT_OPS or op == "sdiv" or op == "srem":
             a = int(self._value(frame, ins.operands[0]))
             b = int(self._value(frame, ins.operands[1]))
             bits = ins.result_type.int_bits()
-            if op == "add":
-                return wrap_int(a + b, bits)
-            if op == "sub":
-                return wrap_int(a - b, bits)
-            if op == "mul":
-                return wrap_int(a * b, bits)
+            if op in _INT_OPS:
+                return wrap_int(_INT_OPS[op](a, b), bits)
             if b == 0:
                 self.trap("division_by_zero", f"{op} by zero")
             q = abs(a) // abs(b)
@@ -497,20 +487,11 @@ class Machine:
                 return wrap_int(q, bits)
             return wrap_int(a - q * b, bits)
 
-        if op in ("fadd", "fsub", "fmul", "fdiv"):
+        if op in _FLOAT_OPS:
             a = float(self._value(frame, ins.operands[0]))
             b = float(self._value(frame, ins.operands[1]))
-            if op == "fadd":
-                r = a + b
-            elif op == "fsub":
-                r = a - b
-            elif op == "fmul":
-                r = a * b
-            else:
-                r = self._fdiv(a, b)
-            if ins.result_type.kind == "f32":
-                r = to_f32(r)
-            return r
+            r = _FLOAT_OPS[op](a, b)
+            return to_f32(r) if ins.result_type.kind == "f32" else r
 
         if op == "fneg":
             r = -float(self._value(frame, ins.operands[0]))
@@ -565,96 +546,34 @@ class Machine:
             dst = ins.result_type
             if src.is_pointer() and dst.is_pointer():
                 return v
-            if src.kind == "i64" and dst.kind == "f64":
-                return struct.unpack("<d", struct.pack("<q", int(v)))[0]
-            if src.kind == "f64" and dst.kind == "i64":
-                return wrap_int(struct.unpack("<q", struct.pack("<d", float(v)))[0], 64)
-            if src.kind == "i32" and dst.kind == "f32":
-                return struct.unpack("<f", struct.pack("<i", int(v)))[0]
-            if src.kind == "f32" and dst.kind == "i32":
-                return wrap_int(struct.unpack("<i", struct.pack("<f", float(v)))[0], 32)
-            raise VmError(f"bitcast {src.render()} to {dst.render()} unsupported")
+            formats = _BITCASTS.get((src.kind, dst.kind))
+            if formats is None:
+                raise VmError(f"bitcast {src.render()} to {dst.render()} unsupported")
+            return struct.unpack(formats[1], struct.pack(formats[0], v))[0]
 
         raise VmError(f"opcode {op!r} not executable")
-
-    def _fdiv(self, a: float, b: float) -> float:
-        # IEEE semantics: float division never traps
-        if b == 0.0:
-            if a == 0.0 or math.isnan(a):
-                return math.nan
-            return math.inf if (a > 0) == (math.copysign(1.0, b) > 0) else -math.inf
-        try:
-            return a / b
-        except OverflowError:
-            return math.inf
 
     def _icmp(self, frame: Frame, ins: Instruction) -> int:
         a = int(self._value(frame, ins.operands[0]))
         b = int(self._value(frame, ins.operands[1]))
         pred = ins.predicate
-        t = ins.operands[0].type
-        if pred.startswith("u") or pred in ("eq", "ne"):
-            bits = 64 if t.is_pointer() else t.int_bits()
-            mask = (1 << bits) - 1
-            ua, ub = a & mask, b & mask
-        if pred == "eq":
-            r = ua == ub
-        elif pred == "ne":
-            r = ua != ub
-        elif pred == "sgt":
-            r = a > b
-        elif pred == "sge":
-            r = a >= b
-        elif pred == "slt":
-            r = a < b
-        elif pred == "sle":
-            r = a <= b
-        elif pred == "ugt":
-            r = ua > ub
-        elif pred == "uge":
-            r = ua >= ub
-        elif pred == "ult":
-            r = ua < ub
-        elif pred == "ule":
-            r = ua <= ub
-        else:
-            raise VmError(f"icmp predicate {pred!r}")
-        return 1 if r else 0
+        if pred[0] != "s":  # eq, ne and the u* predicates compare unsigned
+            t = ins.operands[0].type
+            mask = (1 << (64 if t.is_pointer() else t.int_bits())) - 1
+            a, b = a & mask, b & mask
+        return int(_RELATIONS[pred[-2:]](a, b))
 
     def _fcmp(self, frame: Frame, ins: Instruction) -> int:
         a = float(self._value(frame, ins.operands[0]))
         b = float(self._value(frame, ins.operands[1]))
         pred = ins.predicate
-        if pred == "true":
-            return 1
-        if pred == "false":
-            return 0
-        unordered = math.isnan(a) or math.isnan(b)
-        if pred == "ord":
-            return 0 if unordered else 1
-        if pred == "uno":
-            return 1 if unordered else 0
-        base = pred[1:]
-        if pred.startswith("u"):
-            if unordered:
-                return 1
-        elif unordered:
-            return 0
-        if base == "eq":
-            r = a == b
-        elif base == "ne":
-            r = a != b
-        elif base == "gt":
-            r = a > b
-        elif base == "ge":
-            r = a >= b
-        elif base == "lt":
-            r = a < b
-        elif base == "le":
-            r = a <= b
-        else:
-            raise VmError(f"fcmp predicate {pred!r}")
-        return 1 if r else 0
+        if pred == "true" or pred == "false":
+            return int(pred == "true")
+        if math.isnan(a) or math.isnan(b):
+            return int(pred[0] == "u")  # uno and the u* predicates hold on NaN
+        if pred == "ord" or pred == "uno":
+            return int(pred == "ord")
+        return int(_RELATIONS[pred[1:]](a, b))
 
     # -- hooks ----------------------------------------------------------------
 
@@ -692,14 +611,10 @@ class Machine:
         header, _body = info
         return frame.loop_trips.get(header, 0) in self._scope_k
 
-    def _trace(self, ins: Instruction, value, vtype: IrType | None) -> None:
-        if not self.tracing or ins.index is None:
-            return
-        if value is None or vtype is None or vtype.is_void():
-            bits = "00000000"
-        else:
-            bits = value_bits(value, vtype)
-        self.trace_records.append(TraceRecord(ins.index, ins.opcode, bits))
+    def _trace(self, ins: Instruction, value, vtype: IrType) -> None:
+        if self.tracing and ins.index is not None:
+            self.trace_records.append(
+                TraceRecord(ins.index, ins.opcode, value_bits(value, vtype)))
 
 
 def run_module(module: IrModule, **kw) -> RunOutcome:

@@ -60,6 +60,15 @@ class TestProfile:
         assert rc == 1
         assert "run did not complete: out_of_bounds" in captured.err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_must_be_positive(self, capsys, budget):
+        rc = main(["profile", fixture_path("demo.ll"), "--budget", budget,
+                   "--file", "in.txt=" + fixture_path("in.txt")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "--budget must be a positive integer" in captured.err
+
 
 class TestInject:
     def test_seeded_run(self, capsys):
@@ -82,6 +91,17 @@ class TestInject:
                    "--file", "in.txt=" + fixture_path("in.txt")])
         assert rc == 0
         assert "seed: 2025" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_must_be_positive(self, capsys, budget):
+        rc = main(["inject", fixture_path("demo.ll"),
+                   "--input", fixture_path("demo_input.yaml"),
+                   "--budget", budget,
+                   "--file", "in.txt=" + fixture_path("in.txt")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "status:" not in captured.err
+        assert "--budget must be a positive integer" in captured.err
 
 
 class TestCampaign:
@@ -177,6 +197,20 @@ class TestTraceDiff:
         rc = main(["trace", "diff", str(bad), str(bad)])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["trace", "diff", "{bad}", "{good}"],
+        ["trace", "union", "{good}", "{bad}"],
+        ["trace", "dot", "{good}", "{bad}", "--program", fixture_path("demo.ll")],
+    ])
+    def test_non_utf8_trace(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"ID: 1    OPCode: load   Value: 00000000\n\xff\xfe\n")
+        good = fixture_path("trace_golden.txt")
+        rc = main([a.format(bad=bad, good=good) for a in command])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {bad}: not UTF-8 text" in err
 
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["trace", "diff", str(tmp_path / "a.txt"),

@@ -750,3 +750,239 @@ class TestCrasherFixture:
         assert out.status == "trapped"
         assert out.trap.kind == "out_of_bounds"
         assert out.stdout == "got 1\n"
+
+
+def _hex_double(x: float) -> str:
+    return "0x%016X" % struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def _icmp_expected(pred, a, b, bits):
+    ua, ub = a % (1 << bits), b % (1 << bits)
+    return {"eq": a == b, "ne": a != b,
+            "sgt": a > b, "sge": a >= b, "slt": a < b, "sle": a <= b,
+            "ugt": ua > ub, "uge": ua >= ub, "ult": ua < ub, "ule": ua <= ub}[pred]
+
+
+def _fcmp_expected(pred, a, b):
+    unordered = math.isnan(a) or math.isnan(b)
+    fixed = {"true": True, "false": False, "ord": not unordered, "uno": unordered}
+    if pred in fixed:
+        return fixed[pred]
+    rel = {"eq": a == b, "ne": a != b, "gt": a > b, "ge": a >= b,
+           "lt": a < b, "le": a <= b}[pred[1:]]
+    return (not unordered and rel) if pred[0] == "o" else (unordered or rel)
+
+
+ICMP_GRID = [
+    ("i32", a, b) for a, b in [(5, 5), (5, 6), (6, 5), (-1, 1), (1, -1), (0, -1),
+                               (-2**31, 2**31 - 1), (-7, -3)]
+] + [
+    ("i64", a, b) for a, b in [(5, 5), (-1, 1), (1, -1), (0, -1), (-2**63, 2**63 - 1),
+                               (2**40, -2**40), (-7, -3)]
+]
+
+FCMP_GRID = [
+    (math.nan, 1.5), (1.5, math.nan), (math.nan, math.nan),
+    (0.0, -0.0), (-0.0, 0.0), (math.inf, math.inf), (-math.inf, math.inf),
+    (math.inf, 2.5), (1.5, 2.5), (2.5, 1.5), (2.5, 2.5),
+]
+
+
+class TestEveryPredicate:
+    @pytest.mark.parametrize("ty,a,b", ICMP_GRID)
+    @pytest.mark.parametrize("pred", sorted(
+        ["eq", "ne", "ugt", "uge", "ult", "ule", "sgt", "sge", "slt", "sle"]))
+    def test_icmp(self, pred, ty, a, b):
+        assert ret_of(f"""
+define i32 @main() {{
+  %c = icmp {pred} {ty} {a}, {b}
+  %z = zext i1 %c to i32
+  ret i32 %z
+}}
+""") == int(_icmp_expected(pred, a, b, int(ty[1:])))
+
+    @pytest.mark.parametrize("a,b", FCMP_GRID)
+    @pytest.mark.parametrize("pred", sorted(
+        ["false", "oeq", "ogt", "oge", "olt", "ole", "one", "ord",
+         "ueq", "ugt", "uge", "ult", "ule", "une", "uno", "true"]))
+    def test_fcmp(self, pred, a, b):
+        assert ret_of(f"""
+define i32 @main() {{
+  %c = fcmp {pred} double {_hex_double(a)}, {_hex_double(b)}
+  %z = zext i1 %c to i32
+  ret i32 %z
+}}
+""") == int(_fcmp_expected(pred, a, b))
+
+
+class TestBitcastPairs:
+    @pytest.mark.parametrize("src,dst,value,expected", [
+        ("i32", "float", "1065353216", 1.0),
+        ("i32", "float", "-1073741824", -2.0),
+        ("float", "i32", "1.0", 1065353216),
+        ("float", "i32", "-2.0", -1073741824),
+        ("i64", "double", "-4611686018427387904", -2.0),
+        ("double", "i64", "-2.0", -4611686018427387904),
+    ])
+    def test_bit_pattern(self, src, dst, value, expected):
+        assert ret_of(f"""
+define {dst} @main() {{
+  %w = bitcast {src} {value} to {dst}
+  ret {dst} %w
+}}
+""") == expected
+
+    @pytest.mark.parametrize("src,dst,value", [
+        ("i32", "float", "-1"), ("i64", "double", "-1"),
+    ])
+    def test_all_ones_is_nan(self, src, dst, value):
+        assert math.isnan(ret_of(f"""
+define {dst} @main() {{
+  %w = bitcast {src} {value} to {dst}
+  ret {dst} %w
+}}
+"""))
+
+
+class TestScalarRoundTrip:
+    @pytest.mark.parametrize("ty,literal,expected", [
+        ("i1", "false", 0),
+        ("i8", "-1", -1),
+        ("i8", "127", 127),
+        ("i32", "-123456", -123456),
+        ("i32", "2147483647", 2**31 - 1),
+        ("i64", "-9223372036854775808", -2**63),
+        ("float", "0x3FF3333340000000", struct.unpack("f", struct.pack("f", 1.2))[0]),
+        ("float", "-0.0", -0.0),
+        ("double", "2.5", 2.5),
+        ("double", _hex_double(-math.inf), -math.inf),
+    ])
+    def test_store_then_load(self, ty, literal, expected):
+        v = ret_of(f"""
+define {ty} @main() {{
+  %s = alloca {ty}
+  store {ty} {literal}, {ty}* %s
+  %v = load {ty}* %s
+  ret {ty} %v
+}}
+""")
+        assert v == expected
+        assert math.copysign(1, v) == math.copysign(1, expected)
+
+    def test_i1_true(self):
+        # an i1 occupies one byte in memory
+        assert ret_of("""
+define i32 @main() {
+  %s = alloca i1
+  store i1 true, i1* %s
+  %v = load i1* %s
+  %z = zext i1 %v to i32
+  ret i32 %z
+}
+""") == 1
+
+    def test_i1_global(self):
+        assert ret_of("""
+@flag = global i1 true
+define i32 @main() {
+  %v = load i1* @flag
+  %z = zext i1 %v to i32
+  ret i32 %z
+}
+""") == 1
+
+    def test_ptr(self):
+        assert ret_of("""
+define i32 @main() {
+  %x = alloca i32
+  %s = alloca i32*
+  store i32* %x, i32** %s
+  %v = load i32** %s
+  store i32 77, i32* %v
+  %c = icmp eq i32* %v, %x
+  %z = zext i1 %c to i32
+  %r = load i32* %x
+  %sum = add i32 %r, %z
+  ret i32 %sum
+}
+""") == 78
+
+    def test_i8_load_is_sign_extended(self):
+        assert ret_of("""
+define i32 @main() {
+  %s = alloca i32
+  store i32 255, i32* %s
+  %b = bitcast i32* %s to i8*
+  %v = load i8* %b
+  %w = sext i8 %v to i32
+  ret i32 %w
+}
+""") == -1
+
+    def test_store_masks_to_width(self):
+        assert ret_of("""
+define i8 @main() {
+  %s = alloca i8
+  store i8 255, i8* %s
+  %v = load i8* %s
+  ret i8 %v
+}
+""") == -1
+
+
+F32_MAX_HEX = "0x47EFFFFFE0000000"
+
+
+class TestF32Overflow:
+    """Finite doubles beyond the f32 range round to a signed infinity."""
+
+    @pytest.mark.parametrize("body,expected", [
+        ("%w = fptrunc double 1.0e300 to float", math.inf),
+        ("%w = fptrunc double -1.0e300 to float", -math.inf),
+        ("%w = fmul float 3.0e38, 10.0", math.inf),
+        ("%w = fmul float -3.0e38, 10.0", -math.inf),
+        (f"%w = fadd float {F32_MAX_HEX}, {F32_MAX_HEX}", math.inf),
+        (f"%w = fadd float {F32_MAX_HEX}, 1.0", 3.4028234663852886e+38),
+    ])
+    def test_arithmetic(self, body, expected):
+        assert ret_of(f"""
+define float @main() {{
+  {body}
+  ret float %w
+}}
+""") == expected
+
+    @pytest.mark.parametrize("text,expected", [
+        ("1e39", math.inf), ("-1e39", -math.inf), ("2.5", 2.5)])
+    def test_scanf(self, text, expected):
+        out = run_src("""
+@f = constant [3 x i8] c"%f\\00"
+define float @main() {
+  %d = alloca float
+  %r = call i32 (i8*, ...)* @scanf(i8* getelementptr ([3 x i8]* @f, i32 0, i32 0), float* %d)
+  %v = load float* %d
+  ret float %v
+}
+""", io=IoConfig(stdin_text=text))
+        assert out.status == "ok", out.trap
+        assert out.return_value == expected
+
+    def test_relative_fault_near_max(self):
+        m = assign_indices(parse_module(f"""
+define float @main() {{
+  %v = fmul float {F32_MAX_HEX}, 1.0
+  ret float %v
+}}
+"""))
+        target = next(ins.index for _f, _b, ins in m.all_instructions()
+                      if ins.opcode == "fmul")
+        plan = InjectionPlan((PlanTarget(target, "v", "f32"),),
+                             OccurrenceScope("nth_execution", (1,)))
+        faulted = set()
+        for seed in range(8):
+            sampler = Sampler(FaultSpec("relative", "uniform", 0.5), seed=seed)
+            out = Machine(m, plan=plan, sampler=sampler).run()
+            assert out.status == "ok", out.trap
+            assert out.activation_count == 1
+            faulted.add(out.activations[0].faulted_hex)
+        assert "7f800000" in faulted  # some draws push past FLT_MAX
