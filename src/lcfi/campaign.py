@@ -421,6 +421,17 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
 
 # -- reports --------------------------------------------------------------------
 
+# Per-run report columns of report.json's run_details and report.csv:
+# (column name, RunResult attribute).
+_RUN_COLUMNS = (("run", "run_index"), ("seed", "seed"), ("outcome", "outcome"),
+               ("trap", "trap_kind"), ("activations", "activation_count"),
+               ("skipped_nonfinite", "skipped_nonfinite"), ("steps", "steps"))
+
+
+def _run_row(r: RunResult) -> dict:
+    return {name: getattr(r, attr) for name, attr in _RUN_COLUMNS}
+
+
 def _metric_summary(runs: list[RunResult]) -> dict[str, dict[str, float]]:
     by_name: dict[str, list[float]] = {}
     for r in runs:
@@ -446,7 +457,7 @@ def render_text_report(result: CampaignResult, golden_notes: list[str]) -> str:
     ]
     for name in OUTCOMES:
         c = result.counts.get(name, 0)
-        pct = 100.0 * c / max(1, n)
+        pct = result.percentage(name)
         bar = "#" * round(pct * 0.4)
         lines.append(f"{name:<22}{c:>6}{pct:>7.1f}% {bar}")
     summary = _metric_summary(result.runs)
@@ -467,28 +478,17 @@ def render_text_report(result: CampaignResult, golden_notes: list[str]) -> str:
 
 
 def render_json_report(result: CampaignResult, golden_notes: list[str]) -> str:
-    n = len(result.runs)
     doc = {
         "program": os.path.basename(result.config.program),
-        "runs": n,
+        "runs": len(result.runs),
         "targets": sorted(result.plan.target_indices()),
         "scope": {"mode": result.plan.scope.mode, "k": list(result.plan.scope.k)},
         "outcomes": {k: result.counts.get(k, 0) for k in OUTCOMES},
-        "percentages": {k: round(100.0 * result.counts.get(k, 0) / max(1, n), 4)
-                        for k in OUTCOMES},
+        "percentages": {k: round(result.percentage(k), 4) for k in OUTCOMES},
         "metrics_summary": _metric_summary(result.runs),
         "golden_notes": golden_notes,
-        "run_details": [{
-            "run": r.run_index,
-            "seed": r.seed,
-            "outcome": r.outcome,
-            "trap": r.trap_kind,
-            "activations": r.activation_count,
-            "skipped_nonfinite": r.skipped_nonfinite,
-            "steps": r.steps,
-            "metrics": dict(sorted(r.metrics.items())),
-            "notes": r.notes,
-        } for r in result.runs],
+        "run_details": [{**_run_row(r), "metrics": dict(sorted(r.metrics.items())),
+                         "notes": r.notes} for r in result.runs],
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -497,13 +497,10 @@ def render_csv_report(result: CampaignResult) -> str:
     metric_names = sorted({name for r in result.runs for name in r.metrics})
     buf = _io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["run", "seed", "outcome", "trap", "activations",
-                "skipped_nonfinite", "steps"] + metric_names)
+    w.writerow([name for name, _attr in _RUN_COLUMNS] + metric_names)
     for r in result.runs:
-        row = [r.run_index, r.seed, r.outcome, r.trap_kind, r.activation_count,
-               r.skipped_nonfinite, r.steps]
-        row += [r.metrics.get(name, "") for name in metric_names]
-        w.writerow(row)
+        w.writerow(list(_run_row(r).values())
+                   + [r.metrics.get(name, "") for name in metric_names])
     return buf.getvalue()
 
 

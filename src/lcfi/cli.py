@@ -237,10 +237,8 @@ def main(argv=None) -> int:
     except GoldenRunFailed as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4 if is_campaign else 2
-    except (InstrumentError, FaultError, TraceFormatError, IndexMismatch) as e:
+    except (ConfigError, InstrumentError, FaultError, TraceFormatError,
+            IndexMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4 if is_campaign else 2
     except OSError as e:

@@ -2,7 +2,8 @@
 
 Errors are drawn in normalized units (|e| <= 1) and scaled by the configured
 bound -- times |value| in relative mode -- so the compressor-style guarantee
-|error| <= bound holds for every activation. The normal shape defaults to
+|error| <= bound holds for every activation; apply_fault keeps it for the
+rounded value the program sees. The normal shape defaults to
 sigma = bound/3 with rejection clipping at the bound; empirical shapes come
 from histogram files and are sampled by piecewise-linear inverse CDF.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -187,16 +189,11 @@ def make_sampler(spec: FaultSpec, seed: int) -> Sampler:
 
 def sample_error(sampler: Sampler, value: float) -> float:
     """One error for the given target value, honoring the spec's bound mode."""
-    if not math.isfinite(value):
-        raise NonFiniteValue(f"cannot perturb non-finite value {value!r}")
-    raw = float(sampler.raw(1)[0])
-    if sampler.spec.mode == "absolute":
-        return raw * sampler.spec.bound
-    return raw * sampler.spec.bound * abs(value)
+    return float(sample_errors(sampler, value, 1)[0])
 
 
 def sample_errors(sampler: Sampler, value: float, n: int) -> np.ndarray:
-    """Batch variant of sample_error with identical scaling."""
+    """n errors for the given target value, honoring the spec's bound mode."""
     if not math.isfinite(value):
         raise NonFiniteValue(f"cannot perturb non-finite value {value!r}")
     raw = sampler.raw(n)
@@ -205,16 +202,42 @@ def sample_errors(sampler: Sampler, value: float, n: int) -> np.ndarray:
     return raw * sampler.spec.bound * abs(value)
 
 
-def apply_fault(value, error: float, value_kind: str):
-    """Perturb a value: float kinds add and re-round, int kinds round the
-    error half-to-even and wrap at the type width."""
-    if value_kind == "f64":
-        return float(value) + error
-    if value_kind == "f32":
-        return to_f32(float(value) + error)
+def draw_bound(spec: FaultSpec, value: float) -> float:
+    """Largest |error| one draw for `value` may have; inf for a normal with
+    truncate off. The product is the one the draws are scaled by."""
+    if spec.distribution == "normal" and not spec.truncate:
+        return math.inf
+    if spec.mode == "absolute":
+        return spec.bound
+    return spec.bound * abs(value)
+
+
+def apply_fault(value, error: float, value_kind: str, bound: float = math.inf):
+    """Perturb a value so that it moves by at most `bound`.
+
+    Float kinds add and re-round, then step one unit in the last place of
+    their width back toward `value` if rounding overshot the bound; a sum
+    past the largest finite value still rounds to +-inf. Int kinds round the
+    error half-to-even, clamp it to +-floor(bound) and wrap at the type width.
+    """
+    if value_kind in ("f32", "f64"):
+        faulted = float(value) + error
+        if value_kind == "f32":
+            faulted = to_f32(faulted)
+        # Checked exactly, since the float subtraction can itself round. One
+        # step suffices: the float next to the rounded sum, toward a
+        # representable `value`, lies between `value` and the exact sum.
+        if (bound < math.inf and math.isfinite(faulted)
+                and abs(Fraction(faulted) - Fraction(value)) > Fraction(bound)):
+            faulted = (math.nextafter(faulted, value) if value_kind == "f64" else
+                       float(np.nextafter(np.float32(faulted), np.float32(value))))
+        return faulted
     if value_kind in ("i32", "i64"):
         bits = 32 if value_kind == "i32" else 64
         delta = round(error)  # Python rounds halves to even
+        if bound < math.inf:
+            cap = math.floor(bound)
+            delta = max(-cap, min(cap, delta))
         return wrap_int(int(value) + delta, bits)
     raise FaultError(f"cannot inject into value kind {value_kind!r}")
 

@@ -311,18 +311,14 @@ def derive_scope(config: InputConfig, spec: TargetSpec) -> OccurrenceScope:
     return OccurrenceScope(config.loop_mode, config.loop_num)
 
 
-def _value_kind(ins: Instruction) -> str:
-    t = ins.result_type
-    if t.kind in ("i32", "i64", "f32", "f64"):
-        return t.kind
-    raise NonNumericTarget(f"unsupported injection type {t.render()}")
-
-
 @dataclass(frozen=True)
 class PlanTarget:
     index: int
     function: str
     value_kind: str  # "i32" | "i64" | "f32" | "f64"
+    # (header label, body labels) of the innermost loop holding the target,
+    # set under loop_iteration scope; None there means the target is in no loop
+    loop: tuple[str, frozenset[str]] | None = None
 
 
 @dataclass(frozen=True)
@@ -349,9 +345,15 @@ def build_plan(module: IrModule, config: InputConfig) -> InjectionPlan:
             raise TargetConfigError(
                 "option entries disagree on occurrence scope; split them into "
                 "separate configs")
-        for ins in resolve_targets(module, spec):
-            targets[ins.index] = PlanTarget(ins.index, spec.function_name,
-                                            _value_kind(ins))
+        picked = {ins.index for ins in resolve_targets(module, spec)}
+        fn = module.function(spec.function_name)
+        for block in fn.blocks:
+            for ins in block.instructions:
+                if ins.index in picked:
+                    loop = (loop_blocks_for(fn, block.label)
+                            if s.mode == "loop_iteration" else None)
+                    targets[ins.index] = PlanTarget(ins.index, spec.function_name,
+                                                    ins.result_type.kind, loop)
     assert scope is not None
     ordered = tuple(targets[i] for i in sorted(targets))
     return InjectionPlan(targets=ordered, scope=scope)

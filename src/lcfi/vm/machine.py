@@ -19,10 +19,10 @@ import os
 import struct
 from dataclasses import dataclass, field
 
-from ..ir.nodes import (SCALARS, VOID, IrModule, IrFunction, Instruction,
+from ..ir.nodes import (SCALARS, IrModule, IrFunction, Instruction,
                          IrType, ValueRef, to_f32, wrap_int)
-from ..faults import Sampler, sample_error, apply_fault
-from ..instrument import InjectionPlan, loop_blocks_for
+from ..faults import Sampler, apply_fault, draw_bound, sample_error
+from ..instrument import InjectionPlan, PlanTarget
 from ..traces import TraceRecord
 from .arena import MemoryArena, OutOfBounds
 from .intrinsics import (INTRINSICS, InStream, STDIN_HANDLE, STDOUT_HANDLE,
@@ -96,12 +96,16 @@ class IoConfig:
 
 
 class Frame:
-    __slots__ = ("fn", "label", "prev_label", "pc", "regs", "mark",
+    """One activation: its function, the block it is in and that block's
+    instructions, the next instruction's position, and its registers."""
+
+    __slots__ = ("fn", "label", "code", "prev_label", "pc", "regs", "mark",
                  "inv_ordinal", "loop_trips")
 
     def __init__(self, fn: IrFunction, mark: int, inv_ordinal: int):
         self.fn = fn
         self.label = fn.blocks[0].label
+        self.code = fn.blocks[0].instructions
         self.prev_label: str | None = None
         self.pc = 0
         self.regs: dict[str, object] = {}
@@ -178,47 +182,27 @@ class Machine:
         self.steps = 0
 
         self._fns = {f.name: f for f in module.functions}
-        self._blocks = {f.name: {b.label: b for b in f.blocks}
-                        for f in module.functions}
+        self._code = {f.name: {b.label: b.instructions for b in f.blocks}
+                      for f in module.functions}
         self._globals: dict[str, int] = {}
         self._call_counts: dict[str, int] = {}
-        self._cur_fn = ""
-        self._cur_index: int | None = None
+        self._stack: list[Frame] = []
 
-        self._target_kinds: dict[int, str] = {}
+        self._targets: dict[int, PlanTarget] = {}
         self._exec_counts: dict[int, int] = {}
-        self._scope_k: frozenset[int] = frozenset()
-        self._scope_mode = ""
-        self._loop_info: dict[int, tuple[str, frozenset[str]] | None] = {}
+        # loops whose trips each function counts, in plan order
         self._fn_loop_watch: dict[str, list[tuple[str, frozenset[str]]]] = {}
-        if plan is not None:
-            self._scope_mode = plan.scope.mode
-            self._scope_k = frozenset(plan.scope.k)
-            for t in plan.targets:
-                self._target_kinds[t.index] = t.value_kind
-                self._exec_counts[t.index] = 0
-            if self._scope_mode == "loop_iteration":
-                self._setup_loop_watch(plan)
+        for t in plan.targets if plan is not None else ():
+            self._targets[t.index] = t
+            self._exec_counts[t.index] = 0
+            if t.loop is not None:
+                watch = self._fn_loop_watch.setdefault(t.function, [])
+                if t.loop not in watch:
+                    watch.append(t.loop)
 
         self._init_globals()
 
     # -- setup -------------------------------------------------------------
-
-    def _setup_loop_watch(self, plan: InjectionPlan) -> None:
-        locate = {}
-        for fn in self.module.functions:
-            for b in fn.blocks:
-                for ins in b.instructions:
-                    if ins.index in self._target_kinds:
-                        locate[ins.index] = (fn, b.label)
-        for t in plan.targets:
-            fn, label = locate[t.index]
-            found = loop_blocks_for(fn, label)
-            self._loop_info[t.index] = found
-            if found is not None:
-                watch = self._fn_loop_watch.setdefault(fn.name, [])
-                if found not in watch:
-                    watch.append(found)
 
     def _init_globals(self) -> None:
         handles = {"stdin": STDIN_HANDLE, "stdout": STDOUT_HANDLE,
@@ -285,7 +269,14 @@ class Machine:
 
     def trap(self, kind: str, message: str):
         assert kind in TRAP_KINDS, kind
-        raise _TrapSignal(TrapInfo(kind, message, self._cur_fn, self._cur_index))
+        raise _TrapSignal(self._trap_info(kind, message))
+
+    def _trap_info(self, kind: str, message: str) -> TrapInfo:
+        """A trap at the top frame's current instruction."""
+        if not self._stack:  # the entry call itself exceeded max_depth
+            return TrapInfo(kind, message)
+        frame = self._stack[-1]
+        return TrapInfo(kind, message, frame.fn.name, frame.code[frame.pc].index)
 
     # -- running -------------------------------------------------------------
 
@@ -296,8 +287,7 @@ class Machine:
         except _TrapSignal as t:
             status, trap, value = "trapped", t.info, None
         except OutOfBounds as e:
-            info = TrapInfo("out_of_bounds", str(e), self._cur_fn, self._cur_index)
-            status, trap, value = "trapped", info, None
+            status, trap, value = "trapped", self._trap_info("out_of_bounds", str(e)), None
         except _BudgetExhausted:
             status, trap, value = "budget_exhausted", None, None
         return RunOutcome(
@@ -306,8 +296,8 @@ class Machine:
             activations=self.activations, skipped_nonfinite=self.skipped_nonfinite,
             trace=self.trace_records if self.tracing else None)
 
-    def _push_frame(self, fn: IrFunction, args: tuple, stack: list[Frame]) -> Frame:
-        if len(stack) >= self.max_depth:
+    def _push_frame(self, fn: IrFunction, args: tuple) -> None:
+        if len(self._stack) >= self.max_depth:
             self.trap("stack_overflow",
                       f"call depth exceeds {self.max_depth} frames")
         if not fn.blocks:
@@ -319,26 +309,22 @@ class Machine:
         frame = Frame(fn, self.arena.mark(), self._call_counts[fn.name])
         for (pname, _ptype), a in zip(fn.params, args):
             frame.regs[pname] = a
-        stack.append(frame)
-        return frame
+        self._stack.append(frame)
 
     def _exec(self, entry: str, args: tuple):
+        """Step until the entry function returns. Only control flow is
+        dispatched here; every other instruction computes one value."""
         fn = self._fns.get(entry)
         if fn is None:
             raise VmError(f"no function @{entry}")
-        stack: list[Frame] = []
-        self._push_frame(fn, args, stack)
+        stack = self._stack
+        self._push_frame(fn, args)
 
         while True:
             frame = stack[-1]
-            self._cur_fn = frame.fn.name
-            block = self._blocks[frame.fn.name].get(frame.label)
-            if block is None:
-                self.trap("invalid_branch", f"no block %{frame.label}")
-            if frame.pc >= len(block.instructions):
+            if frame.pc >= len(frame.code):
                 raise VmError(f"@{frame.fn.name} %{frame.label} has no terminator")
-            ins = block.instructions[frame.pc]
-            self._cur_index = ins.index
+            ins = frame.code[frame.pc]
             self.steps += 1
             if self.steps > self.budget:
                 raise _BudgetExhausted
@@ -350,53 +336,22 @@ class Machine:
                 stack.pop()
                 if not stack:
                     return value
-                caller = stack[-1]
-                call_ins = (self._blocks[caller.fn.name][caller.label]
-                            .instructions[caller.pc])
-                self._finish_call(caller, call_ins, value)
-                continue
-
-            if op == "br":
+                # finish the caller's call instruction with the returned value
+                frame = stack[-1]
+                ins = frame.code[frame.pc]
+            elif op == "br":
                 self._do_branch(frame, ins)
                 continue
-
-            if op == "call":
-                callee = ins.callee
-                target = self._fns.get(callee)
-                if target is not None:
-                    call_args = tuple(self._value(frame, v) for v in ins.operands)
-                    self._push_frame(target, call_args, stack)
-                    continue
-                impl = INTRINSICS.get(callee)
-                if impl is None:
-                    raise VmError(f"call to unknown function @{callee}")
-                call_args = [self._value(frame, v) for v in ins.operands]
-                result = impl(self, call_args)
-                self._finish_call(frame, ins, result)
+            elif op == "call" and ins.callee in self._fns:
+                self._push_frame(self._fns[ins.callee],
+                                 tuple(self._value(frame, v) for v in ins.operands))
                 continue
-
-            if op == "store":
-                value = self._value(frame, ins.operands[0])
-                addr = int(self._value(frame, ins.operands[1]))
-                self._store_typed(addr, value, ins.operands[0].type)
-                self._trace(ins, None, VOID)
-                frame.pc += 1
-                continue
-
-            value = self._compute(frame, ins)
-            value = self._maybe_inject(frame, ins, value)
+            else:
+                value = self._maybe_inject(frame, ins, self._compute(frame, ins))
             if ins.result is not None:
                 frame.regs[ins.result] = value
             self._trace(ins, value, ins.result_type)
             frame.pc += 1
-
-    def _finish_call(self, frame: Frame, ins: Instruction, value) -> None:
-        if ins.result is not None:
-            if ins.result_type.is_void():
-                raise VmError("void call binds a register")
-            frame.regs[ins.result] = value
-        self._trace(ins, value, ins.result_type)
-        frame.pc += 1
 
     def _do_branch(self, frame: Frame, ins: Instruction) -> None:
         if ins.operands:
@@ -404,10 +359,12 @@ class Machine:
             target = ins.labels[0] if cond & 1 else ins.labels[1]
         else:
             target = ins.labels[0]
-        if target not in self._blocks[frame.fn.name]:
+        code = self._code[frame.fn.name].get(target)
+        if code is None:
             self.trap("invalid_branch", f"branch to missing block %{target}")
         frame.prev_label = frame.label
         frame.label = target
+        frame.code = code
         frame.pc = 0
         watch = self._fn_loop_watch.get(frame.fn.name)
         if watch:
@@ -457,11 +414,18 @@ class Machine:
     # -- instruction semantics ----------------------------------------------
 
     def _compute(self, frame: Frame, ins: Instruction):
+        """The value an instruction defines; None for a store or a void call."""
         op = ins.opcode
 
         if op == "load":
             addr = int(self._value(frame, ins.operands[0]))
             return self._load_typed(addr, ins.result_type)
+
+        if op == "store":
+            value = self._value(frame, ins.operands[0])
+            addr = int(self._value(frame, ins.operands[1]))
+            self._store_typed(addr, value, ins.operands[0].type)
+            return None
 
         if op == "alloca":
             return self.arena.alloc(ins.aux_type.byte_width(),
@@ -551,6 +515,12 @@ class Machine:
                 raise VmError(f"bitcast {src.render()} to {dst.render()} unsupported")
             return struct.unpack(formats[1], struct.pack(formats[0], v))[0]
 
+        if op == "call":
+            impl = INTRINSICS.get(ins.callee)
+            if impl is None:
+                raise VmError(f"call to unknown function @{ins.callee}")
+            return impl(self, [self._value(frame, v) for v in ins.operands])
+
         raise VmError(f"opcode {op!r} not executable")
 
     def _icmp(self, frame: Frame, ins: Instruction) -> int:
@@ -578,11 +548,11 @@ class Machine:
     # -- hooks ----------------------------------------------------------------
 
     def _maybe_inject(self, frame: Frame, ins: Instruction, value):
-        kind = self._target_kinds.get(ins.index)
-        if kind is None:
+        target = self._targets.get(ins.index)
+        if target is None:
             return value
         self._exec_counts[ins.index] += 1
-        if not self._scope_hit(frame, ins.index):
+        if not self._scope_hit(frame, target):
             return value
         if isinstance(value, float) and not math.isfinite(value):
             if self.strict_nonfinite:
@@ -591,7 +561,8 @@ class Machine:
             self.skipped_nonfinite += 1
             return value
         err = sample_error(self.sampler, float(value))
-        faulted = apply_fault(value, err, kind)
+        faulted = apply_fault(value, err, target.value_kind,
+                              draw_bound(self.sampler.spec, float(value)))
         self.activations.append(Activation(
             index=ins.index, opcode=ins.opcode, step=self.steps,
             original_hex=value_bits(value, ins.result_type),
@@ -599,17 +570,14 @@ class Machine:
             error=err))
         return faulted
 
-    def _scope_hit(self, frame: Frame, index: int) -> bool:
-        mode = self._scope_mode
-        if mode == "nth_execution":
-            return self._exec_counts[index] in self._scope_k
-        if mode == "invocation":
-            return frame.inv_ordinal in self._scope_k
-        info = self._loop_info.get(index)
-        if info is None:
-            return False
-        header, _body = info
-        return frame.loop_trips.get(header, 0) in self._scope_k
+    def _scope_hit(self, frame: Frame, target: PlanTarget) -> bool:
+        scope = self.plan.scope
+        if scope.mode == "nth_execution":
+            return self._exec_counts[target.index] in scope.k
+        if scope.mode == "invocation":
+            return frame.inv_ordinal in scope.k
+        return (target.loop is not None
+                and frame.loop_trips.get(target.loop[0], 0) in scope.k)
 
     def _trace(self, ins: Instruction, value, vtype: IrType) -> None:
         if self.tracing and ins.index is not None:

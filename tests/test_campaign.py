@@ -308,10 +308,10 @@ class TestDemoCampaign:
 
 
 class TestDeterminismAndParallel:
-    def _cfg(self, out, runs=6, jobs=1, program="demo"):
+    def _cfg(self, out, runs=6, jobs=1, program="demo", config=None):
         return CampaignConfig(
             program=fixture_path(f"{program}.ll"),
-            input=fixture_path(f"{program}_input.yaml"),
+            input=fixture_path(f"{config or program}_input.yaml"),
             runs=runs, jobs=jobs, output_dir=str(out),
             files={"in.txt": "4 3 3\n"})
 
@@ -338,13 +338,15 @@ class TestDeterminismAndParallel:
         return files
 
     def test_parallel_matches_serial(self, tmp_path):
-        for program in ("demo", "fragile"):
+        for program, config in (("cg", "cg_loop"), ("demo", None),
+                                ("fragile", None)):
             serial = run_campaign(self._cfg(tmp_path / program / "s",
-                                            program=program))
-            parallel = run_campaign(self._cfg(tmp_path / program / "p",
-                                              jobs=2, program=program))
+                                            program=program, config=config))
+            parallel = run_campaign(self._cfg(tmp_path / program / "p", jobs=2,
+                                              program=program, config=config))
             left = self._tree(serial.config.output_dir)
             assert left == self._tree(parallel.config.output_dir), program
+            assert serial.counts["benign_not_activated"] < len(serial.runs)
         # fragile crashes, so workers wrote its error files
         assert serial.counts["crash"] > 0
         assert any(p.startswith(os.path.join("llfi", "error_output"))

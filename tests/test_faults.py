@@ -269,6 +269,79 @@ class TestApplyFault:
         assert -(2**31) <= got <= 2**31 - 1
 
 
+def _ulp(value, kind: str) -> float:
+    if kind == "f32":
+        with np.errstate(over="ignore"):  # the spacing above FLT_MAX is inf
+            return float(np.spacing(np.float32(abs(value))))
+    return math.ulp(value) if kind == "f64" else 1.0
+
+
+_KIND_VALUES = {
+    "i32": st.integers(min_value=-(2**31), max_value=2**31 - 1),
+    "i64": st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    "f32": st.floats(width=32, allow_nan=False, allow_infinity=False),
+    "f64": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+class TestRealizedBound:
+    """The value the program sees stays within the bound, not just the draw."""
+
+    @pytest.mark.parametrize("kind", ["i32", "i64", "f32", "f64"])
+    @pytest.mark.parametrize("mode", ["absolute", "relative"])
+    @given(data=st.data(), raw=st.floats(min_value=-1.0, max_value=1.0),
+           ulps=st.floats(min_value=0.05, max_value=3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_faulted_value_within_bound(self, kind, mode, data, raw, ulps):
+        from fractions import Fraction
+
+        from lcfi.faults import draw_bound
+        value = data.draw(_KIND_VALUES[kind])
+        # bounds near one unit in the last place are where rounding can overshoot
+        bound = ulps * _ulp(value, kind)
+        if mode == "relative" and value != 0:
+            bound /= abs(value)
+        if not (0 < bound < math.inf):
+            return
+        spec = FaultSpec(mode, "uniform", bound)
+        limit = bound if mode == "absolute" else bound * abs(value)
+        assert draw_bound(spec, value) == limit
+        error = raw * bound if mode == "absolute" else raw * bound * abs(value)
+        faulted = apply_fault(value, error, kind, limit)
+        if kind.startswith("i"):
+            bits = int(kind[1:])
+            assert -(2**(bits - 1)) <= faulted < 2**(bits - 1)
+            delta = (faulted - value + 2**(bits - 1)) % 2**bits - 2**(bits - 1)
+            assert abs(delta) <= limit
+        elif math.isinf(faulted):  # the sum left the format's finite range
+            top = float(np.finfo(np.float32 if kind == "f32" else np.float64).max)
+            assert abs(Fraction(value) + Fraction(error)) > Fraction(top)
+        else:
+            assert abs(Fraction(faulted) - Fraction(value)) <= Fraction(limit)
+
+    def test_unbounded_normal_has_no_bound(self):
+        from lcfi.faults import draw_bound
+        assert draw_bound(FaultSpec("absolute", "normal", 2.0, truncate=False),
+                          5.0) == math.inf
+        assert draw_bound(FaultSpec("relative", "normal", 0.5), -4.0) == 2.0
+
+    @pytest.mark.parametrize("value,error,bound,expected", [
+        (10, 1.6, 1.7, 11),    # round(1.6) == 2 would break the bound
+        (10, -1.6, 1.7, 9),
+        (10, 2.5, 2.5, 12),    # half to even stays within a bound of 2.5
+        (10, 0.5, 0.7, 10),
+    ])
+    def test_int_delta_clamped(self, value, error, bound, expected):
+        assert apply_fault(value, error, "i32", bound) == expected
+
+    def test_f32_sub_ulp_bound_steps_back(self):
+        one_ulp = float(np.spacing(np.float32(1.0)))
+        # 0.55 ulp rounds to 1 ulp, beyond a bound of 0.6 ulp
+        got = apply_fault(1.0, 0.55 * one_ulp, "f32", 0.6 * one_ulp)
+        assert got == 1.0
+        assert apply_fault(1.0, 0.55 * one_ulp, "f32") == 1.0 + one_ulp
+
+
 class TestParseFaultType:
     def test_uniform(self):
         spec = parse_fault_type("uniform_abs(0.5)")

@@ -986,3 +986,156 @@ define float @main() {{
             assert out.activation_count == 1
             faulted.add(out.activations[0].faulted_hex)
         assert "7f800000" in faulted  # some draws push past FLT_MAX
+
+
+NESTED_LOOPS_SRC = """
+define i32 @f() {
+entry:
+  %x.addr = alloca i32
+  store i32 5, i32* %x.addr
+  br label %outer
+
+outer:
+  %i = phi i32 [ 0, %entry ], [ %i1, %otail ]
+  br label %inner
+
+inner:
+  %j = phi i32 [ 0, %outer ], [ %j1, %inner ]
+  %v = load i32, i32* %x.addr
+  %j1 = add i32 %j, 1
+  %c = icmp slt i32 %j1, 4
+  br i1 %c, label %inner, label %otail
+
+otail:
+  %i1 = add i32 %i, 1
+  %d = icmp slt i32 %i1, 2
+  br i1 %d, label %outer, label %done
+
+done:
+  %w = load i32, i32* %x.addr
+  ret i32 %w
+}
+
+define i32 @main() {
+  %r = call i32 @f()
+  ret i32 %r
+}
+"""
+
+
+class TestLoopIterationScope:
+    def test_inner_loop_trips_restart_on_reentry(self):
+        from lcfi.instrument import build_plan, parse_input_config
+        m = assign_indices(parse_module(NESTED_LOOPS_SRC))
+        cfg = parse_input_config({
+            "fi_type": "uniform_abs(1.0)", "loop_num": [1, 3],
+            "loop_mode": "loop_iteration",
+            "option": [{"function_name": "f", "variable_name": "x.addr",
+                        "in_arr": True, "in_loop": True}]})
+        plan = build_plan(m, cfg)
+        inner, tail = [ins.index for _f, _b, ins in m.all_instructions()
+                       if ins.opcode == "load"]
+        assert [t.index for t in plan.targets] == [inner, tail]
+        out = Machine(m, plan=plan, sampler=Sampler(cfg.fault_spec(), seed=5)).run()
+        assert out.status == "ok", out.trap
+        # trips 1 and 3 of the inner loop, in both trips of the outer loop;
+        # the load after the loops sits in no loop and never activates
+        assert [(a.index, a.step) for a in out.activations] == [
+            (inner, 8), (inner, 18), (inner, 33), (inner, 43)]
+
+
+def _trap_of(text, **kw):
+    out = run_src(text, **kw)
+    assert out.status == "trapped"
+    return out.trap
+
+
+class TestTrapLocation:
+    def test_out_of_bounds_in_callee(self):
+        trap = _trap_of("""
+define i32 @g(i32* %s) {
+  %p = getelementptr i32* %s, i64 100000
+  %v = load i32* %p
+  ret i32 %v
+}
+define i32 @main() {
+  %s = alloca i32
+  %r = call i32 @g(i32* %s)
+  ret i32 %r
+}
+""")
+        assert (trap.kind, trap.function, trap.index) == ("out_of_bounds", "g", 2)
+
+    def test_bad_intrinsic_arg_at_printf_call(self):
+        trap = _trap_of("""
+@f = constant [3 x i8] c"%d\\00"
+define i32 @main() {
+  %a = add i32 1, 2
+  %r = call i32 (i8*, ...)* @printf(i8* getelementptr ([3 x i8]* @f, i32 0, i32 0))
+  ret i32 %r
+}
+""")
+        assert (trap.kind, trap.function, trap.index) == ("bad_intrinsic_arg", "main", 2)
+
+    def test_stack_overflow_at_recursive_call(self):
+        trap = _trap_of("""
+define i32 @spin(i32 %n) {
+  %m = add i32 %n, 1
+  %r = call i32 @spin(i32 %m)
+  ret i32 %r
+}
+define i32 @main() {
+  %r = call i32 @spin(i32 1)
+  ret i32 %r
+}
+""", max_depth=50)
+        assert (trap.kind, trap.function, trap.index) == ("stack_overflow", "spin", 2)
+
+    def test_invalid_branch_in_callee(self):
+        trap = _trap_of("""
+define i32 @g() {
+entry:
+  %a = add i32 1, 2
+  br label %next
+
+next:
+  br label %nowhere
+}
+define i32 @main() {
+  %r = call i32 @g()
+  ret i32 %r
+}
+""")
+        assert (trap.kind, trap.function, trap.index) == ("invalid_branch", "g", 3)
+
+    def test_division_by_zero_in_callee(self):
+        trap = _trap_of("""
+define i32 @g(i32 %d) {
+  %q = sdiv i32 7, %d
+  ret i32 %q
+}
+define i32 @main() {
+  %r = call i32 @g(i32 0)
+  ret i32 %r
+}
+""")
+        assert (trap.kind, trap.function, trap.index) == ("division_by_zero", "g", 1)
+
+
+class TestRealizedBound:
+    def test_int_deltas_stay_within_bound(self):
+        m = assign_indices(load_fixture_module("looper.ll"))
+        target = next(ins.index for _f, _b, ins in m.all_instructions()
+                      if ins.opcode == "load")
+        plan = InjectionPlan((PlanTarget(target, "spin", "i32"),),
+                             OccurrenceScope("invocation", (1,)))
+        sampler = Sampler(FaultSpec("absolute", "uniform", 1.7), seed=4)
+        out = Machine(m, budget=3000, plan=plan, sampler=sampler).run()
+        assert out.activation_count > 500
+        deltas = set()
+        for a in out.activations:
+            orig, faulted = (struct.unpack("<i", bytes.fromhex(h)[::-1])[0]
+                             for h in (a.original_hex, a.faulted_hex))
+            deltas.add(faulted - orig)
+        assert deltas <= {-1, 0, 1}
+        assert deltas == {-1, 0, 1}
