@@ -11,6 +11,7 @@ from histogram files and are sampled by piecewise-linear inverse CDF.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -212,18 +213,25 @@ def draw_bound(spec: FaultSpec, value: float) -> float:
     return spec.bound * abs(value)
 
 
+_FLOAT_MAX = {"f32": float(np.finfo(np.float32).max), "f64": sys.float_info.max}
+
+
 def apply_fault(value, error: float, value_kind: str, bound: float = math.inf):
     """Perturb a value so that it moves by at most `bound`.
 
-    Float kinds add and re-round, then step one unit in the last place of
-    their width back toward `value` if rounding overshot the bound; a sum
-    past the largest finite value still rounds to +-inf. Int kinds round the
-    error half-to-even, clamp it to +-floor(bound) and wrap at the type width.
+    Float kinds add and re-round, saturate at the largest finite value of
+    their width, then step one unit in the last place back toward `value` if
+    rounding overshot the bound. Int kinds round the error half-to-even, clamp
+    it to +-floor(bound) and wrap at the type width.
     """
     if value_kind in ("f32", "f64"):
         faulted = float(value) + error
         if value_kind == "f32":
             faulted = to_f32(faulted)
+        if math.isinf(faulted) and math.isfinite(value):
+            # The exact sum lies past the largest finite value, so that value
+            # lies between it and `value`, within the bound.
+            faulted = math.copysign(_FLOAT_MAX[value_kind], faulted)
         # Checked exactly, since the float subtraction can itself round. One
         # step suffices: the float next to the rounded sum, toward a
         # representable `value`, lies between `value` and the exact sum.

@@ -397,9 +397,6 @@ def loop_blocks_for(fn: IrFunction, label: str):
     return best
 
 
-ARTIFACT_SUFFIXES = ("-lcfi_index.ll", "-lcfi_profiling.ll", "-lcfi_fi.ll")
-
-
 def emit_artifacts(module: IrModule, source_path: str, out_dir: str = "",
                    plan: InjectionPlan | None = None,
                    config: InputConfig | None = None) -> list[str]:

@@ -3,7 +3,7 @@ from .nodes import (
     IrModule, IrType, ValueRef,
     I1, I8, I32, I64, F32, F64, VOID,
     array_of, floatc, glob, intc, nullc, ptr_to, reg, struct_of,
-    SUPPORTED_OPCODES, TERMINATORS,
+    OPCODES, TERMINATORS, TYPE_NAMES,
 )
 from .parser import ParseError, parse_module
 from .printer import print_module
@@ -15,7 +15,7 @@ __all__ = [
     "IrFunction", "IrModule", "IrType", "ValueRef",
     "I1", "I8", "I32", "I64", "F32", "F64", "VOID",
     "array_of", "floatc", "glob", "intc", "nullc", "ptr_to", "reg", "struct_of",
-    "SUPPORTED_OPCODES", "TERMINATORS",
+    "OPCODES", "TERMINATORS", "TYPE_NAMES",
     "ParseError", "parse_module", "print_module",
     "Diagnostic", "validate",
     "IndicesMissing", "UseGraph", "build_def_use",

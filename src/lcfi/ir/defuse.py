@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .nodes import IrModule
-from .validate import registers_in
+from .validate import operand_refs
 
 
 class IndicesMissing(Exception):
@@ -48,8 +48,7 @@ def build_def_use(module: IrModule) -> UseGraph:
                 producer[ins.result] = ins.index
         for ins in fn.instructions():
             for v in ins.operands:
-                for r in registers_in(v):
-                    p = producer.get(r)
-                    if p is not None:
-                        edges.add((p, ins.index))
+                for ref in operand_refs(v):
+                    if ref.kind == "reg" and ref.name in producer:
+                        edges.add((producer[ref.name], ins.index))
     return UseGraph(frozenset(edges), opcode_of)

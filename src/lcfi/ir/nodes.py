@@ -6,14 +6,19 @@ import math
 import struct
 from dataclasses import dataclass, field
 
-SUPPORTED_OPCODES = frozenset({
-    "alloca", "load", "store", "getelementptr",
-    "add", "sub", "mul", "sdiv", "srem",
-    "fadd", "fsub", "fmul", "fdiv", "fneg",
-    "icmp", "fcmp", "br", "phi", "call", "ret",
-    "zext", "sext", "trunc", "fptosi", "sitofp",
-    "fpext", "fptrunc", "bitcast", "select",
-})
+# Textual form of each opcode, read by the parser and written by the printer:
+# "binary" is `op T a, b`, "unary" is `op T a`, "compare" is `op pred T a, b`
+# and "cast" is `op T v to U`; every other opcode is a form of its own.
+OPCODES = {
+    **dict.fromkeys(("add", "sub", "mul", "sdiv", "srem",
+                     "fadd", "fsub", "fmul", "fdiv"), "binary"),
+    "fneg": "unary",
+    "icmp": "compare", "fcmp": "compare",
+    **dict.fromkeys(("zext", "sext", "trunc", "fptosi", "sitofp",
+                     "fpext", "fptrunc", "bitcast"), "cast"),
+    **{op: op for op in ("alloca", "load", "store", "getelementptr",
+                         "br", "phi", "call", "ret", "select")},
+}
 
 TERMINATORS = frozenset({"br", "ret"})
 
@@ -115,12 +120,8 @@ class IrType:
         raise IndexError(index)
 
     def render(self) -> str:
-        if self.kind in ("i1", "i8", "i32", "i64", "void"):
-            return self.kind
-        if self.kind == "f32":
-            return "float"
-        if self.kind == "f64":
-            return "double"
+        if self.kind in _KEYWORDS:
+            return _KEYWORDS[self.kind]
         if self.kind == "ptr":
             return self.pointee.render() + "*"
         if self.kind == "array":
@@ -137,6 +138,11 @@ I64 = IrType("i64")
 F32 = IrType("f32")
 F64 = IrType("f64")
 VOID = IrType("void")
+
+# The type keywords of the IR text; `ptr` (opaque pointer) is the parser's.
+TYPE_NAMES = {"i1": I1, "i8": I8, "i32": I32, "i64": I64,
+              "float": F32, "double": F64, "void": VOID}
+_KEYWORDS = {t.kind: name for name, t in TYPE_NAMES.items()}
 
 
 def ptr_to(t: IrType) -> IrType:

@@ -11,11 +11,12 @@ in compiler output are reconstructed from the register numbering.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 
 from .nodes import (
-    F32, F64, I1, I8, I32, I64, VOID,
-    FCMP_PREDICATES, ICMP_PREDICATES, SUPPORTED_OPCODES,
+    I1, I8, I64, VOID,
+    FCMP_PREDICATES, ICMP_PREDICATES, OPCODES, TYPE_NAMES,
     BasicBlock, FnDecl, GlobalDef, GlobalInit, Instruction, IrFunction,
     IrModule, IrType, ValueRef,
     array_of, floatc, gepc, glob, intc, nullc, ptr_to, reg,
@@ -55,12 +56,6 @@ _SKIPPED_ATTRS = frozenset({
     "reassoc", "dso_local", "dso_preemptable", "internal", "private",
     "linkonce", "linkonce_odr", "weak", "weak_odr", "hidden", "protected",
     "local_unnamed_addr", "unnamed_addr", "tail", "musttail", "notail",
-})
-
-_INT_TYPES = {"i1": I1, "i8": I8, "i32": I32, "i64": I64}
-
-_CAST_OPS = frozenset({
-    "zext", "sext", "trunc", "fptosi", "sitofp", "fpext", "fptrunc", "bitcast",
 })
 
 _INDEX_ANNOT_RE = re.compile(r"^\s*!lcfi_index\s+(\d+)\s*$")
@@ -180,7 +175,6 @@ def _decode_cstring(token: str) -> bytes:
 
 
 def _bits_to_double(bits: int) -> float:
-    import struct
     return struct.unpack(">d", struct.pack(">Q", bits & (2 ** 64 - 1)))[0]
 
 
@@ -293,8 +287,7 @@ class _ModuleParser:
             cur.next()
             values = []
             while not cur.accept("]"):
-                vt = self._parse_type(cur)
-                values.append(self._parse_value(cur, vt))
+                values.append(self._typed_value(cur))
                 if cur.peek_text() != "]":
                     cur.expect(",")
             return GlobalInit("array", values=tuple(values))
@@ -410,14 +403,8 @@ class _ModuleParser:
         t = cur.next()
         base: IrType
         if t.kind == "word":
-            if t.text in _INT_TYPES:
-                base = _INT_TYPES[t.text]
-            elif t.text == "float":
-                base = F32
-            elif t.text == "double":
-                base = F64
-            elif t.text == "void":
-                base = VOID
+            if t.text in TYPE_NAMES:
+                base = TYPE_NAMES[t.text]
             elif t.text == "ptr":
                 base = ptr_to(I8)
             else:
@@ -481,23 +468,37 @@ class _ModuleParser:
             raise cur.error(f"unsupported value {t.text!r}")
         raise cur.error(f"expected value, found {t.text!r}")
 
+    def _typed_value(self, cur: Cursor) -> ValueRef:
+        """Read `T v`."""
+        return self._parse_value(cur, self._parse_type(cur))
+
+    def _pointer_to(self, cur: Cursor, pointee: IrType) -> ValueRef:
+        """Read `P %p`, typing the pointer as `pointee*`.
+
+        An opaque `ptr` (and any other mismatched pointer spelling) takes its
+        element type from the instruction.
+        """
+        ptype = self._parse_type(cur)
+        if ptype.is_pointer() and ptype.pointee != pointee:
+            ptype = ptr_to(pointee)
+        return self._parse_value(cur, ptype)
+
+    def _pointer_operand(self, cur: Cursor, opcode: str) -> tuple[IrType, ValueRef]:
+        """Read `T, P %p` or the typed-pointer `T* %p`; return T and the pointer."""
+        first = self._parse_type(cur)
+        if cur.accept(","):
+            return first, self._pointer_to(cur, first)
+        if not first.is_pointer():
+            raise cur.error(f"{opcode} needs a pointer type")
+        return first.pointee, self._parse_value(cur, first)
+
     def _parse_gep_const(self, cur: Cursor, vtype: IrType) -> ValueRef:
         cur.accept("inbounds")
         cur.expect("(")
-        first = self._parse_type(cur)
-        if cur.accept(","):
-            source = first
-            ptype = self._parse_type(cur)
-            if ptype.is_pointer() and ptype.pointee == I8 and source != I8:
-                ptype = ptr_to(source)  # opaque-pointer spelling
-        else:
-            ptype = first
-            source = ptype.pointee
-        base = self._parse_value(cur, ptype)
+        source, base = self._pointer_operand(cur, "getelementptr")
         indices = []
         while cur.accept(","):
-            it = self._parse_type(cur)
-            indices.append(self._parse_value(cur, it))
+            indices.append(self._typed_value(cur))
         cur.expect(")")
         return gepc(source, base, tuple(indices), vtype)
 
@@ -514,7 +515,7 @@ class _ModuleParser:
         opcode = op_tok.text
         if opcode == "tail":
             opcode = cur.next().text
-        if opcode not in SUPPORTED_OPCODES:
+        if opcode not in OPCODES:
             raise cur.error(f"unsupported opcode {opcode!r}")
         ins = self._parse_body(cur, opcode, result)
         ins.line = line_no
@@ -545,56 +546,54 @@ class _ModuleParser:
                 raise cur.error("trailing tokens after instruction")
 
     def _parse_body(self, cur: Cursor, opcode: str, result: str | None) -> Instruction:
-        if opcode == "alloca":
+        form = OPCODES[opcode]
+        if form in ("binary", "unary", "compare"):
+            cur.skip_attrs()
+            pred = None
+            if form == "compare":
+                pred = cur.next().text
+                valid = ICMP_PREDICATES if opcode == "icmp" else FCMP_PREDICATES
+                if pred not in valid:
+                    raise cur.error(f"unknown {opcode} predicate {pred!r}")
+            t = self._parse_type(cur)
+            operands = [self._parse_value(cur, t)]
+            if form != "unary":
+                cur.expect(",")
+                operands.append(self._parse_value(cur, t))
+            return Instruction(opcode, result, I1 if pred else t, operands,
+                               predicate=pred)
+
+        if form == "cast":
+            v = self._typed_value(cur)
+            if cur.next().text != "to":
+                raise cur.error("expected 'to' in cast")
+            t2 = self._parse_type(cur)
+            return Instruction(opcode, result, t2, [v], aux_type=t2)
+
+        if form == "alloca":
             atype = self._parse_type(cur)
             return Instruction(opcode, result, ptr_to(atype), aux_type=atype)
 
-        if opcode == "load":
-            t1 = self._parse_type(cur)
-            if cur.accept(","):
-                vtype = t1
-                ptype = self._parse_type(cur)
-                if ptype.is_pointer() and ptype.pointee != vtype:
-                    ptype = ptr_to(vtype)
-            else:
-                if not t1.is_pointer():
-                    raise cur.error("load needs a pointer type")
-                ptype = t1
-                vtype = t1.pointee
-            ptr = self._parse_value(cur, ptype)
+        if form == "load":
+            vtype, ptr = self._pointer_operand(cur, opcode)
             return Instruction(opcode, result, vtype, [ptr])
 
-        if opcode == "store":
+        if form == "store":
             vtype = self._parse_type(cur)
             value = self._parse_value(cur, vtype)
             cur.expect(",")
-            ptype = self._parse_type(cur)
-            if ptype.is_pointer() and ptype.pointee != vtype:
-                ptype = ptr_to(vtype)
-            ptr = self._parse_value(cur, ptype)
+            ptr = self._pointer_to(cur, vtype)
             return Instruction(opcode, result, VOID, [value, ptr])
 
-        if opcode == "getelementptr":
+        if form == "getelementptr":
             inbounds = cur.accept("inbounds")
-            t1 = self._parse_type(cur)
-            if cur.accept(","):
-                source = t1
-                ptype = self._parse_type(cur)
-                if ptype.is_pointer() and ptype.pointee != source:
-                    ptype = ptr_to(source)
-            else:
-                if not t1.is_pointer():
-                    raise cur.error("getelementptr needs a pointer type")
-                ptype = t1
-                source = t1.pointee
-            base = self._parse_value(cur, ptype)
+            source, base = self._pointer_operand(cur, opcode)
             operands = [base]
             elem = source
             first = True
             while cur.peek_text() == "," and not self._align_follows(cur):
                 cur.expect(",")
-                it = self._parse_type(cur)
-                idx = self._parse_value(cur, it)
+                idx = self._typed_value(cur)
                 operands.append(idx)
                 if first:
                     first = False
@@ -610,39 +609,11 @@ class _ModuleParser:
             return Instruction(opcode, result, ptr_to(elem), operands,
                                aux_type=source, inbounds=inbounds)
 
-        if opcode in ("add", "sub", "mul", "sdiv", "srem",
-                      "fadd", "fsub", "fmul", "fdiv"):
-            cur.skip_attrs()
-            t = self._parse_type(cur)
-            a = self._parse_value(cur, t)
-            cur.expect(",")
-            b = self._parse_value(cur, t)
-            return Instruction(opcode, result, t, [a, b])
-
-        if opcode == "fneg":
-            cur.skip_attrs()
-            t = self._parse_type(cur)
-            a = self._parse_value(cur, t)
-            return Instruction(opcode, result, t, [a])
-
-        if opcode in ("icmp", "fcmp"):
-            cur.skip_attrs()
-            pred = cur.next().text
-            valid = ICMP_PREDICATES if opcode == "icmp" else FCMP_PREDICATES
-            if pred not in valid:
-                raise cur.error(f"unknown {opcode} predicate {pred!r}")
-            t = self._parse_type(cur)
-            a = self._parse_value(cur, t)
-            cur.expect(",")
-            b = self._parse_value(cur, t)
-            return Instruction(opcode, result, I1, [a, b], predicate=pred)
-
-        if opcode == "br":
+        if form == "br":
             if cur.accept("label"):
                 dest = cur.next()
                 return Instruction(opcode, result, VOID, labels=[dest.text[1:]])
-            t = self._parse_type(cur)
-            cond = self._parse_value(cur, t)
+            cond = self._typed_value(cur)
             cur.expect(",")
             cur.expect("label")
             a = cur.next().text[1:]
@@ -651,7 +622,7 @@ class _ModuleParser:
             b = cur.next().text[1:]
             return Instruction(opcode, result, VOID, [cond], labels=[a, b])
 
-        if opcode == "phi":
+        if form == "phi":
             t = self._parse_type(cur)
             operands = []
             labels = []
@@ -668,7 +639,7 @@ class _ModuleParser:
                     break
             return Instruction(opcode, result, t, operands, labels=labels)
 
-        if opcode == "call":
+        if form == "call":
             cur.skip_attrs()
             ret = self._parse_type(cur)
             if cur.peek_text() == "(":
@@ -696,34 +667,19 @@ class _ModuleParser:
                     cur.expect(",")
             return Instruction(opcode, result, ret, args, callee=callee_tok.text[1:])
 
-        if opcode == "ret":
-            if cur.peek_text() == "void":
-                cur.next()
+        if form == "ret":
+            if cur.accept("void"):
                 return Instruction(opcode, result, VOID)
-            t = self._parse_type(cur)
-            v = self._parse_value(cur, t)
-            return Instruction(opcode, result, VOID, [v])
+            return Instruction(opcode, result, VOID, [self._typed_value(cur)])
 
-        if opcode in _CAST_OPS:
-            t = self._parse_type(cur)
-            v = self._parse_value(cur, t)
-            if cur.next().text != "to":
-                raise cur.error("expected 'to' in cast")
-            t2 = self._parse_type(cur)
-            return Instruction(opcode, result, t2, [v], aux_type=t2)
-
-        if opcode == "select":
-            ct = self._parse_type(cur)
-            cond = self._parse_value(cur, ct)
-            cur.expect(",")
-            t1 = self._parse_type(cur)
-            a = self._parse_value(cur, t1)
-            cur.expect(",")
-            t2 = self._parse_type(cur)
-            b = self._parse_value(cur, t2)
-            return Instruction(opcode, result, t1, [cond, a, b])
-
-        raise cur.error(f"unsupported opcode {opcode!r}")
+        # select: the result has the type written for the first choice
+        cond = self._typed_value(cur)
+        cur.expect(",")
+        t1 = self._parse_type(cur)
+        a = self._parse_value(cur, t1)
+        cur.expect(",")
+        b = self._typed_value(cur)
+        return Instruction(opcode, result, t1, [cond, a, b])
 
     def _align_follows(self, cur: Cursor) -> bool:
         nxt = cur.pos + 1

@@ -8,7 +8,7 @@ which the parser reads back.
 
 from __future__ import annotations
 
-from .nodes import GlobalDef, Instruction, IrFunction, IrModule, ValueRef
+from .nodes import OPCODES, GlobalDef, Instruction, IrFunction, IrModule, ValueRef
 
 
 def _encode_cstring(data: bytes) -> str:
@@ -50,42 +50,37 @@ def _render_global(g: GlobalDef) -> str:
 def _render_instruction(ins: Instruction) -> str:
     op = ins.opcode
     ops = ins.operands
+    form = OPCODES.get(op)
 
-    if op == "alloca":
+    if form in ("binary", "unary", "compare"):
+        head = f"{op} {ins.predicate}" if form == "compare" else op
+        body = f"{head} " + ", ".join([_typed(ops[0])] + [v.render() for v in ops[1:]])
+    elif form == "cast":
+        body = f"{op} {_typed(ops[0])} to {ins.aux_type.render()}"
+    elif form == "alloca":
         body = f"alloca {ins.aux_type.render()}"
-    elif op == "load":
+    elif form == "load":
         body = f"load {ins.result_type.render()}, {_typed(ops[0])}"
-    elif op == "store":
+    elif form == "store":
         body = f"store {_typed(ops[0])}, {_typed(ops[1])}"
-    elif op == "getelementptr":
+    elif form == "getelementptr":
         kw = "getelementptr inbounds" if ins.inbounds else "getelementptr"
-        rest = ", ".join(_typed(v) for v in ops[1:])
-        body = f"{kw} {ins.aux_type.render()}, {_typed(ops[0])}"
-        if rest:
-            body += ", " + rest
-    elif op in ("add", "sub", "mul", "sdiv", "srem", "fadd", "fsub", "fmul", "fdiv"):
-        body = f"{op} {ops[0].type.render()} {ops[0].render()}, {ops[1].render()}"
-    elif op == "fneg":
-        body = f"fneg {_typed(ops[0])}"
-    elif op in ("icmp", "fcmp"):
-        body = f"{op} {ins.predicate} {ops[0].type.render()} {ops[0].render()}, {ops[1].render()}"
-    elif op == "br":
+        body = ", ".join([f"{kw} {ins.aux_type.render()}"] + [_typed(v) for v in ops])
+    elif form == "br":
         if ops:
             body = f"br {_typed(ops[0])}, label %{ins.labels[0]}, label %{ins.labels[1]}"
         else:
             body = f"br label %{ins.labels[0]}"
-    elif op == "phi":
+    elif form == "phi":
         pairs = ", ".join(f"[ {v.render()}, %{lbl} ]"
                           for v, lbl in zip(ops, ins.labels))
         body = f"phi {ins.result_type.render()} {pairs}"
-    elif op == "call":
+    elif form == "call":
         args = ", ".join(_typed(v) for v in ops)
         body = f"call {ins.result_type.render()} @{ins.callee}({args})"
-    elif op == "ret":
+    elif form == "ret":
         body = f"ret {_typed(ops[0])}" if ops else "ret void"
-    elif op in ("zext", "sext", "trunc", "fptosi", "sitofp", "fpext", "fptrunc", "bitcast"):
-        body = f"{op} {_typed(ops[0])} to {ins.aux_type.render()}"
-    elif op == "select":
+    elif form == "select":
         body = f"select {_typed(ops[0])}, {_typed(ops[1])}, {_typed(ops[2])}"
     else:
         raise ValueError(f"cannot print opcode {op!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nodes import Instruction, IrFunction, IrModule, TERMINATORS
+from .nodes import Instruction, IrFunction, IrModule, TERMINATORS, ValueRef
 
 
 @dataclass
@@ -30,15 +30,9 @@ class Diagnostic:
         return f"{prefix}{self.message}{loc}"
 
 
-def _default_intrinsics() -> frozenset[str]:
-    from ..vm.intrinsics import INTRINSIC_NAMES
-    return INTRINSIC_NAMES
-
-
-def validate(module: IrModule, intrinsics: frozenset[str] | None = None) -> list[Diagnostic]:
+def validate(module: IrModule) -> list[Diagnostic]:
     """Return all diagnostics for the module; an empty list means valid."""
-    if intrinsics is None:
-        intrinsics = _default_intrinsics()
+    from ..vm.intrinsics import INTRINSIC_NAMES  # not at the top: lcfi.vm imports lcfi.ir
     diags: list[Diagnostic] = []
 
     seen_fn: set[str] = set()
@@ -56,7 +50,8 @@ def validate(module: IrModule, intrinsics: frozenset[str] | None = None) -> list
     global_names = seen_glob | {"stdin", "stdout", "stderr"}
 
     for fn in module.functions:
-        diags.extend(_validate_function(fn, module, seen_fn, global_names, intrinsics))
+        diags.extend(_validate_function(fn, module, seen_fn, global_names,
+                                        INTRINSIC_NAMES))
     return diags
 
 
@@ -113,41 +108,29 @@ def _check_operands(ins: Instruction, block, pos: int, fn: IrFunction,
     diags = []
     local_defs = {i.result for i in block.instructions[:pos] if i.result is not None}
     for v in ins.operands:
-        for r in registers_in(v):
-            if r not in defined:
+        for ref in operand_refs(v):
+            r = ref.name
+            if ref.kind == "global":
+                if r not in global_names:
+                    diags.append(Diagnostic(
+                        f"unknown global @{r}", fn.name, block.label, ins.line))
+            elif r not in defined:
                 diags.append(Diagnostic(
                     f"undefined register %{r}", fn.name, block.label, ins.line))
             elif defined[r] == block.label and ins.opcode != "phi" and r not in local_defs:
                 diags.append(Diagnostic(
                     f"register %{r} used before definition", fn.name, block.label, ins.line))
-        for g in _globals_in(v):
-            if g not in global_names:
-                diags.append(Diagnostic(
-                    f"unknown global @{g}", fn.name, block.label, ins.line))
     return diags
 
 
-def registers_in(v) -> list[str]:
-    """Register names an operand reads, constant geps included."""
-    if v.kind == "reg":
-        return [v.name]
+def operand_refs(v: ValueRef) -> list[ValueRef]:
+    """The registers and globals an operand reads, constant geps included."""
     if v.kind == "gep":
-        out = registers_in(v.base)
+        out = operand_refs(v.base)
         for i in v.indices:
-            out.extend(registers_in(i))
+            out.extend(operand_refs(i))
         return out
-    return []
-
-
-def _globals_in(v) -> list[str]:
-    if v.kind == "global":
-        return [v.name]
-    if v.kind == "gep":
-        out = _globals_in(v.base)
-        for i in v.indices:
-            out.extend(_globals_in(i))
-        return out
-    return []
+    return [v] if v.kind in ("reg", "global") else []
 
 
 def _check_call(ins: Instruction, fn: IrFunction, block, module: IrModule,

@@ -83,10 +83,6 @@ class RunOutcome:
     skipped_nonfinite: int = 0
     trace: list[TraceRecord] | None = None
 
-    @property
-    def trapped(self) -> bool:
-        return self.status == "trapped"
-
 
 @dataclass
 class IoConfig:

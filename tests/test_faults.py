@@ -313,9 +313,6 @@ class TestRealizedBound:
             assert -(2**(bits - 1)) <= faulted < 2**(bits - 1)
             delta = (faulted - value + 2**(bits - 1)) % 2**bits - 2**(bits - 1)
             assert abs(delta) <= limit
-        elif math.isinf(faulted):  # the sum left the format's finite range
-            top = float(np.finfo(np.float32 if kind == "f32" else np.float64).max)
-            assert abs(Fraction(value) + Fraction(error)) > Fraction(top)
         else:
             assert abs(Fraction(faulted) - Fraction(value)) <= Fraction(limit)
 
@@ -340,6 +337,13 @@ class TestRealizedBound:
         got = apply_fault(1.0, 0.55 * one_ulp, "f32", 0.6 * one_ulp)
         assert got == 1.0
         assert apply_fault(1.0, 0.55 * one_ulp, "f32") == 1.0 + one_ulp
+
+    @pytest.mark.parametrize("kind", ["f32", "f64"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sum_past_largest_finite_saturates(self, kind, sign):
+        top = float(np.finfo(np.float32 if kind == "f32" else np.float64).max)
+        got = apply_fault(sign * top, sign * top / 2, kind, top / 2)
+        assert got == sign * top
 
 
 class TestParseFaultType:

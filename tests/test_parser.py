@@ -2,15 +2,18 @@
 error reporting, and a randomized print/parse round-trip."""
 
 import random
+import re
 import struct
 
 import pytest
 
-from lcfi.ir.nodes import (F32, F64, I1, I8, I32, I64, VOID, BasicBlock, GlobalDef,
-                           GlobalInit, Instruction, IrFunction, IrModule,
-                           array_of, floatc, intc, ptr_to, reg)
+from lcfi.ir.nodes import (F32, F64, I1, I8, I32, I64, OPCODES, TYPE_NAMES, VOID,
+                           BasicBlock, GlobalDef, GlobalInit, Instruction,
+                           IrFunction, IrModule, array_of, floatc, intc, ptr_to,
+                           reg)
 from lcfi.ir.parser import ParseError, parse_module
 from lcfi.ir.printer import print_module
+from lcfi.ir.validate import validate
 from lcfi.instrument import assign_indices
 
 
@@ -59,6 +62,7 @@ class TestDemoShape:
 
 NEW_STYLE = """
 @buf = global [4 x i32] zeroinitializer
+@second = global ptr getelementptr inbounds ([4 x i32], ptr @buf, i64 0, i64 1)
 define i32 @sum(ptr %p, i32 %k) {
 entry:
   %slot = alloca i32
@@ -84,6 +88,10 @@ def test_new_style_syntax():
     ep = fn.blocks[0].instructions[4]
     assert ep.aux_type == array_of(4, I32)
     assert ep.result_type == ptr_to(I32)
+    second = m.global_def("second").init.value
+    assert second.kind == "gep"
+    assert second.gep_source == array_of(4, I32)
+    assert second.base.type == ptr_to(array_of(4, I32))
 
 
 def test_vector_type_warns_and_parses_as_array():
@@ -208,6 +216,69 @@ def test_index_annotations_roundtrip(demo_module):
 def test_demo_roundtrip_structural_equality(demo_module):
     text = print_module(demo_module)
     assert parse_module(text, source_name="demo.ll") == demo_module
+
+
+# Every opcode of OPCODES and every keyword of TYPE_NAMES, in typed-pointer
+# spelling so that the printer's two-type form must parse back to the same module.
+EVERY_FORM = """
+@g = global i8 7
+@fmt = constant [4 x i8] c"%d\\0A\\00"
+
+define void @sink(double %d) {
+  ret void
+}
+
+define i32 @main() {
+entry:
+  %slot = alloca [2 x i64]
+  %p = getelementptr inbounds [2 x i64]* %slot, i64 0, i64 1
+  store i64 9, i64* %p
+  %w = load i64* %p
+  %n = trunc i64 %w to i32
+  %a = add nsw i32 %n, 1
+  %s = sub i32 %a, 2
+  %m = mul i32 %s, 3
+  %q = sdiv i32 %m, 2
+  %r = srem i32 %q, 5
+  %b = load i8* @g
+  %bz = zext i8 %b to i32
+  %bs = sext i8 %b to i64
+  %f = sitofp i32 %r to float
+  %fe = fpext float %f to double
+  %x = fadd double %fe, 1.5
+  %y = fsub double %x, 0.25
+  %z = fmul double %y, 2.0
+  %v = fdiv double %z, 3.0
+  %neg = fneg double %v
+  %ft = fptrunc double %neg to float
+  %bits = bitcast float %ft to i32
+  %i = fptosi double %v to i64
+  %c = icmp slt i32 %bz, %bits
+  %o = fcmp olt double %v, 1.0
+  %pick = select i1 %c, i64 %i, i64 %bs
+  call void @sink(double %v)
+  %pr = call i32 (i8*, ...)* @printf(i8* getelementptr inbounds ([4 x i8]* @fmt, i64 0, i64 0), i32 %r)
+  br i1 %o, label %then, label %join
+
+then:
+  br label %join
+
+join:
+  %phi = phi i32 [ %r, %entry ], [ %a, %then ]
+  ret i32 %phi
+}
+
+declare i32 @printf(i8*, ...)
+"""
+
+
+def test_every_form_roundtrips():
+    m = parse_module(EVERY_FORM, source_name="every.ll")
+    assert {ins.opcode for _f, _b, ins in m.all_instructions()} == set(OPCODES)
+    assert validate(m) == []
+    text = print_module(m)
+    assert set(TYPE_NAMES) <= set(re.findall(r"\b[a-z]\w*\b", text))
+    assert parse_module(text, source_name="every.ll") == m
 
 
 # -- randomized round-trip -----------------------------------------------------
