@@ -16,9 +16,7 @@ import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 
 import yaml
 
@@ -372,6 +370,21 @@ def _worker_run(ctx: RunContext, run_index: int) -> RunResult:
     return rr
 
 
+# A pool worker's RunContext, set once by the pool's initializer; tasks then
+# carry only a run index, and every run in the worker shares the context's
+# module and so its decoded form.
+_worker_ctx: RunContext | None = None
+
+
+def _init_worker(ctx: RunContext) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _pool_run(run_index: int) -> RunResult:
+    return _worker_run(_worker_ctx, run_index)
+
+
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Execute a full campaign and write the artifact tree."""
     indexed = assign_indices(load_program(cfg.program))
@@ -405,10 +418,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
                      campaign_seed=cfg.seed if cfg.seed is not None else input_cfg.seed,
                      golden=RunOutcome(status="ok", stdout=golden.stdout),
                      golden_metrics=golden_metrics)
-    with (ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1
-          else nullcontext()) as pool:
-        runner = map if pool is None else pool.map
-        runs = list(runner(partial(_worker_run, ctx), range(cfg.runs)))
+    if cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
+                                 initargs=(ctx,)) as pool:
+            runs = list(pool.map(_pool_run, range(cfg.runs)))
+    else:
+        runs = [_worker_run(ctx, i) for i in range(cfg.runs)]
 
     counts = {k: 0 for k in OUTCOMES}
     for r in runs:

@@ -314,7 +314,8 @@ class IrModule:
     """A parsed module. Treat as immutable once built; the instrumenter
 
     returns fresh copies instead of mutating in place, so a module can be
-    shared across concurrently executing runs.
+    shared across concurrently executing runs, and caches derived from it stay
+    valid.
     """
 
     source_name: str = ""
@@ -322,6 +323,11 @@ class IrModule:
     functions: list[IrFunction] = field(default_factory=list)
     declares: list[FnDecl] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list, compare=False)
+
+    def __getstate__(self):
+        # Derived forms cached on the module by its users (the VM keeps its
+        # decoded form as `_decoded`) are rebuilt on demand, never pickled.
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def function(self, name: str) -> IrFunction | None:
         for f in self.functions:

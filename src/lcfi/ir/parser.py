@@ -459,10 +459,10 @@ class _ModuleParser:
         if t.kind == "word":
             if t.text == "null":
                 return nullc(vtype)
-            if t.text == "true":
-                return intc(1, I1)
-            if t.text == "false":
-                return intc(0, I1)
+            if t.text in ("true", "false"):
+                if vtype.kind != "i1":
+                    raise cur.error(f"{t.text} is an i1 constant, not {vtype.render()}")
+                return intc(int(t.text == "true"), I1)
             if t.text == "getelementptr":
                 return self._parse_gep_const(cur, vtype)
             raise cur.error(f"unsupported value {t.text!r}")

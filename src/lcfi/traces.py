@@ -9,9 +9,13 @@ afterwards on matched pairs.
 from __future__ import annotations
 
 import re
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .ir.defuse import UseGraph
+from .ir.nodes import SCALARS, IrType
 
 
 class TraceFormatError(Exception):
@@ -72,10 +76,109 @@ def read_trace(source) -> list[TraceRecord]:
     return out
 
 
+# -- values and run traces ---------------------------------------------------------
+
+_NO_VALUE = "00000000"
+_PACK_F32 = struct.Struct(">f").pack
+_PACK_F64 = struct.Struct(">d").pack
+
+
+def _hex32(value) -> str:
+    return _NO_VALUE if value is None else "%08x" % (value & 0xFFFFFFFF)
+
+
+def _hex64(value) -> str:
+    return _NO_VALUE if value is None else "%016x" % (value & 0xFFFFFFFFFFFFFFFF)
+
+
+def _hex_f32(value) -> str:
+    return _NO_VALUE if value is None else _PACK_F32(value).hex()
+
+
+def _hex_f64(value) -> str:
+    return _NO_VALUE if value is None else _PACK_F64(value).hex()
+
+
+# The trace's fixed-width hex field of each scalar kind's runtime value:
+# 16 digits for 8-byte scalars, 8 for the rest, float kinds as their IEEE
+# bits. Plain functions, so a RunTrace pickles.
+VALUE_HEX = {k: {"f32": _hex_f32, "f64": _hex_f64}.get(k, _hex64 if size == 8 else _hex32)
+             for k, (size, _fmt) in SCALARS.items()}
+
+
+def _no_value_hex(value) -> str:
+    return _NO_VALUE
+
+
+def value_bits(value, vtype: IrType) -> str:
+    """Render a runtime value as the trace's hex field; zeros for no value."""
+    return VALUE_HEX.get(vtype.kind, _no_value_hex)(value)
+
+
+class TraceFields:
+    """The parts of a trace line fixed by the instruction index: opcode, line
+    prefix and value formatter, in lists indexed by instruction index."""
+
+    def __init__(self, instructions):
+        """`instructions` yields (index, opcode, result kind) triples."""
+        rows = list(instructions)
+        size = max((index for index, _op, _kind in rows), default=0) + 1
+        self.opcode: list = [None] * size
+        self.prefix: list = [None] * size
+        self.value_hex: list = [None] * size
+        for index, opcode, kind in rows:
+            self.opcode[index] = opcode
+            self.prefix[index] = format_record(index, opcode, "")
+            self.value_hex[index] = VALUE_HEX.get(kind, _no_value_hex)
+
+
+class RunTrace(Sequence):
+    """A run's trace as the machine recorded it: a column of instruction
+    indices and a column of raw values. Reading it builds TraceRecords one by
+    one; write_trace renders lines from the columns without building any."""
+
+    def __init__(self, indices: list, values: list, fields: TraceFields):
+        self.indices = indices
+        self.values = values
+        self.fields = fields
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def _record(self, index: int, value) -> TraceRecord:
+        f = self.fields
+        return TraceRecord(index, f.opcode[index], f.value_hex[index](value))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._record, self.indices[i], self.values[i]))
+        return self._record(self.indices[i], self.values[i])
+
+    def __iter__(self):
+        return map(self._record, self.indices, self.values)
+
+    def __add__(self, other) -> list[TraceRecord]:
+        return list(self) + list(other)
+
+    def __radd__(self, other) -> list[TraceRecord]:
+        return list(other) + list(self)
+
+    def lines(self):
+        """The records' rendered lines, built one at a time."""
+        prefix, value_hex = self.fields.prefix, self.fields.value_hex
+        return (prefix[i] + value_hex[i](v) for i, v in zip(self.indices, self.values))
+
+
+_WRITE_CHUNK = 4096  # lines joined per write, so memory stays flat
+
+
 def write_trace(records, path: str) -> None:
+    """Write a RunTrace or a list of TraceRecords, one line per record."""
+    lines = (records.lines() if isinstance(records, RunTrace)
+             else (rec.render() for rec in records))
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.render() + "\n")
+        while chunk := list(islice(lines, _WRITE_CHUNK)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 # -- alignment ---------------------------------------------------------------

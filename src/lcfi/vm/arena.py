@@ -14,6 +14,10 @@ import struct
 from ..ir.nodes import SCALARS, to_f32
 
 
+# Heap addresses start here; everything below belongs to the stack arena.
+HEAP_BASE = 1 << 32
+
+
 class OutOfBounds(Exception):
     def __init__(self, addr: int, size: int, message: str = ""):
         self.addr = addr

@@ -1,9 +1,17 @@
-"""Direct interpreter for the IR subset with trace and fault hooks.
+"""Interpreter for the IR subset with trace and fault hooks.
 
 Values are host-native: integers stay canonically signed and wrap at their
 type width, floats are IEEE doubles (f32 results re-rounded through 32 bits),
 pointers are arena addresses. The call stack is explicit, so recursion depth
 is bounded by the configured frame limit rather than the host stack.
+
+The machine runs the module's decoded form (see decode.py), built once per
+module and shared by every run in the process, one segment at a time: it
+counts the segment's steps, runs its ops and then its terminator. When a trap
+or the budget stops a run inside a segment, the op that raised gives the exact
+step, trap location and trace length. A traced run keeps its trace as raw
+(index, value) columns; values become hex only when the trace is read or
+written.
 
 Hook order at a target instruction: the result is computed, the occurrence
 scope is consulted, a sampled error is applied, and only then does the trace
@@ -14,19 +22,16 @@ and counted separately; it is not an activation.
 from __future__ import annotations
 
 import math
-import operator
 import os
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from ..ir.nodes import (SCALARS, IrModule, IrFunction, Instruction,
-                         IrType, ValueRef, to_f32, wrap_int)
+from ..ir.nodes import SCALARS, IrModule, Instruction, IrType, ValueRef
 from ..faults import Sampler, apply_fault, draw_bound, sample_error
 from ..instrument import InjectionPlan, PlanTarget
-from ..traces import TraceRecord
-from .arena import MemoryArena, OutOfBounds
-from .intrinsics import (INTRINSICS, InStream, STDIN_HANDLE, STDOUT_HANDLE,
-                         STDERR_HANDLE)
+from ..traces import RunTrace, value_bits
+from .arena import HEAP_BASE, MemoryArena, OutOfBounds
+from .decode import BR, CALL, RET, Code, VmError, decoded, gep_layout
+from .intrinsics import InStream, STDIN_HANDLE, STDOUT_HANDLE, STDERR_HANDLE
 
 TRAP_KINDS = frozenset({
     "out_of_bounds", "division_by_zero", "invalid_branch", "stack_overflow",
@@ -35,12 +40,6 @@ TRAP_KINDS = frozenset({
 
 DEFAULT_BUDGET = 10 ** 8
 DEFAULT_MAX_DEPTH = 10 ** 4
-
-_HEAP_BASE = 1 << 32
-
-
-class VmError(Exception):
-    """Malformed program state the validator should have rejected."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class RunOutcome:
     activation_count: int = 0
     activations: list[Activation] = field(default_factory=list)
     skipped_nonfinite: int = 0
-    trace: list[TraceRecord] | None = None
+    trace: RunTrace | None = None
 
 
 @dataclass
@@ -92,61 +91,19 @@ class IoConfig:
 
 
 class Frame:
-    """One activation: its function, the block it is in and that block's
-    instructions, the next instruction's position, and its registers."""
+    """One activation: its function's code, the segment it is in, its
+    registers, its stack mark, which call of the function it is, and the
+    trip counts of the loops its plan watches."""
 
-    __slots__ = ("fn", "label", "code", "prev_label", "pc", "regs", "mark",
-                 "inv_ordinal", "loop_trips")
+    __slots__ = ("code", "si", "regs", "mark", "inv_ordinal", "loop_trips")
 
-    def __init__(self, fn: IrFunction, mark: int, inv_ordinal: int):
-        self.fn = fn
-        self.label = fn.blocks[0].label
-        self.code = fn.blocks[0].instructions
-        self.prev_label: str | None = None
-        self.pc = 0
-        self.regs: dict[str, object] = {}
+    def __init__(self, code: Code, regs: list, mark: int, inv_ordinal: int):
+        self.code = code
+        self.si = 0
+        self.regs = regs
         self.mark = mark
         self.inv_ordinal = inv_ordinal
         self.loop_trips: dict[str, int] = {}
-
-
-def value_bits(value, vtype: IrType) -> str:
-    """Render a runtime value as the trace's fixed-width hex field: 16 digits
-    for 8-byte scalars, 8 for the rest, zeros for no value."""
-    k = vtype.kind
-    if value is None or k not in SCALARS:
-        return "00000000"
-    size, fmt = SCALARS[k]
-    if k == "f32" or k == "f64":
-        value = int.from_bytes(struct.pack(fmt, value), "little")
-    if size == 8:
-        return "%016x" % (int(value) & 0xFFFFFFFFFFFFFFFF)
-    return "%08x" % (int(value) & 0xFFFFFFFF)
-
-
-def _fdiv(a: float, b: float) -> float:
-    # IEEE semantics: float division never traps
-    if b == 0.0:
-        if a == 0.0 or math.isnan(a):
-            return math.nan
-        return math.inf if (a > 0) == (math.copysign(1.0, b) > 0) else -math.inf
-    try:
-        return a / b
-    except OverflowError:
-        return math.inf
-
-
-_INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
-_FLOAT_OPS = {"fadd": operator.add, "fsub": operator.sub, "fmul": operator.mul,
-              "fdiv": _fdiv}
-# icmp and fcmp predicates end in one of these relations.
-_RELATIONS = {"eq": operator.eq, "ne": operator.ne, "gt": operator.gt,
-              "ge": operator.ge, "lt": operator.lt, "le": operator.le}
-# bitcast between same-width integer and float kinds: (source, destination)
-# struct formats.
-_BITCASTS = {(src, dst): (SCALARS[src][1], SCALARS[dst][1])
-             for src, dst in (("i32", "f32"), ("f32", "i32"),
-                              ("i64", "f64"), ("f64", "i64"))}
 
 
 class Machine:
@@ -168,35 +125,25 @@ class Machine:
             raise ValueError("an injection plan needs a sampler")
 
         self.arena = MemoryArena()
-        self.heap = MemoryArena(base=_HEAP_BASE)
+        self.heap = MemoryArena(base=HEAP_BASE)
         self.stdin = InStream(self.io.stdin_text)
         self.open_streams: dict[int, InStream] = {}
         self._stdout_parts: list[str] = []
-        self.trace_records: list[TraceRecord] = []
+        self._trace_idx: list[int] | None = [] if trace else None
+        self._trace_val: list = []
         self.activations: list[Activation] = []
         self.skipped_nonfinite = 0
         self.steps = 0
 
-        self._fns = {f.name: f for f in module.functions}
-        self._code = {f.name: {b.label: b.instructions for b in f.blocks}
-                      for f in module.functions}
+        self._decoded = decoded(module)
+        self._codes = self._decoded.codes(plan)
         self._globals: dict[str, int] = {}
-        self._call_counts: dict[str, int] = {}
+        self._call_counts = [0] * len(self._codes)
         self._stack: list[Frame] = []
-
-        self._targets: dict[int, PlanTarget] = {}
-        self._exec_counts: dict[int, int] = {}
-        # loops whose trips each function counts, in plan order
-        self._fn_loop_watch: dict[str, list[tuple[str, frozenset[str]]]] = {}
-        for t in plan.targets if plan is not None else ():
-            self._targets[t.index] = t
-            self._exec_counts[t.index] = 0
-            if t.loop is not None:
-                watch = self._fn_loop_watch.setdefault(t.function, [])
-                if t.loop not in watch:
-                    watch.append(t.loop)
+        self._exec_counts = {t.index: 0 for t in plan.targets} if plan else {}
 
         self._init_globals()
+        self._templates = [self._template(c.fn) for c in self._codes]
 
     # -- setup -------------------------------------------------------------
 
@@ -223,6 +170,15 @@ class Machine:
                 for i, v in enumerate(init.values):
                     self._store_typed(addr + i * step, self._const_value(v), elem)
 
+    def _template(self, fn) -> list:
+        """The function's initial registers, with this run's global addresses."""
+        if not fn.global_consts:
+            return fn.template
+        regs = list(fn.template)
+        for slot, v in fn.global_consts:
+            regs[slot] = self._const_value(v)
+        return regs
+
     def _const_value(self, v: ValueRef):
         k = v.kind
         if k == "int":
@@ -237,15 +193,18 @@ class Machine:
         if k == "null":
             return 0
         if k == "gep":
-            return self._gep_const_addr(v)
+            offset, terms = gep_layout(v.gep_source, v.indices)
+            if terms:
+                raise VmError(f"constant {v.render()} has a non-constant index")
+            return self._const_value(v.base) + offset
         raise VmError(f"unsupported constant {v.render()}")
 
-    def _gep_const_addr(self, v: ValueRef) -> int:
-        base = self._const_value(v.base)
-        idxs = [self._const_value(i) for i in v.indices]
-        return self._gep_addr(v.gep_source, base, idxs)
+    def _store_typed(self, addr: int, value, vtype: IrType) -> None:
+        if vtype.kind not in SCALARS:
+            raise VmError(f"cannot store type {vtype.render()}")
+        self.mem_for(addr).store(addr, vtype.kind, value)
 
-    # -- services used by intrinsics ----------------------------------------
+    # -- services used by intrinsics and ops --------------------------------
 
     def write_stdout(self, text: str) -> None:
         self._stdout_parts.append(text)
@@ -261,18 +220,12 @@ class Machine:
             return None
 
     def mem_for(self, addr: int) -> MemoryArena:
-        return self.heap if addr >= _HEAP_BASE else self.arena
+        return self.heap if addr >= HEAP_BASE else self.arena
 
     def trap(self, kind: str, message: str):
+        """Stop the run with a trap; the step loop adds where it happened."""
         assert kind in TRAP_KINDS, kind
-        raise _TrapSignal(self._trap_info(kind, message))
-
-    def _trap_info(self, kind: str, message: str) -> TrapInfo:
-        """A trap at the top frame's current instruction."""
-        if not self._stack:  # the entry call itself exceeded max_depth
-            return TrapInfo(kind, message)
-        frame = self._stack[-1]
-        return TrapInfo(kind, message, frame.fn.name, frame.code[frame.pc].index)
+        raise _TrapSignal(TrapInfo(kind, message))
 
     # -- running -------------------------------------------------------------
 
@@ -282,273 +235,127 @@ class Machine:
             status, trap, value = "ok", None, ret
         except _TrapSignal as t:
             status, trap, value = "trapped", t.info, None
-        except OutOfBounds as e:
-            status, trap, value = "trapped", self._trap_info("out_of_bounds", str(e)), None
         except _BudgetExhausted:
             status, trap, value = "budget_exhausted", None, None
+        trace = (RunTrace(self._trace_idx, self._trace_val, self._decoded.fields)
+                 if self.tracing else None)
         return RunOutcome(
             status=status, return_value=value, stdout="".join(self._stdout_parts),
             trap=trap, steps=self.steps, activation_count=len(self.activations),
             activations=self.activations, skipped_nonfinite=self.skipped_nonfinite,
-            trace=self.trace_records if self.tracing else None)
+            trace=trace)
 
-    def _push_frame(self, fn: IrFunction, args: tuple) -> None:
+    def _push(self, fi: int, args: list) -> None:
+        code = self._codes[fi]
+        fn = code.fn
         if len(self._stack) >= self.max_depth:
-            self.trap("stack_overflow",
-                      f"call depth exceeds {self.max_depth} frames")
-        if not fn.blocks:
+            self.trap("stack_overflow", f"call depth exceeds {self.max_depth} frames")
+        if not code.segs:
             raise VmError(f"@{fn.name} has no body")
-        if len(args) != len(fn.params):
+        if len(args) != fn.nparams:
             raise VmError(f"@{fn.name} called with {len(args)} args, "
-                          f"takes {len(fn.params)}")
-        self._call_counts[fn.name] = self._call_counts.get(fn.name, 0) + 1
-        frame = Frame(fn, self.arena.mark(), self._call_counts[fn.name])
-        for (pname, _ptype), a in zip(fn.params, args):
-            frame.regs[pname] = a
-        self._stack.append(frame)
+                          f"takes {fn.nparams}")
+        self._call_counts[fi] += 1
+        regs = self._templates[fi].copy()
+        regs[1:1 + len(args)] = args
+        if fn.entry_guard is not None:
+            fn.entry_guard(regs, self)
+        self._stack.append(Frame(code, regs, self.arena.mark(),
+                                 self._call_counts[fi]))
 
     def _exec(self, entry: str, args: tuple):
-        """Step until the entry function returns. Only control flow is
-        dispatched here; every other instruction computes one value."""
-        fn = self._fns.get(entry)
-        if fn is None:
+        """Run segments until the entry function returns."""
+        fi = self._decoded.fn_index.get(entry)
+        if fi is None:
             raise VmError(f"no function @{entry}")
-        stack = self._stack
-        self._push_frame(fn, args)
-
-        while True:
-            frame = stack[-1]
-            if frame.pc >= len(frame.code):
-                raise VmError(f"@{frame.fn.name} %{frame.label} has no terminator")
-            ins = frame.code[frame.pc]
-            self.steps += 1
-            if self.steps > self.budget:
-                raise _BudgetExhausted
-
-            op = ins.opcode
-            if op == "ret":
-                value = self._value(frame, ins.operands[0]) if ins.operands else None
-                self.arena.release(frame.mark)
-                stack.pop()
-                if not stack:
-                    return value
-                # finish the caller's call instruction with the returned value
-                frame = stack[-1]
-                ins = frame.code[frame.pc]
-            elif op == "br":
-                self._do_branch(frame, ins)
-                continue
-            elif op == "call" and ins.callee in self._fns:
-                self._push_frame(self._fns[ins.callee],
-                                 tuple(self._value(frame, v) for v in ins.operands))
-                continue
-            else:
-                value = self._maybe_inject(frame, ins, self._compute(frame, ins))
-            if ins.result is not None:
-                frame.regs[ins.result] = value
-            self._trace(ins, value, ins.result_type)
-            frame.pc += 1
-
-    def _do_branch(self, frame: Frame, ins: Instruction) -> None:
-        if ins.operands:
-            cond = int(self._value(frame, ins.operands[0]))
-            target = ins.labels[0] if cond & 1 else ins.labels[1]
-        else:
-            target = ins.labels[0]
-        code = self._code[frame.fn.name].get(target)
-        if code is None:
-            self.trap("invalid_branch", f"branch to missing block %{target}")
-        frame.prev_label = frame.label
-        frame.label = target
-        frame.code = code
-        frame.pc = 0
-        watch = self._fn_loop_watch.get(frame.fn.name)
-        if watch:
-            for header, body in watch:
-                if target == header:
-                    if frame.prev_label in body:
-                        frame.loop_trips[header] = frame.loop_trips.get(header, 0) + 1
-                    else:
-                        frame.loop_trips[header] = 1
-
-    # -- values -------------------------------------------------------------
-
-    def _value(self, frame: Frame, v: ValueRef):
-        if v.kind != "reg":
-            return self._const_value(v)
+        self._push(fi, list(args))
+        stack, budget = self._stack, self.budget
+        tidx, tval = self._trace_idx, self._trace_val
+        frame = stack[-1]
+        segs, regs, watch, si = frame.code.segs, frame.regs, frame.code.watch, 0
+        op = None
         try:
-            return frame.regs[v.name]
-        except KeyError:
-            raise VmError(f"@{frame.fn.name}: %{v.name} read before definition")
+            while True:
+                seg = segs[si]
+                base = self.steps
+                steps = self.steps = base + seg.n
+                ops = seg.ops if steps <= budget else seg.ops[:budget - base]
+                for op in ops:
+                    op(regs, self)
+                op = None
+                if steps > budget:
+                    self._record(seg, regs, len(ops))
+                    self.steps = budget + 1
+                    raise _BudgetExhausted
+                if tidx is not None:
+                    tidx.extend(seg.rec_idx)
+                    tval.extend(map(regs.__getitem__, seg.rec_slot))
+                term = seg.term
+                kind = term[0]
+                if kind == BR:
+                    si, moves, guard, src, dst = (
+                        term[2] if term[1] is None or regs[term[1]] & 1 else term[3])
+                    if guard is not None:
+                        guard(regs, self)
+                    if moves is not None:  # the target's phis, all at once
+                        for d, v in zip(moves[0], [regs[s] for s in moves[1]]):
+                            regs[d] = v
+                    if watch is not None:
+                        self._count_trip(frame, watch, src, dst)
+                elif kind == CALL:
+                    frame.si = si
+                    self._push(term[1], [regs[s] for s in term[2]])
+                    frame = stack[-1]
+                    segs, regs, watch, si = frame.code.segs, frame.regs, frame.code.watch, 0
+                elif kind == RET:
+                    value = regs[term[1]]
+                    self.arena.release(frame.mark)
+                    stack.pop()
+                    if not stack:
+                        return value
+                    frame = stack[-1]
+                    segs, regs, watch, si = (frame.code.segs, frame.regs,
+                                             frame.code.watch, frame.si)
+                    # finish the caller's call instruction with the returned value
+                    _kind, _fi, _args, d, index = segs[si].term
+                    regs[d] = value
+                    if tidx is not None and index is not None:
+                        tidx.append(index)
+                        tval.append(value)
+                    si += 1
+                else:
+                    raise VmError(term[1])
+        except (_TrapSignal, OutOfBounds) as e:
+            # an op raised, or else the terminator did
+            pos = len(seg.ops) if op is None else ops.index(op)
+            self.steps = base + pos + 1
+            if op is not None:
+                self._record(seg, regs, pos)
+            info = (e.info if isinstance(e, _TrapSignal)
+                    else TrapInfo("out_of_bounds", str(e)))
+            raise _TrapSignal(replace(info, function=frame.code.fn.name,
+                                      index=seg.instrs[pos].index)) from None
 
-    def _gep_addr(self, source: IrType, base: int, idxs: list[int]) -> int:
-        if not idxs:
-            return base
-        addr = base + idxs[0] * source.byte_width()
-        t = source
-        for iv in idxs[1:]:
-            if t.kind == "array":
-                addr += iv * t.elem.byte_width()
-                t = t.elem
-            elif t.kind == "struct":
-                addr += t.field_offset(iv)
-                t = t.fields[iv]
-            else:
-                raise VmError("getelementptr walks through a scalar")
-        return addr
+    def _record(self, seg, regs: list, done: int) -> None:
+        """Trace the first `done` ops of a segment that stopped early."""
+        if self._trace_idx is not None:
+            n = sum(ins.index is not None for ins in seg.instrs[:done])
+            self._trace_idx.extend(seg.rec_idx[:n])
+            self._trace_val.extend(regs[s] for s in seg.rec_slot[:n])
 
-    def _load_typed(self, addr: int, vtype: IrType):
-        if vtype.kind not in SCALARS:
-            raise VmError(f"cannot load type {vtype.render()}")
-        return self.mem_for(addr).load(addr, vtype.kind)
-
-    def _store_typed(self, addr: int, value, vtype: IrType) -> None:
-        if vtype.kind not in SCALARS:
-            raise VmError(f"cannot store type {vtype.render()}")
-        self.mem_for(addr).store(addr, vtype.kind, value)
-
-    # -- instruction semantics ----------------------------------------------
-
-    def _compute(self, frame: Frame, ins: Instruction):
-        """The value an instruction defines; None for a store or a void call."""
-        op = ins.opcode
-
-        if op == "load":
-            addr = int(self._value(frame, ins.operands[0]))
-            return self._load_typed(addr, ins.result_type)
-
-        if op == "store":
-            value = self._value(frame, ins.operands[0])
-            addr = int(self._value(frame, ins.operands[1]))
-            self._store_typed(addr, value, ins.operands[0].type)
-            return None
-
-        if op == "alloca":
-            return self.arena.alloc(ins.aux_type.byte_width(),
-                                    ins.align or ins.aux_type.alignment())
-
-        if op == "getelementptr":
-            base = int(self._value(frame, ins.operands[0]))
-            idxs = [int(self._value(frame, v)) for v in ins.operands[1:]]
-            return self._gep_addr(ins.aux_type, base, idxs)
-
-        if op in _INT_OPS or op == "sdiv" or op == "srem":
-            a = int(self._value(frame, ins.operands[0]))
-            b = int(self._value(frame, ins.operands[1]))
-            bits = ins.result_type.int_bits()
-            if op in _INT_OPS:
-                return wrap_int(_INT_OPS[op](a, b), bits)
-            if b == 0:
-                self.trap("division_by_zero", f"{op} by zero")
-            q = abs(a) // abs(b)
-            if (a < 0) != (b < 0):
-                q = -q
-            if op == "sdiv":
-                return wrap_int(q, bits)
-            return wrap_int(a - q * b, bits)
-
-        if op in _FLOAT_OPS:
-            a = float(self._value(frame, ins.operands[0]))
-            b = float(self._value(frame, ins.operands[1]))
-            r = _FLOAT_OPS[op](a, b)
-            return to_f32(r) if ins.result_type.kind == "f32" else r
-
-        if op == "fneg":
-            r = -float(self._value(frame, ins.operands[0]))
-            return to_f32(r) if ins.result_type.kind == "f32" else r
-
-        if op == "icmp":
-            return self._icmp(frame, ins)
-        if op == "fcmp":
-            return self._fcmp(frame, ins)
-
-        if op == "phi":
-            if frame.prev_label is None:
-                raise VmError("phi in entry block")
-            for v, label in zip(ins.operands, ins.labels):
-                if label == frame.prev_label:
-                    return self._value(frame, v)
-            raise VmError(f"phi has no incoming edge from %{frame.prev_label}")
-
-        if op == "select":
-            cond = int(self._value(frame, ins.operands[0]))
-            pick = ins.operands[1] if cond & 1 else ins.operands[2]
-            return self._value(frame, pick)
-
-        if op in ("zext", "trunc", "sext"):
-            v = int(self._value(frame, ins.operands[0]))
-            src_bits = ins.operands[0].type.int_bits()
-            if op == "zext":
-                return v & ((1 << src_bits) - 1)
-            if op == "trunc":
-                return wrap_int(v, ins.result_type.int_bits())
-            return v  # sext: values are already sign-canonical
-
-        if op == "fptosi":
-            v = float(self._value(frame, ins.operands[0]))
-            if not math.isfinite(v):
-                return 0
-            return wrap_int(math.trunc(v), ins.result_type.int_bits())
-
-        if op == "sitofp":
-            v = float(int(self._value(frame, ins.operands[0])))
-            return to_f32(v) if ins.result_type.kind == "f32" else v
-
-        if op == "fpext":
-            return float(self._value(frame, ins.operands[0]))
-
-        if op == "fptrunc":
-            return to_f32(float(self._value(frame, ins.operands[0])))
-
-        if op == "bitcast":
-            v = self._value(frame, ins.operands[0])
-            src = ins.operands[0].type
-            dst = ins.result_type
-            if src.is_pointer() and dst.is_pointer():
-                return v
-            formats = _BITCASTS.get((src.kind, dst.kind))
-            if formats is None:
-                raise VmError(f"bitcast {src.render()} to {dst.render()} unsupported")
-            return struct.unpack(formats[1], struct.pack(formats[0], v))[0]
-
-        if op == "call":
-            impl = INTRINSICS.get(ins.callee)
-            if impl is None:
-                raise VmError(f"call to unknown function @{ins.callee}")
-            return impl(self, [self._value(frame, v) for v in ins.operands])
-
-        raise VmError(f"opcode {op!r} not executable")
-
-    def _icmp(self, frame: Frame, ins: Instruction) -> int:
-        a = int(self._value(frame, ins.operands[0]))
-        b = int(self._value(frame, ins.operands[1]))
-        pred = ins.predicate
-        if pred[0] != "s":  # eq, ne and the u* predicates compare unsigned
-            t = ins.operands[0].type
-            mask = (1 << (64 if t.is_pointer() else t.int_bits())) - 1
-            a, b = a & mask, b & mask
-        return int(_RELATIONS[pred[-2:]](a, b))
-
-    def _fcmp(self, frame: Frame, ins: Instruction) -> int:
-        a = float(self._value(frame, ins.operands[0]))
-        b = float(self._value(frame, ins.operands[1]))
-        pred = ins.predicate
-        if pred == "true" or pred == "false":
-            return int(pred == "true")
-        if math.isnan(a) or math.isnan(b):
-            return int(pred[0] == "u")  # uno and the u* predicates hold on NaN
-        if pred == "ord" or pred == "uno":
-            return int(pred == "ord")
-        return int(_RELATIONS[pred[1:]](a, b))
+    @staticmethod
+    def _count_trip(frame: Frame, watch: tuple, src: str, dst: str) -> None:
+        for header, body in watch:
+            if dst == header:
+                trips = frame.loop_trips
+                trips[header] = trips.get(header, 0) + 1 if src in body else 1
 
     # -- hooks ----------------------------------------------------------------
 
-    def _maybe_inject(self, frame: Frame, ins: Instruction, value):
-        target = self._targets.get(ins.index)
-        if target is None:
-            return value
+    def inject(self, target: PlanTarget, ins: Instruction, value, step: int):
+        """The value a target instruction leaves, at run step `step`."""
         self._exec_counts[ins.index] += 1
-        if not self._scope_hit(frame, target):
+        if not self._scope_hit(self._stack[-1], target):
             return value
         if isinstance(value, float) and not math.isfinite(value):
             if self.strict_nonfinite:
@@ -560,7 +367,7 @@ class Machine:
         faulted = apply_fault(value, err, target.value_kind,
                               draw_bound(self.sampler.spec, float(value)))
         self.activations.append(Activation(
-            index=ins.index, opcode=ins.opcode, step=self.steps,
+            index=ins.index, opcode=ins.opcode, step=step,
             original_hex=value_bits(value, ins.result_type),
             faulted_hex=value_bits(faulted, ins.result_type),
             error=err))
@@ -574,11 +381,6 @@ class Machine:
             return frame.inv_ordinal in scope.k
         return (target.loop is not None
                 and frame.loop_trips.get(target.loop[0], 0) in scope.k)
-
-    def _trace(self, ins: Instruction, value, vtype: IrType) -> None:
-        if self.tracing and ins.index is not None:
-            self.trace_records.append(
-                TraceRecord(ins.index, ins.opcode, value_bits(value, vtype)))
 
 
 def run_module(module: IrModule, **kw) -> RunOutcome:

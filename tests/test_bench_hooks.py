@@ -1,11 +1,18 @@
 """The benchmark's span hooks replace lcfi names by lookup at call time, so
 a rename in lcfi would break `perfbench/run.py --trace 1` without an error in
 lcfi's own tests. This reads perfbench/child.py (it never imports it) and
-checks that every name `Spans.install` wraps still exists."""
+checks that every name `Spans.install` wraps still exists, and that a run
+still offers what `layer_metrics` reads from it."""
 
 import ast
 import importlib
 import os
+
+import lcfi.vm.machine as machine
+from lcfi.faults import make_sampler
+from lcfi.instrument import assign_indices, build_plan, load_input_config
+
+from conftest import FIXTURES, fixture_path, load_fixture_module
 
 CHILD = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "child.py")
 
@@ -44,3 +51,29 @@ def test_wrapped_names_exist():
     missing = [f"{m}.{a}" for m, a in names
                if not hasattr(importlib.import_module(m), a)]
     assert missing == []
+
+
+def test_run_offers_what_layer_metrics_reads(monkeypatch, demo_io):
+    # Spans.install swaps these two names in lcfi.vm.machine; the machine must
+    # look them up when it calls them, or the faults.draw span sees nothing.
+    calls = []
+    for name in ("sample_error", "apply_fault"):
+        def counted(*args, _real=getattr(machine, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(machine, name, counted)
+    module = assign_indices(load_fixture_module("demo.ll"))
+    cfg = load_input_config(fixture_path("demo_input.yaml"))
+    plan = build_plan(module, cfg)
+    sampler = make_sampler(cfg.fault_spec(base_dir=FIXTURES), 5)
+    mach = machine.Machine(module, io=demo_io, budget=10 ** 6, trace=True,
+                           plan=plan, sampler=sampler)
+    oc = mach.run()
+    assert (mach.module, mach.plan, mach.sampler, mach.io, mach.budget) == (
+        module, plan, sampler, demo_io, 10 ** 6)
+    assert (mach.sampler.spec, mach.sampler.seed) == (sampler.spec, 5)
+    assert oc.activation_count > 0 and oc.activations[0].step >= 1
+    assert calls.count("sample_error") == calls.count("apply_fault") == oc.activation_count
+    assert len(oc.trace) > 0
+    assert all(isinstance(r.index, int) for r in oc.trace)
+    assert [r.render() for r in oc.trace] == list(oc.trace.lines())

@@ -203,6 +203,23 @@ def test_parse_errors_carry_position(bad):
     assert ":" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", [
+    # typed as i1 whatever was written, this stored one byte of an i32
+    "define i32 @f(i32* %p) {\n  store i32 true, i32* %p\n  ret i32 0\n}\n",
+    "define i32 @f() {\n  ret i32 false\n}\n",
+    "@g = global i64 true\n",
+])
+def test_bool_constant_of_wider_type_rejected(bad):
+    with pytest.raises(ParseError, match="i1 constant"):
+        parse_module(bad)
+
+
+def test_bool_constant_of_i1_accepted():
+    m = parse_module("define i1 @f() {\n  ret i1 true\n}\n")
+    (v,) = m.function("f").blocks[0].instructions[0].operands
+    assert (v.kind, v.type.kind, v.ival) == ("int", "i1", 1)
+
+
 def test_index_annotations_roundtrip(demo_module):
     indexed = assign_indices(demo_module)
     text = print_module(indexed)

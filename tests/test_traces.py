@@ -190,6 +190,18 @@ class TestTraceUnion:
         assert trace_union([[]]) == {}
 
 
+def test_run_trace_reads_like_its_records(tmp_path, demo_indexed, demo_io):
+    trace = Machine(demo_indexed, demo_io, trace=True).run().trace
+    records = list(trace)
+    assert len(trace) == len(records) > 0
+    assert (trace[0], trace[-1], trace[2:5]) == (records[0], records[-1], records[2:5])
+    assert trace + trace == records + trace == records * 2
+    write_trace(trace, str(tmp_path / "run.txt"))
+    write_trace(records, str(tmp_path / "records.txt"))
+    assert (tmp_path / "run.txt").read_bytes() == (tmp_path / "records.txt").read_bytes()
+    assert read_trace(str(tmp_path / "run.txt")) == records
+
+
 def _demo_traces(demo_indexed, demo_io, seed=77):
     cfg = load_input_config(fixture_path("demo_input.yaml"))
     plan = build_plan(demo_indexed, cfg)

@@ -1,18 +1,21 @@
 import math
+import pickle
 import struct
 
 import pytest
 
-from lcfi.faults import FaultSpec, Sampler
+from lcfi.faults import FaultSpec, Sampler, make_sampler
 from lcfi.instrument import (InjectionPlan, OccurrenceScope, PlanTarget,
-                             assign_indices)
+                             assign_indices, build_plan, load_input_config)
 from lcfi.ir.nodes import F32, F64, I1, I32, I64, ptr_to
 from lcfi.ir.parser import parse_module
 from lcfi.traces import parse_record
-from lcfi.vm.machine import (DEFAULT_BUDGET, IoConfig, Machine, run_module,
-                             value_bits)
+from lcfi.vm.machine import (DEFAULT_BUDGET, IoConfig, Machine, VmError,
+                             run_module, value_bits)
 
-from conftest import fixture_path, load_fixture_module
+import lcfi.vm.decode as decode
+
+from conftest import FIXTURES, fixture_path, load_fixture_module
 
 
 def run_src(text, **kw):
@@ -264,6 +267,68 @@ done:
 }
 """) == 15
 
+    def test_phis_read_incoming_values_at_once(self):
+        # a and b swap on every trip; evaluated one by one they would not
+        src = """
+define i32 @main() {
+entry:
+  br label %loop
+
+loop:
+  %a = phi i32 [ 1, %entry ], [ %b, %loop ]
+  %b = phi i32 [ 2, %entry ], [ %a, %loop ]
+  %n = phi i32 [ 0, %entry ], [ %n1, %loop ]
+  %n1 = add i32 %n, 1
+  %c = icmp slt i32 %n1, 2
+  br i1 %c, label %loop, label %done
+
+done:
+  %t = mul i32 %a, 10
+  %r = add i32 %t, %b
+  ret i32 %r
+}
+"""
+        out = run_src(src, trace=True)
+        assert out.return_value == 21
+        # each phi is still one step and one trace record
+        assert out.steps == 1 + 2 * 6 + 3
+        assert [r.opcode for r in out.trace].count("phi") == 6
+
+    @pytest.mark.parametrize("taken", [True, False])
+    def test_register_read_on_a_path_that_skipped_its_definition(self, taken):
+        # validate accepts this (it has no dominance check); the run decides
+        m = assign_indices(parse_module(f"""
+define i32 @main() {{
+entry:
+  br i1 {str(taken).lower()}, label %a, label %b
+
+a:
+  %x = add i32 1, 2
+  br label %b
+
+b:
+  %y = add i32 %x, 1
+  ret i32 %y
+}}
+"""))
+        if taken:
+            assert run_module(m).return_value == 4
+        else:
+            with pytest.raises(VmError, match="@main: %x read before definition"):
+                run_module(m)
+
+    @pytest.mark.parametrize("body,message", [
+        ("entry:\n  %a = phi i32 [ 1, %entry ]\n  ret i32 %a\n",
+         "phi in entry block"),
+        ("entry:\n  br label %next\n\nother:\n  br label %next\n\n"
+         "next:\n  %a = phi i32 [ 1, %other ]\n  ret i32 %a\n",
+         "phi has no incoming edge from %entry"),
+    ])
+    def test_malformed_phi_is_a_vm_error(self, body, message):
+        m = assign_indices(parse_module("define i32 @main() {\n" + body + "}\n"))
+        with pytest.raises(VmError, match=message):
+            run_module(m)
+
     def test_select(self):
         assert ret_of("""
 define i32 @main() {
@@ -305,6 +370,27 @@ define i32 @main() {
         assert small.trap is None
         assert large.stdout.startswith(small.stdout)
         assert small.steps > 2000  # counted the step that crossed the line
+
+    def test_budget_cuts_trace_mid_segment(self):
+        m = assign_indices(load_fixture_module("looper.ll"))
+        for budget in (1003, 1004):
+            out = Machine(m, budget=budget, trace=True).run()
+            assert out.steps == budget + 1
+            # call, alloca, store, br, then 199 trips of load add store icmp br
+            # and the load, add, store and icmp of the 200th: br, ret and the
+            # unfinished call record nothing
+            assert len(out.trace) == 2 + 199 * 4 + 4
+            assert out.trace[-1].opcode == "icmp"
+
+    def test_trap_cuts_trace_before_the_trapping_op(self):
+        m = assign_indices(load_fixture_module("crasher.ll"))
+        out = Machine(m, trace=True).run()
+        assert out.trap.kind == "out_of_bounds"
+        trapped = next(ins for _f, _b, ins in m.all_instructions()
+                       if ins.index == out.trap.index)
+        assert trapped.opcode == "load"
+        assert out.trace[-1].opcode == "getelementptr"
+        assert out.trace[-1].index == trapped.index - 1
 
 
 class TestMemory:
@@ -1141,3 +1227,63 @@ class TestRealizedBound:
             deltas.add(faulted - orig)
         assert deltas <= {-1, 0, 1}
         assert deltas == {-1, 0, 1}
+
+
+def _plan_and_spec(module, config: str):
+    cfg = load_input_config(fixture_path(f"{config}_input.yaml"))
+    return build_plan(module, cfg), cfg.fault_spec(base_dir=FIXTURES)
+
+
+class TestDecodeCache:
+    def test_golden_and_injection_runs_decode_each_function_once(
+            self, monkeypatch, demo_io):
+        decoded_names = []
+        real = decode.decode_function
+
+        def counting(fn, *args):
+            decoded_names.append(fn.name)
+            return real(fn, *args)
+        monkeypatch.setattr(decode, "decode_function", counting)
+        m = assign_indices(load_fixture_module("demo.ll"))
+        plan, spec = _plan_and_spec(m, "demo")
+        assert Machine(m, demo_io, trace=True).run().status == "ok"
+        for seed in range(4):
+            out = Machine(m, demo_io, trace=seed % 2 == 0, plan=plan,
+                          sampler=make_sampler(spec, seed)).run()
+            assert out.activation_count > 0
+        assert sorted(decoded_names) == sorted(f.name for f in m.functions)
+
+    def test_decoded_module_pickles_and_equals_a_fresh_parse(self, demo_io):
+        m = assign_indices(load_fixture_module("demo.ll"))
+        Machine(m, demo_io).run()
+        assert decode.decoded(m) is decode.decoded(m)
+        fresh = assign_indices(load_fixture_module("demo.ll"))
+        copy = pickle.loads(pickle.dumps(m))
+        assert "_decoded" not in copy.__dict__
+        assert m == fresh and copy == fresh
+        assert Machine(copy, demo_io).run().stdout == Machine(m, demo_io).run().stdout
+
+
+# (program, input config or None): every fixture, under each config it has
+FIXTURE_RUNS = [("demo", "demo"), ("cg", "cg"), ("cg", "cg_loop"),
+                ("fragile", "fragile"), ("masked", "masked"),
+                ("looper", "looper"), ("crasher", None)]
+
+
+@pytest.mark.parametrize("program,config", FIXTURE_RUNS)
+def test_tracing_changes_no_outcome(program, config):
+    m = assign_indices(load_fixture_module(f"{program}.ll"))
+    setups = [(None, None)]
+    if config is not None:
+        plan, spec = _plan_and_spec(m, config)
+        setups += [(plan, lambda seed=seed: make_sampler(spec, seed))
+                   for seed in (1, 2, 3)]
+    for plan, sampler in setups:
+        outs = [Machine(m, IoConfig(files={"in.txt": "4 3 3\n"}, workdir=FIXTURES),
+                        budget=20000, trace=traced, plan=plan,
+                        sampler=sampler() if sampler else None).run()
+                for traced in (False, True)]
+        plain, traced = ((o.steps, o.stdout, o.status, o.trap,
+                          [(a.index, a.step) for a in o.activations]) for o in outs)
+        assert plain == traced
+        assert outs[0].trace is None and len(outs[1].trace) > 0
