@@ -1,8 +1,10 @@
 """Structural validation: well-formedness diagnostics for a parsed module.
 
-No dominator analysis here. Def-before-use is enforced linearly inside each
-block; a register defined in any other block of the same function is accepted
-wherever it appears, and phi operands are exempt entirely.
+Def-before-use: inside a block a register is read only after its definition;
+a register from another block is read only where it is defined on every path
+from the entry (`must_defined`, which for registers defined once is LLVM's
+dominance rule), and a phi operand only where it is defined on every path
+through its incoming edge. Blocks no path reaches are not checked.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ def _validate_function(fn: IrFunction, module: IrModule, fn_names: set[str],
         diags.append(Diagnostic("duplicate block label", fn.name))
     label_set = set(labels)
 
+    into, defs = must_defined(fn)
     defined: dict[str, str] = {name: "param" for name, _ in fn.params}
     for b in fn.blocks:
         for ins in b.instructions:
@@ -86,7 +89,8 @@ def _validate_function(fn: IrFunction, module: IrModule, fn_names: set[str],
             if ins.opcode in TERMINATORS and pos != len(b.instructions) - 1:
                 diags.append(Diagnostic(
                     "instruction after terminator", fn.name, b.label, ins.line))
-            diags.extend(_check_operands(ins, b, pos, fn, defined, global_names))
+            diags.extend(_check_operands(ins, b, pos, fn, defined, into, defs,
+                                         global_names))
             if ins.opcode == "br":
                 for lbl in ins.labels:
                     if lbl not in label_set:
@@ -103,11 +107,13 @@ def _validate_function(fn: IrFunction, module: IrModule, fn_names: set[str],
 
 
 def _check_operands(ins: Instruction, block, pos: int, fn: IrFunction,
-                    defined: dict[str, str],
-                    global_names: set[str]) -> list[Diagnostic]:
+                    defined: dict[str, str], into: dict[str, set],
+                    defs: dict[str, set], global_names: set[str]) -> list[Diagnostic]:
     diags = []
     local_defs = {i.result for i in block.instructions[:pos] if i.result is not None}
-    for v in ins.operands:
+    # a phi reads each operand on the edge from its label
+    edges = ins.labels if ins.opcode == "phi" else [None] * len(ins.operands)
+    for v, edge in zip(ins.operands, edges):
         for ref in operand_refs(v):
             r = ref.name
             if ref.kind == "global":
@@ -117,10 +123,50 @@ def _check_operands(ins: Instruction, block, pos: int, fn: IrFunction,
             elif r not in defined:
                 diags.append(Diagnostic(
                     f"undefined register %{r}", fn.name, block.label, ins.line))
-            elif defined[r] == block.label and ins.opcode != "phi" and r not in local_defs:
+            elif edge is not None:
+                if edge in defs and r not in into[edge] | defs[edge]:
+                    diags.append(Diagnostic(
+                        f"phi operand %{r} is not defined on every path through %{edge}",
+                        fn.name, block.label, ins.line))
+            elif defined[r] == block.label:
+                if r not in local_defs:
+                    diags.append(Diagnostic(
+                        f"register %{r} used before definition", fn.name, block.label,
+                        ins.line))
+            elif r not in into[block.label]:
                 diags.append(Diagnostic(
-                    f"register %{r} used before definition", fn.name, block.label, ins.line))
+                    f"register %{r} is not defined on every path to its use",
+                    fn.name, block.label, ins.line))
     return diags
+
+
+def must_defined(fn: IrFunction) -> tuple[dict, dict]:
+    """Per block label: the registers defined on every path into the block,
+    and the registers the block defines. A block no path reaches gets every
+    register of the function."""
+    defs = {b.label: {i.result for i in b.instructions if i.result is not None}
+            for b in fn.blocks}
+    preds = {label: set() for label in defs}
+    for b in fn.blocks:
+        for ins in b.instructions:
+            if ins.opcode == "br":
+                for label in ins.labels:
+                    if label in preds:
+                        preds[label].add(b.label)
+    params = {name for name, _t in fn.params}
+    everything = params.union(*defs.values())
+    entry = fn.blocks[0].label
+    into = {label: everything for label in defs}
+    into[entry] = params
+    changed = True
+    while changed:
+        changed = False
+        for label, ps in preds.items():
+            if label != entry and ps:
+                new = set.intersection(*(into[p] | defs[p] for p in ps))
+                if new != into[label]:
+                    into[label], changed = new, True
+    return into, defs
 
 
 def operand_refs(v: ValueRef) -> list[ValueRef]:

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
+from array import array
+from bisect import bisect_right
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, compress, islice
+from operator import eq, ne
 
 from .ir.defuse import UseGraph
 from .ir.nodes import SCALARS, IrType
@@ -44,6 +49,14 @@ _RECORD_RE = re.compile(
     r"^\s*ID:\s*(\d+)\s+OPCode:\s*(\S+)\s+Value:\s*([0-9a-fA-F]+)\s*$")
 
 
+def _sequence_eq(self, other) -> bool:
+    """`==` for the sequences here whose items are built on access: equal to
+    any sequence of equal items."""
+    if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+        return NotImplemented
+    return len(self) == len(other) and all(map(eq, self, other))
+
+
 def parse_record(line: str) -> TraceRecord | None:
     """Parse one trace line; blank lines give None, junk raises."""
     if not line.strip():
@@ -54,25 +67,66 @@ def parse_record(line: str) -> TraceRecord | None:
     return TraceRecord(int(m.group(1)), m.group(2), m.group(3).lower())
 
 
-def read_trace(source) -> list[TraceRecord]:
+class TraceColumns(Sequence):
+    """A trace read from text, held as three columns: instruction indices,
+    opcodes and lowercase value hex. A TraceRecord is built when an item is
+    read; the trace compares equal to any sequence of equal records."""
+
+    def __init__(self, indices: list, opcodes: list, hexes: list):
+        self.indices = indices
+        self.opcodes = opcodes
+        self.hexes = hexes
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(TraceRecord, self.indices[i], self.opcodes[i], self.hexes[i]))
+        return TraceRecord(self.indices[i], self.opcodes[i], self.hexes[i])
+
+    def __iter__(self):
+        return map(TraceRecord, self.indices, self.opcodes, self.hexes)
+
+    __eq__ = _sequence_eq
+
+
+# The record pattern over a whole text, one match per line. It takes only
+# spaces and tabs where _RECORD_RE takes any whitespace, so a line it matches
+# parses to the same record; read_trace uses it only when it matched every line.
+_TEXT_RE = re.compile(
+    r"^[ \t]*ID:[ \t]*(\d+)[ \t]+OPCode:[ \t]*(\S+)[ \t]+Value:[ \t]*([0-9a-fA-F]+)[ \t]*$",
+    re.M)
+
+
+def read_trace(source) -> TraceColumns:
     """Read records from a path or an iterable of lines."""
     if isinstance(source, str):
         try:
             with open(source, encoding="utf-8") as fh:
-                lines = fh.readlines()
+                text = fh.read()
         except UnicodeDecodeError as e:
             raise TraceFormatError(
                 f"{source}: not UTF-8 text (byte {e.start})") from e
+        # split() gives [text before, index, opcode, hex, text between, ...].
+        parts = _TEXT_RE.split(text)
+        if len(parts) // 4 == text.count("\n") + (text[-1:] not in ("", "\n")):
+            return TraceColumns(list(map(int, parts[1::4])),
+                                list(map(sys.intern, parts[2::4])),
+                                list(map(str.lower, parts[3::4])))
+        lines = text.split("\n")
     else:
-        lines = list(source)
-    out = []
+        lines = source
+    out = TraceColumns([], [], [])
     for lineno, line in enumerate(lines, start=1):
         try:
             rec = parse_record(line)
         except TraceFormatError as e:
             raise TraceFormatError(f"line {lineno}: {e}") from e
         if rec is not None:
-            out.append(rec)
+            out.indices.append(rec.index)
+            out.opcodes.append(rec.opcode)
+            out.hexes.append(rec.value_hex)
     return out
 
 
@@ -184,7 +238,9 @@ def write_trace(records, path: str) -> None:
 # -- alignment ---------------------------------------------------------------
 
 def _myers_ops(a: list, b: list) -> list[tuple]:
-    """Minimal edit script as ("match", i, j) / ("del", i) / ("ins", j) ops."""
+    """Minimal edit script as runs (kind, i, j, length): "match" pairs a[i+t]
+    with b[j+t], "del" drops a[i+t] before b[j] and "ins" adds b[j+t] before
+    a[i], for t < length."""
     # Trim the common prefix and suffix first; Myers runs on the core.
     n_all, m_all = len(a), len(b)
     pre = 0
@@ -194,37 +250,43 @@ def _myers_ops(a: list, b: list) -> list[tuple]:
     while (suf < n_all - pre and suf < m_all - pre
            and a[n_all - 1 - suf] == b[m_all - 1 - suf]):
         suf += 1
-    core_a = a[pre:n_all - suf]
-    core_b = b[pre:m_all - suf]
-
-    ops = [("match", i, i) for i in range(pre)]
-    ops.extend(_myers_core(core_a, core_b, pre, pre))
-    ops.extend(("match", n_all - suf + i, m_all - suf + i) for i in range(suf))
-    return ops
+    runs = [("match", 0, 0, pre)] if pre else []
+    runs.extend(_myers_core(a[pre:n_all - suf], b[pre:m_all - suf], pre, pre))
+    if suf:
+        runs.append(("match", n_all - suf, m_all - suf, suf))
+    return runs
 
 
 def _myers_core(a: list, b: list, off_a: int, off_b: int) -> list[tuple]:
+    """Myers' greedy O(ND) script for a and b, as runs offset by off_a and
+    off_b: one run per snake and one per edit."""
     n, m = len(a), len(b)
     if n == 0:
-        return [("ins", off_b + j) for j in range(m)]
+        return [("ins", off_a, off_b, m)] if m else []
     if m == 0:
-        return [("del", off_a + i) for i in range(n)]
+        return [("del", off_a, off_b, n)]
 
-    v = {1: 0}
-    snapshots = []
+    # v[off + k] is the furthest x reached on diagonal k = x - y. Before round
+    # d, the diagonals -(d-1), -(d-1)+2, ..., d-1 hold what round d-1 reached;
+    # snapshots[d] keeps those d values for the backtrack.
+    off = n + m + 1
+    v = [0] * (2 * off + 1)
+    snapshots = [array("i")]
     d_final = None
     for d in range(n + m + 1):
-        snapshots.append(dict(v))
-        for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and v.get(k - 1, 0) < v.get(k + 1, 0)):
-                x = v.get(k + 1, 0)
+        if d:
+            snapshots.append(array("i", v[off - d + 1:off + d:2]))
+        lo, hi = off - d, off + d
+        for kk in range(lo, hi + 1, 2):  # kk = off + k
+            if kk == lo or (kk != hi and v[kk - 1] < v[kk + 1]):
+                x = v[kk + 1]
             else:
-                x = v.get(k - 1, 0) + 1
-            y = x - k
+                x = v[kk - 1] + 1
+            y = x - kk + off
             while x < n and y < m and a[x] == b[y]:
                 x += 1
                 y += 1
-            v[k] = x
+            v[kk] = x
             if x >= n and y >= m:
                 d_final = d
                 break
@@ -232,32 +294,27 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int) -> list[tuple]:
             break
     assert d_final is not None
 
-    ops = []
+    runs = []
     x, y = n, m
     for d in range(d_final, 0, -1):
-        vprev = snapshots[d]
+        vprev = snapshots[d]  # diagonal k at vprev[(k + d - 1) // 2]
         k = x - y
-        if k == -d or (k != d and vprev.get(k - 1, 0) < vprev.get(k + 1, 0)):
+        if k == -d or (k != d and vprev[(k + d - 2) // 2] < vprev[(k + d) // 2]):
             prev_k = k + 1
         else:
             prev_k = k - 1
-        prev_x = vprev.get(prev_k, 0)
+        prev_x = vprev[(prev_k + d - 1) // 2]
         prev_y = prev_x - prev_k
-        while x > prev_x and y > prev_y:
-            x -= 1
-            y -= 1
-            ops.append(("match", off_a + x, off_b + y))
-        if x == prev_x:
-            ops.append(("ins", off_b + prev_y))
-        else:
-            ops.append(("del", off_a + prev_x))
+        snake = min(x - prev_x, y - prev_y)
+        if snake:
+            runs.append(("match", off_a + x - snake, off_b + y - snake, snake))
+        runs.append(("ins", off_a + prev_x, off_b + prev_y, 1) if x - snake == prev_x
+                    else ("del", off_a + prev_x, off_b + prev_y, 1))
         x, y = prev_x, prev_y
-    while x > 0 and y > 0:
-        x -= 1
-        y -= 1
-        ops.append(("match", off_a + x, off_b + y))
-    ops.reverse()
-    return ops
+    if x:
+        runs.append(("match", off_a, off_b, x))
+    runs.reverse()
+    return runs
 
 
 @dataclass(frozen=True)
@@ -293,12 +350,89 @@ class Divergence:
                 f"({self.faulty.opcode}) only in faulty trace")
 
 
+def _columns(trace) -> tuple[list, list]:
+    """The index and value-hex columns of a TraceColumns, a RunTrace or a
+    sequence of TraceRecords."""
+    if isinstance(trace, TraceColumns):
+        return trace.indices, trace.hexes
+    if isinstance(trace, RunTrace):
+        value_hex = trace.fields.value_hex
+        return trace.indices, [value_hex[i](v) for i, v in zip(trace.indices, trace.values)]
+    return [r.index for r in trace], [r.value_hex for r in trace]
+
+
+class _Alignment:
+    """A minimal alignment of two traces as runs of slots, with the slot
+    positions where the traces differ."""
+
+    def __init__(self, golden, faulty):
+        self.golden, self.faulty = golden, faulty
+        self.golden_indices, golden_hexes = _columns(golden)
+        self.faulty_indices, faulty_hexes = _columns(faulty)
+        self.runs = _myers_ops(self.golden_indices, self.faulty_indices)
+        self.starts = list(accumulate((run[3] for run in self.runs), initial=0))
+        self.values: list[int] = []  # matched slots whose values differ
+        self.control: list[int] = []  # unmatched slots
+        for (kind, i, j, length), pos in zip(self.runs, self.starts):
+            if kind != "match":
+                self.control.extend(range(pos, pos + length))
+                continue
+            g, f = golden_hexes[i:i + length], faulty_hexes[j:j + length]
+            if g != f:
+                self.values.extend(compress(range(pos, pos + length), map(ne, g, f)))
+
+    def pair(self, pos: int) -> AlignedPair:
+        """The records at alignment slot `pos`."""
+        r = bisect_right(self.starts, pos) - 1
+        kind, i, j, _length = self.runs[r]
+        t = pos - self.starts[r]
+        return AlignedPair(None if kind == "ins" else self.golden[i + t],
+                           None if kind == "del" else self.faulty[j + t])
+
+    def divergence(self, pos: int) -> Divergence:
+        p = self.pair(pos)
+        kind = ("value" if p.matched()
+                else "golden_only" if p.golden is not None else "faulty_only")
+        return Divergence(kind, pos, p.golden, p.faulty)
+
+    def report(self) -> DiffReport:
+        first = min(self.values[:1] + self.control[:1], default=None)
+        return DiffReport(_BuiltOnAccess(range(self.starts[-1]), self.pair),
+                          None if first is None else self.divergence(first),
+                          _BuiltOnAccess(self.values, self.divergence),
+                          _BuiltOnAccess(self.control, self.divergence))
+
+
+class _BuiltOnAccess(Sequence):
+    """A read-only sequence of `build(key)` over `keys`, built item by item
+    when read."""
+
+    def __init__(self, keys: Sequence, build):
+        self._keys = keys
+        self._build = build
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._build, self._keys[i]))
+        return self._build(self._keys[i])
+
+    def __iter__(self):
+        return map(self._build, self._keys)
+
+    __eq__ = _sequence_eq
+
+
 @dataclass
 class DiffReport:
-    pairs: list[AlignedPair]
+    """The sequences build their AlignedPairs and Divergences when read."""
+
+    pairs: Sequence[AlignedPair]
     first_divergence: Divergence | None
-    value_divergences: list[Divergence]
-    control_flow_divergences: list[Divergence]
+    value_divergences: Sequence[Divergence]
+    control_flow_divergences: Sequence[Divergence]
 
     @property
     def identical(self) -> bool:
@@ -313,34 +447,12 @@ class DiffReport:
         return "data_flow"
 
 
-def trace_diff(golden: list[TraceRecord], faulty: list[TraceRecord]) -> DiffReport:
-    """Align two traces on instruction indices and report divergences."""
-    a_keys = [r.index for r in golden]
-    b_keys = [r.index for r in faulty]
-    pairs: list[AlignedPair] = []
-    for op in _myers_ops(a_keys, b_keys):
-        if op[0] == "match":
-            pairs.append(AlignedPair(golden[op[1]], faulty[op[2]]))
-        elif op[0] == "del":
-            pairs.append(AlignedPair(golden[op[1]], None))
-        else:
-            pairs.append(AlignedPair(None, faulty[op[1]]))
+def trace_diff(golden: Sequence[TraceRecord], faulty: Sequence[TraceRecord]) -> DiffReport:
+    """Align two traces on instruction indices and report divergences.
 
-    first = None
-    values = []
-    control = []
-    for pos, p in enumerate(pairs):
-        div = None
-        if not p.matched():
-            kind = "golden_only" if p.golden is not None else "faulty_only"
-            div = Divergence(kind, pos, p.golden, p.faulty)
-            control.append(div)
-        elif not p.value_equal():
-            div = Divergence("value", pos, p.golden, p.faulty)
-            values.append(div)
-        if div is not None and first is None:
-            first = div
-    return DiffReport(pairs, first, values, control)
+    Either trace may be a TraceColumns, a RunTrace or a list of TraceRecords.
+    """
+    return _Alignment(golden, faulty).report()
 
 
 # -- union -------------------------------------------------------------------
@@ -354,18 +466,21 @@ class UnionEntry:
     values: set[str] = field(default_factory=set)
 
 
-def trace_union(traces: list[list[TraceRecord]]) -> dict[int, UnionEntry]:
+def trace_union(traces: list[Sequence[TraceRecord]]) -> dict[int, UnionEntry]:
     """Merge traces into per-instruction execution counts and value sets."""
     entries: dict[int, UnionEntry] = {}
-    for ti, records in enumerate(traces):
-        for rec in records:
-            e = entries.get(rec.index)
+    for ti, trace in enumerate(traces):
+        indices, hexes = _columns(trace)
+        first = dict(zip(reversed(indices), range(len(indices) - 1, -1, -1)))  # index: row
+        for index, count in Counter(indices).items():
+            e = entries.get(index)
             if e is None:
-                e = UnionEntry(rec.index, rec.opcode, 0, [0] * len(traces))
-                entries[rec.index] = e
-            e.executions += 1
-            e.per_trace[ti] += 1
-            e.values.add(rec.value_hex)
+                e = entries[index] = UnionEntry(index, trace[first[index]].opcode, 0,
+                                                [0] * len(traces))
+            e.executions += count
+            e.per_trace[ti] = count
+        for index, value_hex in set(zip(indices, hexes)):
+            entries[index].values.add(value_hex)
     return dict(sorted(entries.items()))
 
 
@@ -393,7 +508,7 @@ class PropagationGraph:
         return sorted(i for i, n in self.nodes.items() if n.annihilation)
 
 
-def build_propagation(golden: list[TraceRecord], faulty: list[TraceRecord],
+def build_propagation(golden: Sequence[TraceRecord], faulty: Sequence[TraceRecord],
                       graph: UseGraph,
                       outputs_equal: bool = True) -> PropagationGraph:
     """Project a diff onto the def-use graph.
@@ -405,14 +520,15 @@ def build_propagation(golden: list[TraceRecord], faulty: list[TraceRecord],
     sides, with no unmatched occurrences. A diverged node with no consumers
     annihilates trivially.
     """
-    known = set(graph.opcode_of)
-    for rec in golden + faulty:
-        if rec.index not in known:
-            raise IndexMismatch(
-                f"trace record ID {rec.index} is not an indexed instruction; "
-                "trace and program disagree")
-
-    report = trace_diff(golden, faulty)
+    al = _Alignment(golden, faulty)
+    seen = set(al.golden_indices).union(al.faulty_indices)
+    if not seen.issubset(graph.opcode_of):
+        index = next(i for i in al.golden_indices + al.faulty_indices
+                     if i not in graph.opcode_of)
+        raise IndexMismatch(
+            f"trace record ID {index} is not an indexed instruction; "
+            "trace and program disagree")
+    report = al.report()
 
     diverged: dict[int, Divergence] = {}
     for div in report.value_divergences:
@@ -420,11 +536,13 @@ def build_propagation(golden: list[TraceRecord], faulty: list[TraceRecord],
 
     # Re-convergence evidence per instruction: every matched occurrence equal
     # and never unmatched on either side.
-    clean = {}
-    for p in report.pairs:
-        idx = (p.golden or p.faulty).index
-        ok = p.value_equal()
-        clean[idx] = clean.get(idx, True) and ok
+    unclean = set(diverged)
+    for kind, i, j, length in al.runs:
+        if kind == "del":
+            unclean.update(al.golden_indices[i:i + length])
+        elif kind == "ins":
+            unclean.update(al.faulty_indices[j:j + length])
+    clean = seen - unclean
 
     nodes = {}
     for idx, div in diverged.items():
@@ -439,7 +557,7 @@ def build_propagation(golden: list[TraceRecord], faulty: list[TraceRecord],
             if op in _PURE_CONSUMERS_EXCLUDED:
                 ok = False
                 break
-            if not clean.get(succ, False):
+            if succ not in clean:
                 ok = False
                 break
         node.annihilation = ok

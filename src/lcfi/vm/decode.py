@@ -28,6 +28,7 @@ import operator
 import struct
 
 from ..ir.nodes import SCALARS, IrFunction, IrModule, ValueRef, to_f32
+from ..ir.validate import must_defined
 from ..traces import TraceFields
 from .arena import HEAP_BASE
 from .intrinsics import INTRINSICS
@@ -357,34 +358,6 @@ class DecodedFn:
         self.entry_guard = entry_guard  # None, or run on entry: raises VmError
 
 
-def _must_defined(fn: IrFunction) -> tuple[dict, dict]:
-    """Per block label: the registers defined on every path into the block,
-    and the registers the block defines."""
-    defs = {b.label: {i.result for i in b.instructions if i.result is not None}
-            for b in fn.blocks}
-    preds = {label: set() for label in defs}
-    for b in fn.blocks:
-        for ins in b.instructions:
-            if ins.opcode == "br":
-                for label in ins.labels:
-                    if label in preds:
-                        preds[label].add(b.label)
-    params = {name for name, _t in fn.params}
-    everything = params.union(*defs.values())
-    entry = fn.blocks[0].label
-    into = {label: everything for label in defs}
-    into[entry] = params
-    changed = True
-    while changed:
-        changed = False
-        for label, ps in preds.items():
-            if label != entry and ps:
-                new = set.intersection(*(into[p] | defs[p] for p in ps))
-                if new != into[label]:
-                    into[label], changed = new, True
-    return into, defs
-
-
 def _defined_guard(fn_name: str, checks: list[tuple[int, str]]):
     def guard(regs, m):
         for s, name in checks:
@@ -455,7 +428,7 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
         else:
             cuts.append((b.label, run))  # falls off the block's end
 
-    into, defs = _must_defined(fn)
+    into, defs = must_defined(fn)
     phis = {b.label: [i for i in b.instructions if i.opcode == "phi"]
             for b in fn.blocks}
     unsure = {}  # label -> registers read in the block that may be undefined

@@ -60,6 +60,29 @@ class TestProfile:
         assert rc == 1
         assert "run did not complete: out_of_bounds" in captured.err
 
+    def test_read_on_a_path_without_definition_is_rejected(self, tmp_path, capsys):
+        prog = tmp_path / "skip.ll"
+        prog.write_text("""define i32 @main() {
+entry:
+  br i1 false, label %a, label %b
+
+a:
+  %x = add i32 1, 2
+  br label %b
+
+b:
+  %y = add i32 %x, 1
+  ret i32 %y
+}
+""")
+        rc = main(["profile", str(prog)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {prog}: line 10: register %x is not defined on every path "
+            "to its use in @main:%b\n")
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_must_be_positive(self, capsys, budget):
         rc = main(["profile", fixture_path("demo.ll"), "--budget", budget,
@@ -216,6 +239,44 @@ class TestTraceDiff:
         rc = main(["trace", "diff", str(tmp_path / "a.txt"),
                    str(tmp_path / "b.txt")])
         assert rc == 2
+
+
+# stdout of each trace command on the fixture pair, as recorded before traces
+# were read into columns
+FIXTURE_PAIR_STDOUT = {
+    "diff": (1, """\
+classification: control_flow
+first divergence: value divergence at ID 18 (load): 4010000000000000 vs 4014e8d25119f5e3
+value divergences: 1  control-flow divergences: 1
+  value divergence at ID 18 (load): 4010000000000000 vs 4014e8d25119f5e3
+  control-flow divergence: ID 19 (call) only in golden trace
+"""),
+    "union": (0, """\
+ index opcode    total  t0  t1  distinct values
+     8 load          2  1  1  1
+    15 load          2  1  1  1
+    16 store         2  1  1  1
+    17 load          2  1  1  1
+    18 load          2  1  1  2
+    19 call          1  1  0  1
+    21 load          2  1  1  1
+    22 add           2  1  1  1
+"""),
+    "dot": (0, """\
+digraph "demo.ll" {
+  node [shape=box];
+  n18 [label="18 / load / 4010000000000000->4014e8d25119f5e3"];
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIXTURE_PAIR_STDOUT))
+def test_trace_commands_stdout_pinned(capsys, command):
+    extra = {"diff": ["-v"], "union": [], "dot": ["--program", fixture_path("demo.ll")]}
+    rc = main(["trace", command, fixture_path("trace_golden.txt"),
+               fixture_path("trace_faulty.txt"), *extra[command]])
+    assert (rc, capsys.readouterr().out) == FIXTURE_PAIR_STDOUT[command]
 
 
 class TestTraceUnion:

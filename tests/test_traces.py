@@ -6,7 +6,7 @@ from lcfi.instrument import assign_indices, build_plan, load_input_config
 from lcfi.ir.defuse import build_def_use
 from lcfi.faults import Sampler, make_sampler
 from lcfi.traces import (AlignedPair, Divergence, IndexMismatch, TraceFormatError,
-                         TraceRecord, _myers_ops, build_propagation,
+                         TraceRecord, _myers_core, _myers_ops, build_propagation,
                          format_record, parse_record, read_trace, trace_diff,
                          trace_to_dot, trace_union, write_trace)
 from lcfi.vm.machine import IoConfig, Machine
@@ -65,6 +65,82 @@ class TestRecordFormat:
         assert read_trace(lines) == [TraceRecord(3, "add", "00000001")]
 
 
+def _read_per_line(lines):
+    """read_trace's contract, line by line: parse_record on each line, with
+    the line number on the first malformed one."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            rec = parse_record(line)
+        except TraceFormatError as e:
+            raise TraceFormatError(f"line {lineno}: {e}") from e
+        if rec is not None:
+            out.append(rec)
+    return out
+
+
+def _outcome(read, source):
+    try:
+        return read(source)
+    except TraceFormatError as e:
+        return str(e)
+
+
+REC = "ID: 7    OPCode: load   Value: 0000002a"
+
+
+class TestReadTraceFastPath:
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n",
+        REC,
+        REC + "\n" + REC,
+        REC + "\r\n" + REC + "\r\n",
+        REC + "\r" + REC + "\r",
+        "ID:\t12\tOPCode:\tadd\tValue:\t0000002A\n",
+        "   " + REC + "  \t\n\t" + REC + "\n",
+        REC + "\n\n  \n\t\n" + REC + "\n\n",
+        "ID: 3 OPCode: fmul Value: ABCDEF0123456789\n",
+        "ID: 3\x0cOPCode: add Value: 00000001\n",
+        "ID: 3\x0bOPCode: add\x0bValue: 00000001\x0b\n",
+        "ID: 3\xa0OPCode: add Value: 00000001\n",
+        "ID: 3 OPCode: add\u2028Value: 00000001\n",
+        "ID: 3 OPCode: add\x1cValue: 00000001\n",
+        REC + "\n\x0c\n\x1c\n" + REC + "\n",
+        "ID: \u0661\u0662 OPCode: add Value: 00000001\n",
+        REC + "\n" + REC + "\njunk\n" + REC + "\n",
+        REC + "\nID: 9 OPCode: add\n",
+        REC + "\nID: 9 OPCode: add Value: 0x10\n",
+        REC + "\nID: 9 OPCode: add Value: 00000001 trailing\n",
+        "ID: 9 OPCode: add Value: 00000001\nID:9OPCode: add Value: 1\n",
+    ])
+    def test_same_records_or_error_as_per_line(self, tmp_path, text):
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        expected = _outcome(_read_per_line, lines)
+        assert _outcome(read_trace, str(path)) == expected
+        assert _outcome(read_trace, iter(lines)) == expected
+        raw = text.split("\n")
+        assert _outcome(read_trace, raw) == _outcome(_read_per_line, raw)
+
+    def test_non_utf8_byte_offset_is_from_file_start(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes((REC + "\n").encode() * 1000 + b"\xff\n")
+        with pytest.raises(TraceFormatError, match=r"\(byte 40000\)"):  # 1000 x 40 bytes
+            read_trace(str(path))
+
+    def test_columns(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("ID: 12 OPCode: fmul Value: ABCDEF0123456789\n" + REC + "\n")
+        trace = read_trace(str(path))
+        assert (trace.indices, trace.opcodes, trace.hexes) == (
+            [12, 7], ["fmul", "load"], ["abcdef0123456789", "0000002a"])
+        assert trace[1] == TraceRecord(7, "load", "0000002a")
+        assert trace != [TraceRecord(12, "fmul", "abcdef0123456789")]
+
+
 def _lcs_len(a, b):
     n, m = len(a), len(b)
     dp = [[0] * (m + 1) for _ in range(n + 1)]
@@ -75,9 +151,98 @@ def _lcs_len(a, b):
     return dp[0][0]
 
 
+def _expand(runs):
+    """The runs as single-slot ops ("match", i, j), ("del", i) and ("ins", j)."""
+    ops = []
+    for kind, i, j, length in runs:
+        for t in range(length):
+            ops.append(("match", i + t, j + t) if kind == "match"
+                       else ("del", i + t) if kind == "del" else ("ins", j + t))
+    return ops
+
+
+# The dict-based Myers core and its trimming wrapper as they were before the
+# alignment was kept as runs: the oracle for the runs' exact tie-breaking.
+def _oracle_myers_ops(a: list, b: list) -> list[tuple]:
+    """Minimal edit script as ("match", i, j) / ("del", i) / ("ins", j) ops."""
+    # Trim the common prefix and suffix first; Myers runs on the core.
+    n_all, m_all = len(a), len(b)
+    pre = 0
+    while pre < n_all and pre < m_all and a[pre] == b[pre]:
+        pre += 1
+    suf = 0
+    while (suf < n_all - pre and suf < m_all - pre
+           and a[n_all - 1 - suf] == b[m_all - 1 - suf]):
+        suf += 1
+    core_a = a[pre:n_all - suf]
+    core_b = b[pre:m_all - suf]
+
+    ops = [("match", i, i) for i in range(pre)]
+    ops.extend(_oracle_myers_core(core_a, core_b, pre, pre))
+    ops.extend(("match", n_all - suf + i, m_all - suf + i) for i in range(suf))
+    return ops
+
+
+def _oracle_myers_core(a: list, b: list, off_a: int, off_b: int) -> list[tuple]:
+    n, m = len(a), len(b)
+    if n == 0:
+        return [("ins", off_b + j) for j in range(m)]
+    if m == 0:
+        return [("del", off_a + i) for i in range(n)]
+
+    v = {1: 0}
+    snapshots = []
+    d_final = None
+    for d in range(n + m + 1):
+        snapshots.append(dict(v))
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and v.get(k - 1, 0) < v.get(k + 1, 0)):
+                x = v.get(k + 1, 0)
+            else:
+                x = v.get(k - 1, 0) + 1
+            y = x - k
+            while x < n and y < m and a[x] == b[y]:
+                x += 1
+                y += 1
+            v[k] = x
+            if x >= n and y >= m:
+                d_final = d
+                break
+        if d_final is not None:
+            break
+    assert d_final is not None
+
+    ops = []
+    x, y = n, m
+    for d in range(d_final, 0, -1):
+        vprev = snapshots[d]
+        k = x - y
+        if k == -d or (k != d and vprev.get(k - 1, 0) < vprev.get(k + 1, 0)):
+            prev_k = k + 1
+        else:
+            prev_k = k - 1
+        prev_x = vprev.get(prev_k, 0)
+        prev_y = prev_x - prev_k
+        while x > prev_x and y > prev_y:
+            x -= 1
+            y -= 1
+            ops.append(("match", off_a + x, off_b + y))
+        if x == prev_x:
+            ops.append(("ins", off_b + prev_y))
+        else:
+            ops.append(("del", off_a + prev_x))
+        x, y = prev_x, prev_y
+    while x > 0 and y > 0:
+        x -= 1
+        y -= 1
+        ops.append(("match", off_a + x, off_b + y))
+    ops.reverse()
+    return ops
+
+
 class TestMyersAlignment:
     def _check(self, a, b):
-        ops = _myers_ops(a, b)
+        ops = _expand(_myers_ops(a, b))
         # replaying the script must reconstruct both sequences in order
         ai = [i for kind, *rest in ops for i in
               ([rest[0]] if kind in ("match", "del") else [])]
@@ -108,6 +273,31 @@ class TestMyersAlignment:
             a = [rng.randint(1, 5) for _ in range(n)]
             b = [rng.randint(1, 5) for _ in range(m)]
             self._check(a, b)
+
+
+    def test_runs_match_the_oracle_op_for_op(self):
+        rng = random.Random(8)
+        large = 0
+        for case in range(160):
+            symbols = rng.randint(2, 5)
+            a = [rng.randrange(symbols) for _ in range(rng.randint(0, 300))]
+            if case % 16 == 0:  # unrelated sequences: D runs past 100
+                b = [rng.randrange(symbols) for _ in range(rng.randint(150, 300))]
+            else:
+                b = list(a)
+                for _ in range(rng.randint(0, 30)):
+                    pos = rng.randint(0, len(b))
+                    if rng.random() < 0.5 and pos < len(b):
+                        del b[pos:pos + rng.randint(1, 4)]
+                    else:
+                        b[pos:pos] = [rng.randrange(symbols) for _ in range(rng.randint(1, 4))]
+            runs = _myers_ops(a, b)
+            expected = _oracle_myers_ops(a, b)
+            assert _expand(runs) == expected
+            assert _expand(_myers_core(a, b, 3, 5)) == _oracle_myers_core(a, b, 3, 5)
+            assert all(length > 0 for *_rest, length in runs)
+            large += sum(op[0] != "match" for op in expected) > 100
+        assert large >= 5
 
 
 class TestTraceDiff:

@@ -92,7 +92,28 @@ define i32 @f() {
 
 
 def test_cross_block_use_accepted():
+    # %v is defined in %x, which every path to %z passes through
     msgs = _messages("""
+define i32 @f(i1 %c) {
+  br label %x
+
+x:
+  %v = add i32 1, 2
+  br i1 %c, label %y, label %z
+
+y:
+  br label %z
+
+z:
+  %r = add i32 %v, 1
+  ret i32 %r
+}
+""")
+    assert msgs == []
+
+
+def test_cross_block_use_on_a_path_without_definition():
+    diags = validate(parse_module("""
 define i32 @f(i1 %c) {
   br i1 %c, label %x, label %y
 
@@ -104,8 +125,44 @@ y:
   %r = add i32 %v, 1
   ret i32 %r
 }
+"""))
+    assert [str(d) for d in diags] == [
+        "line 10: register %v is not defined on every path to its use in @f:%y"]
+
+
+def test_phi_operand_checked_on_its_edge():
+    msgs = _messages("""
+define i32 @f(i1 %c) {
+  br i1 %c, label %x, label %y
+
+x:
+  %v = add i32 1, 2
+  br label %y
+
+y:
+  %a = phi i32 [ %v, %x ], [ 0, %0 ]
+  %b = phi i32 [ %v, %0 ], [ 1, %x ]
+  ret i32 %a
+}
 """)
-    assert msgs == []
+    assert msgs == ["phi operand %v is not defined on every path through %0"]
+
+
+def test_unreachable_block_not_checked():
+    msgs = _messages("""
+define i32 @f() {
+  ret i32 0
+
+dead:
+  br label %deader
+
+deader:
+  %r = add i32 %w, 1
+  %w = add i32 1, 2
+  br label %deader
+}
+""")
+    assert msgs == ["register %w used before definition"]
 
 
 def test_phi_operands_exempt_from_order_check():

@@ -296,7 +296,7 @@ done:
 
     @pytest.mark.parametrize("taken", [True, False])
     def test_register_read_on_a_path_that_skipped_its_definition(self, taken):
-        # validate accepts this (it has no dominance check); the run decides
+        # validate rejects this module; run unvalidated, the run decides
         m = assign_indices(parse_module(f"""
 define i32 @main() {{
 entry:
