@@ -26,7 +26,7 @@ from .ir.validate import validate
 from .instrument import (InjectionPlan, assign_indices, build_plan,
                          emit_artifacts, load_input_config, InstrumentError)
 from .faults import FaultSpec, make_sampler, FaultError, mix64
-from .vm.machine import IoConfig, Machine, RunOutcome
+from .vm.machine import DEFAULT_BUDGET, IoConfig, Machine, RunOutcome
 from .traces import write_trace
 
 OUTCOMES = ("crash", "hang", "sdc", "benign_masked", "benign_not_activated")
@@ -68,7 +68,7 @@ class CampaignConfig:
     input: str
     runs: int = 10
     seed: int | None = None
-    budget: int = 10 ** 8
+    budget: int = DEFAULT_BUDGET
     jobs: int = 1
     output_dir: str = "lcfi-out"
     report_formats: tuple[str, ...] = ("txt", "json", "csv")

@@ -16,7 +16,7 @@ from .ir.defuse import build_def_use
 from .instrument import (assign_indices, build_plan, emit_artifacts,
                          load_input_config, InstrumentError)
 from .faults import FaultError, make_sampler
-from .vm.machine import IoConfig, Machine
+from .vm.machine import DEFAULT_BUDGET, IoConfig, Machine, VmError
 from .campaign import (OUTCOMES, ConfigError, GoldenRunFailed,
                        load_campaign_config, load_program, positive_int,
                        run_campaign)
@@ -183,7 +183,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--stdin", default="", help="text fed to scanf")
     p.add_argument("--file", action="append", metavar="NAME=PATH",
                    help="virtual file visible to freopen/fopen")
-    p.add_argument("--budget", type=int, default=10 ** 8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--trace-out", help="write the golden trace here")
     p.set_defaults(fn=_cmd_profile)
 
@@ -193,7 +193,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--stdin", default="")
     p.add_argument("--file", action="append", metavar="NAME=PATH")
-    p.add_argument("--budget", type=int, default=10 ** 8)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--trace-out", help="write the faulty trace here")
     p.set_defaults(fn=_cmd_inject)
 
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ConfigError, InstrumentError, FaultError, TraceFormatError,
-            IndexMismatch) as e:
+            IndexMismatch, VmError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4 if is_campaign else 2
     except OSError as e:

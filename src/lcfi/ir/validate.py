@@ -5,6 +5,12 @@ a register from another block is read only where it is defined on every path
 from the entry (`must_defined`, which for registers defined once is LLVM's
 dominance rule), and a phi operand only where it is defined on every path
 through its incoming edge. Blocks no path reaches are not checked.
+
+Phis: none in the entry block, and each phi names a value for every block
+that branches to its own.
+
+The interpreter decodes only modules that pass (see `lcfi.vm.decode`), so
+every rule it relies on is checked here.
 """
 
 from __future__ import annotations
@@ -71,7 +77,8 @@ def _validate_function(fn: IrFunction, module: IrModule, fn_names: set[str],
         diags.append(Diagnostic("duplicate block label", fn.name))
     label_set = set(labels)
 
-    into, defs = must_defined(fn)
+    preds = _predecessors(fn)
+    into, defs = must_defined(fn, preds)
     defined: dict[str, str] = {name: "param" for name, _ in fn.params}
     for b in fn.blocks:
         for ins in b.instructions:
@@ -101,6 +108,13 @@ def _validate_function(fn: IrFunction, module: IrModule, fn_names: set[str],
                     if lbl not in label_set:
                         diags.append(Diagnostic(
                             f"phi references unknown label %{lbl}", fn.name, b.label, ins.line))
+                if b is fn.blocks[0]:
+                    diags.append(Diagnostic("phi in entry block", fn.name, b.label, ins.line))
+                for lbl in labels:
+                    if lbl in preds[b.label] and lbl not in ins.labels:
+                        diags.append(Diagnostic(
+                            f"phi has no incoming edge from %{lbl}", fn.name, b.label,
+                            ins.line))
             elif ins.opcode == "call":
                 diags.extend(_check_call(ins, fn, b, module, fn_names, intrinsics))
     return diags
@@ -140,19 +154,24 @@ def _check_operands(ins: Instruction, block, pos: int, fn: IrFunction,
     return diags
 
 
-def must_defined(fn: IrFunction) -> tuple[dict, dict]:
-    """Per block label: the registers defined on every path into the block,
-    and the registers the block defines. A block no path reaches gets every
-    register of the function."""
-    defs = {b.label: {i.result for i in b.instructions if i.result is not None}
-            for b in fn.blocks}
-    preds = {label: set() for label in defs}
+def _predecessors(fn: IrFunction) -> dict[str, set]:
+    """Per block label: the labels of the blocks that branch to it."""
+    preds = {b.label: set() for b in fn.blocks}
     for b in fn.blocks:
         for ins in b.instructions:
             if ins.opcode == "br":
                 for label in ins.labels:
                     if label in preds:
                         preds[label].add(b.label)
+    return preds
+
+
+def must_defined(fn: IrFunction, preds: dict[str, set]) -> tuple[dict, dict]:
+    """Per block label: the registers defined on every path into the block,
+    and the registers the block defines. A block no path reaches gets every
+    register of the function."""
+    defs = {b.label: {i.result for i in b.instructions if i.result is not None}
+            for b in fn.blocks}
     params = {name for name, _t in fn.params}
     everything = params.union(*defs.values())
     entry = fn.blocks[0].label

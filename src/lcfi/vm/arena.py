@@ -49,6 +49,13 @@ class MemoryArena:
         self.top = new_top
         return addr
 
+    def copy(self) -> MemoryArena:
+        """An independent arena with the same contents and top."""
+        twin = MemoryArena(self.base, self.capacity)
+        twin.top = self.top
+        twin._mem = self._mem.copy()
+        return twin
+
     def mark(self) -> int:
         return self.top
 

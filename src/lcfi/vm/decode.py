@@ -13,9 +13,14 @@ called as `op(regs, machine)` and writes its value, if it has one, to its
 result slot. A phi's op does nothing: the branch into its block has already
 assigned all of the block's phis at once, from the values on that edge.
 
-`decoded(module)` caches the result on the module, so the golden run and every
-injection run in a process share it. Nothing here holds per-run state. Per
-plan, `DecodedModule.codes` swaps in injecting ops at the plan's targets.
+`decoded(module)` is the one well-formedness gate: it validates the module
+and raises VmError with the diagnostics, so the decoder trusts its input. It
+caches the result on the module, so the golden run and every injection run in
+a process share it. Global addresses are the same in every run (the stack
+arena is a bump allocator), so the module's globals are laid out and
+initialized here, once; each run starts from a copy of that arena. Nothing
+here holds per-run state. Per plan, `DecodedModule.codes` swaps in injecting
+ops at the plan's targets.
 
 Register lists: slot 0 always holds None, the value of a store or a void
 return; slots 1..P hold the parameters.
@@ -28,14 +33,15 @@ import operator
 import struct
 
 from ..ir.nodes import SCALARS, IrFunction, IrModule, ValueRef, to_f32
-from ..ir.validate import must_defined
+from ..ir.validate import validate
 from ..traces import TraceFields
-from .arena import HEAP_BASE
-from .intrinsics import INTRINSICS
+from .arena import HEAP_BASE, MemoryArena
+from .intrinsics import INTRINSICS, STDERR_HANDLE, STDIN_HANDLE, STDOUT_HANDLE
 
 
 class VmError(Exception):
-    """Malformed program state the validator should have rejected."""
+    """A program the interpreter cannot run: it fails validation, or uses
+    a construct the interpreter does not support."""
 
 
 def _fdiv(a: float, b: float) -> float:
@@ -66,13 +72,9 @@ _BITCASTS = {(src, dst): (SCALARS[src][1], SCALARS[dst][1])
 #   (BR, condition slot or None, edge taken on true or always, edge on false)
 #   (CALL, callee's function number, argument slots, result slot, index)
 #   (RET, value slot)
-#   (FAIL, message): the block ends without a terminator
-# An edge is (target segment, (phi slots, incoming slots) or None, guard or
-# None, source label, target label); a guard is called as guard(regs, machine)
-# and raises when the edge cannot be taken.
-BR, CALL, RET, FAIL = range(4)
-
-_UNDEF = object()  # a register slot no instruction has written yet
+# An edge is (target segment, (phi slots, incoming slots) or None, source
+# label, target label).
+BR, CALL, RET = range(3)
 
 
 def _wrap_bits(bits: int) -> tuple[int, int]:
@@ -302,9 +304,7 @@ def _gep(ins, d, slot):
 
 
 def _call(ins, d, slot):
-    impl = INTRINSICS.get(ins.callee)
-    if impl is None:
-        return _fail(f"call to unknown function @{ins.callee}")
+    impl = INTRINSICS[ins.callee]
     args = tuple(map(slot, ins.operands))
 
     def run(regs, m):
@@ -346,24 +346,13 @@ class Segment:
 
 
 class DecodedFn:
-    __slots__ = ("name", "nparams", "template", "global_consts", "segs",
-                 "entry_guard")
+    __slots__ = ("name", "nparams", "template", "segs")
 
-    def __init__(self, name, nparams, template, global_consts, segs, entry_guard):
+    def __init__(self, name, nparams, template, segs):
         self.name = name
         self.nparams = nparams
         self.template = template  # initial register list, constants in place
-        self.global_consts = global_consts  # (slot, constant) a run resolves
         self.segs = segs
-        self.entry_guard = entry_guard  # None, or run on entry: raises VmError
-
-
-def _defined_guard(fn_name: str, checks: list[tuple[int, str]]):
-    def guard(regs, m):
-        for s, name in checks:
-            if regs[s] is _UNDEF:
-                raise VmError(f"@{fn_name}: %{name} read before definition")
-    return guard
 
 
 def _is_terminator(ins, fn_index) -> bool:
@@ -372,13 +361,13 @@ def _is_terminator(ins, fn_index) -> bool:
 
 
 def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
-                    where: dict) -> DecodedFn:
-    """Decode one function. `where` gains, for each op's instruction index,
-    (function number, segment number, position, result slot)."""
-    template = [None] + [_UNDEF] * len(fn.params)
+                    where: dict, const) -> DecodedFn:
+    """Decode one validated function; `const` gives a constant operand's
+    value. `where` gains, for each op's instruction index, (function number,
+    segment number, position, result slot)."""
+    template = [None] * (1 + len(fn.params))
     reg_slots = {name: i + 1 for i, (name, _t) in enumerate(fn.params)}
     const_slots: dict = {}
-    global_consts = []
 
     def fresh(value=None) -> int:
         template.append(value)
@@ -386,7 +375,7 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
 
     def reg(name: str) -> int:
         if name not in reg_slots:
-            reg_slots[name] = fresh(_UNDEF)
+            reg_slots[name] = fresh()
         return reg_slots[name]
 
     def slot(v: ValueRef) -> int:
@@ -394,12 +383,7 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
             return reg(v.name)
         key = (v.type, v.render())  # render tells -0.0 from 0.0
         if key not in const_slots:
-            if v.kind in ("global", "gep"):
-                const_slots[key] = fresh()
-                global_consts.append((const_slots[key], v))
-            else:  # int, float or null
-                const_slots[key] = fresh(v.ival if v.kind == "int" else
-                                         v.fval if v.kind == "float" else 0)
+            const_slots[key] = fresh(const(v))
         return const_slots[key]
 
     def result(ins) -> int:
@@ -409,9 +393,6 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
         if ins.result is not None:
             return reg(ins.result)
         return fresh() if ins.opcode == "call" else 0
-
-    if not fn.blocks:
-        return DecodedFn(fn.name, len(fn.params), template, (), [], None)
 
     # cut blocks into segments, so branch targets are known before decoding
     cuts, block_seg = [], {}
@@ -423,49 +404,21 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
             if _is_terminator(ins, fn_index):
                 cuts.append((b.label, run))
                 run = []
-                if ins.opcode != "call":
-                    break
-        else:
-            cuts.append((b.label, run))  # falls off the block's end
 
-    into, defs = must_defined(fn)
     phis = {b.label: [i for i in b.instructions if i.opcode == "phi"]
             for b in fn.blocks}
-    unsure = {}  # label -> registers read in the block that may be undefined
-    for b in fn.blocks:
-        known, reads = set(into[b.label]), {}
-        for ins in b.instructions:
-            if ins.opcode != "phi":
-                for v in ins.operands:
-                    if v.kind == "reg" and v.name not in known:
-                        reads.setdefault(v.name, slot(v))
-            if ins.result is not None:
-                known.add(ins.result)
-        unsure[b.label] = [(s, name) for name, s in reads.items()]
 
     def edge(src: str, dst: str):
-        si = block_seg.get(dst)
-        if si is None:
-            def guard(regs, m):
-                m.trap("invalid_branch", f"branch to missing block %{dst}")
-            return si, None, guard, src, dst
-        dsts, srcs, checks = [], [], list(unsure[dst])
+        dsts, srcs = [], []
         for phi in phis[dst]:
-            v = next((v for v, label in zip(phi.operands, phi.labels)
-                      if label == src), None)
-            if v is None:
-                return si, None, _fail(f"phi has no incoming edge from %{src}"), src, dst
             dsts.append(result(phi))
-            srcs.append(slot(v))
-            if v.kind == "reg" and v.name not in into[src] | defs[src]:
-                checks.append((slot(v), v.name))
+            srcs.append(slot(phi.operands[phi.labels.index(src)]))
         moves = (tuple(dsts), tuple(srcs)) if dsts else None
-        return si, moves, _defined_guard(fn.name, checks) if checks else None, src, dst
+        return block_seg[dst], moves, src, dst
 
     segs = []
     for si, (label, run) in enumerate(cuts):
-        last = run[-1] if run and _is_terminator(run[-1], fn_index) else None
-        body = run[:-1] if last is not None else run
+        *body, last = run
         ops, rec_idx, rec_slot = [], [], []
         for pos, ins in enumerate(body):
             d = result(ins)
@@ -474,9 +427,7 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
                 where[ins.index] = (fi, si, pos, d)
                 rec_idx.append(ins.index)
                 rec_slot.append(d)
-        if last is None:
-            term = (FAIL, f"@{fn.name} %{label} has no terminator")
-        elif last.opcode == "br":
+        if last.opcode == "br":
             cond = slot(last.operands[0]) if last.operands else None
             term = (BR, cond, *(edge(label, t) for t in last.labels[:2]))
         elif last.opcode == "ret":
@@ -486,12 +437,7 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
                     result(last), last.index)
         segs.append(Segment(tuple(ops), tuple(run), tuple(rec_idx),
                             tuple(rec_slot), term))
-
-    entry = fn.blocks[0].label
-    entry_guard = (_fail("phi in entry block") if phis[entry]
-                   else _defined_guard(fn.name, unsure[entry]) if unsure[entry] else None)
-    return DecodedFn(fn.name, len(fn.params), template, tuple(global_consts),
-                     segs, entry_guard)
+    return DecodedFn(fn.name, len(fn.params), template, segs)
 
 
 # -- modules and plans -----------------------------------------------------------
@@ -516,16 +462,60 @@ def _injecting(op, d, target, ins, back: int):
     return run
 
 
+_HANDLES = {"stdin": STDIN_HANDLE, "stdout": STDOUT_HANDLE, "stderr": STDERR_HANDLE}
+
+
 class DecodedModule:
+    """A validated module's functions, trace fields and initial stack arena
+    (its globals); `globals` maps each global's name to its address."""
+
     def __init__(self, module: IrModule):
+        problems = validate(module)
+        if problems:
+            raise VmError("; ".join(map(str, problems)))
+        self.arena = MemoryArena()
+        self.globals = {g.name: self.arena.alloc(g.type.byte_width(),
+                                                 g.align or g.type.alignment())
+                        for g in module.globals}
+        for g in module.globals:
+            self._init_global(g)
         self.fn_index = {f.name: i for i, f in enumerate(module.functions)}
         self.where: dict = {}
-        self.fns = [decode_function(f, i, self.fn_index, self.where)
+        self.fns = [decode_function(f, i, self.fn_index, self.where, self._const)
                     for i, f in enumerate(module.functions)]
         self.fields = TraceFields(
             (ins.index, ins.opcode, ins.result_type.kind)
             for _f, _b, ins in module.all_instructions() if ins.index is not None)
         self._codes: dict = {}
+
+    def _const(self, v: ValueRef):
+        """The value of a constant operand: int, float, null, global or gep."""
+        if v.kind == "global":
+            if v.name not in self.globals:
+                raise VmError(f"unknown global @{v.name}")
+            return self.globals[v.name]
+        if v.kind == "gep":
+            offset, terms = gep_layout(v.gep_source, v.indices)
+            if terms:
+                raise VmError(f"constant {v.render()} has a non-constant index")
+            return self._const(v.base) + offset
+        return v.ival if v.kind == "int" else v.fval if v.kind == "float" else 0
+
+    def _init_global(self, g) -> None:
+        addr, init = self.globals[g.name], g.init
+        if g.external and g.name in _HANDLES:
+            self.arena.store(addr, "ptr", _HANDLES[g.name])
+        elif init is None or init.kind == "zero":
+            pass
+        elif init.kind == "bytes":
+            self.arena.store_bytes(addr, init.data)
+        else:  # a scalar, or an array of scalars
+            t, values = ((g.type, (init.value,)) if init.kind == "scalar"
+                         else (g.type.elem, init.values))
+            if t.kind not in SCALARS:
+                raise VmError(f"cannot store type {t.render()}")
+            for i, v in enumerate(values):
+                self.arena.store(addr + i * t.byte_width(), t.kind, self._const(v))
 
     def codes(self, plan) -> list[Code]:
         """Each function's Code under `plan` (None: no injection), built once

@@ -5,10 +5,11 @@ type width, floats are IEEE doubles (f32 results re-rounded through 32 bits),
 pointers are arena addresses. The call stack is explicit, so recursion depth
 is bounded by the configured frame limit rather than the host stack.
 
-The machine runs the module's decoded form (see decode.py), built once per
-module and shared by every run in the process, one segment at a time: it
-counts the segment's steps, runs its ops and then its terminator. When a trap
-or the budget stops a run inside a segment, the op that raised gives the exact
+The machine runs the module's decoded form (see decode.py), validated and
+built once per module and shared by every run in the process, one segment at
+a time: it counts the segment's steps, runs its ops and then its terminator.
+A run's stack arena starts as a copy of the decoded globals. When a trap or
+the budget stops a run inside a segment, the op that raised gives the exact
 step, trap location and trace length. A traced run keeps its trace as raw
 (index, value) columns; values become hex only when the trace is read or
 written.
@@ -25,16 +26,16 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 
-from ..ir.nodes import SCALARS, IrModule, Instruction, IrType, ValueRef
+from ..ir.nodes import IrModule, Instruction
 from ..faults import Sampler, apply_fault, draw_bound, sample_error
 from ..instrument import InjectionPlan, PlanTarget
 from ..traces import RunTrace, value_bits
 from .arena import HEAP_BASE, MemoryArena, OutOfBounds
-from .decode import BR, CALL, RET, Code, VmError, decoded, gep_layout
-from .intrinsics import InStream, STDIN_HANDLE, STDOUT_HANDLE, STDERR_HANDLE
+from .decode import BR, CALL, Code, VmError, decoded
+from .intrinsics import InStream
 
 TRAP_KINDS = frozenset({
-    "out_of_bounds", "division_by_zero", "invalid_branch", "stack_overflow",
+    "out_of_bounds", "division_by_zero", "stack_overflow",
     "bad_intrinsic_arg", "non_finite_fault_target",
 })
 
@@ -124,7 +125,8 @@ class Machine:
         if plan is not None and sampler is None:
             raise ValueError("an injection plan needs a sampler")
 
-        self.arena = MemoryArena()
+        self._decoded = decoded(module)
+        self.arena = self._decoded.arena.copy()
         self.heap = MemoryArena(base=HEAP_BASE)
         self.stdin = InStream(self.io.stdin_text)
         self.open_streams: dict[int, InStream] = {}
@@ -135,74 +137,10 @@ class Machine:
         self.skipped_nonfinite = 0
         self.steps = 0
 
-        self._decoded = decoded(module)
         self._codes = self._decoded.codes(plan)
-        self._globals: dict[str, int] = {}
         self._call_counts = [0] * len(self._codes)
         self._stack: list[Frame] = []
         self._exec_counts = {t.index: 0 for t in plan.targets} if plan else {}
-
-        self._init_globals()
-        self._templates = [self._template(c.fn) for c in self._codes]
-
-    # -- setup -------------------------------------------------------------
-
-    def _init_globals(self) -> None:
-        handles = {"stdin": STDIN_HANDLE, "stdout": STDOUT_HANDLE,
-                   "stderr": STDERR_HANDLE}
-        for g in self.module.globals:
-            addr = self.arena.alloc(g.type.byte_width(),
-                                    g.align or g.type.alignment())
-            self._globals[g.name] = addr
-            if g.external and g.name in handles:
-                self.arena.store(addr, "ptr", handles[g.name])
-                continue
-            init = g.init
-            if init is None or init.kind == "zero":
-                continue
-            if init.kind == "bytes":
-                self.arena.store_bytes(addr, init.data)
-            elif init.kind == "scalar":
-                self._store_typed(addr, self._const_value(init.value), g.type)
-            elif init.kind == "array":
-                elem = g.type.elem
-                step = elem.byte_width()
-                for i, v in enumerate(init.values):
-                    self._store_typed(addr + i * step, self._const_value(v), elem)
-
-    def _template(self, fn) -> list:
-        """The function's initial registers, with this run's global addresses."""
-        if not fn.global_consts:
-            return fn.template
-        regs = list(fn.template)
-        for slot, v in fn.global_consts:
-            regs[slot] = self._const_value(v)
-        return regs
-
-    def _const_value(self, v: ValueRef):
-        k = v.kind
-        if k == "int":
-            return v.ival
-        if k == "float":
-            return v.fval
-        if k == "global":
-            try:
-                return self._globals[v.name]
-            except KeyError:
-                raise VmError(f"unknown global @{v.name}") from None
-        if k == "null":
-            return 0
-        if k == "gep":
-            offset, terms = gep_layout(v.gep_source, v.indices)
-            if terms:
-                raise VmError(f"constant {v.render()} has a non-constant index")
-            return self._const_value(v.base) + offset
-        raise VmError(f"unsupported constant {v.render()}")
-
-    def _store_typed(self, addr: int, value, vtype: IrType) -> None:
-        if vtype.kind not in SCALARS:
-            raise VmError(f"cannot store type {vtype.render()}")
-        self.mem_for(addr).store(addr, vtype.kind, value)
 
     # -- services used by intrinsics and ops --------------------------------
 
@@ -250,16 +188,12 @@ class Machine:
         fn = code.fn
         if len(self._stack) >= self.max_depth:
             self.trap("stack_overflow", f"call depth exceeds {self.max_depth} frames")
-        if not code.segs:
-            raise VmError(f"@{fn.name} has no body")
         if len(args) != fn.nparams:
             raise VmError(f"@{fn.name} called with {len(args)} args, "
                           f"takes {fn.nparams}")
         self._call_counts[fi] += 1
-        regs = self._templates[fi].copy()
+        regs = fn.template.copy()
         regs[1:1 + len(args)] = args
-        if fn.entry_guard is not None:
-            fn.entry_guard(regs, self)
         self._stack.append(Frame(code, regs, self.arena.mark(),
                                  self._call_counts[fi]))
 
@@ -293,10 +227,8 @@ class Machine:
                 term = seg.term
                 kind = term[0]
                 if kind == BR:
-                    si, moves, guard, src, dst = (
+                    si, moves, src, dst = (
                         term[2] if term[1] is None or regs[term[1]] & 1 else term[3])
-                    if guard is not None:
-                        guard(regs, self)
                     if moves is not None:  # the target's phis, all at once
                         for d, v in zip(moves[0], [regs[s] for s in moves[1]]):
                             regs[d] = v
@@ -307,7 +239,7 @@ class Machine:
                     self._push(term[1], [regs[s] for s in term[2]])
                     frame = stack[-1]
                     segs, regs, watch, si = frame.code.segs, frame.regs, frame.code.watch, 0
-                elif kind == RET:
+                else:  # RET
                     value = regs[term[1]]
                     self.arena.release(frame.mark)
                     stack.pop()
@@ -323,8 +255,6 @@ class Machine:
                         tidx.append(index)
                         tval.append(value)
                     si += 1
-                else:
-                    raise VmError(term[1])
         except (_TrapSignal, OutOfBounds) as e:
             # an op raised, or else the terminator did
             pos = len(seg.ops) if op is None else ops.index(op)

@@ -83,6 +83,29 @@ b:
             f"error: {prog}: line 10: register %x is not defined on every path "
             "to its use in @main:%b\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("define i32 @main() {\nentry:\n  %a = phi i32 [ 1, %entry ]\n"
+         "  ret i32 %a\n}\n",
+         "line 3: phi in entry block in @main:%entry"),
+        ("define i32 @main() {\nentry:\n  br label %next\n\nother:\n"
+         "  br label %next\n\nnext:\n  %a = phi i32 [ 1, %other ]\n"
+         "  ret i32 %a\n}\n",
+         "line 9: phi has no incoming edge from %entry in @main:%next"),
+        ("define i32 @start() {\n  ret i32 0\n}\n", "no function @main"),
+        ("define i32 @main() {\n  %a = bitcast i32 1 to i64\n  ret i32 0\n}\n",
+         "bitcast i32 to i64 unsupported"),
+    ], ids=["phi_in_entry", "missing_incoming_edge", "no_main", "bitcast"])
+    def test_unrunnable_program_is_one_error_line(self, tmp_path, capsys, text,
+                                                  message):
+        prog = tmp_path / "bad.ll"
+        prog.write_text(text)
+        rc = main(["profile", str(prog)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and message in captured.err
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_must_be_positive(self, capsys, budget):
         rc = main(["profile", fixture_path("demo.ll"), "--budget", budget,
@@ -168,6 +191,22 @@ class TestCampaign:
         captured = capsys.readouterr()
         assert rc == 3
         assert "golden run did not complete" in captured.err
+
+    def test_program_without_main_exit_code(self, tmp_path, capsys):
+        prog = tmp_path / "nomain.ll"
+        prog.write_text("define i32 @f(i32* %p) {\n"
+                        "  %v = load i32, i32* %p\n  ret i32 %v\n}\n")
+        inp = tmp_path / "in.yaml"
+        inp.write_text("fi_type: uniform_abs(1.0)\noption:\n"
+                       "  - function_name: f\n    variable_name: p\n"
+                       "    variable_location: 1\n")
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(f"program: {prog}\ninput: {inp}\n"
+                       f"output_dir: {tmp_path / 'out'}\n")
+        rc = main(["campaign", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err == "error: no function @main\n"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"

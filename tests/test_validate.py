@@ -204,6 +204,36 @@ b:
     assert any("phi references unknown label %ghost" in m for m in msgs)
 
 
+def test_phi_in_entry_block():
+    msgs = _messages("""
+define i32 @f() {
+entry:
+  %a = phi i32 [ 1, %entry ]
+  ret i32 %a
+}
+""")
+    assert msgs == ["phi in entry block"]
+
+
+def test_phi_missing_a_predecessor():
+    diags = validate(parse_module("""
+define i32 @f(i1 %c) {
+entry:
+  br i1 %c, label %x, label %y
+
+x:
+  br label %y
+
+y:
+  %a = phi i32 [ 1, %x ]
+  %b = phi i32 [ 2, %entry ], [ 3, %x ]
+  ret i32 %a
+}
+"""))
+    assert [str(d) for d in diags] == [
+        "line 10: phi has no incoming edge from %entry in @f:%y"]
+
+
 def test_call_arity_mismatch():
     msgs = _messages("""
 define i32 @g(i32 %a, i32 %b) {
