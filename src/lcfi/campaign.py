@@ -5,6 +5,10 @@ stdout plus trace become the baseline artifacts. Every injection run gets an
 independent sampler seeded from (campaign seed, run index, salt), so a rerun
 of the same config reproduces every artifact byte for byte, with or without
 worker processes.
+
+Injection runs reuse golden's work: each starts from a snapshot of the state
+where the plan's first draw is due (`prefix_snapshot`), and its trace file
+copies golden's rendered lines wherever its records equal golden's.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from .ir.validate import validate
 from .instrument import (InjectionPlan, assign_indices, build_plan,
                          emit_artifacts, load_input_config, InstrumentError)
 from .faults import FaultSpec, make_sampler, FaultError, mix64
-from .vm.machine import DEFAULT_BUDGET, IoConfig, Machine, RunOutcome
-from .traces import write_trace
+from .vm.machine import (DEFAULT_BUDGET, IoConfig, Machine, RunOutcome, Snapshot,
+                         prefix_snapshot)
+from .traces import TraceText, write_trace
 
 OUTCOMES = ("crash", "hang", "sdc", "benign_masked", "benign_not_activated")
 
@@ -286,6 +291,8 @@ class RunContext:
     campaign_seed: int
     golden: RunOutcome  # stdout only: classification needs no golden trace
     golden_metrics: dict[str, float]
+    golden_text: TraceText
+    start: Snapshot | None  # where every run starts; None: from scratch
 
 
 def load_program(path: str) -> IrModule:
@@ -343,7 +350,8 @@ def _worker_run(ctx: RunContext, run_index: int) -> RunResult:
     cfg = ctx.config
     seed = mix64(ctx.campaign_seed, run_index, ctx.fault_spec.seed_salt)
     oc = Machine(ctx.module, io=ctx.io, budget=cfg.budget, trace=True,
-                 plan=ctx.plan, sampler=make_sampler(ctx.fault_spec, seed)).run()
+                 plan=ctx.plan, sampler=make_sampler(ctx.fault_spec, seed),
+                 start=ctx.start).run()
     rr = RunResult(run_index=run_index, seed=seed,
                    outcome=classify_outcome(ctx.golden, oc, cfg.compare),
                    activation_count=oc.activation_count,
@@ -364,7 +372,8 @@ def _worker_run(ctx: RunContext, run_index: int) -> RunResult:
                     f"{t.kind}: {t.message}\nfunction: @{t.function} index: {t.index}\n"
                     if t is not None else f"budget exhausted after {oc.steps} steps\n")
     stat_dir = os.path.join(llfi, "llfi_stat_output")
-    write_trace(oc.trace, os.path.join(stat_dir, f"llfi.stat.trace.{run_index}-0.txt"))
+    write_trace(oc.trace, os.path.join(stat_dir, f"llfi.stat.trace.{run_index}-0.txt"),
+                ctx.golden_text, len(ctx.start.trace_idx) if ctx.start else 0)
     _write_text(os.path.join(stat_dir, f"llfi.stat.fi.injectedfaults.{run_index}-0.txt"),
                 _injection_log(oc, run_index, seed))
     return rr
@@ -408,7 +417,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     if golden.status != "ok":
         raise GoldenRunFailed(golden)
     _write_text(os.path.join(baseline_dir, "golden_std_output"), golden.stdout)
-    write_trace(golden.trace, os.path.join(baseline_dir, "llfi.stat.trace.prof.txt"))
+    golden_text = TraceText.write(golden.trace,
+                                  os.path.join(baseline_dir, "llfi.stat.trace.prof.txt"))
     golden_metrics: dict[str, float] = {}
     golden_notes: list[str] = []
     _collect_metrics(golden.stdout, cfg.metrics, "golden", golden_metrics, golden_notes)
@@ -417,7 +427,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
                      io=io_cfg,
                      campaign_seed=cfg.seed if cfg.seed is not None else input_cfg.seed,
                      golden=RunOutcome(status="ok", stdout=golden.stdout),
-                     golden_metrics=golden_metrics)
+                     golden_metrics=golden_metrics, golden_text=golden_text,
+                     start=(prefix_snapshot(indexed, io_cfg, cfg.budget, plan)
+                            if cfg.runs >= 1 else None))
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
                                  initargs=(ctx,)) as pool:

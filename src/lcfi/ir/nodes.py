@@ -39,6 +39,10 @@ SCALARS = {
     "ptr": (8, "<Q"), "f32": (4, "<f"), "f64": (8, "<d"),
 }
 
+# The scalar kinds a bitcast converts between, bit for bit: same-width integer
+# and float kinds. Pointers bitcast to pointers.
+BITCASTS = frozenset({("i32", "f32"), ("f32", "i32"), ("i64", "f64"), ("f64", "i64")})
+
 
 def wrap_int(v: int, bits: int) -> int:
     """Wrap an integer to a signed `bits`-wide value."""
@@ -346,3 +350,33 @@ class IrModule:
             for b in f.blocks:
                 for ins in b.instructions:
                     yield f, b, ins
+
+
+def gep_layout(source: IrType, indices) -> tuple[int, list]:
+    """A getelementptr's address as base + offset + sum of index * stride:
+    the constant offset, and (index operand, stride) for each index that is
+    not an integer constant. ValueError when the path steps through a scalar
+    or a struct field index is not a constant field number."""
+    offset, terms, t = 0, [], None
+    for pos, v in enumerate(indices):
+        if pos == 0:
+            stride, nxt = source.byte_width(), source
+        elif t.kind == "array":
+            stride, nxt = t.elem.byte_width(), t.elem
+        elif t.kind == "struct":
+            if v.kind != "int":
+                raise ValueError("getelementptr struct field index is not a constant")
+            if not 0 <= v.ival < len(t.fields):
+                raise ValueError(f"getelementptr struct field index {v.ival} "
+                                 f"out of range for {t.render()}")
+            offset += t.field_offset(v.ival)
+            t = t.fields[v.ival]
+            continue
+        else:
+            raise ValueError("getelementptr walks through a scalar")
+        if v.kind == "int":
+            offset += v.ival * stride
+        else:
+            terms.append((v, stride))
+        t = nxt
+    return offset, terms

@@ -603,6 +603,8 @@ class _ModuleParser:
                 elif elem.kind == "struct":
                     if idx.kind != "int":
                         raise cur.error("struct index must be a constant")
+                    if not 0 <= idx.ival < len(elem.fields):
+                        raise cur.error(f"struct index {idx.ival} out of range")
                     elem = elem.fields[idx.ival]
                 else:
                     raise cur.error("getelementptr steps through a non-aggregate")

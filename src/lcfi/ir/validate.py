@@ -9,6 +9,11 @@ through its incoming edge. Blocks no path reaches are not checked.
 Phis: none in the entry block, and each phi names a value for every block
 that branches to its own.
 
+Types: every opcode is one the interpreter runs, loads and stores move
+scalars, a bitcast converts between pointers or between same-width integer
+and float kinds, and every getelementptr path (constant ones included) steps
+only through arrays and structs, with constant struct field numbers.
+
 The interpreter decodes only modules that pass (see `lcfi.vm.decode`), so
 every rule it relies on is checked here.
 """
@@ -17,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nodes import Instruction, IrFunction, IrModule, TERMINATORS, ValueRef
+from .nodes import (BITCASTS, OPCODES, SCALARS, TERMINATORS, GlobalDef, Instruction,
+                    IrFunction, IrModule, ValueRef, gep_layout)
 
 
 @dataclass
@@ -57,6 +63,9 @@ def validate(module: IrModule) -> list[Diagnostic]:
 
     global_names = seen_glob | {"stdin", "stdout", "stderr"}
 
+    for g in module.globals:
+        diags.extend(Diagnostic(f"{problem} in the initializer of @{g.name}")
+                     for problem in _initializer_problems(g, global_names))
     for fn in module.functions:
         diags.extend(_validate_function(fn, module, seen_fn, global_names,
                                         INTRINSIC_NAMES))
@@ -98,6 +107,8 @@ def _validate_function(fn: IrFunction, module: IrModule, fn_names: set[str],
                     "instruction after terminator", fn.name, b.label, ins.line))
             diags.extend(_check_operands(ins, b, pos, fn, defined, into, defs,
                                          global_names))
+            diags.extend(Diagnostic(problem, fn.name, b.label, ins.line)
+                         for problem in _type_problems(ins))
             if ins.opcode == "br":
                 for lbl in ins.labels:
                     if lbl not in label_set:
@@ -152,6 +163,56 @@ def _check_operands(ins: Instruction, block, pos: int, fn: IrFunction,
                     f"register %{r} is not defined on every path to its use",
                     fn.name, block.label, ins.line))
     return diags
+
+
+def _type_problems(ins: Instruction) -> list[str]:
+    """What the interpreter cannot run in `ins`, by its types."""
+    op = ins.opcode
+    problems = [p for v in ins.operands for p in _constant_problems(v)]
+    if op not in OPCODES:
+        problems.append(f"opcode {op!r} not executable")
+    elif op == "bitcast":
+        src, dst = ins.operands[0].type, ins.result_type
+        if not (src.is_pointer() and dst.is_pointer()) and (src.kind, dst.kind) not in BITCASTS:
+            problems.append(f"bitcast {src.render()} to {dst.render()} unsupported")
+    elif op == "load" and ins.result_type.kind not in SCALARS:
+        problems.append(f"cannot load type {ins.result_type.render()}")
+    elif op == "store" and ins.operands[0].type.kind not in SCALARS:
+        problems.append(f"cannot store type {ins.operands[0].type.render()}")
+    elif op == "getelementptr":
+        try:
+            gep_layout(ins.aux_type, ins.operands[1:])
+        except ValueError as e:
+            problems.append(str(e))
+    return problems
+
+
+def _constant_problems(v: ValueRef) -> list[str]:
+    """The constant getelementptrs in an operand that cannot be laid out."""
+    if v.kind != "gep":
+        return []
+    problems = _constant_problems(v.base)
+    try:
+        _offset, terms = gep_layout(v.gep_source, v.indices)
+    except ValueError as e:
+        problems.append(str(e))
+    else:
+        if terms:
+            problems.append(f"constant {v.render()} has a non-constant index")
+    return problems
+
+
+def _initializer_problems(g: GlobalDef, global_names: set[str]) -> list[str]:
+    init = g.init
+    if init is None or init.kind not in ("scalar", "array"):
+        return []
+    t, values = ((g.type, (init.value,)) if init.kind == "scalar"
+                 else (g.type.elem, init.values))
+    if t.kind not in SCALARS:
+        return [f"cannot store type {t.render()}"]
+    return ([f"unknown global @{r.name}" for v in values for r in operand_refs(v)
+             if r.kind == "global" and r.name not in global_names]
+            + [p for v in values for p in _constant_problems(v)])
 
 
 def _predecessors(fn: IrFunction) -> dict[str, set]:

@@ -4,6 +4,10 @@ A trace is one text record per dynamic event. Alignment between a golden and
 a faulty trace is a minimal edit script over the instruction-index sequences
 (Myers O(ND)); record values never influence the alignment, they are compared
 afterwards on matched pairs.
+
+A run's trace is written from its raw columns; written against the trace of
+another run of the same program (`TraceText`), it copies that trace's bytes
+wherever the two agree record for record, which gives the same file.
 """
 
 from __future__ import annotations
@@ -12,12 +16,15 @@ import re
 import struct
 import sys
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, islice
-from operator import eq, ne
+from functools import cached_property
+from heapq import merge
+from itertools import accumulate, chain, compress, count, islice, repeat
+from math import copysign
+from operator import add, eq, ne
 
 from .ir.defuse import UseGraph
 from .ir.nodes import SCALARS, IrType
@@ -217,22 +224,119 @@ class RunTrace(Sequence):
     def __radd__(self, other) -> list[TraceRecord]:
         return list(other) + list(self)
 
-    def lines(self):
-        """The records' rendered lines, built one at a time."""
+    def lines(self, start: int = 0):
+        """The rendered lines of the records from `start` on, built one at a
+        time."""
         prefix, value_hex = self.fields.prefix, self.fields.value_hex
-        return (prefix[i] + value_hex[i](v) for i, v in zip(self.indices, self.values))
+        return (prefix[i] + value_hex[i](v)
+                for i, v in zip(islice(self.indices, start, None),
+                                islice(self.values, start, None)))
 
 
 _WRITE_CHUNK = 4096  # lines joined per write, so memory stays flat
 
 
-def write_trace(records, path: str) -> None:
-    """Write a RunTrace or a list of TraceRecords, one line per record."""
-    lines = (records.lines() if isinstance(records, RunTrace)
-             else (rec.render() for rec in records))
-    with open(path, "w", encoding="utf-8") as fh:
-        while chunk := list(islice(lines, _WRITE_CHUNK)):
-            fh.write("\n".join(chunk) + "\n")
+def _chunks(lines, offsets: array | None = None):
+    """The lines, each ended by a newline, joined and encoded _WRITE_CHUNK at
+    a time; `offsets`, when given, gains the offset where each line ends."""
+    while chunk := list(islice(lines, _WRITE_CHUNK)):
+        if offsets is not None:  # line k ends after lines 0..k and k + 1 newlines
+            offsets.extend(islice(map(add, accumulate(map(len, chunk),
+                                                      initial=offsets[-1]),
+                                      count()), 1, None))
+        yield ("\n".join(chunk) + "\n").encode()
+
+
+_FLOAT_HEX = (_hex_f32, _hex_f64)
+
+
+class TraceText:
+    """A RunTrace written to a trace file, for writing the traces of other
+    runs of the same program against it (see write_trace): the trace, the
+    file's path, the offset where each of its lines starts
+    (`offsets[len(trace)]` is the file's length) and, read when first used,
+    the file's bytes."""
+
+    def __init__(self, trace: RunTrace, path: str, offsets: array):
+        self.trace = trace
+        self.path = path
+        self.offsets = offsets
+        # Positions of zeros under a float kind's formatter, where an equal
+        # value may render differently: -0.0 == 0.0 == 0.
+        indices, value_hex = trace.indices, trace.fields.value_hex
+        self.zeros = array("q", (pos for pos in compress(count(), map(eq, trace.values,
+                                                                       repeat(0)))
+                                 if value_hex[indices[pos]] in _FLOAT_HEX))
+
+    @classmethod
+    def write(cls, trace: RunTrace, path: str) -> TraceText:
+        """Write `trace` to `path` as write_trace does."""
+        offsets = array("q", [0])
+        with open(path, "wb") as fh:
+            fh.writelines(_chunks(trace.lines(), offsets))
+        return cls(trace, path, offsets)
+
+    @cached_property
+    def data(self) -> bytes:
+        with open(self.path, "rb") as fh:
+            return fh.read()
+
+
+def write_trace(records, path: str, golden: TraceText | None = None,
+                known: int = 0) -> None:
+    """Write a RunTrace or a list of TraceRecords, one line per record.
+
+    With `golden`, the written trace of another run of the same program, a
+    RunTrace's first `known` records must be golden's own. They are copied
+    from golden's bytes, and so is every later record that has golden's
+    instruction and value at its position, up to the first record whose
+    instruction differs; the rest are rendered. The bytes are the same
+    either way."""
+    if golden is not None:
+        pieces = _pieces_against(records, golden, known)
+    else:
+        pieces = _chunks(records.lines() if isinstance(records, RunTrace)
+                         else (rec.render() for rec in records))
+    with open(path, "wb") as fh:
+        fh.writelines(pieces)
+
+
+_BLOCK = 64  # records compared per list compare
+
+
+def _differing(xs: list, ys: list, lo: int, hi: int):
+    """The positions in [lo, hi) where xs and ys hold unequal items: blocks
+    compare as whole lists, and only a block that differs item by item."""
+    for a in range(lo, hi, _BLOCK):
+        b = min(hi, a + _BLOCK)
+        x, y = xs[a:b], ys[a:b]
+        if x != y:
+            yield from compress(count(a), map(ne, x, y))
+
+
+def _pieces_against(trace: RunTrace, golden: TraceText, known: int):
+    """write_trace's bytes for `trace` against `golden`, piece by piece."""
+    ri, rv = trace.indices, trace.values
+    gi, gv = golden.trace.indices, golden.trace.values
+    data, offsets, zeros = memoryview(golden.data), golden.offsets, golden.zeros
+    end = min(len(ri), len(gi))
+    agree = next(_differing(ri, gi, known, end), end)
+    # the records to render before `agree`: values that compare unequal,
+    # and zeros of the other sign where golden has a zero
+    signs = (pos for pos in islice(zeros, bisect_left(zeros, known),
+                                   bisect_left(zeros, agree))
+             if rv[pos] == 0 and copysign(1.0, rv[pos]) != copysign(1.0, gv[pos]))
+    prefix, value_hex = trace.fields.prefix, trace.fields.value_hex
+    done = 0
+    for pos in chain(merge(_differing(rv, gv, known, agree), signs), (agree,)):
+        if pos > done:
+            yield data[offsets[done]:offsets[pos]]
+        if pos == agree:
+            break
+        i = ri[pos]
+        yield (prefix[i] + value_hex[i](rv[pos]) + "\n").encode()
+        done = pos + 1
+    yield from _chunks(trace.lines(agree))
 
 
 # -- alignment ---------------------------------------------------------------

@@ -18,9 +18,10 @@ and raises VmError with the diagnostics, so the decoder trusts its input. It
 caches the result on the module, so the golden run and every injection run in
 a process share it. Global addresses are the same in every run (the stack
 arena is a bump allocator), so the module's globals are laid out and
-initialized here, once; each run starts from a copy of that arena. Nothing
-here holds per-run state. Per plan, `DecodedModule.codes` swaps in injecting
-ops at the plan's targets.
+initialized here, once, with a handle slot for each of @stdin, @stdout and
+@stderr used without a declaration; each run starts from a copy of that
+arena. Nothing here holds per-run state. Per plan, `DecodedModule.codes`
+swaps in injecting ops at the plan's targets.
 
 Register lists: slot 0 always holds None, the value of a store or a void
 return; slots 1..P hold the parameters.
@@ -32,7 +33,8 @@ import math
 import operator
 import struct
 
-from ..ir.nodes import SCALARS, IrFunction, IrModule, ValueRef, to_f32
+from ..ir.nodes import (BITCASTS, SCALARS, IrFunction, IrModule, ValueRef, gep_layout,
+                        to_f32)
 from ..ir.validate import validate
 from ..traces import TraceFields
 from .arena import HEAP_BASE, MemoryArena
@@ -40,8 +42,8 @@ from .intrinsics import INTRINSICS, STDERR_HANDLE, STDIN_HANDLE, STDOUT_HANDLE
 
 
 class VmError(Exception):
-    """A program the interpreter cannot run: it fails validation, or uses
-    a construct the interpreter does not support."""
+    """A program the interpreter cannot run: it fails validation, or it has
+    no entry function of that name and arity."""
 
 
 def _fdiv(a: float, b: float) -> float:
@@ -62,11 +64,8 @@ _FLOAT_OPS = {"fadd": operator.add, "fsub": operator.sub, "fmul": operator.mul,
 # icmp and fcmp predicates end in one of these relations.
 _RELATIONS = {"eq": operator.eq, "ne": operator.ne, "gt": operator.gt,
               "ge": operator.ge, "lt": operator.lt, "le": operator.le}
-# bitcast between same-width integer and float kinds: (source, destination)
-# struct formats.
-_BITCASTS = {(src, dst): (SCALARS[src][1], SCALARS[dst][1])
-             for src, dst in (("i32", "f32"), ("f32", "i32"),
-                              ("i64", "f64"), ("f64", "i64"))}
+# bitcast between scalar kinds: (source, destination) struct formats.
+_BITCASTS = {(src, dst): (SCALARS[src][1], SCALARS[dst][1]) for src, dst in BITCASTS}
 
 # Terminator kinds, the first field of Segment.term:
 #   (BR, condition slot or None, edge taken on true or always, edge on false)
@@ -84,12 +83,6 @@ def _wrap_bits(bits: int) -> tuple[int, int]:
 
 def _nop(regs, m):
     pass
-
-
-def _fail(message: str):
-    def run(regs, m):
-        raise VmError(message)
-    return run
 
 
 # -- op factories: (instruction, result slot, operand slot function) -> op ----
@@ -205,10 +198,7 @@ def _cast(ins, d, slot):
             v = regs[x]
             regs[d] = ((math.trunc(v) + half) & mask) - half if math.isfinite(v) else 0
     elif op == "bitcast" and not (src.is_pointer() and dst.is_pointer()):
-        formats = _BITCASTS.get((src.kind, dst.kind))
-        if formats is None:
-            return _fail(f"bitcast {src.render()} to {dst.render()} unsupported")
-        pack, unpack = formats
+        pack, unpack = _BITCASTS[src.kind, dst.kind]
 
         def run(regs, m):
             regs[d] = struct.unpack(unpack, struct.pack(pack, regs[x]))[0]
@@ -226,8 +216,6 @@ def _cast(ins, d, slot):
 def _load(ins, d, slot):
     p = slot(ins.operands[0])
     kind = ins.result_type.kind
-    if kind not in SCALARS:
-        return _fail(f"cannot load type {ins.result_type.render()}")
 
     def run(regs, m):
         a = regs[p]
@@ -238,8 +226,6 @@ def _load(ins, d, slot):
 def _store(ins, d, slot):
     v, p = map(slot, ins.operands)
     kind = ins.operands[0].type.kind
-    if kind not in SCALARS:
-        return _fail(f"cannot store type {ins.operands[0].type.render()}")
 
     def run(regs, m):
         a = regs[p]
@@ -256,38 +242,9 @@ def _alloca(ins, d, slot):
     return run
 
 
-def gep_layout(source, indices: tuple[ValueRef, ...]) -> tuple[int, list]:
-    """A getelementptr's address as base + offset + sum of index * stride:
-    the constant offset, and (index operand, stride) for each index that is
-    not an integer constant. Struct field indices must be constants."""
-    offset, terms, t = 0, [], None
-    for pos, v in enumerate(indices):
-        if pos == 0:
-            stride, nxt = source.byte_width(), source
-        elif t.kind == "array":
-            stride, nxt = t.elem.byte_width(), t.elem
-        elif t.kind == "struct":
-            if v.kind != "int":
-                raise VmError("getelementptr struct field index is not a constant")
-            offset += t.field_offset(v.ival)
-            t = t.fields[v.ival]
-            continue
-        else:
-            raise VmError("getelementptr walks through a scalar")
-        if v.kind == "int":
-            offset += v.ival * stride
-        else:
-            terms.append((v, stride))
-        t = nxt
-    return offset, terms
-
-
 def _gep(ins, d, slot):
     b = slot(ins.operands[0])
-    try:
-        off, terms = gep_layout(ins.aux_type, tuple(ins.operands[1:]))
-    except VmError as e:
-        return _fail(str(e))
+    off, terms = gep_layout(ins.aux_type, ins.operands[1:])
     terms = [(slot(v), stride) for v, stride in terms]
     if not terms:
         def run(regs, m):
@@ -310,10 +267,6 @@ def _call(ins, d, slot):
     def run(regs, m):
         regs[d] = impl(m, [regs[s] for s in args])
     return run
-
-
-def _not_executable(ins, d, slot):
-    return _fail(f"opcode {ins.opcode!r} not executable")
 
 
 _DECODERS = {
@@ -422,7 +375,7 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
         ops, rec_idx, rec_slot = [], [], []
         for pos, ins in enumerate(body):
             d = result(ins)
-            ops.append(_DECODERS.get(ins.opcode, _not_executable)(ins, d, slot))
+            ops.append(_DECODERS[ins.opcode](ins, d, slot))
             if ins.index is not None:
                 where[ins.index] = (fi, si, pos, d)
                 rec_idx.append(ins.index)
@@ -491,13 +444,12 @@ class DecodedModule:
     def _const(self, v: ValueRef):
         """The value of a constant operand: int, float, null, global or gep."""
         if v.kind == "global":
-            if v.name not in self.globals:
-                raise VmError(f"unknown global @{v.name}")
+            if v.name not in self.globals:  # @stdin, @stdout or @stderr, undeclared
+                addr = self.globals[v.name] = self.arena.alloc(8, 8)
+                self.arena.store(addr, "ptr", _HANDLES[v.name])
             return self.globals[v.name]
         if v.kind == "gep":
-            offset, terms = gep_layout(v.gep_source, v.indices)
-            if terms:
-                raise VmError(f"constant {v.render()} has a non-constant index")
+            offset, _terms = gep_layout(v.gep_source, v.indices)
             return self._const(v.base) + offset
         return v.ival if v.kind == "int" else v.fval if v.kind == "float" else 0
 
@@ -512,8 +464,6 @@ class DecodedModule:
         else:  # a scalar, or an array of scalars
             t, values = ((g.type, (init.value,)) if init.kind == "scalar"
                          else (g.type.elem, init.values))
-            if t.kind not in SCALARS:
-                raise VmError(f"cannot store type {t.render()}")
             for i, v in enumerate(values):
                 self.arena.store(addr + i * t.byte_width(), t.kind, self._const(v))
 

@@ -18,10 +18,17 @@ Hook order at a target instruction: the result is computed, the occurrence
 scope is consulted, a sampled error is applied, and only then does the trace
 record the (possibly faulted) value. A fault on a non-finite value is skipped
 and counted separately; it is not an activation.
+
+Every run under one plan is the same run until its sampler is first drawn.
+`prefix_snapshot` runs that fault-free prefix once and captures the state at
+the start of the segment holding the first draw; a machine built with
+`start=` that snapshot resumes there, with absolute step counts and the
+prefix's trace records in place.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -91,6 +98,26 @@ class IoConfig:
     workdir: str = ""
 
 
+@dataclass(frozen=True)
+class Snapshot:
+    """A run's state at the start of a segment, before its sampler's first
+    draw, as plain data: each frame is (function number, segment number,
+    registers, stack mark, call ordinal, loop trips), so a snapshot pickles.
+    A machine started from it copies what it would change."""
+    frames: tuple
+    arena: MemoryArena
+    heap: MemoryArena
+    stdin: InStream
+    open_streams: dict
+    stdout_parts: tuple
+    steps: int
+    call_counts: tuple
+    exec_counts: dict
+    skipped_nonfinite: int
+    trace_idx: list
+    trace_val: list
+
+
 class Frame:
     """One activation: its function's code, the segment it is in, its
     registers, its stack mark, which call of the function it is, and the
@@ -113,7 +140,8 @@ class Machine:
     def __init__(self, module: IrModule, io: IoConfig | None = None,
                  budget: int = DEFAULT_BUDGET, max_depth: int = DEFAULT_MAX_DEPTH,
                  trace: bool = False, plan: InjectionPlan | None = None,
-                 sampler: Sampler | None = None, strict_nonfinite: bool = False):
+                 sampler: Sampler | None = None, strict_nonfinite: bool = False,
+                 start: Snapshot | None = None):
         self.module = module
         self.io = io or IoConfig()
         self.budget = budget
@@ -141,6 +169,42 @@ class Machine:
         self._call_counts = [0] * len(self._codes)
         self._stack: list[Frame] = []
         self._exec_counts = {t.index: 0 for t in plan.targets} if plan else {}
+        if start is not None:
+            self._restore(start)
+
+    def _restore(self, s: Snapshot) -> None:
+        """Resume from a snapshot taken under this machine's plan."""
+        self.arena = s.arena.copy()
+        self.heap = s.heap.copy()
+        self.stdin = copy.copy(s.stdin)
+        self.open_streams = {h: copy.copy(st) for h, st in s.open_streams.items()}
+        self._stdout_parts = list(s.stdout_parts)
+        self.steps = s.steps
+        self._call_counts = list(s.call_counts)
+        self._exec_counts = dict(s.exec_counts)
+        self.skipped_nonfinite = s.skipped_nonfinite
+        if self.tracing:
+            self._trace_idx = list(s.trace_idx)
+            self._trace_val = list(s.trace_val)
+        for fi, si, regs, mark, inv_ordinal, loop_trips in s.frames:
+            frame = Frame(self._codes[fi], list(regs), mark, inv_ordinal)
+            frame.si = si
+            frame.loop_trips = dict(loop_trips)
+            self._stack.append(frame)
+
+    def _snapshot(self) -> Snapshot:
+        """The state of a finished machine that its budget stopped at the
+        start of a segment, before any draw. The snapshot takes over the
+        machine's memory and streams."""
+        fn_index = self._decoded.fn_index
+        return Snapshot(
+            frames=tuple((fn_index[f.code.fn.name], f.si, f.regs, f.mark,
+                          f.inv_ordinal, f.loop_trips) for f in self._stack),
+            arena=self.arena, heap=self.heap, stdin=self.stdin,
+            open_streams=self.open_streams, stdout_parts=tuple(self._stdout_parts),
+            steps=self.budget, call_counts=tuple(self._call_counts),
+            exec_counts=self._exec_counts, skipped_nonfinite=self.skipped_nonfinite,
+            trace_idx=self._trace_idx, trace_val=self._trace_val)
 
     # -- services used by intrinsics and ops --------------------------------
 
@@ -168,6 +232,8 @@ class Machine:
     # -- running -------------------------------------------------------------
 
     def run(self, entry: str = "main", args: tuple = ()) -> RunOutcome:
+        """Run `entry` to its return; a machine started from a snapshot
+        resumes the run the snapshot was taken from instead."""
         try:
             ret = self._exec(entry, args)
             status, trap, value = "ok", None, ret
@@ -199,14 +265,15 @@ class Machine:
 
     def _exec(self, entry: str, args: tuple):
         """Run segments until the entry function returns."""
-        fi = self._decoded.fn_index.get(entry)
-        if fi is None:
-            raise VmError(f"no function @{entry}")
-        self._push(fi, list(args))
+        if not self._stack:
+            fi = self._decoded.fn_index.get(entry)
+            if fi is None:
+                raise VmError(f"no function @{entry}")
+            self._push(fi, list(args))
         stack, budget = self._stack, self.budget
         tidx, tval = self._trace_idx, self._trace_val
         frame = stack[-1]
-        segs, regs, watch, si = frame.code.segs, frame.regs, frame.code.watch, 0
+        segs, regs, watch, si = frame.code.segs, frame.regs, frame.code.watch, frame.si
         op = None
         try:
             while True:
@@ -220,6 +287,7 @@ class Machine:
                 if steps > budget:
                     self._record(seg, regs, len(ops))
                     self.steps = budget + 1
+                    frame.si = si  # where a snapshot resumes
                     raise _BudgetExhausted
                 if tidx is not None:
                     tidx.extend(seg.rec_idx)
@@ -293,6 +361,10 @@ class Machine:
                           f"target ID {ins.index} holds {value!r}")
             self.skipped_nonfinite += 1
             return value
+        return self._fault(target, ins, value, step)
+
+    def _fault(self, target: PlanTarget, ins: Instruction, value, step: int):
+        """Draw an error for `value` and apply it: one activation."""
         err = sample_error(self.sampler, float(value))
         faulted = apply_fault(value, err, target.value_kind,
                               draw_bound(self.sampler.spec, float(value)))
@@ -311,6 +383,44 @@ class Machine:
             return frame.inv_ordinal in scope.k
         return (target.loop is not None
                 and frame.loop_trips.get(target.loop[0], 0) in scope.k)
+
+
+class _FirstDraw(Exception):
+    def __init__(self, base: int):
+        self.base = base  # the step count where the draw's segment starts
+
+
+_NO_DRAWS = object()  # a probe's sampler
+
+
+class _Probe(Machine):
+    """A run under a plan that stops before its first draw, so it never
+    needs a sampler."""
+
+    def __init__(self, module: IrModule, io: IoConfig, budget: int,
+                 plan: InjectionPlan, trace: bool = False):
+        super().__init__(module, io=io, budget=budget, trace=trace, plan=plan,
+                         sampler=_NO_DRAWS)
+
+    def _fault(self, target, ins, value, step):
+        pos = self._decoded.where[ins.index][2]  # the op's place in its segment
+        raise _FirstDraw(step - pos - 1)
+
+
+def prefix_snapshot(module: IrModule, io: IoConfig, budget: int,
+                    plan: InjectionPlan) -> Snapshot | None:
+    """The state every run under `plan` reaches unchanged: the start of the
+    segment that holds the sampler's first draw, for runs that skip faults
+    on non-finite values. None when the run ends first: it returns, traps
+    or exhausts `budget`."""
+    try:
+        _Probe(module, io, budget, plan).run()
+        return None
+    except _FirstDraw as hit:
+        base = hit.base
+    probe = _Probe(module, io, base, plan, trace=True)
+    probe.run()  # the budget stops it at the start of that segment
+    return probe._snapshot()
 
 
 def run_module(module: IrModule, **kw) -> RunOutcome:

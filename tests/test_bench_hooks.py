@@ -77,3 +77,51 @@ def test_run_offers_what_layer_metrics_reads(monkeypatch, demo_io):
     assert len(oc.trace) > 0
     assert all(isinstance(r.index, int) for r in oc.trace)
     assert [r.render() for r in oc.trace] == list(oc.trace.lines())
+
+
+def test_patched_machine_sees_every_injection_run(monkeypatch, tmp_path):
+    # perfbench times each run by patching a Machine subclass into
+    # lcfi.campaign; runs that start from the golden snapshot must still be
+    # built and run through it, and report whole traces and absolute steps.
+    import lcfi.campaign as campaign
+    from lcfi.faults import mix64
+
+    seen = []
+
+    class Counting(campaign.Machine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            seen.append(["init", self])
+
+        def run(self, *args, **kwargs):
+            outcome = super().run(*args, **kwargs)
+            seen.append(["run", self, outcome])
+            return outcome
+
+    monkeypatch.setattr(campaign, "Machine", Counting)
+    cfg = campaign.CampaignConfig(program=fixture_path("cg.ll"),
+                                  input=fixture_path("cg_input.yaml"), runs=4,
+                                  output_dir=str(tmp_path))
+    campaign.run_campaign(cfg)
+    injection = [event for event in seen if event[1].plan is not None]
+    assert [event[0] for event in injection] == ["init", "run"] * cfg.runs
+
+    module = assign_indices(campaign.load_program(cfg.program))
+    input_cfg = load_input_config(cfg.input)
+    plan = build_plan(module, input_cfg)
+    spec = input_cfg.fault_spec(base_dir=FIXTURES)
+    for i, (_kind, mach, oc) in enumerate(injection[1::2]):
+        seed = mix64(input_cfg.seed, i, spec.seed_salt)
+        assert (mach.sampler.spec, mach.sampler.seed) == (spec, seed)
+        scratch = machine.Machine(module, io=cfg.io_config(), budget=cfg.budget,
+                                  trace=True, plan=plan,
+                                  sampler=make_sampler(spec, seed)).run()
+        assert oc.activation_count > 0
+        assert oc.activations[0].step == scratch.activations[0].step > 800
+        assert len(oc.trace) == len(scratch.trace)
+        assert oc.trace[0] == scratch.trace[0]
+        # perfbench's untraced rerun from scratch, as `--trace 1` makes it
+        again = machine.Machine(mach.module, io=mach.io, budget=mach.budget,
+                                plan=mach.plan, sampler=make_sampler(spec, seed)).run()
+        assert (again.steps, again.stdout, again.status) == (oc.steps, oc.stdout,
+                                                             oc.status)

@@ -195,6 +195,8 @@ define void @f(i8* %s) {
     "wibble\n",
     "define i32 @f() {\n  %x = add i32 1, 2 trailing\n  ret i32 %x\n}\n",
     "define void @f() {\n  store i32 1, i32* %p extra\n  ret void\n}\n",
+    "define void @f({ i32, double }* %s) {\n  %p = getelementptr { i32, double }, "
+    "{ i32, double }* %s, i64 0, i32 2\n  ret void\n}\n",
 ])
 def test_parse_errors_carry_position(bad):
     with pytest.raises(ParseError) as exc:

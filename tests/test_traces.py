@@ -1,14 +1,17 @@
+import math
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lcfi.instrument import assign_indices, build_plan, load_input_config
 from lcfi.ir.defuse import build_def_use
 from lcfi.faults import Sampler, make_sampler
 from lcfi.traces import (AlignedPair, Divergence, IndexMismatch, TraceFormatError,
                          TraceRecord, _myers_core, _myers_ops, build_propagation,
-                         format_record, parse_record, read_trace, trace_diff,
-                         trace_to_dot, trace_union, write_trace)
+                         RunTrace, TraceFields, TraceText, format_record, parse_record,
+                         read_trace, trace_diff, trace_to_dot, trace_union, write_trace)
 from lcfi.vm.machine import IoConfig, Machine
 
 from conftest import fixture_path, load_fixture_module
@@ -390,6 +393,120 @@ def test_run_trace_reads_like_its_records(tmp_path, demo_indexed, demo_io):
     write_trace(records, str(tmp_path / "records.txt"))
     assert (tmp_path / "run.txt").read_bytes() == (tmp_path / "records.txt").read_bytes()
     assert read_trace(str(tmp_path / "run.txt")) == records
+
+
+class TestWriteAgainstGolden:
+    """write_trace against golden's TraceText writes the plain bytes."""
+
+    FIELDS = TraceFields([(1, "fadd", "f64"), (2, "add", "i32"), (3, "fmul", "f32"),
+                          (4, "store", "void"), (5, "load", "i64")])
+    GOLDEN = RunTrace([1, 2, 3, 4, 5, 1, 3, 1, 2, 5],
+                      [0.0, 0, -0.0, None, 7, 2.5, 0.0, 0, 3, 0], FIELDS)
+
+    @staticmethod
+    def _text(tmp_path, golden) -> TraceText:
+        text = TraceText.write(golden, str(tmp_path / "golden.txt"))
+        write_trace(golden, str(tmp_path / "plain_golden.txt"))
+        assert text.data == (tmp_path / "plain_golden.txt").read_bytes()
+        return text
+
+    def _check(self, tmp_path, indices, values, known=0, golden=GOLDEN):
+        trace = RunTrace(indices, values, self.FIELDS)
+        write_trace(trace, str(tmp_path / "plain.txt"))
+        write_trace(trace, str(tmp_path / "against.txt"), self._text(tmp_path, golden),
+                    known)
+        plain = (tmp_path / "plain.txt").read_bytes()
+        assert (tmp_path / "against.txt").read_bytes() == plain
+        return plain
+
+    def test_golden_itself_at_every_known(self, tmp_path):
+        for known in range(len(self.GOLDEN) + 1):
+            self._check(tmp_path, self.GOLDEN.indices, self.GOLDEN.values, known)
+
+    def test_line_offsets(self, tmp_path):
+        text = self._text(tmp_path, self.GOLDEN)
+        lines = list(self.GOLDEN.lines())
+        assert text.data == "".join(line + "\n" for line in lines).encode()
+        assert list(text.offsets) == [sum(len(line) + 1 for line in lines[:k])
+                                      for k in range(len(lines) + 1)]
+
+    @pytest.mark.parametrize("values,renders_as_golden", [
+        ([-0.0, 0, -0.0, None, 7, 2.5, 0.0, 0, 3, 0], False),  # -0.0 for 0.0
+        ([0.0, 0, 0.0, None, 7, 2.5, -0.0, 0, 3, 0], False),  # 0.0 for -0.0
+        ([0.0, 0, -0.0, None, 7, 2.5, 0.0, -0.0, 3, 0], False),  # -0.0 for int 0
+        ([0, 0, -0.0, None, 7, 2.5, 0, 0.0, 3, 0], True),  # 0 for 0.0, 0.0 for 0
+        ([math.nan, 0, -0.0, None, 7, math.nan, 0.0, 0, 3, 0], False),
+        ([0.0, 0, -0.0, None, 7, 2.5, 0.0, 0, 4, -1], False),  # ints differ
+    ], ids=["neg_zero", "pos_zero", "neg_zero_for_int_zero", "int_zero",
+            "nan", "ints"])
+    def test_equal_values_that_render_differently(self, tmp_path, values,
+                                                  renders_as_golden):
+        plain = self._check(tmp_path, self.GOLDEN.indices, values)
+        assert (plain == self._text(tmp_path, self.GOLDEN).data) == renders_as_golden
+
+    def test_nan_on_both_sides(self, tmp_path):
+        golden = RunTrace([1, 1], [math.nan, 1.0], self.FIELDS)
+        self._check(tmp_path, [1, 1], [math.nan, 1.0], golden=golden)
+        self._check(tmp_path, [1, 1], [golden.values[0], 1.0], golden=golden)
+
+    def test_shorter_and_longer_than_golden(self, tmp_path):
+        g = self.GOLDEN
+        self._check(tmp_path, g.indices[:6], g.values[:6], known=3)
+        self._check(tmp_path, g.indices + [2, 3], g.values + [9, 1.5], known=4)
+        self._check(tmp_path, g.indices[:6], [0.0, 0, -0.0, None, 7, 2.25])
+
+    def test_index_mismatch_mid_trace(self, tmp_path):
+        g = self.GOLDEN
+        # same values as golden after the mismatch, but rendered anyway
+        self._check(tmp_path, g.indices[:4] + [1] + g.indices[5:],
+                    g.values[:4] + [7.0] + g.values[5:], known=2)
+        self._check(tmp_path, g.indices[:5] + g.indices[6:], g.values[:5] + g.values[6:])
+
+    def test_empty_traces(self, tmp_path):
+        assert self._check(tmp_path, [], []) == b""
+        empty = RunTrace([], [], self.FIELDS)
+        assert self._check(tmp_path, self.GOLDEN.indices, self.GOLDEN.values,
+                           golden=empty) != b""
+
+    def test_long_traces_copy_in_chunks(self, tmp_path):
+        n = 3 * 4096 + 5
+        golden_values = [v for k in range(n) for v in (float(k), k)]
+        golden_values[12000] = 0.0
+        golden = RunTrace([1, 2] * n, golden_values, self.FIELDS)
+        values = list(golden.values)
+        values[12000] = -0.0
+        values[5000] = -1.0
+        values[9001] = 12
+        values[20000] = -0.0
+        self._check(tmp_path, golden.indices, values, known=100, golden=golden)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_random_edits(self, tmp_path, data):
+        pool = [0, -0.0, 0.0, 1, 2, 1.5, math.nan, math.inf, None]
+        n = data.draw(st.integers(0, 30))
+        g_idx = data.draw(st.lists(st.sampled_from([1, 2, 5]), min_size=n, max_size=n))
+        g_val = [data.draw(st.sampled_from(pool[:6] if i == 1 else [0, 1, 2, -7]))
+                 for i in g_idx]
+        idx, val = list(g_idx), list(g_val)
+        for _ in range(data.draw(st.integers(0, 4))):
+            if not idx:
+                break
+            pos = data.draw(st.integers(0, len(idx) - 1))
+            kind = data.draw(st.sampled_from(["value", "drop", "insert"]))
+            if kind == "value":
+                val[pos] = data.draw(st.sampled_from(pool[:8] if idx[pos] == 1
+                                                     else [0, 3, -1]))
+            elif kind == "drop":
+                del idx[pos], val[pos]
+            else:
+                idx.insert(pos, 2)
+                val.insert(pos, 4)
+        same = next((k for k, (a, b, c, d) in enumerate(zip(idx, g_idx, val, g_val))
+                     if a != b or c is not d), min(len(idx), len(g_idx)))
+        known = data.draw(st.integers(0, same))
+        self._check(tmp_path, idx, val, known, RunTrace(g_idx, g_val, self.FIELDS))
 
 
 def _demo_traces(demo_indexed, demo_io, seed=77):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from lcfi.ir.parser import parse_module
@@ -314,3 +316,66 @@ define i32 @f() {
 """))
     rendered = str(diags[0])
     assert "@f" in rendered and "line" in rendered
+
+
+@pytest.mark.parametrize("text,message", [
+    ("define i64 @f() {\n  %w = bitcast i32 1 to i64\n  ret i64 %w\n}\n",
+     "bitcast i32 to i64 unsupported"),
+    ("define double @f() {\n  %w = bitcast i32 1 to double\n  ret double %w\n}\n",
+     "bitcast i32 to double unsupported"),
+    ("define i32 @f() {\n  %p = alloca [2 x i32]\n"
+     "  %v = load [2 x i32], [2 x i32]* %p\n  ret i32 0\n}\n",
+     "cannot load type [2 x i32]"),
+    ("@g = global i32 0\ndefine i32 @f() {\n"
+     "  %v = load i32, i32* getelementptr (i32, i32* @g, i64 0, i64 1)\n"
+     "  ret i32 %v\n}\n",
+     "getelementptr walks through a scalar"),
+    ("define i32 @f(i64 %i) {\n  %v = load i32, i32* getelementptr "
+     "([2 x i32], [2 x i32]* null, i64 0, i64 %i)\n  ret i32 %v\n}\n",
+     "has a non-constant index"),
+    ("@g = global i32 0\n@q = global i32* getelementptr (i32, i32* @g, i64 0, i64 1)\n",
+     "getelementptr walks through a scalar in the initializer of @q"),
+    ("@q = global i32* @nope\n", "unknown global @nope in the initializer of @q"),
+], ids=["bitcast_widths", "bitcast_int_to_double", "load_aggregate",
+        "constant_gep_through_scalar", "constant_gep_register_index",
+        "initializer_gep", "initializer_global"])
+def test_what_the_interpreter_cannot_run(text, message):
+    assert any(message in m for m in _messages(text))
+
+
+def _hand_edited(edit):
+    """A valid module with one instruction of @f changed by `edit`."""
+    module = parse_module("""
+define void @f(i64 %i) {
+  %s = alloca { i32, double }
+  %p = getelementptr { i32, double }, { i32, double }* %s, i64 0, i32 1
+  store double 1.0, double* %p
+  ret void
+}
+""")
+    assert validate(module) == []
+    edit({ins.opcode: ins for ins in module.functions[0].blocks[0].instructions})
+    return [d.message for d in validate(module)]
+
+
+def test_hand_built_gep_and_store():
+    from lcfi.ir.nodes import I32, intc, reg
+
+    def struct_index_from_register(ins):
+        ins["getelementptr"].operands[2] = reg("i", I32)
+
+    def through_scalar(ins):
+        ins["getelementptr"].operands.append(intc(0))
+
+    def store_aggregate(ins):
+        store = ins["store"]
+        store.operands[0] = replace(store.operands[0], type=ins["alloca"].aux_type)
+
+    def unknown_opcode(ins):
+        ins["store"].opcode = "frobnicate"
+
+    assert "getelementptr struct field index is not a constant" in _hand_edited(
+        struct_index_from_register)
+    assert "getelementptr walks through a scalar" in _hand_edited(through_scalar)
+    assert "cannot store type { i32, double }" in _hand_edited(store_aggregate)
+    assert "opcode 'frobnicate' not executable" in _hand_edited(unknown_opcode)

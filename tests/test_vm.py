@@ -943,6 +943,29 @@ define {dst} @main() {{
 """))
 
 
+    def test_unsupported_bitcast_fails_before_running(self):
+        module = parse_module("define i32 @main() {\n"
+                              "  %a = bitcast i32 1 to i64\n  ret i32 0\n}\n")
+        with pytest.raises(VmError, match="bitcast i32 to i64 unsupported"):
+            Machine(module)
+
+
+class TestStdioHandles:
+    def test_undeclared_handles_are_laid_out(self):
+        out = run_src("""
+@stdin = external global i8*
+define i32 @main() {
+  %o = load i8*, i8** @stdout
+  %i = load i8*, i8** @stdin
+  %e = load i8*, i8** @stderr
+  %o2 = load i8*, i8** @stdout
+  ret i32 0
+}
+""", trace=True)
+        assert out.status == "ok"
+        assert [int(r.value_hex, 16) for r in out.trace] == [16, 8, 24, 16]
+
+
 class TestScalarRoundTrip:
     @pytest.mark.parametrize("ty,literal,expected", [
         ("i1", "false", 0),
