@@ -289,9 +289,9 @@ class RunContext:
     fault_spec: FaultSpec
     io: IoConfig
     campaign_seed: int
-    golden: RunOutcome  # stdout only: classification needs no golden trace
+    golden: RunOutcome  # stdout only, for classification
     golden_metrics: dict[str, float]
-    golden_text: TraceText
+    golden_text: TraceText  # golden's trace, for write_trace to copy from
     start: Snapshot | None  # where every run starts; None: from scratch
 
 
@@ -373,7 +373,7 @@ def _worker_run(ctx: RunContext, run_index: int) -> RunResult:
                     if t is not None else f"budget exhausted after {oc.steps} steps\n")
     stat_dir = os.path.join(llfi, "llfi_stat_output")
     write_trace(oc.trace, os.path.join(stat_dir, f"llfi.stat.trace.{run_index}-0.txt"),
-                ctx.golden_text, len(ctx.start.trace_idx) if ctx.start else 0)
+                ctx.golden_text)
     _write_text(os.path.join(stat_dir, f"llfi.stat.fi.injectedfaults.{run_index}-0.txt"),
                 _injection_log(oc, run_index, seed))
     return rr

@@ -282,18 +282,16 @@ class TraceText:
             return fh.read()
 
 
-def write_trace(records, path: str, golden: TraceText | None = None,
-                known: int = 0) -> None:
+def write_trace(records, path: str, golden: TraceText | None = None) -> None:
     """Write a RunTrace or a list of TraceRecords, one line per record.
 
     With `golden`, the written trace of another run of the same program, a
-    RunTrace's first `known` records must be golden's own. They are copied
-    from golden's bytes, and so is every later record that has golden's
-    instruction and value at its position, up to the first record whose
+    RunTrace's records that have golden's instruction and value at their
+    position are copied from golden's bytes, up to the first record whose
     instruction differs; the rest are rendered. The bytes are the same
     either way."""
     if golden is not None:
-        pieces = _pieces_against(records, golden, known)
+        pieces = _pieces_against(records, golden)
     else:
         pieces = _chunks(records.lines() if isinstance(records, RunTrace)
                          else (rec.render() for rec in records))
@@ -304,31 +302,30 @@ def write_trace(records, path: str, golden: TraceText | None = None,
 _BLOCK = 64  # records compared per list compare
 
 
-def _differing(xs: list, ys: list, lo: int, hi: int):
-    """The positions in [lo, hi) where xs and ys hold unequal items: blocks
+def _differing(xs: list, ys: list, n: int):
+    """The positions below n where xs and ys hold unequal items: blocks
     compare as whole lists, and only a block that differs item by item."""
-    for a in range(lo, hi, _BLOCK):
-        b = min(hi, a + _BLOCK)
+    for a in range(0, n, _BLOCK):
+        b = min(n, a + _BLOCK)
         x, y = xs[a:b], ys[a:b]
         if x != y:
             yield from compress(count(a), map(ne, x, y))
 
 
-def _pieces_against(trace: RunTrace, golden: TraceText, known: int):
+def _pieces_against(trace: RunTrace, golden: TraceText):
     """write_trace's bytes for `trace` against `golden`, piece by piece."""
     ri, rv = trace.indices, trace.values
     gi, gv = golden.trace.indices, golden.trace.values
     data, offsets, zeros = memoryview(golden.data), golden.offsets, golden.zeros
     end = min(len(ri), len(gi))
-    agree = next(_differing(ri, gi, known, end), end)
+    agree = next(_differing(ri, gi, end), end)
     # the records to render before `agree`: values that compare unequal,
     # and zeros of the other sign where golden has a zero
-    signs = (pos for pos in islice(zeros, bisect_left(zeros, known),
-                                   bisect_left(zeros, agree))
+    signs = (pos for pos in islice(zeros, bisect_left(zeros, agree))
              if rv[pos] == 0 and copysign(1.0, rv[pos]) != copysign(1.0, gv[pos]))
     prefix, value_hex = trace.fields.prefix, trace.fields.value_hex
     done = 0
-    for pos in chain(merge(_differing(rv, gv, known, agree), signs), (agree,)):
+    for pos in chain(merge(_differing(rv, gv, agree), signs), (agree,)):
         if pos > done:
             yield data[offsets[done]:offsets[pos]]
         if pos == agree:

@@ -23,7 +23,9 @@ Every run under one plan is the same run until its sampler is first drawn.
 `prefix_snapshot` runs that fault-free prefix once and captures the state at
 the start of the segment holding the first draw; a machine built with
 `start=` that snapshot resumes there, with absolute step counts and the
-prefix's trace records in place.
+prefix's trace records in place. It must be a machine that would have made
+the same run (same module, plan, io and depth limit, a budget that reaches
+the snapshot); any other raises ValueError.
 """
 
 from __future__ import annotations
@@ -103,7 +105,13 @@ class Snapshot:
     """A run's state at the start of a segment, before its sampler's first
     draw, as plain data: each frame is (function number, segment number,
     registers, stack mark, call ordinal, loop trips), so a snapshot pickles.
-    A machine started from it copies what it would change."""
+    A machine started from it copies what it would change. The run it was
+    taken of had `module`, `plan`, `io` and `max_depth`, and skipped faults
+    on non-finite values."""
+    module: IrModule
+    plan: InjectionPlan
+    io: IoConfig
+    max_depth: int
     frames: tuple
     arena: MemoryArena
     heap: MemoryArena
@@ -173,7 +181,17 @@ class Machine:
             self._restore(start)
 
     def _restore(self, s: Snapshot) -> None:
-        """Resume from a snapshot taken under this machine's plan."""
+        """Resume from a snapshot of a run this machine would have made: one
+        of its module under its plan, io and depth limit, that its budget
+        lets reach the snapshot."""
+        if (s.module != self.module or s.plan != self.plan or s.io != self.io
+                or s.max_depth != self.max_depth
+                or (self.strict_nonfinite and s.skipped_nonfinite)):
+            raise ValueError("the snapshot is of a run under another module, plan, "
+                             "io, depth limit or handling of non-finite values")
+        if self.budget < s.steps:
+            raise ValueError(f"a budget of {self.budget} steps ends before the "
+                             f"snapshot's step {s.steps}")
         self.arena = s.arena.copy()
         self.heap = s.heap.copy()
         self.stdin = copy.copy(s.stdin)
@@ -198,6 +216,7 @@ class Machine:
         machine's memory and streams."""
         fn_index = self._decoded.fn_index
         return Snapshot(
+            module=self.module, plan=self.plan, io=self.io, max_depth=self.max_depth,
             frames=tuple((fn_index[f.code.fn.name], f.si, f.regs, f.mark,
                           f.inv_ordinal, f.loop_trips) for f in self._stack),
             arena=self.arena, heap=self.heap, stdin=self.stdin,

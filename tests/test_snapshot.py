@@ -131,3 +131,38 @@ def test_no_snapshot_when_the_prefix_ends_first():
     # the second %iv is step 13
     assert prefix_snapshot(module, io, 13, _plan_at(module, "iv", 2)).steps == 12
     assert prefix_snapshot(module, io, 12, _plan_at(module, "iv", 2)) is None
+
+
+def _looper_start():
+    module = assign_indices(load_program(fixture_path("looper.ll")))
+    input_cfg = load_input_config(fixture_path("looper_input.yaml"))
+    plan = build_plan(module, input_cfg)
+    spec = input_cfg.fault_spec(base_dir=FIXTURES)
+    return module, plan, spec, prefix_snapshot(module, IoConfig(), 3000, plan)
+
+
+@pytest.mark.parametrize("change", ["module", "plan", "io", "max_depth", "budget"])
+def test_start_refuses_a_snapshot_of_another_run(change):
+    module, plan, spec, start = _looper_start()
+    kw = {"io": IoConfig(), "budget": 3000, "plan": plan}
+    if change == "module":
+        module = assign_indices(load_program(fixture_path("demo.ll")))
+    else:
+        kw[change] = {"plan": _plan_at(module, "r", 1), "io": IoConfig(stdin_text="7\n"),
+                      "max_depth": 7, "budget": start.steps - 1}[change]
+    with pytest.raises(ValueError):
+        Machine(module, sampler=make_sampler(spec, 1), start=start, **kw)
+
+
+def test_start_at_a_budget_that_ends_at_the_snapshot():
+    module, plan, spec, start = _looper_start()
+    # strict handling makes the same run while the prefix skipped no fault
+    assert start.skipped_nonfinite == 0
+    for budget in (start.steps, start.steps + 1):
+        runs = [Machine(module, budget=budget, trace=True, plan=plan,
+                        sampler=make_sampler(spec, 1), strict_nonfinite=True,
+                        start=s).run()
+                for s in (None, start)]
+        assert runs[0].steps == runs[1].steps == budget + 1
+        assert runs[0].activations == runs[1].activations
+        assert list(runs[0].trace.lines()) == list(runs[1].trace.lines())

@@ -410,18 +410,17 @@ class TestWriteAgainstGolden:
         assert text.data == (tmp_path / "plain_golden.txt").read_bytes()
         return text
 
-    def _check(self, tmp_path, indices, values, known=0, golden=GOLDEN):
+    def _check(self, tmp_path, indices, values, golden=GOLDEN):
         trace = RunTrace(indices, values, self.FIELDS)
         write_trace(trace, str(tmp_path / "plain.txt"))
-        write_trace(trace, str(tmp_path / "against.txt"), self._text(tmp_path, golden),
-                    known)
+        write_trace(trace, str(tmp_path / "against.txt"), self._text(tmp_path, golden))
         plain = (tmp_path / "plain.txt").read_bytes()
         assert (tmp_path / "against.txt").read_bytes() == plain
         return plain
 
-    def test_golden_itself_at_every_known(self, tmp_path):
-        for known in range(len(self.GOLDEN) + 1):
-            self._check(tmp_path, self.GOLDEN.indices, self.GOLDEN.values, known)
+    def test_golden_itself(self, tmp_path):
+        assert (self._check(tmp_path, self.GOLDEN.indices, self.GOLDEN.values)
+                == self._text(tmp_path, self.GOLDEN).data)
 
     def test_line_offsets(self, tmp_path):
         text = self._text(tmp_path, self.GOLDEN)
@@ -451,15 +450,15 @@ class TestWriteAgainstGolden:
 
     def test_shorter_and_longer_than_golden(self, tmp_path):
         g = self.GOLDEN
-        self._check(tmp_path, g.indices[:6], g.values[:6], known=3)
-        self._check(tmp_path, g.indices + [2, 3], g.values + [9, 1.5], known=4)
+        self._check(tmp_path, g.indices[:6], g.values[:6])
+        self._check(tmp_path, g.indices + [2, 3], g.values + [9, 1.5])
         self._check(tmp_path, g.indices[:6], [0.0, 0, -0.0, None, 7, 2.25])
 
     def test_index_mismatch_mid_trace(self, tmp_path):
         g = self.GOLDEN
         # same values as golden after the mismatch, but rendered anyway
         self._check(tmp_path, g.indices[:4] + [1] + g.indices[5:],
-                    g.values[:4] + [7.0] + g.values[5:], known=2)
+                    g.values[:4] + [7.0] + g.values[5:])
         self._check(tmp_path, g.indices[:5] + g.indices[6:], g.values[:5] + g.values[6:])
 
     def test_empty_traces(self, tmp_path):
@@ -478,7 +477,7 @@ class TestWriteAgainstGolden:
         values[5000] = -1.0
         values[9001] = 12
         values[20000] = -0.0
-        self._check(tmp_path, golden.indices, values, known=100, golden=golden)
+        self._check(tmp_path, golden.indices, values, golden=golden)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -503,10 +502,7 @@ class TestWriteAgainstGolden:
             else:
                 idx.insert(pos, 2)
                 val.insert(pos, 4)
-        same = next((k for k, (a, b, c, d) in enumerate(zip(idx, g_idx, val, g_val))
-                     if a != b or c is not d), min(len(idx), len(g_idx)))
-        known = data.draw(st.integers(0, same))
-        self._check(tmp_path, idx, val, known, RunTrace(g_idx, g_val, self.FIELDS))
+        self._check(tmp_path, idx, val, RunTrace(g_idx, g_val, self.FIELDS))
 
 
 def _demo_traces(demo_indexed, demo_io, seed=77):
