@@ -33,19 +33,17 @@ class MemoryArena:
         self._mem = bytearray()
 
     def alloc(self, size: int, align: int = 8) -> int:
-        size = max(1, int(size))
-        align = max(1, int(align))
+        """The address of `size` fresh zero bytes (one if `size` is 0),
+        aligned to `align`."""
+        size = size or 1
         addr = (self.top + align - 1) // align * align
         new_top = addr + size
         if new_top - self.base > self.capacity:
             raise OutOfBounds(addr, size, f"allocation of {size} bytes exceeds arena capacity")
-        # scrub any reused stack region so re-allocation is deterministic
-        lo = self.top - self.base
-        hi = min(new_top - self.base, len(self._mem))
-        if hi > lo:
-            self._mem[lo:hi] = b"\x00" * (hi - lo)
-        if new_top - self.base > len(self._mem):
-            self._mem.extend(b"\x00" * (new_top - self.base - len(self._mem)))
+        # scrub any reused stack region so re-allocation is deterministic; the
+        # slice reaches past the end of _mem when the arena grows
+        lo, hi = self.top - self.base, new_top - self.base
+        self._mem[lo:hi] = bytes(hi - lo)
         self.top = new_top
         return addr
 
@@ -95,15 +93,17 @@ class MemoryArena:
         struct.pack_into(fmt, self._mem, addr - self.base, value)
 
     def read_cstring(self, addr: int, limit: int = 1 << 20) -> str:
-        out = bytearray()
-        a = addr
-        while len(out) < limit:
-            b = self.load_bytes(a, 1)[0]
-            if b == 0:
-                return out.decode("utf-8", errors="replace")
-            out.append(b)
-            a += 1
-        raise OutOfBounds(addr, limit, "unterminated string")
+        """The NUL-terminated string at `addr`, of at most `limit` bytes."""
+        off = addr - self.base
+        if off < 0 < limit:
+            raise OutOfBounds(addr, 1)
+        end = min(self.top - self.base, off + limit)
+        nul = self._mem.find(0, off, end)
+        if nul >= 0:
+            return self._mem[off:nul].decode("utf-8", errors="replace")
+        if end - off >= limit:
+            raise OutOfBounds(addr, limit, "unterminated string")
+        raise OutOfBounds(self.base + max(off, end), 1)  # the first byte past top
 
     def write_cstring(self, addr: int, text: str) -> None:
         self.store_bytes(addr, text.encode("utf-8") + b"\x00")

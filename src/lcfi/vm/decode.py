@@ -1,17 +1,26 @@
-"""Decoded form of a module: one closure per instruction, built once per module.
+"""Decoded form of a module: one compiled Python function per segment, built
+once per module.
 
 Decoding settles at load time what executing an instruction would otherwise
-look up at every step. Register operands become slots of the frame's register
-list and each distinct constant gets a slot of its own; integer widths and
-masks, memory kinds, gep strides and float rounding are fixed; branch targets
-become segment numbers and a branch carries its edge's phi moves.
+look up at every step. A function's code is cut into segments: a straight run
+of ops ended by one terminator, which is a branch, a return, or a call to a
+defined function (the interpreter's frame stack, not the host stack, runs the
+callee). Each op becomes a few lines of Python source, and a segment's ops
+become one function `run(r, m)`, compiled once, that runs them in order on
+the frame's register list `r` for the machine `m` and returns the values of
+its indexed ops for the trace. In that source a register is `r[slot]`;
+constants, integer widths and masks, gep strides and f32 rounding are
+literals or bound names; a load or store checks the arena's `base` and `top`
+inline and then unpacks or packs with a precompiled `struct.Struct`. Branch
+targets become segment numbers and a branch carries its edge's phi moves. A
+phi's op has no source: the branch into its block has already assigned all of
+the block's phis at once, from the values on that edge.
 
-A function's code is cut into segments: a straight run of ops ended by one
-terminator, which is a branch, a return, or a call to a defined function (the
-interpreter's frame stack, not the host stack, runs the callee). An op is
-called as `op(regs, machine)` and writes its value, if it has one, to its
-result slot. A phi's op does nothing: the branch into its block has already
-assigned all of the block's phis at once, from the values on that edge.
+Each segment's source is registered with linecache under the filename
+`<lcfi @function#segment checksum>`, so a traceback through an op shows its
+line, and `Segment.position` maps the line an exception passed through back
+to the op. A run whose budget ends inside a segment runs `Segment.prefix(k)`,
+the same source cut after k ops, compiled on first use.
 
 `decoded(module)` is the one well-formedness gate: it validates the module
 and raises VmError with the diagnostics, so the decoder trusts its input. It
@@ -21,7 +30,8 @@ arena is a bump allocator), so the module's globals are laid out and
 initialized here, once, with a handle slot for each of @stdin, @stdout and
 @stderr used without a declaration; each run starts from a copy of that
 arena. Nothing here holds per-run state. Per plan, `DecodedModule.codes`
-swaps in injecting ops at the plan's targets.
+recompiles the segments that hold the plan's targets, each target op
+followed by a call to `m.inject`.
 
 Register lists: slot 0 always holds None, the value of a store or a void
 return; slots 1..P hold the parameters.
@@ -29,15 +39,16 @@ return; slots 1..P hold the parameters.
 
 from __future__ import annotations
 
+import linecache
 import math
-import operator
 import struct
+import zlib
 
-from ..ir.nodes import (BITCASTS, SCALARS, IrFunction, IrModule, ValueRef, gep_layout,
+from ..ir.nodes import (SCALARS, IrFunction, IrModule, ValueRef, gep_layout,
                         to_f32)
 from ..ir.validate import validate
 from ..traces import TraceFields
-from .arena import HEAP_BASE, MemoryArena
+from .arena import HEAP_BASE, MemoryArena, OutOfBounds
 from .intrinsics import INTRINSICS, STDERR_HANDLE, STDIN_HANDLE, STDOUT_HANDLE
 
 
@@ -58,14 +69,22 @@ def _fdiv(a: float, b: float) -> float:
         return math.inf
 
 
-_INT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
-_FLOAT_OPS = {"fadd": operator.add, "fsub": operator.sub, "fmul": operator.mul,
-              "fdiv": _fdiv}
+_INT_OPS = {"add": "+", "sub": "-", "mul": "*"}
+_FLOAT_OPS = {"fadd": "{} + {}", "fsub": "{} - {}", "fmul": "{} * {}", "fdiv": "fdiv({}, {})"}
 # icmp and fcmp predicates end in one of these relations.
-_RELATIONS = {"eq": operator.eq, "ne": operator.ne, "gt": operator.gt,
-              "ge": operator.ge, "lt": operator.lt, "le": operator.le}
-# bitcast between scalar kinds: (source, destination) struct formats.
-_BITCASTS = {(src, dst): (SCALARS[src][1], SCALARS[dst][1]) for src, dst in BITCASTS}
+_RELATIONS = {"eq": "==", "ne": "!=", "gt": ">", "ge": ">=", "lt": "<", "le": "<="}
+
+# The globals of every generated function: helpers, and for each scalar kind
+# its precompiled struct functions (a store packs integers unsigned).
+_GLOBALS = {
+    "to_f32": to_f32, "fdiv": _fdiv, "trunc": math.trunc, "isfinite": math.isfinite,
+    "OutOfBounds": OutOfBounds, "INTRINSICS": INTRINSICS,
+    **{f"{name}_{kind}": getattr(struct.Struct(fmt), name)
+       for kind, (_size, fmt) in SCALARS.items()
+       for name in ("pack", "unpack", "unpack_from")},
+    **{f"pack_into_{kind}": struct.Struct(fmt if kind[0] == "f" else fmt.upper()).pack_into
+       for kind, (_size, fmt) in SCALARS.items()},
+}
 
 # Terminator kinds, the first field of Segment.term:
 #   (BR, condition slot or None, edge taken on true or always, edge on false)
@@ -76,226 +95,197 @@ _BITCASTS = {(src, dst): (SCALARS[src][1], SCALARS[dst][1]) for src, dst in BITC
 BR, CALL, RET = range(3)
 
 
-def _wrap_bits(bits: int) -> tuple[int, int]:
-    """(half, mask) with which ((v + half) & mask) - half wraps v to `bits`."""
-    return 1 << (bits - 1), (1 << bits) - 1
+def _wrap(value: str, bits: int) -> str:
+    """Source that wraps the integer `value` to a signed `bits`-wide value."""
+    half = 1 << (bits - 1)
+    return f"({value} + {half} & {2 * half - 1}) - {half}"
 
 
-def _nop(regs, m):
-    pass
+def _f32(t, value: str) -> str:
+    """Source that rounds `value` to f32 when `t` is f32."""
+    return f"to_f32({value})" if t.kind == "f32" else value
 
 
-# -- op factories: (instruction, result slot, operand slot function) -> op ----
+# -- op sources: (instruction, result slot, operand source function) -> lines --
 
-def _int_binary(ins, d, slot):
-    x, y = map(slot, ins.operands)
-    op = ins.opcode
-    half, mask = _wrap_bits(ins.result_type.int_bits())
+def _int_binary(ins, d, arg):
+    x, y = map(arg, ins.operands)
+    op, bits = ins.opcode, ins.result_type.int_bits()
     if op in _INT_OPS:
-        fn = _INT_OPS[op]
-
-        def run(regs, m):
-            regs[d] = ((fn(regs[x], regs[y]) + half) & mask) - half
-        return run
-    rem = op == "srem"
-
-    def run(regs, m):
-        a, b = regs[x], regs[y]
-        if b == 0:
-            m.trap("division_by_zero", f"{op} by zero")
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        regs[d] = (((a - q * b if rem else q) + half) & mask) - half
-    return run
+        return [f"r[{d}] = {_wrap(f'{x} {_INT_OPS[op]} {y}', bits)}"]
+    return [f"a = {x}; b = {y}",
+            f"if b == 0: m.trap('division_by_zero', '{op} by zero')",
+            "q = abs(a) // abs(b)",
+            "if (a < 0) != (b < 0): q = -q",
+            f"r[{d}] = {_wrap('a - q * b' if op == 'srem' else 'q', bits)}"]
 
 
-def _float_binary(ins, d, slot):
-    x, y = map(slot, ins.operands)
-    fn = _FLOAT_OPS[ins.opcode]
-    if ins.result_type.kind == "f32":
-        def run(regs, m):
-            regs[d] = to_f32(fn(regs[x], regs[y]))
-    else:
-        def run(regs, m):
-            regs[d] = fn(regs[x], regs[y])
-    return run
+def _float_binary(ins, d, arg):
+    value = _FLOAT_OPS[ins.opcode].format(*map(arg, ins.operands))
+    return [f"r[{d}] = {_f32(ins.result_type, value)}"]
 
 
-def _fneg(ins, d, slot):
-    x = slot(ins.operands[0])
-    rnd = to_f32 if ins.result_type.kind == "f32" else float
-
-    def run(regs, m):
-        regs[d] = rnd(-regs[x])
-    return run
+def _fneg(ins, d, arg):
+    return [f"r[{d}] = {_f32(ins.result_type, f'-({arg(ins.operands[0])})')}"]
 
 
-def _icmp(ins, d, slot):
-    x, y = map(slot, ins.operands)
+def _icmp(ins, d, arg):
+    x, y = map(arg, ins.operands)
     pred = ins.predicate
-    rel = _RELATIONS[pred[-2:]]
-    if pred[0] == "s":
-        def run(regs, m):
-            regs[d] = 1 if rel(regs[x], regs[y]) else 0
-        return run
-    # eq, ne and the u* predicates compare unsigned
-    t = ins.operands[0].type
-    mask = (1 << (64 if t.is_pointer() else t.int_bits())) - 1
-
-    def run(regs, m):
-        regs[d] = 1 if rel(regs[x] & mask, regs[y] & mask) else 0
-    return run
+    if pred[0] != "s":  # eq, ne and the u* predicates compare unsigned
+        t = ins.operands[0].type
+        mask = (1 << (64 if t.is_pointer() else t.int_bits())) - 1
+        x, y = f"({x} & {mask})", f"({y} & {mask})"
+    return [f"r[{d}] = 1 if {x} {_RELATIONS[pred[-2:]]} {y} else 0"]
 
 
-def _fcmp(ins, d, slot):
-    x, y = map(slot, ins.operands)
+def _fcmp(ins, d, arg):
     pred = ins.predicate
     if pred in ("true", "false"):
-        value = int(pred == "true")
-
-        def run(regs, m):
-            regs[d] = value
-        return run
-    on_nan = int(pred[0] == "u")  # uno and the u* predicates hold on NaN
-    rel = (_RELATIONS[pred[1:]] if pred[1:] in _RELATIONS
-           else lambda a, b: pred == "ord")
-
-    def run(regs, m):
-        a, b = regs[x], regs[y]
-        if a != a or b != b:
-            regs[d] = on_nan
-        else:
-            regs[d] = 1 if rel(a, b) else 0
-    return run
+        return [f"r[{d}] = {int(pred == 'true')}"]
+    x, y = map(arg, ins.operands)
+    rel = (f"1 if a {_RELATIONS[pred[1:]]} b else 0" if pred[1:] in _RELATIONS
+           else int(pred == "ord"))
+    # uno and the u* predicates hold on NaN
+    return [f"a = {x}; b = {y}",
+            f"r[{d}] = {int(pred[0] == 'u')} if a != a or b != b else {rel}"]
 
 
-def _select(ins, d, slot):
-    c, t, f = map(slot, ins.operands)
-
-    def run(regs, m):
-        regs[d] = regs[t] if regs[c] & 1 else regs[f]
-    return run
+def _select(ins, d, arg):
+    c, t, f = map(arg, ins.operands)
+    return [f"r[{d}] = {t} if {c} & 1 else {f}"]
 
 
-def _cast(ins, d, slot):
-    x = slot(ins.operands[0])
+def _cast(ins, d, arg):
+    x = arg(ins.operands[0])
     op, src, dst = ins.opcode, ins.operands[0].type, ins.result_type
     if op == "zext":
-        mask = (1 << src.int_bits()) - 1
-
-        def run(regs, m):
-            regs[d] = regs[x] & mask
+        value = f"{x} & {(1 << src.int_bits()) - 1}"
     elif op == "trunc":
-        half, mask = _wrap_bits(dst.int_bits())
-
-        def run(regs, m):
-            regs[d] = ((regs[x] + half) & mask) - half
+        value = _wrap(x, dst.int_bits())
     elif op == "fptosi":
-        half, mask = _wrap_bits(dst.int_bits())
-
-        def run(regs, m):
-            v = regs[x]
-            regs[d] = ((math.trunc(v) + half) & mask) - half if math.isfinite(v) else 0
+        return [f"a = {x}",
+                f"r[{d}] = {_wrap('trunc(a)', dst.int_bits())} if isfinite(a) else 0"]
     elif op == "bitcast" and not (src.is_pointer() and dst.is_pointer()):
-        pack, unpack = _BITCASTS[src.kind, dst.kind]
-
-        def run(regs, m):
-            regs[d] = struct.unpack(unpack, struct.pack(pack, regs[x]))[0]
+        value = f"unpack_{dst.kind}(pack_{src.kind}({x}))[0]"
     elif op in ("sitofp", "fpext", "fptrunc"):
-        rnd = to_f32 if op == "fptrunc" or dst.kind == "f32" else float
-
-        def run(regs, m):
-            regs[d] = rnd(regs[x])
+        value = f"to_f32({x})" if op == "fptrunc" or dst.kind == "f32" else f"float({x})"
     else:  # sext (values are already sign-canonical) and pointer bitcasts
-        def run(regs, m):
-            regs[d] = regs[x]
-    return run
+        value = x
+    return [f"r[{d}] = {value}"]
 
 
-def _load(ins, d, slot):
-    p = slot(ins.operands[0])
+def _access(addr: str, size: int) -> list[str]:
+    """Source that sets a to `addr`, x to the arena holding it and o to its
+    offset there, or raises OutOfBounds for `size` bytes at a."""
+    return [f"a = {addr}; x = m.heap if a >= {HEAP_BASE} else m.arena; o = a - x.base",
+            f"if o < 0 or a + {size} > x.top: raise OutOfBounds(a, {size})"]
+
+
+def _load(ins, d, arg):
     kind = ins.result_type.kind
-
-    def run(regs, m):
-        a = regs[p]
-        regs[d] = (m.heap if a >= HEAP_BASE else m.arena).load(a, kind)
-    return run
+    value = f"unpack_from_{kind}(x._mem, o)[0]"
+    return [*_access(arg(ins.operands[0]), SCALARS[kind][0]),
+            f"r[{d}] = {value} & 1" if kind == "i1" else f"r[{d}] = {value}"]
 
 
-def _store(ins, d, slot):
-    v, p = map(slot, ins.operands)
+def _store(ins, d, arg):
+    v, p = map(arg, ins.operands)
     kind = ins.operands[0].type.kind
+    size = SCALARS[kind][0]
+    if kind == "f32":
+        v = f"to_f32({v})"
+    elif kind != "f64":
+        v = f"{v} & {(1 << 8 * size) - 1}"
+    return [*_access(p, size), f"pack_into_{kind}(x._mem, o, {v})"]
 
-    def run(regs, m):
-        a = regs[p]
-        (m.heap if a >= HEAP_BASE else m.arena).store(a, kind, regs[v])
-    return run
 
-
-def _alloca(ins, d, slot):
+def _alloca(ins, d, arg):
     size = ins.aux_type.byte_width()
     align = ins.align or ins.aux_type.alignment()
-
-    def run(regs, m):
-        regs[d] = m.arena.alloc(size, align)
-    return run
+    return [f"r[{d}] = m.arena.alloc({size}, {align})"]
 
 
-def _gep(ins, d, slot):
-    b = slot(ins.operands[0])
+def _gep(ins, d, arg):
     off, terms = gep_layout(ins.aux_type, ins.operands[1:])
-    terms = [(slot(v), stride) for v, stride in terms]
-    if not terms:
-        def run(regs, m):
-            regs[d] = regs[b] + off
-    elif len(terms) == 1:
-        ((x, stride),) = terms
-
-        def run(regs, m):
-            regs[d] = regs[b] + off + regs[x] * stride
-    else:
-        def run(regs, m):
-            regs[d] = regs[b] + off + sum(regs[x] * s for x, s in terms)
-    return run
+    parts = [arg(ins.operands[0]), *([str(off)] if off else []),
+             *(f"{arg(v)} * {stride}" for v, stride in terms)]
+    return [f"r[{d}] = {' + '.join(parts)}"]
 
 
-def _call(ins, d, slot):
-    impl = INTRINSICS[ins.callee]
-    args = tuple(map(slot, ins.operands))
-
-    def run(regs, m):
-        regs[d] = impl(m, [regs[s] for s in args])
-    return run
+def _call(ins, d, arg):
+    args = ", ".join(map(arg, ins.operands))
+    return [f"r[{d}] = INTRINSICS[{ins.callee!r}](m, [{args}])"]
 
 
-_DECODERS = {
+_SOURCES = {
     **dict.fromkeys(("add", "sub", "mul", "sdiv", "srem"), _int_binary),
     **dict.fromkeys(_FLOAT_OPS, _float_binary),
     "fneg": _fneg, "icmp": _icmp, "fcmp": _fcmp, "select": _select,
     **dict.fromkeys(("zext", "sext", "trunc", "fptosi", "sitofp", "fpext",
                      "fptrunc", "bitcast"), _cast),
     "load": _load, "store": _store, "alloca": _alloca, "getelementptr": _gep,
-    "call": _call, "phi": lambda ins, d, slot: _nop,
+    "call": _call, "phi": lambda ins, d, arg: [],
 }
 
 
 # -- functions ------------------------------------------------------------------
 
 class Segment:
-    """Ops run in order, then the terminator. `instrs` lists the ops'
-    instructions and then the terminator's, if any; a traced run records
-    (rec_idx[i], regs[rec_slot[i]]) for each indexed op."""
+    """Ops run in order, then the terminator. `code` holds each op's source
+    lines and `run` is them compiled; it returns the values a traced run
+    records, which are those of `rec_slot`, for the instructions `rec_idx`.
+    `instrs` lists the ops' instructions and then the terminator's, if any.
+    `bound` names objects the source refers to besides the common globals."""
 
-    __slots__ = ("ops", "instrs", "n", "rec_idx", "rec_slot", "term")
+    __slots__ = ("code", "instrs", "n", "rec_idx", "rec_slot", "term", "run",
+                 "_line_op", "_cuts")
 
-    def __init__(self, ops, instrs, rec_idx, rec_slot, term):
-        self.ops = ops
+    def __init__(self, name, code, instrs, rec_idx, rec_slot, term, bound=None):
+        self.code = code
         self.instrs = instrs
-        self.n = len(ops) + 1  # steps, the terminator's included
+        self.n = len(code) + 1  # steps, the terminator's included
         self.rec_idx = rec_idx
         self.rec_slot = rec_slot
         self.term = term
+        src, self._line_op = self._source(len(code))
+        filename = f"<lcfi {name} {zlib.crc32(src.encode()):08x}>"
+        linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+        self.run = _compile(src, filename, dict(_GLOBALS, **(bound or {})))
+        self._cuts: dict = {}
+
+    def _source(self, k: int) -> tuple[str, list]:
+        """The source of a function that runs the first `k` ops, and the
+        position of the op on each of its lines (None on the others)."""
+        lines, line_op = ["def run(r, m):"], [None, None]  # line numbers from 1
+        for pos, op in enumerate(self.code[:k]):
+            lines += ("    " + line for line in op)
+            line_op += [pos] * len(op)
+        done = sum(ins.index is not None for ins in self.instrs[:k])
+        lines.append(f"    return ({''.join(f'r[{s}], ' for s in self.rec_slot[:done])})")
+        return "\n".join(lines), line_op
+
+    def prefix(self, k: int):
+        """The function that runs only the first `k` ops; its lines are the
+        first lines of `run`'s, so `position` holds for it too."""
+        if k not in self._cuts:
+            self._cuts[k] = _compile(self._source(k)[0], self.run.__code__.co_filename,
+                                     self.run.__globals__)
+        return self._cuts[k]
+
+    def position(self, tb) -> int:
+        """The position of the op whose line the traceback `tb` passes
+        through; the terminator's when it passes through no op."""
+        while tb is not None:
+            if tb.tb_frame.f_code.co_filename.startswith("<lcfi "):
+                return self._line_op[tb.tb_lineno]
+            tb = tb.tb_next
+        return self.n - 1
+
+
+def _compile(src: str, filename: str, namespace: dict):
+    exec(compile(src, filename, "exec"), namespace)
+    return namespace.pop("run")
 
 
 class DecodedFn:
@@ -339,6 +329,14 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
             const_slots[key] = fresh(const(v))
         return const_slots[key]
 
+    def arg(v: ValueRef) -> str:
+        """An op's operand as source: a constant is a literal, unless it is a
+        non-finite float, which stays in its slot like a register."""
+        if v.kind == "reg":
+            return f"r[{reg(v.name)}]"
+        value = const(v)
+        return repr(value) if math.isfinite(value) else f"r[{slot(v)}]"
+
     def result(ins) -> int:
         """The slot an instruction's value goes to: its register's; a fresh
         one for a call that names none (its value is still traced); slot 0
@@ -372,10 +370,10 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
     segs = []
     for si, (label, run) in enumerate(cuts):
         *body, last = run
-        ops, rec_idx, rec_slot = [], [], []
+        code, rec_idx, rec_slot = [], [], []
         for pos, ins in enumerate(body):
             d = result(ins)
-            ops.append(_DECODERS[ins.opcode](ins, d, slot))
+            code.append(tuple(_SOURCES[ins.opcode](ins, d, arg)))
             if ins.index is not None:
                 where[ins.index] = (fi, si, pos, d)
                 rec_idx.append(ins.index)
@@ -388,17 +386,17 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
         else:
             term = (CALL, fn_index[last.callee], tuple(map(slot, last.operands)),
                     result(last), last.index)
-        segs.append(Segment(tuple(ops), tuple(run), tuple(rec_idx),
-                            tuple(rec_slot), term))
+        segs.append(Segment(f"@{fn.name}#{si}", tuple(code), tuple(run),
+                            tuple(rec_idx), tuple(rec_slot), term))
     return DecodedFn(fn.name, len(fn.params), template, segs)
 
 
 # -- modules and plans -----------------------------------------------------------
 
 class Code:
-    """A function as one plan runs it: its segments, injecting ops in place
-    at the plan's targets, and the loops (header, body labels) whose trips
-    the plan's loop_iteration scope counts."""
+    """A function as one plan runs it: its segments, recompiled to inject at
+    the plan's targets, and the loops (header, body labels) whose trips the
+    plan's loop_iteration scope counts."""
 
     __slots__ = ("fn", "segs", "watch")
 
@@ -406,13 +404,6 @@ class Code:
         self.fn = fn
         self.segs = segs
         self.watch = watch
-
-
-def _injecting(op, d, target, ins, back: int):
-    def run(regs, m):
-        op(regs, m)
-        regs[d] = m.inject(target, ins, regs[d], m.steps - back)
-    return run
 
 
 _HANDLES = {"stdin": STDIN_HANDLE, "stdout": STDOUT_HANDLE, "stderr": STDERR_HANDLE}
@@ -475,21 +466,27 @@ class DecodedModule:
         return self._codes[plan]
 
     def _build_codes(self, plan) -> list[Code]:
-        segs = [list(fn.segs) for fn in self.fns]
         watch: list[list] = [[] for _ in self.fns]
+        hits: dict = {}  # (function, segment): [(position, result slot, target)]
         for t in plan.targets if plan is not None else ():
             if t.loop is not None and t.function in self.fn_index:
                 w = watch[self.fn_index[t.function]]
                 if t.loop not in w:
                     w.append(t.loop)
-            if t.index not in self.where:  # a terminator or no instruction
-                continue
-            fi, si, pos, d = self.where[t.index]
+            if t.index in self.where:  # not a terminator, and an instruction
+                fi, si, pos, d = self.where[t.index]
+                hits.setdefault((fi, si), []).append((pos, d, t))
+        segs = [list(fn.segs) for fn in self.fns]
+        for (fi, si), targets in hits.items():
             seg = segs[fi][si]
-            ops = list(seg.ops)
-            ops[pos] = _injecting(ops[pos], d, t, seg.instrs[pos], seg.n - pos - 1)
-            segs[fi][si] = Segment(tuple(ops), seg.instrs, seg.rec_idx,
-                                   seg.rec_slot, seg.term)
+            code, bound = list(seg.code), {}
+            for pos, d, t in targets:
+                bound[f"target{pos}"], bound[f"ins{pos}"] = t, seg.instrs[pos]
+                code[pos] += (f"r[{d}] = m.inject(target{pos}, ins{pos}, r[{d}], "
+                              f"m.steps - {seg.n - pos - 1})",)
+            segs[fi][si] = Segment(f"@{self.fns[fi].name}#{si}", tuple(code),
+                                   seg.instrs, seg.rec_idx, seg.rec_slot, seg.term,
+                                   bound)
         return [Code(fn, s, tuple(w) or None)
                 for fn, s, w in zip(self.fns, segs, watch)]
 

@@ -6,11 +6,14 @@ pointers are arena addresses. The call stack is explicit, so recursion depth
 is bounded by the configured frame limit rather than the host stack.
 
 The machine runs the module's decoded form (see decode.py), validated and
-built once per module and shared by every run in the process, one segment at
-a time: it counts the segment's steps, runs its ops and then its terminator.
-A run's stack arena starts as a copy of the decoded globals. When a trap or
-the budget stops a run inside a segment, the op that raised gives the exact
-step, trap location and trace length. A traced run keeps its trace as raw
+compiled once per module and shared by every run in the process, one segment
+at a time: it counts the segment's steps, calls the segment's compiled
+function, extends the trace from the values that function returns, and then
+runs the terminator. A budget that ends inside a segment runs the segment's
+prefix function for the steps left instead. When an op traps, the line of
+the generated function that its exception passed through gives the op, and
+with it the exact step, trap location and trace length. A run's stack arena
+starts as a copy of the decoded globals. A traced run keeps its trace as raw
 (index, value) columns; values become hex only when the trace is read or
 written.
 
@@ -293,24 +296,23 @@ class Machine:
         tidx, tval = self._trace_idx, self._trace_val
         frame = stack[-1]
         segs, regs, watch, si = frame.code.segs, frame.regs, frame.code.watch, frame.si
-        op = None
         try:
             while True:
                 seg = segs[si]
                 base = self.steps
                 steps = self.steps = base + seg.n
-                ops = seg.ops if steps <= budget else seg.ops[:budget - base]
-                for op in ops:
-                    op(regs, self)
-                op = None
                 if steps > budget:
-                    self._record(seg, regs, len(ops))
+                    values = seg.prefix(budget - base)(regs, self)
+                    if tidx is not None:
+                        tidx.extend(seg.rec_idx[:len(values)])
+                        tval.extend(values)
                     self.steps = budget + 1
                     frame.si = si  # where a snapshot resumes
                     raise _BudgetExhausted
+                values = seg.run(regs, self)
                 if tidx is not None:
                     tidx.extend(seg.rec_idx)
-                    tval.extend(map(regs.__getitem__, seg.rec_slot))
+                    tval.extend(values)
                 term = seg.term
                 kind = term[0]
                 if kind == BR:
@@ -344,9 +346,9 @@ class Machine:
                     si += 1
         except (_TrapSignal, OutOfBounds) as e:
             # an op raised, or else the terminator did
-            pos = len(seg.ops) if op is None else ops.index(op)
+            pos = seg.position(e.__traceback__)
             self.steps = base + pos + 1
-            if op is not None:
+            if pos < seg.n - 1:
                 self._record(seg, regs, pos)
             info = (e.info if isinstance(e, _TrapSignal)
                     else TrapInfo("out_of_bounds", str(e)))
@@ -354,7 +356,7 @@ class Machine:
                                       index=seg.instrs[pos].index)) from None
 
     def _record(self, seg, regs: list, done: int) -> None:
-        """Trace the first `done` ops of a segment that stopped early."""
+        """Trace the first `done` ops of a segment an op trapped in."""
         if self._trace_idx is not None:
             n = sum(ins.index is not None for ins in seg.instrs[:done])
             self._trace_idx.extend(seg.rec_idx[:n])

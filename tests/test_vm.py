@@ -10,6 +10,7 @@ from lcfi.instrument import (InjectionPlan, OccurrenceScope, PlanTarget,
 from lcfi.ir.nodes import F32, F64, I1, I32, I64, ptr_to
 from lcfi.ir.parser import parse_module
 from lcfi.traces import parse_record
+from lcfi.vm.arena import MemoryArena, OutOfBounds
 from lcfi.vm.machine import (DEFAULT_BUDGET, IoConfig, Machine, VmError,
                              run_module, value_bits)
 
@@ -526,6 +527,55 @@ done:
 }
 """)
         assert out.status == "ok"
+
+    def test_read_cstring_stops_at_the_arena_top(self):
+        arena = MemoryArena()
+        addr = arena.alloc(8)
+        arena.store_bytes(addr, b"abcdefg\x00")
+        arena.release(addr + 4)  # the terminator is past the top now
+        with pytest.raises(OutOfBounds, match=f"^access of 1 byte\\(s\\) at 0x{addr + 4:x}$"):
+            arena.read_cstring(addr)
+        with pytest.raises(OutOfBounds, match=f"^access of 1 byte\\(s\\) at 0x{addr + 6:x}$"):
+            arena.read_cstring(addr + 6)
+        with pytest.raises(OutOfBounds, match=f"^access of 1 byte\\(s\\) at 0x{addr - 1:x}$"):
+            arena.read_cstring(addr - 1)
+        assert arena.alloc(4) == addr + 8 and arena.read_cstring(addr + 8) == ""
+
+    def test_read_cstring_stops_at_its_limit(self):
+        arena = MemoryArena()
+        addr = arena.alloc(4)
+        arena.store_bytes(addr, b"abc\x00")
+        assert arena.read_cstring(addr, limit=4) == "abc"
+        with pytest.raises(OutOfBounds, match="^unterminated string$") as info:
+            arena.read_cstring(addr, limit=3)
+        assert (info.value.addr, info.value.size) == (addr, 3)
+
+    def test_heap_string_argument(self):
+        out = run_src("""
+@f = constant [4 x i8] c"%s\\0A\\00"
+define i32 @main() {
+  %s = call i8* @malloc(i64 3)
+  store i8 104, i8* %s
+  %s1 = getelementptr i8* %s, i64 1
+  store i8 105, i8* %s1
+  %s2 = getelementptr i8* %s, i64 2
+  store i8 0, i8* %s2
+  %r = call i32 (i8*, ...)* @printf(i8* getelementptr ([4 x i8]* @f, i32 0, i32 0), i8* %s)
+  ret i32 %r
+}
+""")
+        assert out.stdout == "hi\n"
+
+    def test_alloc_scrubs_released_stack_and_grows(self):
+        arena = MemoryArena(capacity=64)
+        addr = arena.alloc(8)
+        arena.store_bytes(addr, b"\xff" * 8)
+        arena.release(addr + 2)
+        assert arena.alloc(0, 1) == addr + 2  # one byte
+        assert arena.alloc(16, 4) == addr + 4
+        assert arena.load_bytes(addr, 20) == b"\xff\xff" + bytes(18)
+        with pytest.raises(OutOfBounds, match="^allocation of 48 bytes exceeds"):
+            arena.alloc(48)
 
 
 class TestPrintf:
