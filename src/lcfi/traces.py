@@ -5,9 +5,14 @@ a faulty trace is a minimal edit script over the instruction-index sequences
 (Myers O(ND)); record values never influence the alignment, they are compared
 afterwards on matched pairs.
 
-A run's trace is written from its raw columns; written against the trace of
-another run of the same program (`TraceText`), it copies that trace's bytes
-wherever the two agree record for record, which gives the same file.
+A run's trace is written from its raw columns, a block of up to
+_WRITE_CHUNK records at a time: one vectorized pass per block converts the
+values to bits, turns them into digits with one bytes.hex() and fills them
+into rows of bytes that hold each record's line prefix (TraceFields.render).
+That pass imports numpy on first use, so reading and diffing traces never
+loads it. Written against the trace of another run of the same program
+(`TraceText`), a trace copies that trace's bytes wherever the two agree
+record for record, which gives the same file.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from functools import cached_property
 from heapq import merge
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import copysign
-from operator import add, eq, ne
+from operator import eq, ne
 
 from .ir.defuse import UseGraph
 from .ir.nodes import SCALARS, IrType
@@ -192,6 +197,83 @@ class TraceFields:
             self.prefix[index] = format_record(index, opcode, "")
             self.value_hex[index] = VALUE_HEX.get(kind, _no_value_hex)
 
+    @cached_property
+    def _table(self):
+        """render's per-index table, built on first use: the value group of
+        each index's formatter (_GROUP) and its line as a row of bytes: the
+        prefix, zeros up to the digit columns, 0xff over the digits the
+        formatter shows and a newline. Every row has its 16 digit columns in
+        the same place."""
+        import numpy as np
+        width = max(map(len, filter(None, self.prefix)), default=0)
+        group = np.zeros(len(self.prefix), np.uint8)
+        rows = np.zeros((len(self.prefix), width + 17), np.uint8)
+        for i, (prefix, value_hex) in enumerate(zip(self.prefix, self.value_hex)):
+            if prefix is not None:
+                group[i] = _GROUP.get(value_hex, 0)
+                rows[i, :len(prefix)] = np.frombuffer(prefix.encode(), np.uint8)
+                rows[i, -17 if value_hex in (_hex64, _hex_f64) else -9:] = 0xFF
+                rows[i, -1] = ord("\n")
+        return group, rows
+
+    def render(self, indices: list, values: list) -> bytes:
+        """The lines of the records with these instruction indices and raw
+        values, in one vectorized pass: the values of each group convert to
+        64-bit words with one C-level call, all digits come from one
+        bytes.hex(), and the lines are the records' rows with the digits
+        filled in and the zeros dropped. A value no conversion takes (None
+        under a scalar kind, a float under an integer kind, an integer outside
+        the signed 64-bit range) sends the block through the per-record
+        formatters, which render it or raise as they always did."""
+        import numpy as np
+        group, rows = self._table
+        idx = np.fromiter(indices, np.intp, len(indices))
+        in_group = group.take(idx)
+        order = in_group.argsort(kind="stable")  # group g is order[ends[g-1]:ends[g]]
+        ends = list(accumulate(np.bincount(in_group, minlength=len(_GROUP_BITS) + 1)
+                               .tolist()))
+        ordered = np.fromiter(values, object, len(values)).take(order).tolist()
+        try:
+            parts = [bits(ordered[a:b]) for bits, a, b in zip(_GROUP_BITS, ends, ends[1:])
+                     if a < b]
+        except (TypeError, OverflowError, FloatingPointError):
+            prefix, value_hex = self.prefix, self.value_hex
+            return "".join([prefix[i] + value_hex[i](v) + "\n"
+                            for i, v in zip(indices, values)]).encode()
+        words = np.zeros(len(idx), ">u8")  # group 0 shows zeros
+        if parts:
+            words[order[ends[0]:]] = np.concatenate(parts)
+        out = rows.take(idx, axis=0)
+        out[:, -17:-1] &= np.frombuffer(memoryview(words).hex().encode(),
+                                        np.uint8).reshape(-1, 16)
+        return out[out != 0].tobytes()
+
+
+def _int_bits(values: list):
+    """ints as their low 64 bits (a narrow kind shows the low 32 of them)."""
+    import numpy as np
+    return np.frombuffer(array("q", values), np.uint64)
+
+
+def _f32_bits(values: list):
+    """float32 bits, through the C cast struct's '>f' makes; a finite value
+    past the f32 range raises, as it does there."""
+    import numpy as np
+    with np.errstate(over="raise"):
+        return np.frombuffer(array("d", values)).astype(np.float32).view(np.uint32)
+
+
+def _f64_bits(values: list):
+    import numpy as np
+    return np.frombuffer(array("d", values), np.uint64)
+
+
+# render's value group of each formatter, and the conversion of each group
+# from 1 on. Group 0, the formatter of non-scalar kinds, shows zeros whatever
+# the value.
+_GROUP = {_hex32: 1, _hex64: 1, _hex_f32: 2, _hex_f64: 3}
+_GROUP_BITS = (_int_bits, _f32_bits, _f64_bits)
+
 
 class RunTrace(Sequence):
     """A run's trace as the machine recorded it: a column of instruction
@@ -233,17 +315,21 @@ class RunTrace(Sequence):
                                 islice(self.values, start, None)))
 
 
-_WRITE_CHUNK = 4096  # lines joined per write, so memory stays flat
+_WRITE_CHUNK = 4096  # records rendered and written per block, so memory stays flat
 
 
-def _chunks(lines, offsets: array | None = None):
+def _blocks(trace: RunTrace, start: int = 0):
+    """The trace's lines from record `start` on as bytes, rendered a block
+    of _WRITE_CHUNK records at a time (TraceFields.render)."""
+    for a in range(start, len(trace), _WRITE_CHUNK):
+        yield trace.fields.render(trace.indices[a:a + _WRITE_CHUNK],
+                                  trace.values[a:a + _WRITE_CHUNK])
+
+
+def _chunks(lines):
     """The lines, each ended by a newline, joined and encoded _WRITE_CHUNK at
-    a time; `offsets`, when given, gains the offset where each line ends."""
+    a time."""
     while chunk := list(islice(lines, _WRITE_CHUNK)):
-        if offsets is not None:  # line k ends after lines 0..k and k + 1 newlines
-            offsets.extend(islice(map(add, accumulate(map(len, chunk),
-                                                      initial=offsets[-1]),
-                                      count()), 1, None))
         yield ("\n".join(chunk) + "\n").encode()
 
 
@@ -271,9 +357,13 @@ class TraceText:
     @classmethod
     def write(cls, trace: RunTrace, path: str) -> TraceText:
         """Write `trace` to `path` as write_trace does."""
+        import numpy as np
         offsets = array("q", [0])
         with open(path, "wb") as fh:
-            fh.writelines(_chunks(trace.lines(), offsets))
+            for data in _blocks(trace):
+                fh.write(data)  # each line ends just past its newline
+                ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10) + (1 + offsets[-1])
+                offsets.frombytes(ends.astype(np.int64).tobytes())
         return cls(trace, path, offsets)
 
     @cached_property
@@ -289,12 +379,13 @@ def write_trace(records, path: str, golden: TraceText | None = None) -> None:
     RunTrace's records that have golden's instruction and value at their
     position are copied from golden's bytes, up to the first record whose
     instruction differs; the rest are rendered. The bytes are the same
-    either way."""
-    if golden is not None:
+    either way, so a list of TraceRecords is written plainly."""
+    if not isinstance(records, RunTrace):
+        pieces = _chunks(rec.render() for rec in records)
+    elif golden is not None:
         pieces = _pieces_against(records, golden)
     else:
-        pieces = _chunks(records.lines() if isinstance(records, RunTrace)
-                         else (rec.render() for rec in records))
+        pieces = _blocks(records)
     with open(path, "wb") as fh:
         fh.writelines(pieces)
 
@@ -333,7 +424,7 @@ def _pieces_against(trace: RunTrace, golden: TraceText):
         i = ri[pos]
         yield (prefix[i] + value_hex[i](rv[pos]) + "\n").encode()
         done = pos + 1
-    yield from _chunks(trace.lines(agree))
+    yield from _blocks(trace, agree)
 
 
 # -- alignment ---------------------------------------------------------------

@@ -1,5 +1,10 @@
 import math
+import os
 import random
+import struct
+import subprocess
+import sys
+from itertools import accumulate
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,9 +12,11 @@ from hypothesis import strategies as st
 
 from lcfi.instrument import assign_indices, build_plan, load_input_config
 from lcfi.ir.defuse import build_def_use
+from lcfi.ir.parser import parse_module
 from lcfi.faults import Sampler, make_sampler
 from lcfi.traces import (AlignedPair, Divergence, IndexMismatch, TraceFormatError,
-                         TraceRecord, _myers_core, _myers_ops, build_propagation,
+                         TraceRecord, _WRITE_CHUNK, _blocks, _myers_core, _myers_ops,
+                         build_propagation,
                          RunTrace, TraceFields, TraceText, format_record, parse_record,
                          read_trace, trace_diff, trace_to_dot, trace_union, write_trace)
 from lcfi.vm.machine import IoConfig, Machine
@@ -503,6 +510,175 @@ class TestWriteAgainstGolden:
                 idx.insert(pos, 2)
                 val.insert(pos, 4)
         self._check(tmp_path, idx, val, RunTrace(g_idx, g_val, self.FIELDS))
+
+
+def test_write_records_against_golden(tmp_path):
+    """A list of TraceRecords is written plainly, with or without golden."""
+    fields = TestWriteAgainstGolden.FIELDS
+    golden = TraceText.write(RunTrace([1, 2], [1.5, 3], fields), str(tmp_path / "g.txt"))
+    records = [TraceRecord(1, "fadd", "3ff8000000000000"), TraceRecord(2, "add", "00000004")]
+    write_trace(records, str(tmp_path / "plain.txt"))
+    write_trace(records, str(tmp_path / "against.txt"), golden)
+    assert (tmp_path / "against.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
+    assert read_trace(str(tmp_path / "against.txt")) == records
+
+
+def _f32(bits: int) -> float:
+    """The f32 value with these bits, as the machine holds it: a double."""
+    return struct.unpack(">f", struct.pack(">I", bits))[0]
+
+
+def _f64(bits: int) -> float:
+    return struct.unpack(">d", struct.pack(">Q", bits))[0]
+
+
+class TestBlockRenderer:
+    """Rendering a RunTrace a block at a time gives the bytes of its records
+    rendered one by one (TraceRecord.render through the VALUE_HEX formatters)."""
+
+    KINDS = {1: "i1", 2: "i8", 3: "i32", 4: "i64", 5: "ptr", 6: "f32", 7: "f64",
+             8: "void", 12345: "i32"}
+    FIELDS = TraceFields((i, op, kind) for (i, kind), op in zip(
+        KINDS.items(), ["icmp", "trunc", "add", "mul", "getelementptr", "fadd",
+                        "fmul", "store", "call"]))
+    # values each kind's formatter must render exactly: sign and width edges,
+    # zeros of both signs, infinities, NaNs with sign and payload
+    EDGES = {
+        "i1": [-1, 0, 1],
+        "i8": [-1, -128, 127, 0],
+        "i32": [-1, -2 ** 31, 2 ** 31 - 1, 0],
+        "i64": [-2 ** 63, 2 ** 63 - 1, -1, 0],
+        "ptr": [0, 2 ** 63, 2 ** 64 - 1, -8, 4096],
+        "f32": [0.0, -0.0, math.inf, -math.inf, math.nan, _f32(0xFFC00001),
+                _f32(0x7F800001), _f32(0x7FBFFFFF), _f32(0x7F7FFFFF), _f32(1), 0],
+        "f64": [0.0, -0.0, math.inf, -math.inf, math.nan, _f64(0xFFF8000000000001),
+                _f64(0x7FF0000000000001), _f64(0x7FEFFFFFFFFFFFFF), _f64(1), 0],
+        "void": [None, 0, -1.5, "text", (1, 2), [None]],
+    }
+    LIMITS = {"i1": 1, "i8": 8, "i32": 32, "i64": 64}
+
+    @classmethod
+    def _value(cls, rng: random.Random, kind: str):
+        """A random value of the kind. Pointers at or above 2**63 are left to
+        test_edge_values: each sends its whole block down the per-record
+        path, which would leave few blocks for the vectorized one."""
+        if rng.random() < 0.2:
+            return rng.choice([v for v in cls.EDGES[kind] if kind != "ptr" or v < 2 ** 63])
+        if kind in cls.LIMITS:
+            bits = cls.LIMITS[kind]
+            return rng.randrange(-2 ** (bits - 1), 2 ** (bits - 1))
+        if kind == "ptr":  # gep arithmetic can leave a pointer anywhere
+            return rng.randrange(-2 ** 63, 2 ** 62)
+        if kind == "f32":
+            return _f32(rng.getrandbits(32))
+        if kind == "f64":
+            return _f64(rng.getrandbits(64))
+        return rng.choice(cls.EDGES["void"])
+
+    @classmethod
+    def _trace(cls, n: int, seed: int) -> RunTrace:
+        rng = random.Random(seed)
+        indices = [rng.choice(list(cls.KINDS)) for _ in range(n)]
+        return RunTrace(indices, [cls._value(rng, cls.KINDS[i]) for i in indices],
+                        cls.FIELDS)
+
+    @staticmethod
+    def _expected(trace: RunTrace, start: int = 0) -> bytes:
+        return "".join(rec.render() + "\n" for rec in list(trace)[start:]).encode()
+
+    def test_edge_values(self):
+        pairs = [(i, v) for i, kind in self.KINDS.items() for v in self.EDGES[kind]]
+        trace = RunTrace([i for i, _v in pairs], [v for _i, v in pairs], self.FIELDS)
+        # one record at a time, and all of them in one block
+        for i, v in pairs:
+            one = RunTrace([i], [v], self.FIELDS)
+            assert b"".join(_blocks(one)) == self._expected(one), (self.KINDS[i], v)
+        assert b"".join(_blocks(trace)) == self._expected(trace)
+        hex_of = self._block_hex
+        assert hex_of(1, -1) == hex_of(2, -1) == hex_of(3, -1) == "ffffffff"
+        assert hex_of(2, -128) == "ffffff80"
+        assert hex_of(4, -2 ** 63) == "8000000000000000"
+        assert hex_of(5, -8) == "fffffffffffffff8"
+        assert hex_of(5, 2 ** 63) == "8000000000000000"
+        assert hex_of(5, 2 ** 64 - 1) == "ffffffffffffffff"
+        assert hex_of(6, -0.0) == "80000000"
+        assert hex_of(6, _f32(0x7F800001)) == "7fc00001"  # quieted, as C casts
+        assert hex_of(6, _f32(0xFFC00001)) == "ffc00001"
+        assert hex_of(6, _f32(0x7F7FFFFF)) == "7f7fffff"
+        assert hex_of(7, 0) == "0000000000000000"
+        assert hex_of(7, _f64(0xFFF8000000000001)) == "fff8000000000001"
+        assert {hex_of(8, v) for v in self.EDGES["void"]} == {"00000000"}
+
+    def _block_hex(self, index: int, value) -> str:
+        line = b"".join(_blocks(RunTrace([index], [value], self.FIELDS))).decode()
+        return line.rsplit(" ", 1)[1].rstrip("\n")
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.one_of(st.sampled_from([0, 1, _WRITE_CHUNK - 1, _WRITE_CHUNK,
+                                        _WRITE_CHUNK + 1, 2 * _WRITE_CHUNK + 3]),
+                       st.integers(0, 3 * _WRITE_CHUNK)),
+           seed=st.integers(0, 2 ** 32), start=st.floats(0, 1))
+    def test_matches_records_rendered_one_by_one(self, tmp_path, n, seed, start):
+        trace = self._trace(n, seed)
+        start = int(start * n)
+        assert b"".join(_blocks(trace, start)) == self._expected(trace, start)
+        write_trace(trace, str(tmp_path / "run.txt"))
+        write_trace(list(trace), str(tmp_path / "records.txt"))
+        assert (tmp_path / "run.txt").read_bytes() == (tmp_path / "records.txt").read_bytes()
+        text = TraceText.write(trace, str(tmp_path / "golden.txt"))
+        lengths = [len(rec.render()) + 1 for rec in trace]
+        assert list(text.offsets) == list(accumulate(lengths, initial=0))
+        assert text.data == self._expected(trace)
+
+    @pytest.mark.parametrize("kind", ["i32", "i64", "ptr", "f32", "f64"])
+    def test_none_under_a_scalar_kind(self, kind):
+        """A value no conversion takes still renders as its formatter does:
+        None under any kind shows eight zeros."""
+        index = next(i for i, k in self.KINDS.items() if k == kind)
+        trace = RunTrace([index, 7, index], [1, 2.5, None], self.FIELDS)
+        assert trace[2].value_hex == "00000000"
+        assert b"".join(_blocks(trace)) == self._expected(trace)
+
+    def test_free_declared_with_a_result(self):
+        """free returns no value, so a call that declares one traces None."""
+        m = assign_indices(parse_module(
+            "declare ptr @malloc(i64)\ndeclare i64 @free(ptr)\n"
+            "define i32 @main() {\nentry:\n  %p = call ptr @malloc(i64 8)\n"
+            "  %r = call i64 @free(ptr %p)\n  ret i32 0\n}\n"))
+        trace = Machine(m, trace=True).run().trace
+        assert trace.values[-1] is None and trace[-1].value_hex == "00000000"
+        assert b"".join(_blocks(trace)) == self._expected(trace)
+
+    @pytest.mark.parametrize("index,value,error", [
+        (3, 1.5, TypeError),  # a float under an integer kind
+        (6, 1e300, OverflowError),  # a finite double past the f32 range
+        (7, "text", struct.error),
+    ])
+    def test_values_the_formatters_refuse(self, index, value, error):
+        trace = RunTrace([7, index], [2.5, value], self.FIELDS)
+        with pytest.raises(error):
+            trace[1]
+        with pytest.raises(error):
+            b"".join(_blocks(trace))
+
+
+def test_reading_and_diffing_do_not_import_numpy(tmp_path):
+    """lcfi trace diff's path loads no numpy: it would double its start-up."""
+    for name, value in (("golden.txt", "3ff8000000000000"), ("faulty.txt", "3ff9000000000000")):
+        (tmp_path / name).write_text(format_record(1, "fadd", value) + "\n"
+                                     + format_record(2, "add", "00000004") + "\n")
+    code = ("import sys, lcfi.traces as t\n"
+            "report = t.trace_diff(t.read_trace(sys.argv[1]), t.read_trace(sys.argv[2]))\n"
+            "assert report.classification == 'data_flow'\n"
+            "print('numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["lcfi"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "golden.txt"),
+                          str(tmp_path / "faulty.txt")], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout == "False\n"
 
 
 def _demo_traces(demo_indexed, demo_io, seed=77):
