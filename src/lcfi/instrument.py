@@ -9,9 +9,9 @@ chains through getelementptr, bitcast, and loads of pointer slots.
 
 from __future__ import annotations
 
-import copy
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import count
 
 import yaml
 
@@ -45,15 +45,17 @@ class TargetConfigError(InstrumentError):
 
 
 def assign_indices(module: IrModule) -> IrModule:
-    """Return a copy with instructions numbered 1..N in textual order."""
-    out = copy.deepcopy(module)
-    idx = 0
-    for fn in out.functions:
-        for block in fn.blocks:
-            for ins in block.instructions:
-                idx += 1
-                ins.index = idx
-    return out
+    """Return a copy with instructions numbered 1..N in textual order.
+
+    The copy has its own module, functions, blocks and instructions; the
+    types, operands and globals are shared with `module`, which is treated
+    as immutable (see IrModule)."""
+    number = count(1)
+    functions = [replace(fn, blocks=[replace(block, instructions=[
+        replace(ins, index=next(number)) for ins in block.instructions])
+        for block in fn.blocks]) for fn in module.functions]
+    return IrModule(module.source_name, list(module.globals), functions,
+                    list(module.declares), list(module.warnings))
 
 
 def check_indexed(module: IrModule) -> None:

@@ -29,7 +29,7 @@ from functools import cached_property
 from heapq import merge
 from itertools import accumulate, chain, compress, count, islice, repeat
 from math import copysign
-from operator import eq, ne
+from operator import add, eq, ne
 
 from .ir.defuse import UseGraph
 from .ir.nodes import SCALARS, IrType
@@ -111,8 +111,14 @@ _TEXT_RE = re.compile(
     re.M)
 
 
+_SLICE = 1 << 18  # characters of a file's text split at a time, cut at a line end
+
+
 def read_trace(source) -> TraceColumns:
-    """Read records from a path or an iterable of lines."""
+    """Read records from a path or an iterable of lines.
+
+    Opcodes and value hex go through sys.intern, so each distinct one is one
+    string object however often it occurs."""
     if isinstance(source, str):
         try:
             with open(source, encoding="utf-8") as fh:
@@ -120,12 +126,9 @@ def read_trace(source) -> TraceColumns:
         except UnicodeDecodeError as e:
             raise TraceFormatError(
                 f"{source}: not UTF-8 text (byte {e.start})") from e
-        # split() gives [text before, index, opcode, hex, text between, ...].
-        parts = _TEXT_RE.split(text)
-        if len(parts) // 4 == text.count("\n") + (text[-1:] not in ("", "\n")):
-            return TraceColumns(list(map(int, parts[1::4])),
-                                list(map(sys.intern, parts[2::4])),
-                                list(map(str.lower, parts[3::4])))
+        out = _split_text(text)
+        if out is not None:
+            return out
         lines = text.split("\n")
     else:
         lines = source
@@ -137,8 +140,29 @@ def read_trace(source) -> TraceColumns:
             raise TraceFormatError(f"line {lineno}: {e}") from e
         if rec is not None:
             out.indices.append(rec.index)
-            out.opcodes.append(rec.opcode)
-            out.hexes.append(rec.value_hex)
+            out.opcodes.append(sys.intern(rec.opcode))
+            out.hexes.append(sys.intern(rec.value_hex))
+    return out
+
+
+def _split_text(text: str) -> TraceColumns | None:
+    """The columns of `text` by _TEXT_RE, split a slice of about _SLICE
+    characters at a time, so the split's temporary strings never exceed one
+    slice's; None when a line does not match, which a slice shows as fewer
+    matches than lines (a match never spans a newline)."""
+    out = TraceColumns([], [], [])
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _SLICE) + 1 or size
+        piece = text[start:end]
+        # split() gives [text before, index, opcode, hex, text between, ...].
+        parts = _TEXT_RE.split(piece)
+        if len(parts) // 4 != piece.count("\n") + (piece[-1] != "\n"):
+            return None
+        out.indices += map(int, parts[1::4])
+        out.opcodes += map(sys.intern, parts[2::4])
+        out.hexes += map(sys.intern, map(str.lower, parts[3::4]))
+        start = end
     return out
 
 
@@ -451,26 +475,34 @@ def _myers_ops(a: list, b: list) -> list[tuple]:
 
 def _myers_core(a: list, b: list, off_a: int, off_b: int) -> list[tuple]:
     """Myers' greedy O(ND) script for a and b, as runs offset by off_a and
-    off_b: one run per snake and one per edit."""
+    off_b: one run per snake and one per stretch of edits of one kind.
+
+    Round d visits only the diagonals k with |k - (n - m)| <= (n + m) - d
+    (Ukkonen's cutoff with n + m as the bound on D): a path through any other
+    diagonal needs more than n + m edits to end at (n, m). Every value that a
+    round or the backtrack reads lies in that band, so the script is the one
+    that visiting every diagonal gives, and a core that is short on one side
+    costs O((n + m) * min(n, m))."""
     n, m = len(a), len(b)
     if n == 0:
         return [("ins", off_a, off_b, m)] if m else []
     if m == 0:
         return [("del", off_a, off_b, n)]
 
-    # v[off + k] is the furthest x reached on diagonal k = x - y. Before round
-    # d, the diagonals -(d-1), -(d-1)+2, ..., d-1 hold what round d-1 reached;
-    # snapshots[d] keeps those d values for the backtrack.
+    # v[off + k] is the furthest x reached on diagonal k = x - y. Round d
+    # visits the band's diagonals max(-d, d - 2m), ..., min(d, 2n - d) in steps
+    # of 2 and appends what it reached there to `saved`, from saved[starts[d]] on,
+    # for the backtrack.
     off = n + m + 1
     v = [0] * (2 * off + 1)
-    snapshots = [array("i")]
+    saved = array("i")
+    starts = array("q")
     d_final = None
     for d in range(n + m + 1):
-        if d:
-            snapshots.append(array("i", v[off - d + 1:off + d:2]))
-        lo, hi = off - d, off + d
+        first, last = off - d, off + d
+        lo, hi = max(first, off + d - 2 * m), min(last, off + 2 * n - d)
         for kk in range(lo, hi + 1, 2):  # kk = off + k
-            if kk == lo or (kk != hi and v[kk - 1] < v[kk + 1]):
+            if kk == first or (kk != last and v[kk - 1] < v[kk + 1]):
                 x = v[kk + 1]
             else:
                 x = v[kk - 1] + 1
@@ -484,24 +516,30 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int) -> list[tuple]:
                 break
         if d_final is not None:
             break
+        starts.append(len(saved))
+        saved.fromlist(v[lo:hi + 1:2])
     assert d_final is not None
 
     runs = []
     x, y = n, m
     for d in range(d_final, 0, -1):
-        vprev = snapshots[d]  # diagonal k at vprev[(k + d - 1) // 2]
+        # round d - 1 reached saved[base + k // 2] on its diagonal k
+        base = starts[d - 1] - max(1 - d, d - 1 - 2 * m) // 2
         k = x - y
-        if k == -d or (k != d and vprev[(k + d - 2) // 2] < vprev[(k + d) // 2]):
+        if k == -d or (k != d and saved[base + (k - 1) // 2] < saved[base + (k + 1) // 2]):
             prev_k = k + 1
         else:
             prev_k = k - 1
-        prev_x = vprev[(prev_k + d - 1) // 2]
+        prev_x = saved[base + prev_k // 2]
         prev_y = prev_x - prev_k
         snake = min(x - prev_x, y - prev_y)
         if snake:
             runs.append(("match", off_a + x - snake, off_b + y - snake, snake))
-        runs.append(("ins", off_a + prev_x, off_b + prev_y, 1) if x - snake == prev_x
-                    else ("del", off_a + prev_x, off_b + prev_y, 1))
+        kind = "ins" if x - snake == prev_x else "del"
+        if runs and runs[-1][0] == kind:  # no snake between: one run per stretch
+            runs[-1] = (kind, off_a + prev_x, off_b + prev_y, runs[-1][3] + 1)
+        else:
+            runs.append((kind, off_a + prev_x, off_b + prev_y, 1))
         x, y = prev_x, prev_y
     if x:
         runs.append(("match", off_a, off_b, x))
@@ -553,6 +591,34 @@ def _columns(trace) -> tuple[list, list]:
     return [r.index for r in trace], [r.value_hex for r in trace]
 
 
+class _Slots(Sequence):
+    """The slots of some runs of an alignment, in order, given by each run's
+    first slot and length; item i is found by bisecting over the runs'
+    cumulative lengths."""
+
+    def __init__(self, firsts: list, lengths: list):
+        self._firsts = firsts
+        self._lengths = lengths
+        self._before = list(accumulate(lengths, initial=0))  # slots before each run
+
+    def __len__(self) -> int:
+        return self._before[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self.__getitem__, range(*i.indices(len(self)))))
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("slot out of range")
+        r = bisect_right(self._before, i) - 1
+        return self._firsts[r] + i - self._before[r]
+
+    def __iter__(self):
+        return chain.from_iterable(map(range, self._firsts, map(add, self._firsts,
+                                                                 self._lengths)))
+
+
 class _Alignment:
     """A minimal alignment of two traces as runs of slots, with the slot
     positions where the traces differ."""
@@ -564,14 +630,16 @@ class _Alignment:
         self.runs = _myers_ops(self.golden_indices, self.faulty_indices)
         self.starts = list(accumulate((run[3] for run in self.runs), initial=0))
         self.values: list[int] = []  # matched slots whose values differ
-        self.control: list[int] = []  # unmatched slots
+        firsts, lengths = [], []  # the unmatched runs' slots
         for (kind, i, j, length), pos in zip(self.runs, self.starts):
             if kind != "match":
-                self.control.extend(range(pos, pos + length))
+                firsts.append(pos)
+                lengths.append(length)
                 continue
             g, f = golden_hexes[i:i + length], faulty_hexes[j:j + length]
             if g != f:
                 self.values.extend(compress(range(pos, pos + length), map(ne, g, f)))
+        self.control = _Slots(firsts, lengths)  # unmatched slots
 
     def pair(self, pos: int) -> AlignedPair:
         """The records at alignment slot `pos`."""

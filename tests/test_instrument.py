@@ -1,3 +1,6 @@
+import copy
+import os
+
 import pytest
 
 from lcfi.instrument import (FunctionNotFound, InputConfig, InstrumentError,
@@ -10,7 +13,7 @@ from lcfi.instrument import (FunctionNotFound, InputConfig, InstrumentError,
                              resolve_targets)
 from lcfi.ir.parser import parse_module
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path, load_fixture_module
 
 
 class TestIndexing:
@@ -27,8 +30,30 @@ class TestIndexing:
     def test_idempotent(self, demo_indexed):
         assert assign_indices(demo_indexed) == demo_indexed
 
+    @pytest.mark.parametrize("name", sorted(n for n in os.listdir(FIXTURES)
+                                            if n.endswith(".ll")))
+    def test_renumbered_copy_equals_a_deep_copy(self, name):
+        module = load_fixture_module(name)
+        before = copy.deepcopy(module)
+        expected = copy.deepcopy(module)
+        for number, (_f, _b, ins) in enumerate(expected.all_instructions(), start=1):
+            ins.index = number
+        indexed = assign_indices(module)
+        assert indexed == expected
+        assert module == before
+        assert all(ins.index is None for _f, _b, ins in module.all_instructions())
+        # new objects down to the instructions; the frozen parts are shared
+        for fn, new_fn in zip(module.functions, indexed.functions):
+            assert new_fn is not fn
+            for block, new_block in zip(fn.blocks, new_fn.blocks):
+                assert new_block is not block
+                assert new_block.instructions is not block.instructions
+                for ins, new_ins in zip(block.instructions, new_block.instructions):
+                    assert new_ins is not ins and new_ins.result_type is ins.result_type
+        assert indexed.globals is not module.globals
+        assert all(g is h for g, h in zip(indexed.globals, module.globals))
+
     def test_check_rejects_gaps(self, demo_indexed):
-        import copy
         broken = copy.deepcopy(demo_indexed)
         broken.functions[0].blocks[0].instructions[3].index = 99
         with pytest.raises(InstrumentError, match="not contiguous"):

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from lcfi.instrument import assign_indices, build_plan, load_input_config
 from lcfi.ir.defuse import build_def_use
 from lcfi.ir.parser import parse_module
+from lcfi import traces
 from lcfi.faults import Sampler, make_sampler
 from lcfi.traces import (AlignedPair, Divergence, IndexMismatch, TraceFormatError,
-                         TraceRecord, _WRITE_CHUNK, _blocks, _myers_core, _myers_ops,
+                         TraceRecord, _SLICE, _WRITE_CHUNK, _blocks, _myers_core, _myers_ops,
                          build_propagation,
                          RunTrace, TraceFields, TraceText, format_record, parse_record,
                          read_trace, trace_diff, trace_to_dot, trace_union, write_trace)
@@ -120,6 +121,7 @@ class TestReadTraceFastPath:
         "ID: \u0661\u0662 OPCode: add Value: 00000001\n",
         REC + "\n" + REC + "\njunk\n" + REC + "\n",
         REC + "\nID: 9 OPCode: add\n",
+        REC + "\nID: 9 OPCode: add",
         REC + "\nID: 9 OPCode: add Value: 0x10\n",
         REC + "\nID: 9 OPCode: add Value: 00000001 trailing\n",
         "ID: 9 OPCode: add Value: 00000001\nID:9OPCode: add Value: 1\n",
@@ -149,6 +151,60 @@ class TestReadTraceFastPath:
             [12, 7], ["fmul", "load"], ["abcdef0123456789", "0000002a"])
         assert trace[1] == TraceRecord(7, "load", "0000002a")
         assert trace != [TraceRecord(12, "fmul", "abcdef0123456789")]
+
+    @staticmethod
+    def _long_lines():
+        """Record lines enough for more than three slices, with varied
+        indices, opcodes, spacing and hex case, all of them lines that
+        _TEXT_RE takes."""
+        rng = random.Random(13)
+        lines = []
+        while len(lines) < 3 * _SLICE // 32:  # a record line takes 40 characters or more
+            value = f"{rng.randrange(1 << 64):016x}" if rng.random() < 0.5 else "0000002a"
+            lines.append(format_record(rng.randrange(2000), rng.choice(["load", "fmul", "br"]),
+                                       value.upper() if rng.random() < 0.3 else value)
+                         + (" \t" if rng.random() < 0.1 else "") + "\n")
+        return lines
+
+    def test_more_than_three_slices_read_as_per_line(self, tmp_path, monkeypatch):
+        lines = self._long_lines()
+        assert len("".join(lines)) > 3 * _SLICE + 10_000
+        path = tmp_path / "t.txt"
+        path.write_text("".join(lines))
+        with monkeypatch.context() as patch:  # every slice matches line for line
+            patch.setattr(traces, "parse_record", None)
+            trace = read_trace(str(path))
+        expected = _read_per_line(lines)
+        assert trace == expected
+        assert (trace.indices, trace.opcodes, trace.hexes) == (
+            [r.index for r in expected], [r.opcode for r in expected],
+            [r.value_hex for r in expected])
+        # a line only the per-line parser takes sends the file through it
+        lines[-3] = lines[-3].replace(" OPCode", "\x0cOPCode")
+        lines.insert(len(lines) // 2, "\n")
+        path.write_text("".join(lines))
+        assert read_trace(str(path)) == _read_per_line(lines)
+
+    def test_malformed_line_in_a_later_slice(self, tmp_path):
+        lines = self._long_lines()
+        k = len(lines) - 40  # well past the second slice's end
+        lines[k - 1] = "ID: 9 OPCode: add Value: 0x10\n"
+        path = tmp_path / "t.txt"
+        path.write_text("".join(lines))
+        with pytest.raises(TraceFormatError, match=rf"^line {k}: malformed trace record"):
+            read_trace(str(path))
+        assert _outcome(read_trace, str(path)) == _outcome(_read_per_line, lines)
+
+    def test_equal_values_share_one_string(self, tmp_path):
+        lines = self._long_lines()
+        path = tmp_path / "t.txt"
+        path.write_text("".join(lines))
+        for trace in (read_trace(str(path)), read_trace(iter(lines))):
+            first = {}
+            for value in trace.hexes + trace.opcodes:
+                assert first.setdefault(value, value) is value
+        other = read_trace(["ID: 5 OPCode: load Value: 0000002A"])
+        assert other.hexes[0] is trace.hexes[trace.hexes.index("0000002a")]
 
 
 def _lcs_len(a, b):
@@ -306,8 +362,19 @@ class TestMyersAlignment:
             assert _expand(runs) == expected
             assert _expand(_myers_core(a, b, 3, 5)) == _oracle_myers_core(a, b, 3, 5)
             assert all(length > 0 for *_rest, length in runs)
+            assert all(r[0] != s[0] for r, s in zip(runs, runs[1:]))  # maximal runs
             large += sum(op[0] != "match" for op in expected) > 100
         assert large >= 5
+        for case in range(120):  # one side of 0-3 records, the other up to a few hundred
+            symbols = rng.randint(1, 5)
+            short = [rng.randrange(symbols) for _ in range(rng.randint(0, 3))]
+            long = [rng.randrange(symbols) + (case % 4 == 0) * symbols  # disjoint
+                    for _ in range(rng.randint(0, 300))]
+            a, b = (short, long) if case % 2 else (long, short)
+            runs = _myers_ops(a, b)
+            assert _expand(runs) == _oracle_myers_ops(a, b)
+            assert all(r[0] != s[0] for r, s in zip(runs, runs[1:]))
+            assert _expand(_myers_core(a, b, 3, 5)) == _oracle_myers_core(a, b, 3, 5)
 
 
 class TestTraceDiff:
@@ -369,6 +436,62 @@ class TestTraceDiff:
         # the unmatched slot at the front must win over later matches
         assert report.first_divergence.kind in ("golden_only", "faulty_only")
         assert report.first_divergence.position == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from("01")), max_size=30),
+           st.lists(st.tuples(st.integers(1, 4), st.sampled_from("01")), max_size=30))
+    def test_slots_agree_with_the_pairs(self, golden, faulty):
+        golden = [TraceRecord(i, "add", v * 8) for i, v in golden]
+        faulty = [TraceRecord(i, "add", v * 8) for i, v in faulty]
+        report = trace_diff(golden, faulty)
+        pairs = list(report.pairs)
+        control = [pos for pos, p in enumerate(pairs) if not p.matched()]
+        values = [pos for pos, p in enumerate(pairs) if p.matched() and not p.value_equal()]
+        expected = [Divergence("golden_only" if p.faulty is None else "faulty_only",
+                               pos, p.golden, p.faulty)
+                    for pos, p in enumerate(pairs) if not p.matched()]
+        got = report.control_flow_divergences
+        assert list(got) == expected and len(got) == len(expected)
+        assert [got[i] for i in range(-len(got), len(got))] == expected + expected
+        assert got[1:-1:2] == expected[1:-1:2] and got[::-1] == expected[::-1]
+        for i in (len(got), -len(got) - 1):
+            with pytest.raises(IndexError):
+                got[i]
+        assert [d.position for d in report.value_divergences] == values
+        first = min(values + control, default=None)
+        assert (report.first_divergence and report.first_divergence.position) == first
+        assert report.classification == ("identical" if first is None else
+                                          "control_flow" if control else "data_flow")
+
+    def test_hang_shaped_pair(self):
+        """4 golden records against 100k faulty ones with no index in common,
+        as a budget-stopped run leaves after trimming: the diff takes seconds
+        and its memory grows with the long side, not with its square (a full
+        Myers pass would take about 5e9 diagonal steps)."""
+        code = """if True:
+            import time, tracemalloc
+            from lcfi.traces import TraceColumns, trace_diff
+
+            def pair(m):
+                golden = TraceColumns([900, 901, 902, 903], ["add"] * 4, ["00000001"] * 4)
+                return golden, TraceColumns([i % 200 for i in range(m)], ["add"] * m,
+                                            ["00000002"] * m)
+
+            t = time.perf_counter()
+            report = trace_diff(*pair(100_000))
+            print(report.classification, report.first_divergence.position,
+                  len(report.control_flow_divergences), len(report.value_divergences),
+                  time.perf_counter() - t)
+            golden, faulty = pair(5000)  # tracemalloc slows the core's loop about 50x
+            tracemalloc.start()
+            trace_diff(golden, faulty).classification
+            print(tracemalloc.get_traced_memory()[1])
+        """
+        out = _python(code, timeout=120).split()  # a full Myers pass would run for hours
+        assert out[:4] == ["control_flow", "0", "100004", "0"]
+        assert float(out[4]) < 20  # about 0.5 s on a 2-core host
+        # 4 x 5000 takes about 0.3 MB; a snapshot per round would take 50 MB
+        assert int(out[5]) < 2_000_000
 
 
 class TestTraceUnion:
@@ -672,13 +795,16 @@ def test_reading_and_diffing_do_not_import_numpy(tmp_path):
             "report = t.trace_diff(t.read_trace(sys.argv[1]), t.read_trace(sys.argv[2]))\n"
             "assert report.classification == 'data_flow'\n"
             "print('numpy' in sys.modules)\n")
+    assert _python(code, str(tmp_path / "golden.txt"), str(tmp_path / "faulty.txt")) == "False\n"
+
+
+def _python(code: str, *args: str, timeout: int = 60) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports this lcfi."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["lcfi"].__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "golden.txt"),
-                          str(tmp_path / "faulty.txt")], env=env, capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout == "False\n"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout, check=True).stdout
 
 
 def _demo_traces(demo_indexed, demo_io, seed=77):
