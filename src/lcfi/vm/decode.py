@@ -178,7 +178,8 @@ def _cast(ins, d, arg):
 def _access(addr: str, size: int) -> list[str]:
     """Source that sets a to `addr`, x to the arena holding it and o to its
     offset there, or raises OutOfBounds for `size` bytes at a."""
-    return [f"a = {addr}; x = m.heap if a >= {HEAP_BASE} else m.arena; o = a - x.base",
+    return [f"a = {addr}; x = m.state.heap if a >= {HEAP_BASE} else m.state.arena; "
+            "o = a - x.base",
             f"if o < 0 or a + {size} > x.top: raise OutOfBounds(a, {size})"]
 
 
@@ -203,7 +204,7 @@ def _store(ins, d, arg):
 def _alloca(ins, d, arg):
     size = ins.aux_type.byte_width()
     align = ins.align or ins.aux_type.alignment()
-    return [f"r[{d}] = m.arena.alloc({size}, {align})"]
+    return [f"r[{d}] = m.state.arena.alloc({size}, {align})"]
 
 
 def _gep(ins, d, arg):
@@ -483,7 +484,7 @@ class DecodedModule:
             for pos, d, t in targets:
                 bound[f"target{pos}"], bound[f"ins{pos}"] = t, seg.instrs[pos]
                 code[pos] += (f"r[{d}] = m.inject(target{pos}, ins{pos}, r[{d}], "
-                              f"m.steps - {seg.n - pos - 1})",)
+                              f"m.state.steps - {seg.n - pos - 1})",)
             segs[fi][si] = Segment(f"@{self.fns[fi].name}#{si}", tuple(code),
                                    seg.instrs, seg.rec_idx, seg.rec_slot, seg.term,
                                    bound)

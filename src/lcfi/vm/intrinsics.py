@@ -123,7 +123,7 @@ def _intrinsic_scanf(machine, args):
     if not args:
         machine.trap("bad_intrinsic_arg", "scanf: missing format string")
     fmt = _cstring(machine, args[0])
-    stream = machine.stdin
+    stream = machine.state.stdin
     assigned = 0
     argi = 1
 
@@ -210,7 +210,7 @@ def _intrinsic_freopen(machine, args):
     content = machine.resolve_file(path)
     if content is None:
         return 0
-    machine.stdin = InStream(content)
+    machine.state.stdin = InStream(content)
     return stream
 
 
@@ -224,14 +224,17 @@ def _intrinsic_fopen(machine, args):
     content = machine.resolve_file(path)
     if content is None:
         return 0
-    handle = _FIRST_FILE_HANDLE + 8 * len(machine.open_streams)
-    machine.open_streams[handle] = InStream(content)
+    streams = machine.state.open_streams
+    handle = _FIRST_FILE_HANDLE  # the lowest handle not open, as POSIX gives fds
+    while handle in streams:
+        handle += 8
+    streams[handle] = InStream(content)
     return handle
 
 
 def _intrinsic_fclose(machine, args):
     if args:
-        machine.open_streams.pop(int(args[0]), None)
+        machine.state.open_streams.pop(int(args[0]), None)
     return 0
 
 
@@ -285,7 +288,7 @@ def _intrinsic_malloc(machine, args):
     size = int(args[0])
     if size < 0:
         machine.trap("bad_intrinsic_arg", f"malloc: negative size {size}")
-    return machine.heap.alloc(size, 8)
+    return machine.state.heap.alloc(size, 8)
 
 
 def _intrinsic_free(machine, args):
@@ -297,6 +300,8 @@ def _intrinsic_memset(machine, args):
     if len(args) != 3:
         machine.trap("bad_intrinsic_arg", "memset: expected 3 arguments")
     addr, val, size = (int(a) for a in args)
+    if size < 0:
+        machine.trap("bad_intrinsic_arg", f"memset: negative size {size}")
     machine.mem_for(addr).store_bytes(addr, bytes([val & 0xFF]) * size)
     return addr
 
@@ -305,6 +310,8 @@ def _intrinsic_memcpy(machine, args):
     if len(args) != 3:
         machine.trap("bad_intrinsic_arg", "memcpy: expected 3 arguments")
     dst, src, size = (int(a) for a in args)
+    if size < 0:
+        machine.trap("bad_intrinsic_arg", f"memcpy: negative size {size}")
     data = machine.mem_for(src).load_bytes(src, size)
     machine.mem_for(dst).store_bytes(dst, data)
     return dst

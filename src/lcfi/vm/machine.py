@@ -22,13 +22,15 @@ scope is consulted, a sampled error is applied, and only then does the trace
 record the (possibly faulted) value. A fault on a non-finite value is skipped
 and counted separately; it is not an activation.
 
-Every run under one plan is the same run until its sampler is first drawn.
-`prefix_snapshot` runs that fault-free prefix once and captures the state at
-the start of the segment holding the first draw; a machine built with
-`start=` that snapshot resumes there, with absolute step counts and the
-prefix's trace records in place. It must be a machine that would have made
-the same run (same module, plan, io and depth limit, a budget that reaches
-the snapshot); any other raises ValueError.
+Everything a run changes is one `RunState`: memory, streams, stdout, the
+frames, the counters and the trace columns. Every run under one plan is the
+same run until its sampler is first drawn. `prefix_snapshot` runs that
+fault-free prefix once and keeps its `RunState` at the start of the segment
+holding the first draw, with the run's identity, as a `Snapshot`; a machine
+built with `start=` that snapshot runs on a copy of that state, with
+absolute step counts and the prefix's trace records in place. It must be a
+machine that would have made the same run (same module, plan, io and depth
+limit, a budget that reaches the snapshot); any other raises ValueError.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from ..faults import Sampler, apply_fault, draw_bound, sample_error
 from ..instrument import InjectionPlan, PlanTarget
 from ..traces import RunTrace, value_bits
 from .arena import HEAP_BASE, MemoryArena, OutOfBounds
-from .decode import BR, CALL, Code, VmError, decoded
+from .decode import BR, CALL, VmError, decoded
 from .intrinsics import InStream
 
 TRAP_KINDS = frozenset({
@@ -103,46 +105,71 @@ class IoConfig:
     workdir: str = ""
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """A run's state at the start of a segment, before its sampler's first
-    draw, as plain data: each frame is (function number, segment number,
-    registers, stack mark, call ordinal, loop trips), so a snapshot pickles.
-    A machine started from it copies what it would change. The run it was
-    taken of had `module`, `plan`, `io` and `max_depth`, and skipped faults
-    on non-finite values."""
-    module: IrModule
-    plan: InjectionPlan
-    io: IoConfig
-    max_depth: int
-    frames: tuple
-    arena: MemoryArena
-    heap: MemoryArena
-    stdin: InStream
-    open_streams: dict
-    stdout_parts: tuple
-    steps: int
-    call_counts: tuple
-    exec_counts: dict
-    skipped_nonfinite: int
-    trace_idx: list
-    trace_val: list
-
-
 class Frame:
-    """One activation: its function's code, the segment it is in, its
+    """One activation: its function's number, the segment it is in, its
     registers, its stack mark, which call of the function it is, and the
     trip counts of the loops its plan watches."""
 
-    __slots__ = ("code", "si", "regs", "mark", "inv_ordinal", "loop_trips")
+    __slots__ = ("fi", "si", "regs", "mark", "inv_ordinal", "loop_trips")
 
-    def __init__(self, code: Code, regs: list, mark: int, inv_ordinal: int):
-        self.code = code
+    def __init__(self, fi: int, regs: list, mark: int, inv_ordinal: int):
+        self.fi = fi
         self.si = 0
         self.regs = regs
         self.mark = mark
         self.inv_ordinal = inv_ordinal
         self.loop_trips: dict[str, int] = {}
+
+    def copy(self) -> Frame:
+        twin = Frame(self.fi, list(self.regs), self.mark, self.inv_ordinal)
+        twin.si, twin.loop_trips = self.si, dict(self.loop_trips)
+        return twin
+
+
+@dataclass
+class RunState:
+    """Everything a run changes, as plain data that pickles. `trace_idx` is
+    None in an untraced run."""
+    arena: MemoryArena
+    heap: MemoryArena
+    stdin: InStream
+    call_counts: list[int]
+    exec_counts: dict[int, int]
+    trace_idx: list[int] | None
+    trace_val: list = field(default_factory=list)
+    open_streams: dict[int, InStream] = field(default_factory=dict)
+    stdout_parts: list[str] = field(default_factory=list)
+    frames: list[Frame] = field(default_factory=list)
+    activations: list[Activation] = field(default_factory=list)
+    steps: int = 0
+    skipped_nonfinite: int = 0
+
+    def copy(self) -> RunState:
+        """A copy that shares nothing a run changes. This is the one list of
+        the mutable fields; any other field, a subclass's too, carries over."""
+        return replace(
+            self, arena=self.arena.copy(), heap=self.heap.copy(),
+            stdin=copy.copy(self.stdin),
+            call_counts=list(self.call_counts), exec_counts=dict(self.exec_counts),
+            trace_idx=None if self.trace_idx is None else list(self.trace_idx),
+            trace_val=list(self.trace_val),
+            open_streams={h: copy.copy(st) for h, st in self.open_streams.items()},
+            stdout_parts=list(self.stdout_parts),
+            frames=[f.copy() for f in self.frames],
+            activations=list(self.activations))
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """A run's state at the start of a segment, before its sampler's first
+    draw. The run it was taken of had `module`, `plan`, `io` and
+    `max_depth`, and skipped faults on non-finite values. A machine started
+    from it runs on a copy of `state`."""
+    module: IrModule
+    plan: InjectionPlan
+    io: IoConfig
+    max_depth: int
+    state: RunState
 
 
 class Machine:
@@ -165,73 +192,32 @@ class Machine:
             raise ValueError("an injection plan needs a sampler")
 
         self._decoded = decoded(module)
-        self.arena = self._decoded.arena.copy()
-        self.heap = MemoryArena(base=HEAP_BASE)
-        self.stdin = InStream(self.io.stdin_text)
-        self.open_streams: dict[int, InStream] = {}
-        self._stdout_parts: list[str] = []
-        self._trace_idx: list[int] | None = [] if trace else None
-        self._trace_val: list = []
-        self.activations: list[Activation] = []
-        self.skipped_nonfinite = 0
-        self.steps = 0
-
         self._codes = self._decoded.codes(plan)
-        self._call_counts = [0] * len(self._codes)
-        self._stack: list[Frame] = []
-        self._exec_counts = {t.index: 0 for t in plan.targets} if plan else {}
-        if start is not None:
-            self._restore(start)
-
-    def _restore(self, s: Snapshot) -> None:
-        """Resume from a snapshot of a run this machine would have made: one
-        of its module under its plan, io and depth limit, that its budget
-        lets reach the snapshot."""
-        if (s.module != self.module or s.plan != self.plan or s.io != self.io
-                or s.max_depth != self.max_depth
-                or (self.strict_nonfinite and s.skipped_nonfinite)):
+        if start is None:
+            self.state = RunState(
+                arena=self._decoded.arena.copy(), heap=MemoryArena(base=HEAP_BASE),
+                stdin=InStream(self.io.stdin_text), call_counts=[0] * len(self._codes),
+                exec_counts={t.index: 0 for t in plan.targets} if plan else {},
+                trace_idx=[] if trace else None)
+            return
+        # resume a run this machine would have made: one of its module under
+        # its plan, io and depth limit, that its budget lets reach the snapshot
+        if (start.module != module or start.plan != plan or start.io != self.io
+                or start.max_depth != max_depth
+                or (strict_nonfinite and start.state.skipped_nonfinite)):
             raise ValueError("the snapshot is of a run under another module, plan, "
                              "io, depth limit or handling of non-finite values")
-        if self.budget < s.steps:
-            raise ValueError(f"a budget of {self.budget} steps ends before the "
-                             f"snapshot's step {s.steps}")
-        self.arena = s.arena.copy()
-        self.heap = s.heap.copy()
-        self.stdin = copy.copy(s.stdin)
-        self.open_streams = {h: copy.copy(st) for h, st in s.open_streams.items()}
-        self._stdout_parts = list(s.stdout_parts)
-        self.steps = s.steps
-        self._call_counts = list(s.call_counts)
-        self._exec_counts = dict(s.exec_counts)
-        self.skipped_nonfinite = s.skipped_nonfinite
-        if self.tracing:
-            self._trace_idx = list(s.trace_idx)
-            self._trace_val = list(s.trace_val)
-        for fi, si, regs, mark, inv_ordinal, loop_trips in s.frames:
-            frame = Frame(self._codes[fi], list(regs), mark, inv_ordinal)
-            frame.si = si
-            frame.loop_trips = dict(loop_trips)
-            self._stack.append(frame)
-
-    def _snapshot(self) -> Snapshot:
-        """The state of a finished machine that its budget stopped at the
-        start of a segment, before any draw. The snapshot takes over the
-        machine's memory and streams."""
-        fn_index = self._decoded.fn_index
-        return Snapshot(
-            module=self.module, plan=self.plan, io=self.io, max_depth=self.max_depth,
-            frames=tuple((fn_index[f.code.fn.name], f.si, f.regs, f.mark,
-                          f.inv_ordinal, f.loop_trips) for f in self._stack),
-            arena=self.arena, heap=self.heap, stdin=self.stdin,
-            open_streams=self.open_streams, stdout_parts=tuple(self._stdout_parts),
-            steps=self.budget, call_counts=tuple(self._call_counts),
-            exec_counts=self._exec_counts, skipped_nonfinite=self.skipped_nonfinite,
-            trace_idx=self._trace_idx, trace_val=self._trace_val)
+        if budget < start.state.steps:
+            raise ValueError(f"a budget of {budget} steps ends before the "
+                             f"snapshot's step {start.state.steps}")
+        self.state = start.state.copy()
+        if not trace:
+            self.state.trace_idx = None
 
     # -- services used by intrinsics and ops --------------------------------
 
     def write_stdout(self, text: str) -> None:
-        self._stdout_parts.append(text)
+        self.state.stdout_parts.append(text)
 
     def resolve_file(self, path: str) -> str | None:
         if path in self.io.files:
@@ -244,7 +230,7 @@ class Machine:
             return None
 
     def mem_for(self, addr: int) -> MemoryArena:
-        return self.heap if addr >= HEAP_BASE else self.arena
+        return self.state.heap if addr >= HEAP_BASE else self.state.arena
 
     def trap(self, kind: str, message: str):
         """Stop the run with a trap; the step loop adds where it happened."""
@@ -263,50 +249,50 @@ class Machine:
             status, trap, value = "trapped", t.info, None
         except _BudgetExhausted:
             status, trap, value = "budget_exhausted", None, None
-        trace = (RunTrace(self._trace_idx, self._trace_val, self._decoded.fields)
+        state = self.state
+        trace = (RunTrace(state.trace_idx, state.trace_val, self._decoded.fields)
                  if self.tracing else None)
         return RunOutcome(
-            status=status, return_value=value, stdout="".join(self._stdout_parts),
-            trap=trap, steps=self.steps, activation_count=len(self.activations),
-            activations=self.activations, skipped_nonfinite=self.skipped_nonfinite,
+            status=status, return_value=value, stdout="".join(state.stdout_parts),
+            trap=trap, steps=state.steps, activation_count=len(state.activations),
+            activations=state.activations, skipped_nonfinite=state.skipped_nonfinite,
             trace=trace)
 
     def _push(self, fi: int, args: list) -> None:
-        code = self._codes[fi]
-        fn = code.fn
-        if len(self._stack) >= self.max_depth:
+        fn, state = self._codes[fi].fn, self.state
+        if len(state.frames) >= self.max_depth:
             self.trap("stack_overflow", f"call depth exceeds {self.max_depth} frames")
         if len(args) != fn.nparams:
             raise VmError(f"@{fn.name} called with {len(args)} args, "
                           f"takes {fn.nparams}")
-        self._call_counts[fi] += 1
+        state.call_counts[fi] += 1
         regs = fn.template.copy()
         regs[1:1 + len(args)] = args
-        self._stack.append(Frame(code, regs, self.arena.mark(),
-                                 self._call_counts[fi]))
+        state.frames.append(Frame(fi, regs, state.arena.mark(), state.call_counts[fi]))
 
     def _exec(self, entry: str, args: tuple):
         """Run segments until the entry function returns."""
-        if not self._stack:
+        state, codes, budget = self.state, self._codes, self.budget
+        stack, tidx, tval = state.frames, state.trace_idx, state.trace_val
+        if not stack:
             fi = self._decoded.fn_index.get(entry)
             if fi is None:
                 raise VmError(f"no function @{entry}")
             self._push(fi, list(args))
-        stack, budget = self._stack, self.budget
-        tidx, tval = self._trace_idx, self._trace_val
         frame = stack[-1]
-        segs, regs, watch, si = frame.code.segs, frame.regs, frame.code.watch, frame.si
+        code = codes[frame.fi]
+        segs, regs, watch, si = code.segs, frame.regs, code.watch, frame.si
         try:
             while True:
                 seg = segs[si]
-                base = self.steps
-                steps = self.steps = base + seg.n
+                base = state.steps
+                steps = state.steps = base + seg.n
                 if steps > budget:
                     values = seg.prefix(budget - base)(regs, self)
                     if tidx is not None:
                         tidx.extend(seg.rec_idx[:len(values)])
                         tval.extend(values)
-                    self.steps = budget + 1
+                    state.steps = budget + 1
                     frame.si = si  # where a snapshot resumes
                     raise _BudgetExhausted
                 values = seg.run(regs, self)
@@ -327,16 +313,17 @@ class Machine:
                     frame.si = si
                     self._push(term[1], [regs[s] for s in term[2]])
                     frame = stack[-1]
-                    segs, regs, watch, si = frame.code.segs, frame.regs, frame.code.watch, 0
+                    code = codes[frame.fi]
+                    segs, regs, watch, si = code.segs, frame.regs, code.watch, 0
                 else:  # RET
                     value = regs[term[1]]
-                    self.arena.release(frame.mark)
+                    state.arena.release(frame.mark)
                     stack.pop()
                     if not stack:
                         return value
                     frame = stack[-1]
-                    segs, regs, watch, si = (frame.code.segs, frame.regs,
-                                             frame.code.watch, frame.si)
+                    code = codes[frame.fi]
+                    segs, regs, watch, si = code.segs, frame.regs, code.watch, frame.si
                     # finish the caller's call instruction with the returned value
                     _kind, _fi, _args, d, index = segs[si].term
                     regs[d] = value
@@ -347,20 +334,21 @@ class Machine:
         except (_TrapSignal, OutOfBounds) as e:
             # an op raised, or else the terminator did
             pos = seg.position(e.__traceback__)
-            self.steps = base + pos + 1
+            state.steps = base + pos + 1
             if pos < seg.n - 1:
                 self._record(seg, regs, pos)
             info = (e.info if isinstance(e, _TrapSignal)
                     else TrapInfo("out_of_bounds", str(e)))
-            raise _TrapSignal(replace(info, function=frame.code.fn.name,
+            raise _TrapSignal(replace(info, function=code.fn.name,
                                       index=seg.instrs[pos].index)) from None
 
     def _record(self, seg, regs: list, done: int) -> None:
         """Trace the first `done` ops of a segment an op trapped in."""
-        if self._trace_idx is not None:
+        state = self.state
+        if state.trace_idx is not None:
             n = sum(ins.index is not None for ins in seg.instrs[:done])
-            self._trace_idx.extend(seg.rec_idx[:n])
-            self._trace_val.extend(regs[s] for s in seg.rec_slot[:n])
+            state.trace_idx.extend(seg.rec_idx[:n])
+            state.trace_val.extend(regs[s] for s in seg.rec_slot[:n])
 
     @staticmethod
     def _count_trip(frame: Frame, watch: tuple, src: str, dst: str) -> None:
@@ -373,14 +361,15 @@ class Machine:
 
     def inject(self, target: PlanTarget, ins: Instruction, value, step: int):
         """The value a target instruction leaves, at run step `step`."""
-        self._exec_counts[ins.index] += 1
-        if not self._scope_hit(self._stack[-1], target):
+        state = self.state
+        state.exec_counts[ins.index] += 1
+        if not self._scope_hit(state.frames[-1], target):
             return value
         if isinstance(value, float) and not math.isfinite(value):
             if self.strict_nonfinite:
                 self.trap("non_finite_fault_target",
                           f"target ID {ins.index} holds {value!r}")
-            self.skipped_nonfinite += 1
+            state.skipped_nonfinite += 1
             return value
         return self._fault(target, ins, value, step)
 
@@ -389,7 +378,7 @@ class Machine:
         err = sample_error(self.sampler, float(value))
         faulted = apply_fault(value, err, target.value_kind,
                               draw_bound(self.sampler.spec, float(value)))
-        self.activations.append(Activation(
+        self.state.activations.append(Activation(
             index=ins.index, opcode=ins.opcode, step=step,
             original_hex=value_bits(value, ins.result_type),
             faulted_hex=value_bits(faulted, ins.result_type),
@@ -399,7 +388,7 @@ class Machine:
     def _scope_hit(self, frame: Frame, target: PlanTarget) -> bool:
         scope = self.plan.scope
         if scope.mode == "nth_execution":
-            return self._exec_counts[target.index] in scope.k
+            return self.state.exec_counts[target.index] in scope.k
         if scope.mode == "invocation":
             return frame.inv_ordinal in scope.k
         return (target.loop is not None
@@ -441,7 +430,7 @@ def prefix_snapshot(module: IrModule, io: IoConfig, budget: int,
         base = hit.base
     probe = _Probe(module, io, base, plan, trace=True)
     probe.run()  # the budget stops it at the start of that segment
-    return probe._snapshot()
+    return Snapshot(module, plan, io, probe.max_depth, replace(probe.state, steps=base))
 
 
 def run_module(module: IrModule, **kw) -> RunOutcome:

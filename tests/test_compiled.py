@@ -61,7 +61,7 @@ def test_budget_cut_at_every_step_of_the_snapshot_segment():
     plan, spec = build_plan(m, cfg), cfg.fault_spec(base_dir=FIXTURES)
     io = IoConfig(workdir=FIXTURES)
     start = prefix_snapshot(m, io, 10 ** 8, plan)
-    fi, si = start.frames[-1][:2]
+    fi, si = start.state.frames[-1].fi, start.state.frames[-1].si
     seg = decode.decoded(m).codes(plan)[fi].segs[si]
     assert any("m.inject" in line for op in seg.code for line in op)
     for s in (start, None):
@@ -70,7 +70,8 @@ def test_budget_cut_at_every_step_of_the_snapshot_segment():
                            sampler=make_sampler(spec, 5), start=s)
         full = machine().run()
         assert full.activation_count > 0
-        lengths = _check_cuts(machine, range(start.steps, start.steps + seg.n), full)
+        lengths = _check_cuts(machine, range(start.state.steps, start.state.steps + seg.n),
+                              full)
         assert lengths[-1] - lengths[0] == seg.n - 1  # every op is indexed
 
 

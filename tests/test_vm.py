@@ -740,6 +740,29 @@ define i32 @main() {
         assert out.status == "ok"
         assert out.return_value == 99
 
+    def test_fopen_gives_the_lowest_handle_not_open(self):
+        gep = "i8* getelementptr ([2 x i8]* @{}, i32 0, i32 0)"
+        fopen = f"call i8* @fopen({gep}, {gep.format('mode')})"
+        m = Machine(assign_indices(parse_module(f"""
+@mode = constant [2 x i8] c"r\\00"
+@a = constant [2 x i8] c"a\\00"
+@b = constant [2 x i8] c"b\\00"
+@c = constant [2 x i8] c"c\\00"
+@f = constant [10 x i8] c"%d %d %d\\0A\\00"
+define i32 @main() {{
+  %ha = {fopen.format('a')}
+  %hb = {fopen.format('b')}
+  %x = call i32 @fclose(i8* %ha)
+  %hc = {fopen.format('c')}
+  %r = call i32 (i8*, ...)* @printf(i8* getelementptr ([10 x i8]* @f, i32 0, i32 0), i8* %ha, i8* %hb, i8* %hc)
+  ret i32 0
+}}
+""")), io=IoConfig(files={"a": "1", "b": "2", "c": "3"}))
+        out = m.run()
+        assert out.status == "ok", out.trap
+        assert out.stdout == "32 40 32\n"
+        assert {h: st.text for h, st in m.state.open_streams.items()} == {32: "3", 40: "2"}
+
     @pytest.mark.parametrize("call,expected", [
         ("call double @sqrt(double 2.0)", math.sqrt(2.0)),
         ("call double @fabs(double -2.5)", 2.5),
@@ -1277,6 +1300,24 @@ define i32 @main() {
 }
 """)
         assert (trap.kind, trap.function, trap.index) == ("division_by_zero", "g", 1)
+
+    @pytest.mark.parametrize("call", ["memset(i8* %p, i32 65, i64 %n)",
+                                      "memcpy(i8* %p, i8* %p, i64 %n)"])
+    def test_negative_size_at_memset_and_memcpy(self, call):
+        trap = _trap_of(f"""
+define i32 @g(i64 %n) {{
+  %a = alloca [4 x i8]
+  %p = getelementptr [4 x i8]* %a, i32 0, i32 0
+  %r = call i8* @{call}
+  ret i32 0
+}}
+define i32 @main() {{
+  %r = call i32 @g(i64 -5)
+  ret i32 %r
+}}
+""")
+        assert (trap.kind, trap.function, trap.index) == ("bad_intrinsic_arg", "g", 3)
+        assert trap.message == f"{call[:6]}: negative size -5"
 
 
 class TestRealizedBound:
