@@ -5,6 +5,10 @@ a faulty trace is a minimal edit script over the instruction-index sequences
 (Myers O(ND)); record values never influence the alignment, they are compared
 afterwards on matched pairs.
 
+read_trace reads a file in binary, a slice of about _SLICE bytes cut after a
+newline at a time, so beyond the columns it returns a read holds one slice
+however long the file is.
+
 A run's trace is written from its raw columns, a block of up to
 _WRITE_CHUNK records at a time: one vectorized pass per block converts the
 values to bits, turns them into digits with one bytes.hex() and fills them
@@ -17,6 +21,7 @@ record for record, which gives the same file.
 
 from __future__ import annotations
 
+import os
 import re
 import struct
 import sys
@@ -57,8 +62,13 @@ def format_record(index: int, opcode: str, value_hex: str) -> str:
     return f"ID: {index:<4} OPCode: {opcode:<6} Value: {value_hex}"
 
 
-_RECORD_RE = re.compile(
-    r"^\s*ID:\s*(\d+)\s+OPCode:\s*(\S+)\s+Value:\s*([0-9a-fA-F]+)\s*$")
+# A record line, with `{s}` for its whitespace. _RECORD_RE, with any whitespace,
+# parses one line; _TEXT_RE, with spaces and tabs only, matches each record line
+# of a text. A line _TEXT_RE matches holds no other whitespace, so _RECORD_RE
+# parses it to the same record.
+_RECORD = r"^{s}*ID:{s}*(\d+){s}+OPCode:{s}*(\S+){s}+Value:{s}*([0-9a-fA-F]+){s}*$"
+_RECORD_RE = re.compile(_RECORD.format(s=r"\s"))
+_TEXT_RE = re.compile(_RECORD.format(s="[ \t]"), re.M)
 
 
 def _sequence_eq(self, other) -> bool:
@@ -103,67 +113,61 @@ class TraceColumns(Sequence):
     __eq__ = _sequence_eq
 
 
-# The record pattern over a whole text, one match per line. It takes only
-# spaces and tabs where _RECORD_RE takes any whitespace, so a line it matches
-# parses to the same record; read_trace uses it only when it matched every line.
-_TEXT_RE = re.compile(
-    r"^[ \t]*ID:[ \t]*(\d+)[ \t]+OPCode:[ \t]*(\S+)[ \t]+Value:[ \t]*([0-9a-fA-F]+)[ \t]*$",
-    re.M)
-
-
-_SLICE = 1 << 18  # characters of a file's text split at a time, cut at a line end
+_SLICE = 1 << 18  # bytes of a file parsed at a time, cut after a line end
 
 
 def read_trace(source) -> TraceColumns:
-    """Read records from a path or an iterable of lines.
-
+    """Read records from a path (a str or path-like) or an iterable of lines,
+    each item one line; a file's line ends count as text mode counts them.
     Opcodes and value hex go through sys.intern, so each distinct one is one
     string object however often it occurs."""
-    if isinstance(source, str):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-        except UnicodeDecodeError as e:
-            raise TraceFormatError(
-                f"{source}: not UTF-8 text (byte {e.start})") from e
-        out = _split_text(text)
-        if out is not None:
-            return out
-        lines = text.split("\n")
+    out, lineno, offset = TraceColumns([], [], []), 1, 0
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            while data := fh.read(_SLICE) + fh.readline():
+                try:
+                    text = data.decode()
+                except UnicodeDecodeError as e:
+                    raise TraceFormatError(
+                        f"{source}: not UTF-8 text (byte {offset + e.start})") from e
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n").replace("\r", "\n")
+                lineno = _parse(text, lineno, out)
+                offset += len(data)
     else:
-        lines = source
-    out = TraceColumns([], [], [])
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            rec = parse_record(line)
-        except TraceFormatError as e:
-            raise TraceFormatError(f"line {lineno}: {e}") from e
-        if rec is not None:
-            out.indices.append(rec.index)
-            out.opcodes.append(sys.intern(rec.opcode))
-            out.hexes.append(sys.intern(rec.value_hex))
+        items = iter(source)
+        # _SLICE // 64 items at a time. A newline that ends an item goes; one
+        # inside it, whitespace to parse_record, becomes a space, so the item
+        # stays one line.
+        while batch := list(islice(items, _SLICE // 64)):
+            text = "\n".join([item.removesuffix("\n").replace("\n", " ") for item in batch])
+            lineno = _parse(text, lineno, out) + 1
     return out
 
 
-def _split_text(text: str) -> TraceColumns | None:
-    """The columns of `text` by _TEXT_RE, split a slice of about _SLICE
-    characters at a time, so the split's temporary strings never exceed one
-    slice's; None when a line does not match, which a slice shows as fewer
-    matches than lines (a match never spans a newline)."""
-    out = TraceColumns([], [], [])
-    start, size = 0, len(text)
-    while start < size:
-        end = text.find("\n", start + _SLICE) + 1 or size
-        piece = text[start:end]
-        # split() gives [text before, index, opcode, hex, text between, ...].
-        parts = _TEXT_RE.split(piece)
-        if len(parts) // 4 != piece.count("\n") + (piece[-1] != "\n"):
-            return None
+def _parse(text: str, lineno: int, out: TraceColumns) -> int:
+    """Append the records of `text`, whose first line is line `lineno`, to
+    `out` and return the number of the line after its last newline: one split
+    when _TEXT_RE matches every line, which shows as one match per line (a
+    match never spans a newline), else parse_record line by line."""
+    ends = text.count("\n")
+    # split() gives [text before, index, opcode, hex, text between, ...].
+    parts = _TEXT_RE.split(text)
+    if len(parts) // 4 == ends + (text[-1:] != "\n"):
         out.indices += map(int, parts[1::4])
         out.opcodes += map(sys.intern, parts[2::4])
         out.hexes += map(sys.intern, map(str.lower, parts[3::4]))
-        start = end
-    return out
+    else:
+        for n, line in enumerate(text.split("\n"), lineno):
+            try:
+                rec = parse_record(line)
+            except TraceFormatError as e:
+                raise TraceFormatError(f"line {n}: {e}") from e
+            if rec is not None:
+                out.indices.append(rec.index)
+                out.opcodes.append(sys.intern(rec.opcode))
+                out.hexes.append(sys.intern(rec.value_hex))
+    return lineno + ends
 
 
 # -- values and run traces ---------------------------------------------------------
@@ -323,12 +327,6 @@ class RunTrace(Sequence):
 
     def __iter__(self):
         return map(self._record, self.indices, self.values)
-
-    def __add__(self, other) -> list[TraceRecord]:
-        return list(self) + list(other)
-
-    def __radd__(self, other) -> list[TraceRecord]:
-        return list(other) + list(self)
 
     def lines(self, start: int = 0):
         """The rendered lines of the records from `start` on, built one at a

@@ -228,6 +228,8 @@ def _intrinsic_fopen(machine, args):
     handle = _FIRST_FILE_HANDLE  # the lowest handle not open, as POSIX gives fds
     while handle in streams:
         handle += 8
+    if handle >= machine.state.arena.base:  # no handle left below the arena
+        return 0
     streams[handle] = InStream(content)
     return handle
 

@@ -4,6 +4,7 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 from itertools import accumulate
 
 import pytest
@@ -205,6 +206,114 @@ class TestReadTraceFastPath:
                 assert first.setdefault(value, value) is value
         other = read_trace(["ID: 5 OPCode: load Value: 0000002A"])
         assert other.hexes[0] is trace.hexes[trace.hexes.index("0000002a")]
+
+
+def _padded_to(size):
+    """ASCII record lines of `size` characters in all, the last one without
+    its line end and padded with spaces to fit."""
+    n = size // (len(REC) + 1) - 1
+    return (REC + "\n") * n + REC.ljust(size - n * (len(REC) + 1))
+
+
+def _check_against_per_line(path, text):
+    """Write `text` to `path` and check read_trace against _read_per_line
+    over its text-mode lines."""
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    expected = _outcome(_read_per_line, lines)
+    assert _outcome(read_trace, str(path)) == expected
+    return expected
+
+
+class TestReadTraceSlices:
+    """A file is read _SLICE bytes plus the rest of a line at a time; byte
+    _SLICE - 1 is the last one of the first read."""
+
+    def test_crlf_split_by_the_first_read(self, tmp_path):
+        text = _padded_to(_SLICE - 1) + "\r\n" + REC + "\r\n"
+        assert text.encode()[_SLICE - 1:_SLICE + 1] == b"\r\n"
+        records = _check_against_per_line(tmp_path / "t.txt", text)
+        assert len(records) == text.count("\n")
+
+    def test_lone_cr_at_the_first_read_end(self, tmp_path):
+        text = _padded_to(_SLICE - 1) + "\r" + REC + "\r" + REC + "\n"
+        assert text.encode()[_SLICE - 1] == ord("\r")
+        records = _check_against_per_line(tmp_path / "t.txt", text)
+        assert len(records) == text.count("\n") + 2
+
+    @pytest.mark.parametrize("space,start", [
+        ("\xa0", _SLICE - 1), ("\u2028", _SLICE - 2), ("\u2028", _SLICE - 1)])
+    def test_multibyte_whitespace_across_the_first_read_end(self, tmp_path, space, start):
+        text = (_padded_to(start - len("\nID: 3")) + "\nID: 3" + space
+                + "OPCode: add Value: 00000001\n" + REC + "\n")
+        assert text.encode()[start:start + len(space.encode())] == space.encode()
+        records = _check_against_per_line(tmp_path / "t.txt", text)
+        assert records[-2:] == [TraceRecord(3, "add", "00000001"), TraceRecord(7, "load", "0000002a")]
+
+    def test_blank_line_in_the_second_slice_and_error_in_the_third(self, tmp_path, monkeypatch):
+        lines = TestReadTraceFastPath._long_lines()
+        starts = list(accumulate(map(len, lines), initial=0))
+        blank = next(k for k, at in enumerate(starts) if at > _SLICE + 1000)
+        lines.insert(blank, "\n")
+        path = tmp_path / "t.txt"
+        calls = []
+        with monkeypatch.context() as patch:  # only the second slice goes line by line
+            patch.setattr(traces, "parse_record", lambda line: calls.append(line)
+                          or parse_record(line))
+            assert _check_against_per_line(path, "".join(lines)) == _read_per_line(lines)
+        assert 0 < len(calls) < len(lines) // 2
+        bad = next(k for k, at in enumerate(starts) if at > 2 * _SLICE + 1000)
+        lines[bad] = "ID: 9 OPCode: add Value: 0x10\n"
+        _check_against_per_line(path, "".join(lines))
+        with pytest.raises(TraceFormatError, match=rf"^line {bad + 1}: malformed trace record"):
+            read_trace(str(path))
+
+    def test_non_utf8_byte_in_the_third_slice(self, tmp_path):
+        lines = (REC + "\n").encode() * (2 * _SLICE // 40 + 100)
+        path = tmp_path / "t.txt"
+        path.write_bytes(lines + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_bytes().decode()
+        assert whole.value.start == len(lines) > 2 * _SLICE
+        with pytest.raises(TraceFormatError, match=rf"\(byte {len(lines)}\)"):
+            read_trace(str(path))
+
+    def test_an_item_with_a_newline_stays_one_line(self):
+        lines = ["ID: 3\nOPCode: add Value: 00000001\n", "\n \n", REC + "\n\n",
+                 REC + "\n" + REC]
+        with pytest.raises(TraceFormatError, match="^line 4: "):
+            read_trace(lines)
+        assert read_trace(lines[:3]) == _read_per_line(lines[:3]) == [
+            TraceRecord(3, "add", "00000001"), TraceRecord(7, "load", "0000002a")]
+
+    def test_path_like_source(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("ID: 12 OPCode: fmul Value: ABCDEF0123456789\n" + REC + "\n")
+        columns = lambda trace: (trace.indices, trace.opcodes, trace.hexes)
+        assert columns(read_trace(path)) == columns(read_trace(str(path)))
+        assert read_trace(path).indices == [12, 7]
+
+    def test_transient_memory_does_not_grow_with_the_file(self, tmp_path):
+        """What a read allocates beyond the columns it returns stays about one
+        slice's worth on a file four times as long."""
+        text = "".join(TestReadTraceFastPath._long_lines())
+        short, long = tmp_path / "short.txt", tmp_path / "long.txt"
+        short.write_text(text)
+        long.write_text(text * 4)
+        warm = read_trace(str(short))  # its distinct strings stay interned
+
+        def transient(path):
+            tracemalloc.start()
+            try:
+                trace = read_trace(str(path))
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(trace) == len(warm) * (4 if path == long else 1)
+            return peak - current
+
+        assert transient(long) <= 1.25 * transient(short)
 
 
 def _lcs_len(a, b):
@@ -518,7 +627,6 @@ def test_run_trace_reads_like_its_records(tmp_path, demo_indexed, demo_io):
     records = list(trace)
     assert len(trace) == len(records) > 0
     assert (trace[0], trace[-1], trace[2:5]) == (records[0], records[-1], records[2:5])
-    assert trace + trace == records + trace == records * 2
     write_trace(trace, str(tmp_path / "run.txt"))
     write_trace(records, str(tmp_path / "records.txt"))
     assert (tmp_path / "run.txt").read_bytes() == (tmp_path / "records.txt").read_bytes()

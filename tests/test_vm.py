@@ -763,6 +763,35 @@ define i32 @main() {{
         assert out.stdout == "32 40 32\n"
         assert {h: st.text for h, st in m.state.open_streams.items()} == {32: "3", 40: "2"}
 
+    def test_fopen_handles_stop_below_the_arena(self):
+        out = run_src("""
+@mode = constant [2 x i8] c"r\\00"
+@name = constant [2 x i8] c"a\\00"
+@f = constant [4 x i8] c"%d\\0A\\00"
+define i32 @main() {
+entry:
+  br label %loop
+
+loop:
+  %i = phi i32 [ 0, %entry ], [ %n, %loop ]
+  %last = phi i8* [ null, %entry ], [ %keep, %loop ]
+  %h = call i8* @fopen(i8* getelementptr ([2 x i8]* @name, i32 0, i32 0), i8* getelementptr ([2 x i8]* @mode, i32 0, i32 0))
+  %p = call i32 (i8*, ...)* @printf(i8* getelementptr ([4 x i8]* @f, i32 0, i32 0), i8* %h)
+  %null = icmp eq i8* %h, null
+  %keep = select i1 %null, i8* %last, i8* %h
+  %n = add i32 %i, 1
+  %c = icmp slt i32 %n, 600
+  br i1 %c, label %loop, label %done
+
+done:
+  %v = load i8* %keep
+  ret i32 0
+}
+""", io=IoConfig(files={"a": "1"}))
+        handles = [int(h) for h in out.stdout.split()]
+        assert handles == list(range(32, 0x1000, 8)) + [0] * 92
+        assert out.status == "trapped" and out.trap.kind == "out_of_bounds"
+
     @pytest.mark.parametrize("call,expected", [
         ("call double @sqrt(double 2.0)", math.sqrt(2.0)),
         ("call double @fabs(double -2.5)", 2.5),
