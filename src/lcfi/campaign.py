@@ -19,6 +19,7 @@ import json
 import math
 import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,7 +30,7 @@ from .ir.parser import parse_module, ParseError
 from .ir.validate import validate
 from .instrument import (InjectionPlan, assign_indices, build_plan,
                          emit_artifacts, load_input_config, InstrumentError)
-from .faults import FaultSpec, make_sampler, FaultError, mix64
+from .faults import FaultSpec, draw_source, make_sampler, FaultError, mix64
 from .vm.machine import (DEFAULT_BUDGET, IoConfig, Machine, RunOutcome, Snapshot,
                          prefix_snapshot)
 from .traces import TraceText, write_trace
@@ -82,6 +83,7 @@ class CampaignConfig:
     workdir: str = ""
     compare: CompareSpec = field(default_factory=CompareSpec)
     metrics: list[MetricSpec] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
 
     def io_config(self) -> IoConfig:
         workdir = self.workdir or os.path.dirname(os.path.abspath(self.program))
@@ -92,6 +94,16 @@ class CampaignConfig:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
+
+
+def warn(source: str, warnings: list[str]) -> None:
+    """Each warning on stderr as `<source>: warning: <text>`."""
+    for w in warnings:
+        print(f"{source}: warning: {w}", file=sys.stderr)
+
+
+def _unknown_keys(block: dict, known: tuple[str, ...], prefix: str = "") -> list[str]:
+    return [f"unknown key {prefix + str(k)!r} ignored" for k in block if k not in known]
 
 
 def positive_int(value, what: str) -> int:
@@ -112,6 +124,9 @@ def parse_campaign_config(data, base_dir: str = ".",
 
     cfg = CampaignConfig(program=resolve(str(data["program"])),
                          input=resolve(str(data["input"])))
+    cfg.warnings += _unknown_keys(data, ("program", "input", "runs", "seed", "budget",
+                                         "jobs", "output_dir", "report_formats", "io",
+                                         "compare", "metrics"))
 
     for key in ("runs", "budget", "jobs"):
         if key in data:
@@ -132,6 +147,7 @@ def parse_campaign_config(data, base_dir: str = ".",
 
     io_block = data.get("io", {})
     _require(isinstance(io_block, dict), f"{source}: io must be a mapping")
+    cfg.warnings += _unknown_keys(io_block, ("stdin", "workdir", "files"), "io.")
     if "stdin" in io_block:
         cfg.stdin_text = str(io_block["stdin"])
     if "workdir" in io_block:
@@ -151,6 +167,7 @@ def parse_campaign_config(data, base_dir: str = ".",
 
     cmp_block = data.get("compare", {})
     _require(isinstance(cmp_block, dict), f"{source}: compare must be a mapping")
+    cfg.warnings += _unknown_keys(cmp_block, ("mode", "rel_tol", "abs_tol"), "compare.")
     mode = cmp_block.get("mode", "exact")
     _require(mode in ("exact", "numeric", "none"),
              f"{source}: compare.mode must be exact, numeric, or none")
@@ -167,6 +184,8 @@ def parse_campaign_config(data, base_dir: str = ".",
 
     for i, m in enumerate(data.get("metrics", []) or []):
         _require(isinstance(m, dict), f"{source}: metrics[{i}] must be a mapping")
+        cfg.warnings += _unknown_keys(m, ("name", "pattern", "source", "transform"),
+                                      f"metrics[{i}].")
         _require("name" in m and "pattern" in m,
                  f"{source}: metrics[{i}] needs name and pattern")
         try:
@@ -395,13 +414,20 @@ def _pool_run(run_index: int) -> RunResult:
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
-    """Execute a full campaign and write the artifact tree."""
-    indexed = assign_indices(load_program(cfg.program))
+    """Execute a full campaign and write the artifact tree. The program's
+    and the injection config's warnings go to stderr."""
+    module = load_program(cfg.program)
+    warn(cfg.program, module.warnings)
+    indexed = assign_indices(module)
     try:
         input_cfg = load_input_config(cfg.input)
+        warn(cfg.input, input_cfg.warnings)
         plan = build_plan(indexed, input_cfg)
         fault_spec = input_cfg.fault_spec(base_dir=os.path.dirname(
             os.path.abspath(cfg.input)))
+        # a missing histogram or an unknown custom sampler fails here, before
+        # anything is written, not at the first run after the golden one
+        draw_source(fault_spec)
     except (InstrumentError, FaultError) as e:
         raise ConfigError(str(e)) from e
 

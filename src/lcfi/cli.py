@@ -19,15 +19,14 @@ from .faults import FaultError, make_sampler
 from .vm.machine import DEFAULT_BUDGET, IoConfig, Machine, VmError
 from .campaign import (OUTCOMES, ConfigError, GoldenRunFailed,
                        load_campaign_config, load_program, positive_int,
-                       run_campaign)
+                       run_campaign, warn)
 from .traces import (TraceFormatError, IndexMismatch, read_trace, trace_diff,
                      trace_union, build_propagation, trace_to_dot, write_trace)
 
 
 def _load_indexed(path: str):
     module = load_program(path)
-    for w in module.warnings:
-        print(f"{path}: warning: {w}", file=sys.stderr)
+    warn(path, module.warnings)
     return assign_indices(module)
 
 
@@ -50,8 +49,7 @@ def _io_from_args(args) -> IoConfig:
 def _load_plan(args, module):
     """The --input config, its plan and its fault spec; warnings go to stderr."""
     input_cfg = load_input_config(args.input)
-    for w in input_cfg.warnings:
-        print(f"{args.input}: warning: {w}", file=sys.stderr)
+    warn(args.input, input_cfg.warnings)
     plan = build_plan(module, input_cfg)
     spec = input_cfg.fault_spec(base_dir=os.path.dirname(os.path.abspath(args.input)))
     return input_cfg, plan, spec
@@ -107,6 +105,7 @@ def _cmd_inject(args) -> int:
 
 def _cmd_campaign(args) -> int:
     cfg = load_campaign_config(args.config)
+    warn(args.config, cfg.warnings)
     if args.jobs is not None:
         cfg.jobs = positive_int(args.jobs, "--jobs")
     result = run_campaign(cfg)

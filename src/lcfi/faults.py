@@ -152,6 +152,20 @@ def register_custom_sampler(name: str, draw) -> None:
     _CUSTOM_SAMPLERS[name] = draw
 
 
+def draw_source(spec: FaultSpec):
+    """The histogram an empirical spec draws from or the function a custom
+    spec draws through; None for the built-in shapes. A histogram file that
+    cannot be read and a custom name never registered raise here."""
+    if spec.distribution == "empirical":
+        return load_empirical(spec.empirical_path)
+    if spec.distribution == "custom":
+        if spec.custom_name not in _CUSTOM_SAMPLERS:
+            raise UnknownCustomName(
+                f"no custom sampler registered as {spec.custom_name!r}")
+        return _CUSTOM_SAMPLERS[spec.custom_name]
+    return None
+
+
 class Sampler:
     """Deterministic error stream for one (FaultSpec, seed) pair."""
 
@@ -159,12 +173,7 @@ class Sampler:
         self.spec = spec
         self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed & _MASK64))
-        if spec.distribution == "empirical":
-            self._empirical = load_empirical(spec.empirical_path)
-        elif spec.distribution == "custom":
-            if spec.custom_name not in _CUSTOM_SAMPLERS:
-                raise UnknownCustomName(spec.custom_name)
-            self._draw = _CUSTOM_SAMPLERS[spec.custom_name]
+        self._source = draw_source(spec)
 
     def raw(self, n: int) -> np.ndarray:
         """n normalized draws; |e| <= 1 unless a normal with truncate=False."""
@@ -180,8 +189,8 @@ class Sampler:
                     bad = np.abs(out) > 1.0
             return out
         if spec.distribution == "empirical":
-            return self._empirical.sample(self._rng, n)
-        return np.clip(np.asarray(self._draw(self._rng, n), dtype=float), -1.0, 1.0)
+            return self._source.sample(self._rng, n)
+        return np.clip(np.asarray(self._source(self._rng, n), dtype=float), -1.0, 1.0)
 
 
 def make_sampler(spec: FaultSpec, seed: int) -> Sampler:

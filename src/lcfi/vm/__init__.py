@@ -2,13 +2,12 @@
 
 from .arena import MemoryArena, OutOfBounds
 from .intrinsics import INTRINSIC_NAMES, INTRINSICS, InStream
-from .machine import (DEFAULT_BUDGET, DEFAULT_MAX_DEPTH, TRAP_KINDS,
-                      Activation, IoConfig, Machine, RunOutcome, TrapInfo,
-                      VmError, run_module, value_bits)
+from .machine import (DEFAULT_BUDGET, MAX_DEPTH, TRAP_KINDS, Activation,
+                      IoConfig, Machine, RunOutcome, TrapInfo, VmError,
+                      value_bits)
 
 __all__ = [
     "MemoryArena", "OutOfBounds", "INTRINSIC_NAMES", "INTRINSICS", "InStream",
-    "DEFAULT_BUDGET", "DEFAULT_MAX_DEPTH", "TRAP_KINDS", "Activation",
-    "IoConfig", "Machine", "RunOutcome", "TrapInfo", "VmError", "run_module",
-    "value_bits",
+    "DEFAULT_BUDGET", "MAX_DEPTH", "TRAP_KINDS", "Activation", "IoConfig",
+    "Machine", "RunOutcome", "TrapInfo", "VmError", "value_bits",
 ]

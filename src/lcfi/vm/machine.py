@@ -3,7 +3,8 @@
 Values are host-native: integers stay canonically signed and wrap at their
 type width, floats are IEEE doubles (f32 results re-rounded through 32 bits),
 pointers are arena addresses. The call stack is explicit, so recursion depth
-is bounded by the configured frame limit rather than the host stack.
+is bounded by `MAX_DEPTH` frames rather than the host stack. A run starts at
+`@main` with no arguments.
 
 The machine runs the module's decoded form (see decode.py), validated and
 compiled once per module and shared by every run in the process, one segment
@@ -29,8 +30,8 @@ fault-free prefix once and keeps its `RunState` at the start of the segment
 holding the first draw, with the run's identity, as a `Snapshot`; a machine
 built with `start=` that snapshot runs on a copy of that state, with
 absolute step counts and the prefix's trace records in place. It must be a
-machine that would have made the same run (same module, plan, io and depth
-limit, a budget that reaches the snapshot); any other raises ValueError.
+machine that would have made the same run (same module, plan and io, and a
+budget that reaches the snapshot); any other raises ValueError.
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ from .decode import BR, CALL, VmError, decoded
 from .intrinsics import InStream
 
 TRAP_KINDS = frozenset({
-    "out_of_bounds", "division_by_zero", "stack_overflow",
-    "bad_intrinsic_arg", "non_finite_fault_target",
+    "out_of_bounds", "division_by_zero", "stack_overflow", "bad_intrinsic_arg",
 })
 
 DEFAULT_BUDGET = 10 ** 8
-DEFAULT_MAX_DEPTH = 10 ** 4
+MAX_DEPTH = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -162,13 +162,11 @@ class RunState:
 @dataclass(frozen=True)
 class Snapshot:
     """A run's state at the start of a segment, before its sampler's first
-    draw. The run it was taken of had `module`, `plan`, `io` and
-    `max_depth`, and skipped faults on non-finite values. A machine started
-    from it runs on a copy of `state`."""
+    draw. The run it was taken of had `module`, `plan` and `io`. A machine
+    started from it runs on a copy of `state`."""
     module: IrModule
     plan: InjectionPlan
     io: IoConfig
-    max_depth: int
     state: RunState
 
 
@@ -176,18 +174,15 @@ class Machine:
     """One execution of one module. Machines are single-use."""
 
     def __init__(self, module: IrModule, io: IoConfig | None = None,
-                 budget: int = DEFAULT_BUDGET, max_depth: int = DEFAULT_MAX_DEPTH,
-                 trace: bool = False, plan: InjectionPlan | None = None,
-                 sampler: Sampler | None = None, strict_nonfinite: bool = False,
+                 budget: int = DEFAULT_BUDGET, trace: bool = False,
+                 plan: InjectionPlan | None = None, sampler: Sampler | None = None,
                  start: Snapshot | None = None):
         self.module = module
         self.io = io or IoConfig()
         self.budget = budget
-        self.max_depth = max_depth
         self.tracing = trace
         self.plan = plan
         self.sampler = sampler
-        self.strict_nonfinite = strict_nonfinite
         if plan is not None and sampler is None:
             raise ValueError("an injection plan needs a sampler")
 
@@ -201,12 +196,10 @@ class Machine:
                 trace_idx=[] if trace else None)
             return
         # resume a run this machine would have made: one of its module under
-        # its plan, io and depth limit, that its budget lets reach the snapshot
-        if (start.module != module or start.plan != plan or start.io != self.io
-                or start.max_depth != max_depth
-                or (strict_nonfinite and start.state.skipped_nonfinite)):
-            raise ValueError("the snapshot is of a run under another module, plan, "
-                             "io, depth limit or handling of non-finite values")
+        # its plan and io, that its budget lets reach the snapshot
+        if start.module != module or start.plan != plan or start.io != self.io:
+            raise ValueError("the snapshot is of a run under another module, "
+                             "plan or io")
         if budget < start.state.steps:
             raise ValueError(f"a budget of {budget} steps ends before the "
                              f"snapshot's step {start.state.steps}")
@@ -239,11 +232,11 @@ class Machine:
 
     # -- running -------------------------------------------------------------
 
-    def run(self, entry: str = "main", args: tuple = ()) -> RunOutcome:
-        """Run `entry` to its return; a machine started from a snapshot
-        resumes the run the snapshot was taken from instead."""
+    def run(self) -> RunOutcome:
+        """Run `@main` to its return; a machine started from a snapshot
+        resumes the run the snapshot was taken from."""
         try:
-            ret = self._exec(entry, args)
+            ret = self._exec()
             status, trap, value = "ok", None, ret
         except _TrapSignal as t:
             status, trap, value = "trapped", t.info, None
@@ -260,8 +253,8 @@ class Machine:
 
     def _push(self, fi: int, args: list) -> None:
         fn, state = self._codes[fi].fn, self.state
-        if len(state.frames) >= self.max_depth:
-            self.trap("stack_overflow", f"call depth exceeds {self.max_depth} frames")
+        if len(state.frames) >= MAX_DEPTH:
+            self.trap("stack_overflow", f"call depth exceeds {MAX_DEPTH} frames")
         if len(args) != fn.nparams:
             raise VmError(f"@{fn.name} called with {len(args)} args, "
                           f"takes {fn.nparams}")
@@ -270,15 +263,15 @@ class Machine:
         regs[1:1 + len(args)] = args
         state.frames.append(Frame(fi, regs, state.arena.mark(), state.call_counts[fi]))
 
-    def _exec(self, entry: str, args: tuple):
-        """Run segments until the entry function returns."""
+    def _exec(self):
+        """Run segments until `@main` returns."""
         state, codes, budget = self.state, self._codes, self.budget
         stack, tidx, tval = state.frames, state.trace_idx, state.trace_val
         if not stack:
-            fi = self._decoded.fn_index.get(entry)
+            fi = self._decoded.fn_index.get("main")
             if fi is None:
-                raise VmError(f"no function @{entry}")
-            self._push(fi, list(args))
+                raise VmError("no function @main")
+            self._push(fi, [])
         frame = stack[-1]
         code = codes[frame.fi]
         segs, regs, watch, si = code.segs, frame.regs, code.watch, frame.si
@@ -366,9 +359,6 @@ class Machine:
         if not self._scope_hit(state.frames[-1], target):
             return value
         if isinstance(value, float) and not math.isfinite(value):
-            if self.strict_nonfinite:
-                self.trap("non_finite_fault_target",
-                          f"target ID {ins.index} holds {value!r}")
             state.skipped_nonfinite += 1
             return value
         return self._fault(target, ins, value, step)
@@ -420,9 +410,8 @@ class _Probe(Machine):
 def prefix_snapshot(module: IrModule, io: IoConfig, budget: int,
                     plan: InjectionPlan) -> Snapshot | None:
     """The state every run under `plan` reaches unchanged: the start of the
-    segment that holds the sampler's first draw, for runs that skip faults
-    on non-finite values. None when the run ends first: it returns, traps
-    or exhausts `budget`."""
+    segment that holds the sampler's first draw. None when the run ends
+    first: it returns, traps or exhausts `budget`."""
     try:
         _Probe(module, io, budget, plan).run()
         return None
@@ -430,9 +419,4 @@ def prefix_snapshot(module: IrModule, io: IoConfig, budget: int,
         base = hit.base
     probe = _Probe(module, io, base, plan, trace=True)
     probe.run()  # the budget stops it at the start of that segment
-    return Snapshot(module, plan, io, probe.max_depth, replace(probe.state, steps=base))
-
-
-def run_module(module: IrModule, **kw) -> RunOutcome:
-    """Convenience wrapper: one fresh machine, one run from main."""
-    return Machine(module, **kw).run()
+    return Snapshot(module, plan, io, replace(probe.state, steps=base))

@@ -230,6 +230,58 @@ class TestCampaign:
         assert "--jobs must be a positive integer" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
+    @pytest.mark.parametrize("fi_type", ["empirical_abs(nope.txt, 0.1)", "custom(nope, 0.1)"])
+    def test_missing_histogram_fails_before_anything_is_written(self, tmp_path, capsys,
+                                                                fi_type):
+        inp = tmp_path / "in.yaml"
+        inp.write_text(open(fixture_path("demo_input.yaml")).read().replace(
+            "uniform_rel(0.5)", fi_type))
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(open(self._config(tmp_path)).read().replace(
+            fixture_path("demo_input.yaml"), str(inp)))
+        rc = main(["campaign", "--config", str(cfg)])
+        assert rc == 4
+        assert "nope" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("where,extra,ignored,warning", [
+        ("program", "!0 = !{i32 7}\n", "!0 = !{i32 7}\n", "line 79: metadata stripped"),
+        ("input", "bogus_key: 1\n", "bogus_key: 1\n", "unknown key 'bogus_key' ignored"),
+        ("config", "run: 50\n", "run: 50\n", "unknown key 'run' ignored"),
+        ("config", "  stdn: '7'\n", "  stdn: '7'\n", "unknown key 'io.stdn' ignored"),
+        ("config", "compare: {mod: numeric}\n", "compare: {mod: numeric}\n",
+         "unknown key 'compare.mod' ignored"),
+        ("config", "metrics:\n  - {name: n, pattern: 'n.0.: (\\S+)', sourc: golden}\n",
+         ", sourc: golden", "unknown key 'metrics[0].sourc' ignored"),
+    ], ids=["program", "input", "top", "io", "compare", "metrics"])
+    def test_what_a_campaign_ignores_is_warned_on_stderr(self, tmp_path, capsys, where,
+                                                         extra, ignored, warning):
+        """The warning names its file, and the artifact tree, reports
+        included, equals that of the campaign without the ignored text."""
+        trees = {}
+        for name in ("plain", "warned"):
+            d = tmp_path / name
+            files = {"program": d / "demo.ll", "input": d / "in.yaml",
+                     "config": d / "c.yaml"}
+            d.mkdir()
+            files["program"].write_text(open(fixture_path("demo.ll")).read())
+            files["input"].write_text(open(fixture_path("demo_input.yaml")).read())
+            files["config"].write_text(
+                "program: demo.ll\ninput: in.yaml\nruns: 2\noutput_dir: out\n"
+                f"io:\n  files:\n    in.txt: {{from: {fixture_path('in.txt')}}}\n")
+            with open(files[where], "a") as fh:
+                fh.write(extra if name == "warned" else extra.replace(ignored, ""))
+            rc = main(["campaign", "--config", str(files["config"])])
+            err = capsys.readouterr().err
+            assert rc == 0
+            assert err == (f"{files[where]}: warning: {warning}\n"
+                           if name == "warned" else "")
+            trees[name] = {os.path.relpath(os.path.join(root, f), d / "out"):
+                           open(os.path.join(root, f), "rb").read()
+                           for root, _dirs, names in os.walk(d / "out") for f in names}
+        assert trees["warned"] == trees["plain"]
+        assert {"report.txt", "report.json", "report.csv"} <= set(trees["plain"])
+
 
 class TestTraceDiff:
     def test_identical(self, capsys):

@@ -11,7 +11,7 @@ from lcfi.faults import make_sampler
 from lcfi.instrument import assign_indices, build_plan, load_input_config
 from lcfi.ir.nodes import OPCODES
 from lcfi.ir.parser import parse_module
-from lcfi.vm.machine import IoConfig, Machine, prefix_snapshot
+from lcfi.vm.machine import MAX_DEPTH, IoConfig, Machine, prefix_snapshot
 
 from conftest import FIXTURES, fixture_path, load_fixture_module
 
@@ -125,9 +125,9 @@ entry:
 next:
   ret i32 %q
 }
-define i32 @main(i32 %z) {
-  %a = add i32 %z, 1
-  %r = call i32 @g(i32 %z)
+define i32 @main() {
+  %a = add i32 Z, 1
+  %r = call i32 @g(i32 Z)
   %b = add i32 %r, 1
   %p = call i32 (i8*, ...)* @printf(i8* getelementptr ([3 x i8]* @f, i32 0, i32 0))
   ret i32 %p
@@ -142,8 +142,8 @@ define i32 @main(i32 %z) {
     (1, "bad_intrinsic_arg", "main", "p", 8, ["a", "x", "q", "r", "b"]),
 ])
 def test_trap_at_the_last_op_of_a_segment(z, kind, function, result, steps, records):
-    m = _module(LAST_OPS)
-    out = Machine(m, trace=True).run(args=(z,))
+    m = _module(LAST_OPS.replace("Z", str(z)))
+    out = Machine(m, trace=True).run()
     assert out.status == "trapped"
     assert (out.trap.kind, out.trap.function, out.trap.index) == (
         kind, function, _by_result(m, result).index)
@@ -175,10 +175,11 @@ define i32 @main() {
   ret i32 %r
 }
 """)
-    out = Machine(m, max_depth=3, trace=True).run()
+    out = Machine(m, trace=True).run()
     assert (out.trap.kind, out.trap.function, out.trap.index) == ("stack_overflow", "spin", 2)
-    assert out.steps == 5
-    assert [r.index for r in out.trace] == [1, 1]
+    # main's call, then one add and one call per spin frame until the last call
+    assert out.steps == 2 * MAX_DEPTH - 1
+    assert [r.index for r in out.trace] == [1] * (MAX_DEPTH - 1)
 
 
 @pytest.mark.parametrize("op", ["load", "store"])

@@ -147,7 +147,7 @@ def _looper_start():
     return _start("looper", "looper_input.yaml", 3000, IoConfig())
 
 
-@pytest.mark.parametrize("change", ["module", "plan", "io", "max_depth", "budget"])
+@pytest.mark.parametrize("change", ["module", "plan", "io", "budget"])
 def test_start_refuses_a_snapshot_of_another_run(change):
     module, plan, spec, start = _looper_start()
     kw = {"io": IoConfig(), "budget": 3000, "plan": plan}
@@ -155,19 +155,17 @@ def test_start_refuses_a_snapshot_of_another_run(change):
         module = assign_indices(load_program(fixture_path("demo.ll")))
     else:
         kw[change] = {"plan": _plan_at(module, "r", 1), "io": IoConfig(stdin_text="7\n"),
-                      "max_depth": 7, "budget": start.state.steps - 1}[change]
+                      "budget": start.state.steps - 1}[change]
     with pytest.raises(ValueError):
         Machine(module, sampler=make_sampler(spec, 1), start=start, **kw)
 
 
 def test_start_at_a_budget_that_ends_at_the_snapshot():
     module, plan, spec, start = _looper_start()
-    # strict handling makes the same run while the prefix skipped no fault
     assert start.state.skipped_nonfinite == 0
     for budget in (start.state.steps, start.state.steps + 1):
         runs = [Machine(module, budget=budget, trace=True, plan=plan,
-                        sampler=make_sampler(spec, 1), strict_nonfinite=True,
-                        start=s).run()
+                        sampler=make_sampler(spec, 1), start=s).run()
                 for s in (None, start)]
         assert runs[0].steps == runs[1].steps == budget + 1
         assert runs[0].activations == runs[1].activations

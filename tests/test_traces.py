@@ -315,6 +315,27 @@ class TestReadTraceSlices:
 
         assert transient(long) <= 1.25 * transient(short)
 
+    def test_a_file_of_lone_cr_line_ends_is_read_a_slice_at_a_time(self, tmp_path):
+        """Lines that end in a lone \\r read as text mode reads them, and the
+        read's transient memory stays within the bound of \\n-ended files."""
+        text = "".join(TestReadTraceFastPath._long_lines()).replace("\n", "\r")
+        short, long = tmp_path / "short.txt", tmp_path / "long.txt"
+        records = _check_against_per_line(short, text)
+        assert len(records) == text.count("\r")
+        _check_against_per_line(long, text * 4)
+
+        def transient(path):
+            tracemalloc.start()
+            try:
+                trace = read_trace(str(path))
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(trace) == len(records) * (4 if path == long else 1)
+            return peak - current
+
+        assert transient(long) <= 1.25 * transient(short)
+
 
 def _lcs_len(a, b):
     n, m = len(a), len(b)

@@ -11,8 +11,7 @@ from lcfi.ir.nodes import F32, F64, I1, I32, I64, ptr_to
 from lcfi.ir.parser import parse_module
 from lcfi.traces import parse_record
 from lcfi.vm.arena import MemoryArena, OutOfBounds
-from lcfi.vm.machine import (DEFAULT_BUDGET, IoConfig, Machine, VmError,
-                             run_module, value_bits)
+from lcfi.vm.machine import DEFAULT_BUDGET, IoConfig, Machine, VmError, value_bits
 
 import lcfi.vm.decode as decode
 
@@ -20,7 +19,7 @@ from conftest import FIXTURES, fixture_path, load_fixture_module
 
 
 def run_src(text, **kw):
-    return run_module(assign_indices(parse_module(text)), **kw)
+    return Machine(assign_indices(parse_module(text)), **kw).run()
 
 
 def ret_of(text, **kw):
@@ -313,7 +312,7 @@ b:
 }}
 """))
         with pytest.raises(VmError, match="not defined on every path to its use"):
-            run_module(m)
+            Machine(m).run()
 
     @pytest.mark.parametrize("body,message", [
         ("entry:\n  %a = phi i32 [ 1, %entry ]\n  ret i32 %a\n",
@@ -325,7 +324,13 @@ b:
     def test_malformed_phi_is_a_vm_error(self, body, message):
         m = assign_indices(parse_module("define i32 @main() {\n" + body + "}\n"))
         with pytest.raises(VmError, match=message):
-            run_module(m)
+            Machine(m).run()
+
+    def test_main_that_takes_parameters_is_a_vm_error(self):
+        # a run starts at @main with no arguments
+        m = assign_indices(parse_module("define i32 @main(i32 %z) {\n  ret i32 %z\n}\n"))
+        with pytest.raises(VmError, match="@main called with 0 args, takes 1"):
+            Machine(m).run()
 
     def test_stores_to_a_global_do_not_leak_into_the_next_run(self):
         m = assign_indices(parse_module("""
@@ -342,7 +347,7 @@ define i32 @main() {
 }
 """))
         # each run sees the initializer, then its own store
-        assert [run_module(m).return_value for _ in range(3)] == [78, 78, 78]
+        assert [Machine(m).run().return_value for _ in range(3)] == [78, 78, 78]
 
     def test_select(self):
         assert ret_of("""
@@ -371,7 +376,7 @@ define i32 @main() {
   %r = call i32 @spin(i32 1)
   ret i32 %r
 }
-""", max_depth=50)
+""")
         assert out.status == "trapped"
         assert out.trap.kind == "stack_overflow"
 
@@ -911,14 +916,6 @@ class TestInjectionHook:
         assert out.skipped_nonfinite == 1
         assert out.activation_count == 0
 
-    def test_nonfinite_traps_in_strict_mode(self):
-        m = assign_indices(parse_module(NONFINITE_SRC))
-        plan = self._plan_for_load(m)
-        sampler = Sampler(FaultSpec("absolute", "uniform", 1.0), seed=3)
-        out = Machine(m, plan=plan, sampler=sampler, strict_nonfinite=True).run()
-        assert out.status == "trapped"
-        assert out.trap.kind == "non_finite_fault_target"
-
     def test_activation_records_bits(self, demo_indexed, demo_io):
         from lcfi.instrument import build_plan, load_input_config
         cfg = load_input_config(fixture_path("demo_input.yaml"))
@@ -947,7 +944,7 @@ class TestInjectionHook:
 class TestCrasherFixture:
     def test_backward_walk_trips_bounds_check(self):
         m = assign_indices(load_fixture_module("crasher.ll"))
-        out = run_module(m)
+        out = Machine(m).run()
         assert out.status == "trapped"
         assert out.trap.kind == "out_of_bounds"
         assert out.stdout == "got 1\n"
@@ -1314,7 +1311,7 @@ define i32 @main() {
   %r = call i32 @spin(i32 1)
   ret i32 %r
 }
-""", max_depth=50)
+""")
         assert (trap.kind, trap.function, trap.index) == ("stack_overflow", "spin", 2)
 
     def test_division_by_zero_in_callee(self):
