@@ -30,7 +30,7 @@ from .ir.parser import parse_module, ParseError
 from .ir.validate import validate
 from .instrument import (InjectionPlan, assign_indices, build_plan,
                          emit_artifacts, load_input_config, InstrumentError)
-from .faults import FaultSpec, draw_source, make_sampler, FaultError, mix64
+from .faults import FaultSpec, make_sampler, FaultError, mix64
 from .vm.machine import (DEFAULT_BUDGET, IoConfig, Machine, RunOutcome, Snapshot,
                          prefix_snapshot)
 from .traces import TraceText, write_trace
@@ -425,9 +425,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         plan = build_plan(indexed, input_cfg)
         fault_spec = input_cfg.fault_spec(base_dir=os.path.dirname(
             os.path.abspath(cfg.input)))
-        # a missing histogram or an unknown custom sampler fails here, before
-        # anything is written, not at the first run after the golden one
-        draw_source(fault_spec)
+        warn(cfg.input, fault_spec.warnings)
     except (InstrumentError, FaultError) as e:
         raise ConfigError(str(e)) from e
 

@@ -52,6 +52,7 @@ def _load_plan(args, module):
     warn(args.input, input_cfg.warnings)
     plan = build_plan(module, input_cfg)
     spec = input_cfg.fault_spec(base_dir=os.path.dirname(os.path.abspath(args.input)))
+    warn(args.input, spec.warnings)
     return input_cfg, plan, spec
 
 

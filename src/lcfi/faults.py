@@ -4,8 +4,9 @@ Errors are drawn in normalized units (|e| <= 1) and scaled by the configured
 bound -- times |value| in relative mode -- so the compressor-style guarantee
 |error| <= bound holds for every activation; apply_fault keeps it for the
 rounded value the program sees. The normal shape defaults to
-sigma = bound/3 with rejection clipping at the bound; empirical shapes come
-from histogram files and are sampled by piecewise-linear inverse CDF.
+sigma = bound/3 and is resampled into the bound; empirical shapes come from
+histogram files, read once when the fault type is parsed, and are sampled by
+piecewise-linear inverse CDF.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ class EmpiricalFileError(FaultError):
     pass
 
 
-class UnknownCustomName(FaultError):
-    pass
-
-
 class NonFiniteValue(FaultError):
     pass
 
@@ -57,48 +54,56 @@ def mix64(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """What to inject: error-bound mode, distribution shape, and bound."""
+    """What to inject: error-bound mode, distribution shape, and bound; an
+    empirical spec carries its histogram."""
 
     mode: str                  # "absolute" | "relative"
-    distribution: str          # "uniform" | "normal" | "empirical" | "custom"
+    distribution: str          # "uniform" | "normal" | "empirical"
     bound: float
     sigma_ratio: float = 1.0 / 3.0
-    truncate: bool = True
-    empirical_path: str = ""
-    custom_name: str = ""
+    histogram: EmpiricalDistribution | None = None
     seed_salt: int = 0
 
     def __post_init__(self):
         if self.mode not in ("absolute", "relative"):
             raise FaultSpecError(f"unknown mode {self.mode!r}")
-        if self.distribution not in ("uniform", "normal", "empirical", "custom"):
+        if self.distribution not in ("uniform", "normal", "empirical"):
             raise FaultSpecError(f"unknown distribution {self.distribution!r}")
         if not (self.bound > 0) or not math.isfinite(self.bound):
             raise FaultSpecError(f"bound must be a positive finite number, got {self.bound}")
-        if self.distribution == "normal" and self.sigma_ratio <= 0:
-            raise FaultSpecError("sigma_ratio must be positive")
+        if self.distribution == "normal" and not (0 < self.sigma_ratio < math.inf):
+            raise FaultSpecError(
+                f"sigma_ratio must be a positive finite number, got {self.sigma_ratio}")
+        if (self.distribution == "empirical") != (self.histogram is not None):
+            raise FaultSpecError("a histogram is required for, and only for, "
+                                 "the empirical distribution")
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        return self.histogram.warnings if self.histogram else ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Histogram over normalized error units: rows of (edge_low, edge_high, mass)."""
+    """Histogram over normalized error units: rows of (edge_low, edge_high,
+    mass). Compares and hashes on its bins."""
 
     bins: tuple[tuple[float, float, float], ...]
-    warnings: list[str] = field(default_factory=list)
+    warnings: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        lows = np.array([b[0] for b in self.bins])
-        highs = np.array([b[1] for b in self.bins])
         masses = np.array([b[2] for b in self.bins], dtype=float)
         total = masses.sum()
         if total <= 0:
             raise EmpiricalFileError("histogram has no mass")
-        if not math.isclose(total, 1.0, rel_tol=1e-9):
-            self.warnings.append(f"histogram mass {total:g} normalized to 1")
-        self._lows = lows
-        self._highs = highs
-        self._cum = np.cumsum(masses / total)
-        self._cum[-1] = 1.0
+        cum = np.cumsum(masses / total)
+        cum[-1] = 1.0
+        object.__setattr__(self, "warnings", (
+            () if math.isclose(total, 1.0, rel_tol=1e-9) else
+            (f"histogram mass {total:g} normalized to 1",)))
+        object.__setattr__(self, "_lows", np.array([b[0] for b in self.bins]))
+        object.__setattr__(self, "_highs", np.array([b[1] for b in self.bins]))
+        object.__setattr__(self, "_cum", cum)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = rng.random(n)
@@ -141,31 +146,6 @@ def load_empirical(path: str) -> EmpiricalDistribution:
     return EmpiricalDistribution(tuple(bins))
 
 
-_CUSTOM_SAMPLERS: dict[str, object] = {}
-
-
-def register_custom_sampler(name: str, draw) -> None:
-    """Register `draw(rng, n) -> array of normalized errors` under a name.
-
-    Draws are clamped into [-1, 1] so plugins cannot break the bound contract.
-    """
-    _CUSTOM_SAMPLERS[name] = draw
-
-
-def draw_source(spec: FaultSpec):
-    """The histogram an empirical spec draws from or the function a custom
-    spec draws through; None for the built-in shapes. A histogram file that
-    cannot be read and a custom name never registered raise here."""
-    if spec.distribution == "empirical":
-        return load_empirical(spec.empirical_path)
-    if spec.distribution == "custom":
-        if spec.custom_name not in _CUSTOM_SAMPLERS:
-            raise UnknownCustomName(
-                f"no custom sampler registered as {spec.custom_name!r}")
-        return _CUSTOM_SAMPLERS[spec.custom_name]
-    return None
-
-
 class Sampler:
     """Deterministic error stream for one (FaultSpec, seed) pair."""
 
@@ -173,24 +153,20 @@ class Sampler:
         self.spec = spec
         self.seed = seed
         self._rng = np.random.Generator(np.random.PCG64(seed & _MASK64))
-        self._source = draw_source(spec)
 
     def raw(self, n: int) -> np.ndarray:
-        """n normalized draws; |e| <= 1 unless a normal with truncate=False."""
+        """n normalized draws, each within [-1, 1]."""
         spec = self.spec
         if spec.distribution == "uniform":
             return self._rng.uniform(-1.0, 1.0, n)
         if spec.distribution == "normal":
             out = self._rng.normal(0.0, spec.sigma_ratio, n)
-            if spec.truncate:
+            bad = np.abs(out) > 1.0
+            while bad.any():
+                out[bad] = self._rng.normal(0.0, spec.sigma_ratio, int(bad.sum()))
                 bad = np.abs(out) > 1.0
-                while bad.any():
-                    out[bad] = self._rng.normal(0.0, spec.sigma_ratio, int(bad.sum()))
-                    bad = np.abs(out) > 1.0
             return out
-        if spec.distribution == "empirical":
-            return self._source.sample(self._rng, n)
-        return np.clip(np.asarray(self._source(self._rng, n), dtype=float), -1.0, 1.0)
+        return spec.histogram.sample(self._rng, n)
 
 
 def make_sampler(spec: FaultSpec, seed: int) -> Sampler:
@@ -213,10 +189,8 @@ def sample_errors(sampler: Sampler, value: float, n: int) -> np.ndarray:
 
 
 def draw_bound(spec: FaultSpec, value: float) -> float:
-    """Largest |error| one draw for `value` may have; inf for a normal with
-    truncate off. The product is the one the draws are scaled by."""
-    if spec.distribution == "normal" and not spec.truncate:
-        return math.inf
+    """Largest |error| one draw for `value` may have: the product the draws
+    are scaled by."""
     if spec.mode == "absolute":
         return spec.bound
     return spec.bound * abs(value)
@@ -269,10 +243,11 @@ def _parse_bound(text: str) -> float:
         raise FaultSpecError(f"bad bound {text!r}") from e
 
 
-def parse_fault_type(text: str, base_dir: str = ".",
-                     seed_salt: int = 0, truncate: bool = True) -> FaultSpec:
+def parse_fault_type(text: str, base_dir: str = ".", seed_salt: int = 0) -> FaultSpec:
     """Parse a fault-type string like "uniform_rel(10%)" or
-    "empirical_abs(hist.txt, 0.1)" into a FaultSpec."""
+    "empirical_abs(hist.txt, 0.1)" into a FaultSpec. An empirical type's
+    histogram file is read here; a missing or malformed one raises
+    EmpiricalFileError."""
     import os
 
     text = text.strip()
@@ -295,7 +270,7 @@ def parse_fault_type(text: str, base_dir: str = ".",
         mode = "absolute" if name.endswith("_abs") else "relative"
         ratio = _parse_bound(args[1]) if len(args) == 2 else 1.0 / 3.0
         return FaultSpec(mode, "normal", _parse_bound(args[0]), sigma_ratio=ratio,
-                         truncate=truncate, seed_salt=seed_salt)
+                         seed_salt=seed_salt)
     if name in ("empirical_abs", "empirical_rel"):
         expect_args(2, 2)
         mode = "absolute" if name.endswith("_abs") else "relative"
@@ -303,9 +278,5 @@ def parse_fault_type(text: str, base_dir: str = ".",
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         return FaultSpec(mode, "empirical", _parse_bound(args[1]),
-                         empirical_path=path, seed_salt=seed_salt)
-    if name == "custom":
-        expect_args(2, 2)
-        return FaultSpec("absolute", "custom", _parse_bound(args[1]),
-                         custom_name=args[0], seed_salt=seed_salt)
+                         histogram=load_empirical(path), seed_salt=seed_salt)
     raise FaultSpecError(f"unknown fault type {name!r}")

@@ -110,16 +110,15 @@ class InputConfig:
     loop_mode: str = "invocation"
     seed: int = 0
     seed_salt: int = 0
-    truncate: bool = True
     warnings: list[str] = field(default_factory=list)
 
     def fault_spec(self, base_dir: str = ".") -> FaultSpec:
         return parse_fault_type(self.fi_type, base_dir=base_dir,
-                                seed_salt=self.seed_salt, truncate=self.truncate)
+                                seed_salt=self.seed_salt)
 
 
 _KNOWN_TOP = {"fi_type", "variable_num", "loop_num", "loop_mode", "seed",
-              "seed_salt", "truncate", "option"}
+              "seed_salt", "option"}
 _KNOWN_OPT = {"function_name", "variable_name", "variable_location",
               "in_arr", "in_loop", "variable_init"}
 
@@ -209,7 +208,6 @@ def parse_input_config(data, source: str = "<config>") -> InputConfig:
 
     return InputConfig(fi_type=fi_type, options=options, loop_num=loop_num,
                        loop_mode=loop_mode, seed=seed, seed_salt=seed_salt,
-                       truncate=_as_bool(data.get("truncate", True), "truncate"),
                        warnings=warnings)
 
 

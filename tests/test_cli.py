@@ -12,6 +12,15 @@ SEP = "+" * 24 + "\n"
 GOLDEN_STDOUT = TRIPLE + SEP + TRIPLE + SEP + TRIPLE
 
 
+def _mass4_input(tmp_path):
+    """demo's injection config, drawing from a histogram of total mass 4."""
+    (tmp_path / "h.txt").write_text("-1 0 1\n0 1 3\n")
+    inp = tmp_path / "in.yaml"
+    inp.write_text(open(fixture_path("demo_input.yaml")).read().replace(
+        "uniform_rel(0.5)", "empirical_rel(h.txt, 0.5)"))
+    return inp
+
+
 class TestInstrument:
     def test_emits_artifacts(self, tmp_path, capsys):
         rc = main(["instrument", fixture_path("demo.ll"),
@@ -30,6 +39,16 @@ class TestInstrument:
                    "--input", str(tmp_path / "nope.yaml")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_histogram_is_rejected(self, tmp_path, capsys):
+        inp = tmp_path / "in.yaml"
+        inp.write_text(open(fixture_path("demo_input.yaml")).read().replace(
+            "uniform_rel(0.5)", "empirical_abs(nope.txt, 0.1)"))
+        rc = main(["instrument", fixture_path("demo.ll"), "--input", str(inp),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "out")
 
     def test_invalid_program(self, tmp_path, capsys):
         bad = tmp_path / "bad.ll"
@@ -138,6 +157,15 @@ class TestInject:
         assert rc == 0
         assert "seed: 2025" in capsys.readouterr().err
 
+    def test_histogram_normalization_warned_once(self, tmp_path, capsys):
+        inp = _mass4_input(tmp_path)
+        rc = main(["inject", fixture_path("demo.ll"), "--input", str(inp),
+                   "--file", "in.txt=" + fixture_path("in.txt")])
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert err.startswith(f"{inp}: warning: histogram mass 4 normalized to 1\n")
+        assert err.count("normalized") == 1
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_must_be_positive(self, capsys, budget):
         rc = main(["inject", fixture_path("demo.ll"),
@@ -230,7 +258,7 @@ class TestCampaign:
         assert "--jobs must be a positive integer" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
 
-    @pytest.mark.parametrize("fi_type", ["empirical_abs(nope.txt, 0.1)", "custom(nope, 0.1)"])
+    @pytest.mark.parametrize("fi_type", ["empirical_abs(nope.txt, 0.1)"])
     def test_missing_histogram_fails_before_anything_is_written(self, tmp_path, capsys,
                                                                 fi_type):
         inp = tmp_path / "in.yaml"
@@ -243,6 +271,23 @@ class TestCampaign:
         assert rc == 4
         assert "nope" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "out")
+
+    def test_histogram_read_once_and_warned_once(self, tmp_path, capsys, monkeypatch):
+        import lcfi.faults as faults
+        load, paths = faults.load_empirical, []
+        monkeypatch.setattr(faults, "load_empirical",
+                            lambda path: paths.append(path) or load(path))
+        inp = _mass4_input(tmp_path)
+        cfg = tmp_path / "c.yaml"
+        cfg.write_text(open(self._config(tmp_path, runs=5)).read().replace(
+            fixture_path("demo_input.yaml"), str(inp)))
+        rc = main(["campaign", "--config", str(cfg)])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            f"{inp}: warning: histogram mass 4 normalized to 1\n")
+        assert paths == [str(tmp_path / "h.txt")]
+        for name in ("report.txt", "report.json", "report.csv"):
+            assert "normalized" not in (tmp_path / "out" / name).read_text()
 
     @pytest.mark.parametrize("where,extra,ignored,warning", [
         ("program", "!0 = !{i32 7}\n", "!0 = !{i32 7}\n", "line 79: metadata stripped"),

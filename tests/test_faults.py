@@ -1,4 +1,5 @@
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -7,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcfi.faults import (EmpiricalFileError, FaultError, FaultSpec,
-                         FaultSpecError, NonFiniteValue, Sampler,
-                         UnknownCustomName, apply_fault, load_empirical,
-                         make_sampler, mix64, parse_fault_type,
-                         register_custom_sampler, sample_error, sample_errors)
+                         FaultSpecError, NonFiniteValue, Sampler, apply_fault,
+                         load_empirical, mix64, parse_fault_type, sample_error,
+                         sample_errors)
 
 from conftest import fixture_path
 
@@ -65,6 +65,14 @@ class TestSpecValidation:
         with pytest.raises(FaultSpecError):
             FaultSpec("absolute", "normal", 1.0, sigma_ratio=0.0)
 
+    @pytest.mark.parametrize("dist,histogram", [
+        ("empirical", None),
+        ("uniform", load_empirical(fixture_path("hist_sym.txt"))),
+    ])
+    def test_histogram_only_and_always_for_empirical(self, dist, histogram):
+        with pytest.raises(FaultSpecError, match="histogram"):
+            FaultSpec("absolute", dist, 1.0, histogram=histogram)
+
 
 class TestDistributionShapes:
     def test_uniform_ks(self):
@@ -89,11 +97,6 @@ class TestDistributionShapes:
         assert np.all(np.abs(x) <= 1.0)
         assert abs(float(np.mean(x))) < 5e-3
         assert abs(float(np.std(x)) - true_std) < 0.01 * true_std
-
-    def test_normal_unclipped_escape_hatch(self):
-        spec = FaultSpec("absolute", "normal", 1.0, truncate=False)
-        x = Sampler(spec, seed=mix64(5)).raw(100_000)
-        assert np.any(np.abs(x) > 1.0)
 
     def test_custom_sigma_ratio(self):
         spec = FaultSpec("absolute", "normal", 1.0, sigma_ratio=0.05)
@@ -129,6 +132,16 @@ class TestEmpirical:
         x = dist.sample(rng, 40_000)
         assert abs(float(np.mean(x <= 0.0)) - 0.25) < 0.01
 
+    def test_compares_and_hashes_on_its_bins(self, tmp_path):
+        p = tmp_path / "h.txt"
+        p.write_text(open(fixture_path("hist_sym.txt")).read())
+        a, b = load_empirical(fixture_path("hist_sym.txt")), load_empirical(str(p))
+        assert a == b and hash(a) == hash(b)
+        assert a != load_empirical(fixture_path("hist_push.txt"))
+        spec = FaultSpec("absolute", "empirical", 0.5, histogram=a)
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert hash(spec) == hash(FaultSpec("absolute", "empirical", 0.5, histogram=b))
+
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "h.txt"
         p.write_text("# header\n\n-1 1 1.0  # body\n")
@@ -158,20 +171,6 @@ class TestEmpirical:
     def test_missing_file(self):
         with pytest.raises(EmpiricalFileError, match="cannot read"):
             load_empirical("/nonexistent/h.txt")
-
-
-class TestCustom:
-    def test_registered_sampler_used_and_clamped(self):
-        register_custom_sampler("wild", lambda rng, n: np.full(n, 5.0))
-        spec = FaultSpec("absolute", "custom", 0.25, custom_name="wild")
-        x = Sampler(spec, seed=1).raw(10)
-        assert np.all(x == 1.0)  # clamped into normalized units
-        assert sample_error(Sampler(spec, seed=1), 123.0) == 0.25
-
-    def test_unknown_name(self):
-        spec = FaultSpec("absolute", "custom", 1.0, custom_name="nope")
-        with pytest.raises(UnknownCustomName):
-            Sampler(spec, seed=1)
 
 
 class TestSampling:
@@ -206,7 +205,7 @@ class TestSampling:
     @pytest.mark.parametrize("dist,kwargs", [
         ("uniform", {}),
         ("normal", {}),
-        ("empirical", {"empirical_path": fixture_path("hist_sym.txt")}),
+        ("empirical", {"histogram": load_empirical(fixture_path("hist_sym.txt"))}),
     ])
     @pytest.mark.parametrize("mode,bound", [
         ("absolute", 0.01), ("absolute", 1.0), ("relative", 0.1)])
@@ -316,10 +315,8 @@ class TestRealizedBound:
         else:
             assert abs(Fraction(faulted) - Fraction(value)) <= Fraction(limit)
 
-    def test_unbounded_normal_has_no_bound(self):
+    def test_normal_bound_is_the_scaled_bound(self):
         from lcfi.faults import draw_bound
-        assert draw_bound(FaultSpec("absolute", "normal", 2.0, truncate=False),
-                          5.0) == math.inf
         assert draw_bound(FaultSpec("relative", "normal", 0.5), -4.0) == 2.0
 
     @pytest.mark.parametrize("value,error,bound,expected", [
@@ -356,21 +353,18 @@ class TestParseFaultType:
     def test_normal_default_and_explicit_ratio(self):
         spec = parse_fault_type("normal_abs(2.0)")
         assert spec.sigma_ratio == pytest.approx(1.0 / 3.0)
-        assert spec.truncate is True
-        spec = parse_fault_type("normal_rel(1.0, 0.25)", truncate=False)
+        spec = parse_fault_type("normal_rel(1.0, 0.25)")
         assert spec.sigma_ratio == 0.25
-        assert spec.truncate is False
 
     def test_empirical_path_resolution(self, tmp_path):
+        (tmp_path / "h.txt").write_text("-1 0 1\n")
+        (tmp_path / "abs.txt").write_text("0 1 1\n")
         spec = parse_fault_type("empirical_abs(h.txt, 0.1)", base_dir=str(tmp_path))
-        assert spec.empirical_path == str(tmp_path / "h.txt")
-        spec = parse_fault_type(f"empirical_rel({tmp_path}/abs.txt, 1%)")
-        assert spec.empirical_path == f"{tmp_path}/abs.txt"
+        assert spec.histogram.bins == ((-1.0, 0.0, 1.0),)
+        spec = parse_fault_type(f"empirical_rel({tmp_path}/abs.txt, 1%)",
+                                base_dir="/nonexistent")
+        assert spec.histogram.bins == ((0.0, 1.0, 1.0),)
         assert spec.bound == 0.01
-
-    def test_custom_is_absolute(self):
-        spec = parse_fault_type("custom(mydist, 0.5)")
-        assert (spec.mode, spec.custom_name, spec.bound) == ("absolute", "mydist", 0.5)
 
     def test_seed_salt_carried(self):
         assert parse_fault_type("uniform_abs(1)", seed_salt=42).seed_salt == 42
@@ -390,12 +384,14 @@ class TestParseFaultType:
         "empirical_abs(h.txt)",
         "uniform_abs(0)",
         "uniform_abs(-1)",
+        "normal_abs(1, nan)",
+        "normal_abs(1, inf)",
+        "custom(x, 1)",
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(FaultSpecError):
             parse_fault_type(text)
 
-    def test_missing_empirical_file_fails_at_sampler(self):
-        spec = parse_fault_type("empirical_abs(missing.txt, 1)", base_dir="/nonexistent")
+    def test_missing_empirical_file_fails_at_parse(self):
         with pytest.raises(EmpiricalFileError):
-            make_sampler(spec, seed=1)
+            parse_fault_type("empirical_abs(missing.txt, 1)", base_dir="/nonexistent")

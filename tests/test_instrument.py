@@ -85,7 +85,6 @@ class TestConfigParsing:
         assert cfg.loop_num == (1,)
         assert cfg.loop_mode == "invocation"
         assert cfg.seed == 0 and cfg.seed_salt == 0
-        assert cfg.truncate is True
         opt = cfg.options[0]
         assert (opt.variable_location, opt.in_arr, opt.in_loop) == (1, False, False)
 
@@ -96,6 +95,10 @@ class TestConfigParsing:
         data["option"][0]["bogus"] = True
         cfg = parse_input_config(data)
         assert any("bogus" in w for w in cfg.warnings)
+
+    def test_truncate_is_an_unknown_key(self):
+        cfg = parse_input_config(self._base(truncate=False))
+        assert cfg.warnings == ["unknown key 'truncate' ignored"]
 
     def test_loop_num_list_dedup_sorted(self):
         cfg = parse_input_config(self._base(loop_num=[4, 2, 2, 9]))
@@ -117,7 +120,6 @@ class TestConfigParsing:
         {"loop_mode": "sometimes"},
         {"seed": "abc"},
         {"seed": True},
-        {"truncate": "maybe"},
     ])
     def test_rejected_values(self, mutate):
         data = self._base()
