@@ -11,6 +11,7 @@ from lcfi.faults import (EmpiricalFileError, FaultError, FaultSpec,
                          FaultSpecError, NonFiniteValue, Sampler, apply_fault,
                          load_empirical, mix64, parse_fault_type, sample_error,
                          sample_errors)
+from lcfi.ir.nodes import to_f32
 
 from conftest import fixture_path
 
@@ -283,6 +284,35 @@ _KIND_VALUES = {
 }
 
 
+def _exact_apply_fault(value: float, error: float, kind: str, bound: float) -> float:
+    """apply_fault on a float kind with its bound checked in exact
+    arithmetic on every call."""
+    from fractions import Fraction
+    faulted = value + error
+    if kind == "f32":
+        faulted = to_f32(faulted)
+    if math.isinf(faulted):
+        faulted = math.copysign(float(np.finfo(np.float32 if kind == "f32"
+                                               else np.float64).max), faulted)
+    if abs(Fraction(faulted) - Fraction(value)) > Fraction(bound):
+        faulted = (math.nextafter(faulted, value) if kind == "f64" else
+                   float(np.nextafter(np.float32(faulted), np.float32(value))))
+    return faulted
+
+
+def _nudged_distance(value: float, error: float, kind: str, nudge: int) -> float:
+    """The rounded distance that apply_fault without a bound moves `value`
+    by, or the float next to it below (nudge -1) or above (+1)."""
+    tie = abs(apply_fault(value, error, kind) - value)
+    return tie if nudge == 0 else math.nextafter(tie, nudge * math.inf)
+
+
+def _check_exact(value: float, error: float, kind: str, bound: float) -> None:
+    got = apply_fault(value, error, kind, bound)
+    assert struct.pack(">d", got) == struct.pack(">d", _exact_apply_fault(
+        value, error, kind, bound))
+
+
 class TestRealizedBound:
     """The value the program sees stays within the bound, not just the draw."""
 
@@ -342,6 +372,40 @@ class TestRealizedBound:
         got = apply_fault(sign * top, sign * top / 2, kind, top / 2)
         assert got == sign * top
 
+    @pytest.mark.parametrize("kind", ["f32", "f64"])
+    @given(data=st.data(), error=st.floats(allow_nan=False, allow_infinity=False),
+           nudge=st.sampled_from([-1, 0, 1, None]))
+    @settings(max_examples=300, deadline=None)
+    def test_bound_check_matches_exact_arithmetic(self, kind, data, error, nudge):
+        """apply_fault decides from the rounded distance unless it ties the
+        bound; that gives what checking every bound exactly gives. Bounds are
+        the rounded distance itself (a tie), the floats next to it, or
+        random."""
+        value = data.draw(_KIND_VALUES[kind])
+        if nudge is None:
+            bound = data.draw(st.floats(min_value=0.0, exclude_min=True,
+                                        allow_infinity=False))
+        else:
+            bound = _nudged_distance(value, error, kind, nudge)
+        if 0 < bound < math.inf:
+            _check_exact(value, error, kind, bound)
+
+    @pytest.mark.parametrize("kind,value,error", [
+        ("f64", 1.0, 1e300),  # the distance 1e300 - 1 rounds to 1e300
+        ("f64", -3.0, 2.0 ** 60),
+        ("f64", 1e-300, -1.0),
+        ("f32", 1.0, 1e30),
+        ("f32", 2.0 ** -100, -1e10),
+    ])
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_ties_of_an_inexact_distance(self, kind, value, error, nudge):
+        """The rounded distance is not the exact one, so only exact
+        arithmetic tells the tie apart."""
+        from fractions import Fraction
+        reached = apply_fault(value, error, kind)
+        assert abs(reached - value) != abs(Fraction(reached) - Fraction(value))
+        _check_exact(value, error, kind, _nudged_distance(value, error, kind, nudge))
+
 
 class TestParseFaultType:
     def test_uniform(self):
@@ -386,6 +450,8 @@ class TestParseFaultType:
         "uniform_abs(-1)",
         "normal_abs(1, nan)",
         "normal_abs(1, inf)",
+        "normal_abs(1, 11)",  # past 10, most draws of the normal are rejected
+        "normal_abs(1, 1e9)",
         "custom(x, 1)",
     ])
     def test_rejects_malformed(self, text):

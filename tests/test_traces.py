@@ -337,6 +337,58 @@ class TestReadTraceSlices:
         assert transient(long) <= 1.25 * transient(short)
 
 
+class TestReadMemo:
+    """A read converts each distinct index and value hex once and hands out
+    the one object it made for every equal field."""
+
+    LINES = ["ID: 1000 OPCode: load Value: 0000002a\n",
+             "ID: 70000 OPCode: fmul Value: 3FF0000000000000\n",
+             "ID: 1000 OPCode: load Value: 0000002A\n",
+             "ID: 70000 OPCode: fmul Value: 3ff0000000000000\n"]
+
+    def _reads(self, tmp_path):
+        """The lines read from a file, from an iterable, and from a file the
+        per-line parser reads (one line holds a form feed)."""
+        plain, per_line = tmp_path / "plain.txt", tmp_path / "per_line.txt"
+        plain.write_text("".join(self.LINES))
+        per_line.write_text("".join(self.LINES) + "ID: 5\x0cOPCode: br Value: 00000000\n")
+        return read_trace(str(plain)), read_trace(iter(self.LINES)), read_trace(str(per_line))
+
+    def test_equal_indices_share_one_int(self, tmp_path):
+        for trace in self._reads(tmp_path):
+            assert trace.indices[:4] == [1000, 70000, 1000, 70000]
+            assert trace.indices[0] is trace.indices[2]
+            assert trace.indices[1] is trace.indices[3]
+
+    def test_equal_hex_share_one_string_and_uppercase_is_lowered(self, tmp_path):
+        for trace in self._reads(tmp_path):
+            assert trace.hexes[:4] == ["0000002a", "3ff0000000000000"] * 2
+            assert trace.hexes[0] is trace.hexes[2]
+            assert trace.hexes[1] is trace.hexes[3]
+
+    def test_all_distinct_values_cost_less_than_the_columns(self, tmp_path):
+        """The memo holds each distinct value once more as a key, not as a
+        string of its own, so on a file whose every value is new a read's
+        transient memory stays below the size of the columns it returns."""
+        rng = random.Random(21)
+        values = list(dict.fromkeys(rng.getrandbits(64) for _ in range(60_000)))
+        path = tmp_path / "t.txt"
+        path.write_text("".join(format_record(i % 300, "fmul", f"{v:016x}") + "\n"
+                                for i, v in enumerate(values)))
+        tracemalloc.start()
+        try:
+            trace = read_trace(str(path))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.hexes == [f"{v:016x}" for v in values]
+        held = {id(x): sys.getsizeof(x) for col in (trace.indices, trace.opcodes,
+                                                     trace.hexes) for x in col}
+        columns = sum(held.values()) + sum(map(sys.getsizeof, (
+            trace.indices, trace.opcodes, trace.hexes)))
+        assert peak - current < columns
+
+
 def _lcs_len(a, b):
     n, m = len(a), len(b)
     dp = [[0] * (m + 1) for _ in range(n + 1)]
@@ -436,6 +488,21 @@ def _oracle_myers_core(a: list, b: list, off_a: int, off_b: int) -> list[tuple]:
     return ops
 
 
+def _edited(records: list, rng: random.Random, edits: int) -> list:
+    """A copy of `records` with `edits` seeded blocks of 1-8 records deleted
+    or inserted (copied from elsewhere in it), as an injected fault shifts a
+    trace's control flow."""
+    out = list(records)
+    for _ in range(edits):
+        pos, length = rng.randrange(len(out) + 1), rng.randint(1, 8)
+        if rng.random() < 0.5:
+            del out[pos:pos + length]
+        else:
+            start = rng.randrange(len(records))
+            out[pos:pos] = records[start:start + length]
+    return out
+
+
 class TestMyersAlignment:
     def _check(self, a, b):
         ops = _expand(_myers_ops(a, b))
@@ -505,6 +572,24 @@ class TestMyersAlignment:
             assert _expand(runs) == _oracle_myers_ops(a, b)
             assert all(r[0] != s[0] for r, s in zip(runs, runs[1:]))
             assert _expand(_myers_core(a, b, 3, 5)) == _oracle_myers_core(a, b, 3, 5)
+        for case in range(24):  # trace-shaped: a loop body of distinct indices, repeated
+            body = rng.sample(range(1000), rng.randint(5, 40))
+            a = body * rng.randint(300 // len(body), 600 // len(body))
+            b = _edited(a, rng, rng.randint(1, 12))
+            assert _expand(_myers_ops(a, b)) == _oracle_myers_ops(a, b)
+            assert _expand(_myers_core(a, b, 3, 5)) == _oracle_myers_core(a, b, 3, 5)
+        for case in range(40):
+            # One side of 10-40 records, the other a few hundred: the far
+            # diagonals run up to the short side's length past its end.
+            symbols = rng.randint(2, 6)
+            short = [rng.randrange(symbols) for _ in range(rng.randint(10, 40))]
+            long = [rng.randrange(symbols) + (case % 3 == 0) * symbols
+                    for _ in range(rng.randint(150, 300))]
+            a, b = (short, long) if case % 2 else (long, short)
+            before = (list(a), list(b))
+            assert _expand(_myers_ops(a, b)) == _oracle_myers_ops(a, b)
+            assert _expand(_myers_core(a, b, 3, 5)) == _oracle_myers_core(a, b, 3, 5)
+            assert (a, b) == before  # the core leaves its sides as they were
 
 
 class TestTraceDiff:
