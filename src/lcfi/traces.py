@@ -9,9 +9,11 @@ store (see _myers_core).
 
 read_trace reads a file in binary, a slice of about _SLICE bytes cut after a
 line end at a time, so beyond the columns it returns a read holds one slice
-and a memo of the distinct indices and value hex it has seen, however long
-the file is. A trace repeats few distinct fields, so each is converted once
-per read and looked up after that.
+and its memos, however long the file is. A trace repeats few distinct lines,
+so a line memo maps each line to its index, opcode and hex: only the lines it
+lacks are split, and it is cleared once it holds more than _SLICE // 64
+lines, which keeps it about a slice. Each distinct index and value hex is
+converted once per read and looked up after that.
 
 A run's trace is written from its raw columns, a block of up to
 _WRITE_CHUNK records at a time: one vectorized pass per block converts the
@@ -36,7 +38,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import merge
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
 from math import copysign
 from operator import add, eq, ne
 
@@ -123,12 +125,13 @@ _SLICE = 1 << 18  # bytes of a file parsed at a time, cut after a line end
 def read_trace(source) -> TraceColumns:
     """Read records from a path (a str or path-like) or an iterable of lines,
     each item one line; a file's line ends count as text mode counts them.
-    Each distinct index and value hex is converted once per read (_Memo), so
+    A distinct line is parsed once while the line memo holds it, and each
+    distinct index and value hex is converted once per read (_Memo), so
     equal indices are one int object; opcodes and value hex go through
     sys.intern, so each distinct one is one string object however often it
     occurs."""
     out, lineno, offset = TraceColumns([], [], []), 1, 0
-    memo = _Memo(int), _Memo(_lower_interned)
+    memo = {}, {}, {}, _Memo(int), _Memo(_lower_interned)
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             for data in _slices(fh):
@@ -139,7 +142,7 @@ def read_trace(source) -> TraceColumns:
                         f"{source}: not UTF-8 text (byte {offset + e.start})") from e
                 if "\r" in text:
                     text = text.replace("\r\n", "\n").replace("\r", "\n")
-                lineno = _parse(text, lineno, out, *memo)
+                lineno = _parse(text, lineno, out, memo)
                 offset += len(data)
     else:
         items = iter(source)
@@ -148,7 +151,7 @@ def read_trace(source) -> TraceColumns:
         # stays one line.
         while batch := list(islice(items, _SLICE // 64)):
             text = "\n".join([item.removesuffix("\n").replace("\n", " ") for item in batch])
-            lineno = _parse(text, lineno, out, *memo) + 1
+            lineno = _parse(text, lineno, out, memo) + 1
     return out
 
 
@@ -190,22 +193,33 @@ def _lower_interned(text: str) -> str:
     return sys.intern(text.lower())
 
 
-def _parse(text: str, lineno: int, out: TraceColumns, indices: _Memo,
-           hexes: _Memo) -> int:
+def _parse(text: str, lineno: int, out: TraceColumns, memo: tuple) -> int:
     """Append the records of `text`, whose first line is line `lineno`, to
-    `out` and return the number of the line after its last newline: one split
-    when _TEXT_RE matches every line, which shows as one match per line (a
-    match never spans a newline), else parse_record line by line. Indices and
-    value hex are looked up in the read's memos."""
-    ends = text.count("\n")
+    `out` and return the number of the line after its last newline. A line
+    the read's line memo holds is looked up there. The others are split once
+    when _TEXT_RE matches each of them, which shows as one match per line (a
+    match never spans a newline); else the text goes through parse_record
+    line by line. Indices and value hex are looked up in the read's memos."""
+    line_indices, line_opcodes, line_hexes, indices, hexes = memo
+    lines = text.split("\n")
+    ends = len(lines) - 1
+    if not lines[-1]:
+        lines.pop()
+    if len(line_indices) > _SLICE // 64:  # so the memo stays about a slice
+        for lookup in memo[:3]:
+            lookup.clear()
+    new = dict.fromkeys(filterfalse(line_indices.__contains__, lines))
     # split() gives [text before, index, opcode, hex, text between, ...].
-    parts = _TEXT_RE.split(text)
-    if len(parts) // 4 == ends + (text[-1:] != "\n"):
-        out.indices += map(indices.__getitem__, parts[1::4])
-        out.opcodes += map(sys.intern, parts[2::4])
-        out.hexes += map(hexes.__getitem__, parts[3::4])
+    parts = _TEXT_RE.split("\n".join(new))
+    if len(parts) // 4 == len(new):
+        line_indices.update(zip(new, map(indices.__getitem__, parts[1::4])))
+        line_opcodes.update(zip(new, map(sys.intern, parts[2::4])))
+        line_hexes.update(zip(new, map(hexes.__getitem__, parts[3::4])))
+        out.indices += map(line_indices.__getitem__, lines)
+        out.opcodes += map(line_opcodes.__getitem__, lines)
+        out.hexes += map(line_hexes.__getitem__, lines)
     else:
-        for n, line in enumerate(text.split("\n"), lineno):
+        for n, line in enumerate(lines, lineno):
             try:
                 rec = parse_record(line)
             except TraceFormatError as e:
@@ -502,15 +516,19 @@ def _myers_ops(a: list, b: list) -> list[tuple]:
     """Minimal edit script as runs (kind, i, j, length): "match" pairs a[i+t]
     with b[j+t], "del" drops a[i+t] before b[j] and "ins" adds b[j+t] before
     a[i], for t < length."""
-    # Trim the common prefix and suffix first; Myers runs on the core.
+    # Trim the common prefix and suffix first, _BLOCK records per list
+    # compare; Myers runs on the core.
     n_all, m_all = len(a), len(b)
-    pre = 0
-    while pre < n_all and pre < m_all and a[pre] == b[pre]:
-        pre += 1
-    suf = 0
-    while (suf < n_all - pre and suf < m_all - pre
-           and a[n_all - 1 - suf] == b[m_all - 1 - suf]):
-        suf += 1
+    most = min(n_all, m_all)
+    pre = next(_differing(a, b, most), most)
+    suf, most = 0, most - pre
+    while suf < most:
+        step = min(_BLOCK, most - suf)
+        x, y = a[n_all - suf - step:n_all - suf], b[m_all - suf - step:m_all - suf]
+        if x != y:  # the records after its last unequal pair match
+            suf += step - 1 - max(compress(range(step), map(ne, x, y)))
+            break
+        suf += step
     runs = [("match", 0, 0, pre)] if pre else []
     runs.extend(_myers_core(a[pre:n_all - suf], b[pre:m_all - suf], pre, pre))
     if suf:

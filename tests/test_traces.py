@@ -389,6 +389,78 @@ class TestReadMemo:
         assert peak - current < columns
 
 
+class TestReadLineMemo:
+    """A read parses each distinct line once and looks it up after that; the
+    memo is cleared once it holds more than _SLICE // 64 lines."""
+
+    @staticmethod
+    def _count_split(monkeypatch):
+        """The lines each _TEXT_RE.split call receives, in one list."""
+        sent, split = [], traces._TEXT_RE.split
+
+        class Counting:
+            @staticmethod
+            def split(text):
+                sent.extend(text.split("\n") if text else [])
+                return split(text)
+
+        monkeypatch.setattr(traces, "_TEXT_RE", Counting)
+        return sent
+
+    @staticmethod
+    def _repeating_lines(distinct: int, total: int, seed: int) -> list:
+        rng = random.Random(seed)
+        pool = [format_record(rng.randrange(2000), rng.choice(["load", "fmul", "br"]),
+                              f"{rng.randrange(1 << 64):016x}") + "\n"
+                for _ in range(distinct)]
+        return [rng.choice(pool) for _ in range(total)]
+
+    def test_a_repeated_half_is_not_split_again(self, tmp_path, monkeypatch):
+        half = self._repeating_lines(1000, 2 * _SLICE // 40, seed=5)
+        lines = half + half
+        assert len("".join(half)) > _SLICE  # the repeats lie in later slices
+        path = tmp_path / "t.txt"
+        path.write_text("".join(lines))
+        expected = _read_per_line(lines)
+        for source in (str(path), iter(lines)):
+            with monkeypatch.context() as patch:
+                sent = self._count_split(patch)
+                assert read_trace(source) == expected
+            # every distinct line went to the split once, none of them again
+            assert sorted(sent) == sorted(line.rstrip("\n") for line in set(half))
+
+    def test_malformed_line_after_memo_hits(self, tmp_path):
+        lines = self._repeating_lines(200, 3 * _SLICE // 40, seed=6)
+        k = len(lines) - 100  # in the last slice, after every line was seen
+        lines[k - 1] = lines[k - 2].replace("Value: ", "Value: 0x")
+        path = tmp_path / "t.txt"
+        path.write_text("".join(lines))
+        for source in (str(path), iter(lines)):
+            with pytest.raises(TraceFormatError, match=rf"^line {k}: malformed trace record"):
+                read_trace(source)
+        assert _outcome(read_trace, str(path)) == _outcome(_read_per_line, lines)
+
+    def test_longer_than_the_cap_and_fields_shared_across_clears(self, tmp_path):
+        """Lines of 20,000 records, of which more than four memo caps are
+        distinct, over a small pool of indices, opcodes and hex: equal fields
+        are one object across the clears."""
+        rng = random.Random(7)
+        hexes = [f"{rng.randrange(1 << 64):016x}" for _ in range(37)]
+        lines = [format_record(1000 + i % 701, ("load", "fmul", "br")[i % 3],
+                               hexes[i % 37].upper() if i % 5 == 0 else hexes[i % 37]) + "\n"
+                 for i in range(20_000)]
+        assert len(set(lines)) > 4 * (_SLICE // 64)
+        assert len("".join(lines)) > 3 * _SLICE
+        path = tmp_path / "t.txt"
+        path.write_text("".join(lines))
+        expected = _read_per_line(lines)
+        for trace in (read_trace(str(path)), read_trace(iter(lines))):
+            assert trace == expected
+            for column in (trace.indices, trace.opcodes, trace.hexes):
+                first = {}
+                assert all(first.setdefault(x, x) is x for x in column)
+
+
 def _lcs_len(a, b):
     n, m = len(a), len(b)
     dp = [[0] * (m + 1) for _ in range(n + 1)]
@@ -590,6 +662,52 @@ class TestMyersAlignment:
             assert _expand(_myers_ops(a, b)) == _oracle_myers_ops(a, b)
             assert _expand(_myers_core(a, b, 3, 5)) == _oracle_myers_core(a, b, 3, 5)
             assert (a, b) == before  # the core leaves its sides as they were
+
+
+class TestMyersTrimming:
+    """_myers_ops trims the common prefix and suffix a block of records at a
+    time; its script equals the oracle's, which trims record by record, at
+    every block edge."""
+
+    @staticmethod
+    def _check(a, b):
+        runs = _myers_ops(a, b)
+        assert _expand(runs) == _oracle_myers_ops(a, b)
+        return runs
+
+    @pytest.mark.parametrize("pre", [0, 63, 64, 65, 130])
+    @pytest.mark.parametrize("suf", [0, 63, 64, 65, 130])
+    def test_common_prefix_and_suffix(self, pre, suf):
+        rng = random.Random(pre * 1000 + suf)
+        head = [rng.randrange(4) for _ in range(pre)]
+        tail = [rng.randrange(4) for _ in range(suf)]
+        # the cores start and end on unequal records, so the trim is exact
+        a = head + [10] + [rng.randrange(4) for _ in range(rng.randint(0, 20))] + [11] + tail
+        b = head + [12] + [rng.randrange(4) for _ in range(rng.randint(0, 20))] + [13] + tail
+        runs = self._check(a, b)
+        assert (runs[0] == ("match", 0, 0, pre)) if pre else runs[0][0] != "match"
+        assert ((runs[-1] == ("match", len(a) - suf, len(b) - suf, suf)) if suf
+                else runs[-1][0] != "match")
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+    def test_equal_sides(self, n):
+        a = [i % 3 for i in range(n)]
+        assert self._check(a, list(a)) == ([("match", 0, 0, n)] if n else [])
+
+    @pytest.mark.parametrize("n,k", [(130, 0), (130, 1), (130, 63), (130, 64),
+                                     (130, 65), (130, 129), (200, 70)])
+    def test_one_side_a_prefix_or_suffix_of_the_other(self, n, k):
+        rng = random.Random(n + k)
+        whole = [rng.randrange(3) for _ in range(n)]
+        for part in (whole[:k], whole[n - k:]):
+            self._check(part, whole)
+            self._check(whole, part)
+
+    @pytest.mark.parametrize("n", [1, 64, 130])
+    def test_an_empty_side(self, n):
+        b = [i % 5 for i in range(n)]
+        assert self._check([], b) == [("ins", 0, 0, n)]
+        assert self._check(b, []) == [("del", 0, 0, n)]
 
 
 class TestTraceDiff:
