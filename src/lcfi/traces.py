@@ -9,11 +9,14 @@ store (see _myers_core).
 
 read_trace reads a file in binary, a slice of about _SLICE bytes cut after a
 line end at a time, so beyond the columns it returns a read holds one slice
-and its memos, however long the file is. A trace repeats few distinct lines,
-so a line memo maps each line to its index, opcode and hex: only the lines it
-lacks are split, and it is cleared once it holds more than _SLICE // 64
-lines, which keeps it about a slice. Each distinct index and value hex is
-converted once per read and looked up after that.
+and its memos, however long the file is. A loop's trace often repeats few
+distinct lines, so a line memo maps each line to its index, opcode and hex:
+only the lines it lacks are split, and it is cleared once it holds more than
+_SLICE // 64 lines, which keeps it about a slice. A slice whose lines are
+mostly new is split whole and skips the memo, which costs more than it saves
+there.
+Each distinct index and value hex is converted once per read and looked up
+after that.
 
 A run's trace is written from its raw columns, a block of up to
 _WRITE_CHUNK records at a time: one vectorized pass per block converts the
@@ -142,7 +145,11 @@ def read_trace(source) -> TraceColumns:
                         f"{source}: not UTF-8 text (byte {offset + e.start})") from e
                 if "\r" in text:
                     text = text.replace("\r\n", "\n").replace("\r", "\n")
-                lineno = _parse(text, lineno, out, memo)
+                lines = text.split("\n")
+                if not lines[-1]:  # every slice but the file's last ends a line
+                    lines.pop()
+                _parse(lines, lineno, out, memo)
+                lineno += len(lines)
                 offset += len(data)
     else:
         items = iter(source)
@@ -150,8 +157,9 @@ def read_trace(source) -> TraceColumns:
         # inside it, whitespace to parse_record, becomes a space, so the item
         # stays one line.
         while batch := list(islice(items, _SLICE // 64)):
-            text = "\n".join([item.removesuffix("\n").replace("\n", " ") for item in batch])
-            lineno = _parse(text, lineno, out, memo) + 1
+            _parse([item.removesuffix("\n").replace("\n", " ") for item in batch],
+                   lineno, out, memo)
+            lineno += len(batch)
     return out
 
 
@@ -193,31 +201,31 @@ def _lower_interned(text: str) -> str:
     return sys.intern(text.lower())
 
 
-def _parse(text: str, lineno: int, out: TraceColumns, memo: tuple) -> int:
-    """Append the records of `text`, whose first line is line `lineno`, to
-    `out` and return the number of the line after its last newline. A line
-    the read's line memo holds is looked up there. The others are split once
-    when _TEXT_RE matches each of them, which shows as one match per line (a
-    match never spans a newline); else the text goes through parse_record
-    line by line. Indices and value hex are looked up in the read's memos."""
+def _parse(lines: list, lineno: int, out: TraceColumns, memo: tuple) -> None:
+    """Append the records of `lines` (no newline in them), the first line
+    `lineno`, to `out`. Lines the line memo lacks are split once, the others
+    looked up; if most are new, all are split and the memo is left as it is.
+    The split serves if _TEXT_RE matches each line, shown by one match per
+    line (a match never spans a newline); else parse_record reads them one
+    by one. Indices and value hex are looked up in the read's memos."""
     line_indices, line_opcodes, line_hexes, indices, hexes = memo
-    lines = text.split("\n")
-    ends = len(lines) - 1
-    if not lines[-1]:
-        lines.pop()
     if len(line_indices) > _SLICE // 64:  # so the memo stays about a slice
         for lookup in memo[:3]:
             lookup.clear()
     new = dict.fromkeys(filterfalse(line_indices.__contains__, lines))
+    whole = 2 * len(new) > len(lines)
+    split = lines if whole else new
     # split() gives [text before, index, opcode, hex, text between, ...].
-    parts = _TEXT_RE.split("\n".join(new))
-    if len(parts) // 4 == len(new):
-        line_indices.update(zip(new, map(indices.__getitem__, parts[1::4])))
-        line_opcodes.update(zip(new, map(sys.intern, parts[2::4])))
-        line_hexes.update(zip(new, map(hexes.__getitem__, parts[3::4])))
-        out.indices += map(line_indices.__getitem__, lines)
-        out.opcodes += map(line_opcodes.__getitem__, lines)
-        out.hexes += map(line_hexes.__getitem__, lines)
+    parts = _TEXT_RE.split("\n".join(split))
+    if len(parts) // 4 == len(split):
+        columns = (map(indices.__getitem__, parts[1::4]), map(sys.intern, parts[2::4]),
+                   map(hexes.__getitem__, parts[3::4]))
+        if not whole:
+            for lookup, column in zip(memo, columns):
+                lookup.update(zip(new, column))
+            columns = (map(lookup.__getitem__, lines) for lookup in memo[:3])
+        for held, column in zip((out.indices, out.opcodes, out.hexes), columns):
+            held.extend(column)
     else:
         for n, line in enumerate(lines, lineno):
             try:
@@ -228,7 +236,6 @@ def _parse(text: str, lineno: int, out: TraceColumns, memo: tuple) -> int:
                 out.indices.append(indices[rec.index])
                 out.opcodes.append(sys.intern(rec.opcode))
                 out.hexes.append(hexes[rec.value_hex])
-    return lineno + ends
 
 
 # -- values and run traces ---------------------------------------------------------

@@ -441,14 +441,15 @@ class TestReadLineMemo:
         assert _outcome(read_trace, str(path)) == _outcome(_read_per_line, lines)
 
     def test_longer_than_the_cap_and_fields_shared_across_clears(self, tmp_path):
-        """Lines of 20,000 records, of which more than four memo caps are
-        distinct, over a small pool of indices, opcodes and hex: equal fields
-        are one object across the clears."""
+        """60,000 records, each line three times in a row so the memo serves,
+        of which more than four memo caps are distinct, over a small pool of
+        indices, opcodes and hex: equal fields are one object across the
+        clears."""
         rng = random.Random(7)
         hexes = [f"{rng.randrange(1 << 64):016x}" for _ in range(37)]
         lines = [format_record(1000 + i % 701, ("load", "fmul", "br")[i % 3],
                                hexes[i % 37].upper() if i % 5 == 0 else hexes[i % 37]) + "\n"
-                 for i in range(20_000)]
+                 for i in range(20_000) for _ in range(3)]
         assert len(set(lines)) > 4 * (_SLICE // 64)
         assert len("".join(lines)) > 3 * _SLICE
         path = tmp_path / "t.txt"
@@ -459,6 +460,17 @@ class TestReadLineMemo:
             for column in (trace.indices, trace.opcodes, trace.hexes):
                 first = {}
                 assert all(first.setdefault(x, x) is x for x in column)
+
+    def test_mostly_new_lines_leave_the_memo_as_it_was(self):
+        """A slice whose lines are more than half new is split whole and
+        adds nothing to the line memo; one at half or less fills it."""
+        lines = [format_record(i, "load", f"{i:08x}") for i in range(10)]
+        for repeats, memoized in ((lines[:4], False), (lines[:5], True)):
+            memo = {}, {}, {}, traces._Memo(int), traces._Memo(traces._lower_interned)
+            out = traces.TraceColumns([], [], [])
+            traces._parse(lines[:5] + repeats, 1, out, memo)
+            assert out == _read_per_line(lines[:5] + repeats)
+            assert sorted(memo[0]) == (sorted(lines[:5]) if memoized else [])
 
 
 def _lcs_len(a, b):
@@ -662,52 +674,31 @@ class TestMyersAlignment:
             assert _expand(_myers_ops(a, b)) == _oracle_myers_ops(a, b)
             assert _expand(_myers_core(a, b, 3, 5)) == _oracle_myers_core(a, b, 3, 5)
             assert (a, b) == before  # the core leaves its sides as they were
-
-
-class TestMyersTrimming:
-    """_myers_ops trims the common prefix and suffix a block of records at a
-    time; its script equals the oracle's, which trims record by record, at
-    every block edge."""
-
-    @staticmethod
-    def _check(a, b):
-        runs = _myers_ops(a, b)
-        assert _expand(runs) == _oracle_myers_ops(a, b)
-        return runs
-
-    @pytest.mark.parametrize("pre", [0, 63, 64, 65, 130])
-    @pytest.mark.parametrize("suf", [0, 63, 64, 65, 130])
-    def test_common_prefix_and_suffix(self, pre, suf):
-        rng = random.Random(pre * 1000 + suf)
-        head = [rng.randrange(4) for _ in range(pre)]
-        tail = [rng.randrange(4) for _ in range(suf)]
-        # the cores start and end on unequal records, so the trim is exact
-        a = head + [10] + [rng.randrange(4) for _ in range(rng.randint(0, 20))] + [11] + tail
-        b = head + [12] + [rng.randrange(4) for _ in range(rng.randint(0, 20))] + [13] + tail
-        runs = self._check(a, b)
-        assert (runs[0] == ("match", 0, 0, pre)) if pre else runs[0][0] != "match"
-        assert ((runs[-1] == ("match", len(a) - suf, len(b) - suf, suf)) if suf
-                else runs[-1][0] != "match")
-
-    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
-    def test_equal_sides(self, n):
-        a = [i % 3 for i in range(n)]
-        assert self._check(a, list(a)) == ([("match", 0, 0, n)] if n else [])
-
-    @pytest.mark.parametrize("n,k", [(130, 0), (130, 1), (130, 63), (130, 64),
-                                     (130, 65), (130, 129), (200, 70)])
-    def test_one_side_a_prefix_or_suffix_of_the_other(self, n, k):
-        rng = random.Random(n + k)
-        whole = [rng.randrange(3) for _ in range(n)]
-        for part in (whole[:k], whole[n - k:]):
-            self._check(part, whole)
-            self._check(whole, part)
-
-    @pytest.mark.parametrize("n", [1, 64, 130])
-    def test_an_empty_side(self, n):
-        b = [i % 5 for i in range(n)]
-        assert self._check([], b) == [("ins", 0, 0, n)]
-        assert self._check(b, []) == [("del", 0, 0, n)]
+        # Trimming compares _BLOCK (64) records at a time: common prefix and
+        # suffix lengths at the block edges, equal sides, one side a prefix
+        # or suffix of the other, and an empty side.
+        edges = (0, 63, 64, 65, 130)
+        pairs = []
+        for pre in edges:
+            for suf in edges:
+                head = [rng.randrange(4) for _ in range(pre)]
+                tail = [rng.randrange(4) for _ in range(suf)]
+                # the cores start and end on unequal records, so the trim is exact
+                pairs.append((head + [10] + [rng.randrange(4) for _ in range(rng.randint(0, 20))]
+                              + [11] + tail,
+                              head + [12] + [rng.randrange(4) for _ in range(rng.randint(0, 20))]
+                              + [13] + tail))
+        for n in (0, 1, 63, 64, 65, 130, 200):
+            whole = [rng.randrange(3) for _ in range(n)]
+            pairs.append((whole, list(whole)))
+            for k in (0, 1, 63, 64, 65, n - 1):
+                pairs += [(whole[:k], whole), (whole, whole[:k]),
+                          (whole[n - k:], whole), (whole, whole[n - k:])]
+        for a, b in pairs:
+            runs = _myers_ops(a, b)
+            assert _expand(runs) == _oracle_myers_ops(a, b)
+            assert all(length > 0 for *_rest, length in runs)
+            assert all(r[0] != s[0] for r, s in zip(runs, runs[1:]))
 
 
 class TestTraceDiff:
