@@ -140,9 +140,9 @@ def parse_campaign_config(data, base_dir: str = ".",
     if "report_formats" in data:
         fmts = data["report_formats"]
         _require(isinstance(fmts, list) and fmts, f"{source}: report_formats must be a list")
-        for f in fmts:
-            _require(f in ("txt", "json", "csv"),
-                     f"{source}: unknown report format {f!r}")
+        for k, f in enumerate(fmts):
+            _require(f in ("txt", "json", "csv"), f"{source}: unknown report format {f!r}")
+            _require(f not in fmts[:k], f"{source}: report format {f!r} given twice")
         cfg.report_formats = tuple(fmts)
 
     io_block = data.get("io", {})
@@ -182,7 +182,9 @@ def parse_campaign_config(data, base_dir: str = ".",
                  f"{source}: compare.{key} must be a non-negative number")
     cfg.compare = CompareSpec(mode=mode, **tols)
 
-    for i, m in enumerate(data.get("metrics", []) or []):
+    metrics = data.get("metrics")
+    _require(metrics is None or isinstance(metrics, list), f"{source}: metrics must be a list")
+    for i, m in enumerate(metrics or []):
         _require(isinstance(m, dict), f"{source}: metrics[{i}] must be a mapping")
         cfg.warnings += _unknown_keys(m, ("name", "pattern", "source", "transform"),
                                       f"metrics[{i}].")

@@ -1,8 +1,10 @@
 """Trace files: reading, diffing, merging, and fault-propagation graphs.
 
-A trace is one text record per dynamic event. Alignment between a golden and
-a faulty trace is a minimal edit script over the instruction-index sequences
-(Myers O(ND)); record values never influence the alignment, they are compared
+A trace is one text record per dynamic event, held as columns (TraceColumns)
+that reading, diffing, merging and propagation read directly; a TraceRecord is
+built only when an item is read. Alignment between a golden and a faulty
+trace is a minimal edit script over the instruction-index sequences (Myers
+O(ND)); record values never influence the alignment, they are compared
 afterwards on matched pairs. The core's cost is its diagonal visits, nearly
 all of which end without a snake, so a visit is kept to two compares and a
 store (see _myers_core).
@@ -18,7 +20,7 @@ there.
 Each distinct index and value hex is converted once per read and looked up
 after that.
 
-A run's trace is written from its raw columns, a block of up to
+A run's trace (RunTrace) is written from its raw columns, a block of up to
 _WRITE_CHUNK records at a time: one vectorized pass per block converts the
 values to bits, turns them into digits with one bytes.hex() and fills them
 into rows of bytes that hold each record's line prefix (TraceFields.render).
@@ -99,9 +101,10 @@ def parse_record(line: str) -> TraceRecord | None:
 
 
 class TraceColumns(Sequence):
-    """A trace read from text, held as three columns: instruction indices,
-    opcodes and lowercase value hex. A TraceRecord is built when an item is
-    read; the trace compares equal to any sequence of equal records."""
+    """A trace as three columns: instruction indices, opcodes and lowercase
+    value hex, read from text (read_trace) or recorded by a run (RunTrace). A
+    TraceRecord is built when an item is read; the trace compares equal to any
+    sequence of equal records."""
 
     def __init__(self, indices: list, opcodes: list, hexes: list):
         self.indices = indices
@@ -371,30 +374,25 @@ _GROUP = {_hex32: 1, _hex64: 1, _hex_f32: 2, _hex_f64: 3}
 _GROUP_BITS = (_int_bits, _f32_bits, _f64_bits)
 
 
-class RunTrace(Sequence):
+class RunTrace(TraceColumns):
     """A run's trace as the machine recorded it: a column of instruction
-    indices and a column of raw values. Reading it builds TraceRecords one by
-    one; write_trace renders lines from the columns without building any."""
+    indices and a column of raw values. Its opcode and value-hex columns are
+    built from them when first read; write_trace renders lines from the raw
+    columns without building either."""
 
     def __init__(self, indices: list, values: list, fields: TraceFields):
         self.indices = indices
         self.values = values
         self.fields = fields
 
-    def __len__(self) -> int:
-        return len(self.indices)
+    @cached_property
+    def opcodes(self) -> list:
+        return list(map(self.fields.opcode.__getitem__, self.indices))
 
-    def _record(self, index: int, value) -> TraceRecord:
-        f = self.fields
-        return TraceRecord(index, f.opcode[index], f.value_hex[index](value))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(map(self._record, self.indices[i], self.values[i]))
-        return self._record(self.indices[i], self.values[i])
-
-    def __iter__(self):
-        return map(self._record, self.indices, self.values)
+    @cached_property
+    def hexes(self) -> list:
+        value_hex = self.fields.value_hex
+        return [value_hex[i](v) for i, v in zip(self.indices, self.values)]
 
     def lines(self, start: int = 0):
         """The rendered lines of the records from `start` on, built one at a
@@ -414,13 +412,6 @@ def _blocks(trace: RunTrace, start: int = 0):
     for a in range(start, len(trace), _WRITE_CHUNK):
         yield trace.fields.render(trace.indices[a:a + _WRITE_CHUNK],
                                   trace.values[a:a + _WRITE_CHUNK])
-
-
-def _chunks(lines):
-    """The lines, each ended by a newline, joined and encoded _WRITE_CHUNK at
-    a time."""
-    while chunk := list(islice(lines, _WRITE_CHUNK)):
-        yield ("\n".join(chunk) + "\n").encode()
 
 
 _FLOAT_HEX = (_hex_f32, _hex_f64)
@@ -462,20 +453,14 @@ class TraceText:
             return fh.read()
 
 
-def write_trace(records, path: str, golden: TraceText | None = None) -> None:
-    """Write a RunTrace or a list of TraceRecords, one line per record.
+def write_trace(trace: RunTrace, path: str, golden: TraceText | None = None) -> None:
+    """Write a run's trace, one line per record.
 
-    With `golden`, the written trace of another run of the same program, a
-    RunTrace's records that have golden's instruction and value at their
-    position are copied from golden's bytes, up to the first record whose
-    instruction differs; the rest are rendered. The bytes are the same
-    either way, so a list of TraceRecords is written plainly."""
-    if not isinstance(records, RunTrace):
-        pieces = _chunks(rec.render() for rec in records)
-    elif golden is not None:
-        pieces = _pieces_against(records, golden)
-    else:
-        pieces = _blocks(records)
+    With `golden`, the written trace of another run of the same program, the
+    records that have golden's instruction and value at their position are
+    copied from golden's bytes, up to the first record whose instruction
+    differs; the rest are rendered. The bytes are the same either way."""
+    pieces = _blocks(trace) if golden is None else _pieces_against(trace, golden)
     with open(path, "wb") as fh:
         fh.writelines(pieces)
 
@@ -673,17 +658,6 @@ class Divergence:
                 f"({self.faulty.opcode}) only in faulty trace")
 
 
-def _columns(trace) -> tuple[list, list]:
-    """The index and value-hex columns of a TraceColumns, a RunTrace or a
-    sequence of TraceRecords."""
-    if isinstance(trace, TraceColumns):
-        return trace.indices, trace.hexes
-    if isinstance(trace, RunTrace):
-        value_hex = trace.fields.value_hex
-        return trace.indices, [value_hex[i](v) for i, v in zip(trace.indices, trace.values)]
-    return [r.index for r in trace], [r.value_hex for r in trace]
-
-
 class _Slots(Sequence):
     """The slots of some runs of an alignment, in order, given by each run's
     first slot and length; item i is found by bisecting over the runs'
@@ -718,8 +692,8 @@ class _Alignment:
 
     def __init__(self, golden, faulty):
         self.golden, self.faulty = golden, faulty
-        self.golden_indices, golden_hexes = _columns(golden)
-        self.faulty_indices, faulty_hexes = _columns(faulty)
+        self.golden_indices, golden_hexes = golden.indices, golden.hexes
+        self.faulty_indices, faulty_hexes = faulty.indices, faulty.hexes
         self.runs = _myers_ops(self.golden_indices, self.faulty_indices)
         self.starts = list(accumulate((run[3] for run in self.runs), initial=0))
         self.values: list[int] = []  # matched slots whose values differ
@@ -805,11 +779,8 @@ class DiffReport:
         return "data_flow"
 
 
-def trace_diff(golden: Sequence[TraceRecord], faulty: Sequence[TraceRecord]) -> DiffReport:
-    """Align two traces on instruction indices and report divergences.
-
-    Either trace may be a TraceColumns, a RunTrace or a list of TraceRecords.
-    """
+def trace_diff(golden: TraceColumns, faulty: TraceColumns) -> DiffReport:
+    """Align two traces on instruction indices and report divergences."""
     return _Alignment(golden, faulty).report()
 
 
@@ -824,16 +795,16 @@ class UnionEntry:
     values: set[str] = field(default_factory=set)
 
 
-def trace_union(traces: list[Sequence[TraceRecord]]) -> dict[int, UnionEntry]:
+def trace_union(traces: list[TraceColumns]) -> dict[int, UnionEntry]:
     """Merge traces into per-instruction execution counts and value sets."""
     entries: dict[int, UnionEntry] = {}
     for ti, trace in enumerate(traces):
-        indices, hexes = _columns(trace)
+        indices, hexes = trace.indices, trace.hexes
         first = dict(zip(reversed(indices), range(len(indices) - 1, -1, -1)))  # index: row
         for index, count in Counter(indices).items():
             e = entries.get(index)
             if e is None:
-                e = entries[index] = UnionEntry(index, trace[first[index]].opcode, 0,
+                e = entries[index] = UnionEntry(index, trace.opcodes[first[index]], 0,
                                                 [0] * len(traces))
             e.executions += count
             e.per_trace[ti] = count
@@ -866,8 +837,7 @@ class PropagationGraph:
         return sorted(i for i, n in self.nodes.items() if n.annihilation)
 
 
-def build_propagation(golden: Sequence[TraceRecord], faulty: Sequence[TraceRecord],
-                      graph: UseGraph,
+def build_propagation(golden: TraceColumns, faulty: TraceColumns, graph: UseGraph,
                       outputs_equal: bool = True) -> PropagationGraph:
     """Project a diff onto the def-use graph.
 

@@ -69,6 +69,11 @@ class TestConfigParsing:
         assert cfg.metrics[1].transform == "neg_log10"
         assert cfg.metrics[1].source == "stdout"
 
+    @pytest.mark.parametrize("metrics", [None, []])
+    def test_no_metrics(self, metrics):
+        """An empty `metrics:` key, or an empty list, asks for no metrics."""
+        assert parse_campaign_config(self._minimal(metrics=metrics)).metrics == []
+
     @pytest.mark.parametrize("mutate,fragment", [
         ({"program": None}, "program is required"),
         ({"input": None}, "input is required"),
@@ -95,6 +100,11 @@ class TestConfigParsing:
         ({"compare": {"abs_tol": [1]}}, "compare.abs_tol"),
         ({"compare": {"abs_tol": -1.0}}, "compare.abs_tol"),
         ({"compare": {"rel_tol": True}}, "compare.rel_tol"),
+        ({"metrics": "abc"}, "<config>: metrics must be a list"),
+        ({"metrics": {"name": "m", "pattern": "(x)"}}, "<config>: metrics must be a list"),
+        ({"metrics": {}}, "<config>: metrics must be a list"),
+        ({"report_formats": ["txt", "txt"]}, "<config>: report format 'txt' given twice"),
+        ({"report_formats": ["csv", "json", "csv"]}, "report format 'csv' given twice"),
     ])
     def test_rejected_configs(self, mutate, fragment):
         data = self._minimal()

@@ -18,12 +18,18 @@ from lcfi import traces
 from lcfi.faults import Sampler, make_sampler
 from lcfi.traces import (AlignedPair, Divergence, IndexMismatch, TraceFormatError,
                          TraceRecord, _SLICE, _WRITE_CHUNK, _blocks, _myers_core, _myers_ops,
-                         build_propagation,
-                         RunTrace, TraceFields, TraceText, format_record, parse_record,
+                         build_propagation, parse_record,
+                         RunTrace, TraceColumns, TraceFields, TraceText, format_record,
                          read_trace, trace_diff, trace_to_dot, trace_union, write_trace)
 from lcfi.vm.machine import IoConfig, Machine
 
 from conftest import fixture_path, load_fixture_module
+
+
+def _as_columns(records: list) -> TraceColumns:
+    """The trace of these records, as its columns."""
+    return TraceColumns([r.index for r in records], [r.opcode for r in records],
+                        [r.value_hex for r in records])
 
 
 class TestRecordFormat:
@@ -69,7 +75,8 @@ class TestRecordFormat:
         recs = [TraceRecord(1, "load", "0000002a"),
                 TraceRecord(2, "store", "00000000")]
         p = tmp_path / "t.txt"
-        write_trace(recs, str(p))
+        fields = TraceFields([(1, "load", "i32"), (2, "store", "void")])
+        write_trace(RunTrace([1, 2], [42, None], fields), str(p))
         assert read_trace(str(p)) == recs
 
     def test_read_from_lines(self):
@@ -721,7 +728,7 @@ class TestTraceDiff:
 
     def test_identical(self):
         recs = [TraceRecord(1, "load", "0000002a")]
-        report = trace_diff(recs, list(recs))
+        report = trace_diff(_as_columns(recs), _as_columns(recs))
         assert report.identical
         assert report.classification == "identical"
         assert report.value_divergences == []
@@ -731,7 +738,7 @@ class TestTraceDiff:
                   TraceRecord(2, "add", "00000002")]
         faulty = [TraceRecord(1, "load", "00000009"),
                   TraceRecord(2, "add", "0000000a")]
-        report = trace_diff(golden, faulty)
+        report = trace_diff(_as_columns(golden), _as_columns(faulty))
         assert report.classification == "data_flow"
         assert [d.golden.index for d in report.value_divergences] == [1, 2]
 
@@ -739,7 +746,7 @@ class TestTraceDiff:
         # same index sequence with different values must align 1:1
         golden = [TraceRecord(i, "add", "00000001") for i in (1, 2, 3)]
         faulty = [TraceRecord(i, "add", "00000002") for i in (1, 2, 3)]
-        report = trace_diff(golden, faulty)
+        report = trace_diff(_as_columns(golden), _as_columns(faulty))
         assert all(p.matched() for p in report.pairs)
         assert len(report.value_divergences) == 3
 
@@ -747,7 +754,7 @@ class TestTraceDiff:
         golden = [TraceRecord(1, "load", "00000001")]
         faulty = [TraceRecord(1, "load", "00000001"),
                   TraceRecord(9, "br", "00000000")]
-        report = trace_diff(golden, faulty)
+        report = trace_diff(_as_columns(golden), _as_columns(faulty))
         assert report.first_divergence.kind == "faulty_only"
         assert report.classification == "control_flow"
 
@@ -756,7 +763,7 @@ class TestTraceDiff:
                   TraceRecord(2, "add", "00000002")]
         faulty = [TraceRecord(5, "load", "00000001"),
                   TraceRecord(2, "add", "00000002")]
-        report = trace_diff(golden, faulty)
+        report = trace_diff(_as_columns(golden), _as_columns(faulty))
         # the unmatched slot at the front must win over later matches
         assert report.first_divergence.kind in ("golden_only", "faulty_only")
         assert report.first_divergence.position == 0
@@ -765,8 +772,8 @@ class TestTraceDiff:
     @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from("01")), max_size=30),
            st.lists(st.tuples(st.integers(1, 4), st.sampled_from("01")), max_size=30))
     def test_slots_agree_with_the_pairs(self, golden, faulty):
-        golden = [TraceRecord(i, "add", v * 8) for i, v in golden]
-        faulty = [TraceRecord(i, "add", v * 8) for i, v in faulty]
+        golden = _as_columns([TraceRecord(i, "add", v * 8) for i, v in golden])
+        faulty = _as_columns([TraceRecord(i, "add", v * 8) for i, v in faulty])
         report = trace_diff(golden, faulty)
         pairs = list(report.pairs)
         control = [pos for pos, p in enumerate(pairs) if not p.matched()]
@@ -824,7 +831,7 @@ class TestTraceUnion:
               TraceRecord(2, "add", "00000002"),
               TraceRecord(1, "load", "00000003")]
         t2 = [TraceRecord(1, "load", "00000001")]
-        union = trace_union([t1, t2])
+        union = trace_union([_as_columns(t1), _as_columns(t2)])
         assert sorted(union) == [1, 2]
         e1 = union[1]
         assert e1.executions == 3
@@ -834,7 +841,7 @@ class TestTraceUnion:
 
     def test_empty(self):
         assert trace_union([]) == {}
-        assert trace_union([[]]) == {}
+        assert trace_union([_as_columns([])]) == {}
 
 
 def test_run_trace_reads_like_its_records(tmp_path, demo_indexed, demo_io):
@@ -843,9 +850,28 @@ def test_run_trace_reads_like_its_records(tmp_path, demo_indexed, demo_io):
     assert len(trace) == len(records) > 0
     assert (trace[0], trace[-1], trace[2:5]) == (records[0], records[-1], records[2:5])
     write_trace(trace, str(tmp_path / "run.txt"))
-    write_trace(records, str(tmp_path / "records.txt"))
-    assert (tmp_path / "run.txt").read_bytes() == (tmp_path / "records.txt").read_bytes()
+    assert (tmp_path / "run.txt").read_bytes() == "".join(r.render() + "\n"
+                                                          for r in records).encode()
     assert read_trace(str(tmp_path / "run.txt")) == records
+
+
+def test_run_trace_is_its_columns(tmp_path):
+    """A run's trace equals its records and the trace read back from its file,
+    and diffs and merges as that read-back trace does."""
+    trace = Machine(assign_indices(load_fixture_module("cg.ll")), trace=True).run().trace
+    records = list(trace)
+    assert len(records) > 1000
+    assert trace == records and records == trace
+    assert trace != records[:-1] and trace != records[1:] + records[:1]
+    write_trace(trace, str(tmp_path / "run.txt"))
+    read_back = read_trace(str(tmp_path / "run.txt"))
+    assert trace == read_back and read_back == trace
+    assert (trace.indices, trace.opcodes, trace.hexes) == (read_back.indices,
+                                                           read_back.opcodes, read_back.hexes)
+    assert trace_diff(trace, read_back).identical
+    assert trace_diff(read_back, trace).identical
+    assert trace_union([trace]) == trace_union([read_back])
+    assert trace_union([trace, read_back]) == trace_union([read_back, trace])
 
 
 class TestWriteAgainstGolden:
@@ -958,17 +984,6 @@ class TestWriteAgainstGolden:
         self._check(tmp_path, idx, val, RunTrace(g_idx, g_val, self.FIELDS))
 
 
-def test_write_records_against_golden(tmp_path):
-    """A list of TraceRecords is written plainly, with or without golden."""
-    fields = TestWriteAgainstGolden.FIELDS
-    golden = TraceText.write(RunTrace([1, 2], [1.5, 3], fields), str(tmp_path / "g.txt"))
-    records = [TraceRecord(1, "fadd", "3ff8000000000000"), TraceRecord(2, "add", "00000004")]
-    write_trace(records, str(tmp_path / "plain.txt"))
-    write_trace(records, str(tmp_path / "against.txt"), golden)
-    assert (tmp_path / "against.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
-    assert read_trace(str(tmp_path / "against.txt")) == records
-
-
 def _f32(bits: int) -> float:
     """The f32 value with these bits, as the machine holds it: a double."""
     return struct.unpack(">f", struct.pack(">I", bits))[0]
@@ -1070,8 +1085,7 @@ class TestBlockRenderer:
         start = int(start * n)
         assert b"".join(_blocks(trace, start)) == self._expected(trace, start)
         write_trace(trace, str(tmp_path / "run.txt"))
-        write_trace(list(trace), str(tmp_path / "records.txt"))
-        assert (tmp_path / "run.txt").read_bytes() == (tmp_path / "records.txt").read_bytes()
+        assert (tmp_path / "run.txt").read_bytes() == self._expected(trace)
         text = TraceText.write(trace, str(tmp_path / "golden.txt"))
         lengths = [len(rec.render()) + 1 for rec in trace]
         assert list(text.offsets) == list(accumulate(lengths, initial=0))
@@ -1175,14 +1189,15 @@ class TestPropagation:
         graph = UseGraph(frozenset(), {1: "load"})
         golden = [TraceRecord(1, "load", "00000001")]
         faulty = [TraceRecord(1, "load", "00000002")]
-        prop = build_propagation(golden, faulty, graph, outputs_equal=True)
+        prop = build_propagation(_as_columns(golden), _as_columns(faulty), graph,
+                                 outputs_equal=True)
         assert prop.annihilation_points() == [1]
 
     def test_unknown_index_rejected(self, demo_indexed):
         graph = build_def_use(demo_indexed)
         golden = [TraceRecord(999, "load", "00000001")]
         with pytest.raises(IndexMismatch):
-            build_propagation(golden, [], graph)
+            build_propagation(_as_columns(golden), _as_columns([]), graph)
 
     def test_dot_rendering(self, demo_io):
         m = assign_indices(load_fixture_module("masked.ll"))
