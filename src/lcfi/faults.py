@@ -218,7 +218,7 @@ def _past(faulted: float, value, bound: float) -> bool:
     return abs(Fraction(faulted) - Fraction(value)) > Fraction(bound)
 
 
-def apply_fault(value, error: float, value_kind: str, bound: float = math.inf):
+def apply_fault(value, error: float, value_kind: str, bound: float):
     """Perturb a value so that it moves by at most `bound`.
 
     Float kinds add and re-round, saturate at the largest finite value of

@@ -7,7 +7,10 @@ trace is a minimal edit script over the instruction-index sequences (Myers
 O(ND)); record values never influence the alignment, they are compared
 afterwards on matched pairs. The core's cost is its diagonal visits, nearly
 all of which end without a snake, so a visit is kept to two compares and a
-store (see _myers_core).
+store, and the visits are kept to a band around the end's diagonal whose
+width is the cost of a quick alignment (_cost_bound), an upper bound on the
+edit distance: about U**2 / 4 visits for a bound U, against about D**2 / 2
+for edit distance D with no band (see _myers_core).
 
 read_trace reads a file in binary, a slice of about _SLICE bytes cut after a
 line end at a time, so beyond the columns it returns a read holds one slice
@@ -16,9 +19,9 @@ distinct lines, so a line memo maps each line to its index, opcode and hex:
 only the lines it lacks are split, and it is cleared once it holds more than
 _SLICE // 64 lines, which keeps it about a slice. A slice whose lines are
 mostly new is split whole and skips the memo, which costs more than it saves
-there.
-Each distinct index and value hex is converted once per read and looked up
-after that.
+there; half of a slice's lines, deduplicated, can show that. Each distinct
+index is converted once per read and looked up after that; value hex is
+lowered and interned, which costs less than a memo miss.
 
 A run's trace (RunTrace) is written from its raw columns, a block of up to
 _WRITE_CHUNK records at a time: one vectorized pass per block converts the
@@ -122,7 +125,11 @@ class TraceColumns(Sequence):
     def __iter__(self):
         return map(TraceRecord, self.indices, self.opcodes, self.hexes)
 
-    __eq__ = _sequence_eq
+    def __eq__(self, other):
+        if isinstance(other, TraceColumns):
+            return (self.indices == other.indices and self.hexes == other.hexes
+                    and self.opcodes == other.opcodes)
+        return _sequence_eq(self, other)
 
 
 _SLICE = 1 << 18  # bytes of a file parsed at a time, cut after a line end
@@ -132,12 +139,11 @@ def read_trace(source) -> TraceColumns:
     """Read records from a path (a str or path-like) or an iterable of lines,
     each item one line; a file's line ends count as text mode counts them.
     A distinct line is parsed once while the line memo holds it, and each
-    distinct index and value hex is converted once per read (_Memo), so
-    equal indices are one int object; opcodes and value hex go through
-    sys.intern, so each distinct one is one string object however often it
-    occurs."""
+    distinct index is converted once per read (_Memo), so equal indices are
+    one int object; opcodes and lowercased value hex go through sys.intern,
+    so each distinct one is one string object however often it occurs."""
     out, lineno, offset = TraceColumns([], [], []), 1, 0
-    memo = {}, {}, {}, _Memo(int), _Memo(_lower_interned)
+    memo = {}, {}, {}, _Memo(int)
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             for data in _slices(fh):
@@ -187,42 +193,46 @@ def _slices(fh):
 
 class _Memo(dict):
     """convert(key) for each key, computed on the first lookup of an equal
-    key. A value equal to its key is stored under itself, so the memo holds
-    no string that the columns it fills do not."""
+    key."""
 
     def __init__(self, convert):
         super().__init__()
         self.convert = convert
 
     def __missing__(self, key):
-        value = self.convert(key)
-        self[value if value == key else key] = value
+        value = self[key] = self.convert(key)
         return value
-
-
-def _lower_interned(text: str) -> str:
-    return sys.intern(text.lower())
 
 
 def _parse(lines: list, lineno: int, out: TraceColumns, memo: tuple) -> None:
     """Append the records of `lines` (no newline in them), the first line
     `lineno`, to `out`. Lines the line memo lacks are split once, the others
-    looked up; if most are new, all are split and the memo is left as it is.
-    The split serves if _TEXT_RE matches each line, shown by one match per
-    line (a match never spans a newline); else parse_record reads them one
-    by one. Indices and value hex are looked up in the read's memos."""
-    line_indices, line_opcodes, line_hexes, indices, hexes = memo
+    looked up; if more than half are new, all are split and the memo is left
+    as it is. With the memo empty, as on every slice of a file of distinct
+    lines, the first half of the lines and one more can show that alone, and
+    only they are deduplicated; with lines in the memo, deduplicating in two
+    halves cost more than it saved. The split serves if _TEXT_RE matches each
+    line, shown by one match per line (a match never spans a newline); else
+    parse_record reads them one by one. Indices are looked up in the read's
+    _Memo."""
+    line_indices, line_opcodes, line_hexes, indices = memo
     if len(line_indices) > _SLICE // 64:  # so the memo stays about a slice
         for lookup in memo[:3]:
             lookup.clear()
-    new = dict.fromkeys(filterfalse(line_indices.__contains__, lines))
-    whole = 2 * len(new) > len(lines)
+    half = len(lines) // 2
+    if line_indices:
+        new = dict.fromkeys(filterfalse(line_indices.__contains__, lines))
+    else:
+        new = dict.fromkeys(lines[:half + 1])
+        if len(new) <= half:
+            new |= dict.fromkeys(lines[half + 1:])
+    whole = len(new) > half
     split = lines if whole else new
     # split() gives [text before, index, opcode, hex, text between, ...].
     parts = _TEXT_RE.split("\n".join(split))
     if len(parts) // 4 == len(split):
         columns = (map(indices.__getitem__, parts[1::4]), map(sys.intern, parts[2::4]),
-                   map(hexes.__getitem__, parts[3::4]))
+                   map(sys.intern, map(str.lower, parts[3::4])))
         if not whole:
             for lookup, column in zip(memo, columns):
                 lookup.update(zip(new, column))
@@ -238,7 +248,7 @@ def _parse(lines: list, lineno: int, out: TraceColumns, memo: tuple) -> None:
             if rec is not None:
                 out.indices.append(indices[rec.index])
                 out.opcodes.append(sys.intern(rec.opcode))
-                out.hexes.append(hexes[rec.value_hex])
+                out.hexes.append(sys.intern(rec.value_hex))
 
 
 # -- values and run traces ---------------------------------------------------------
@@ -509,7 +519,7 @@ def _myers_ops(a: list, b: list) -> list[tuple]:
     with b[j+t], "del" drops a[i+t] before b[j] and "ins" adds b[j+t] before
     a[i], for t < length."""
     # Trim the common prefix and suffix first, _BLOCK records per list
-    # compare; Myers runs on the core.
+    # compare; Myers runs on the core, in the band of a quick alignment's cost.
     n_all, m_all = len(a), len(b)
     most = min(n_all, m_all)
     pre = next(_differing(a, b, most), most)
@@ -522,23 +532,98 @@ def _myers_ops(a: list, b: list) -> list[tuple]:
             break
         suf += step
     runs = [("match", 0, 0, pre)] if pre else []
-    runs.extend(_myers_core(a[pre:n_all - suf], b[pre:m_all - suf], pre, pre))
+    core_a, core_b = a[pre:n_all - suf], b[pre:m_all - suf]
+    runs.extend(_myers_core(core_a, core_b, pre, pre, _cost_bound(core_a, core_b)))
     if suf:
         runs.append(("match", n_all - suf, m_all - suf, suf))
     return runs
 
 
-def _myers_core(a: list, b: list, off_a: int, off_b: int) -> list[tuple]:
+_RUN = 32  # equal records that end a step of _cost_bound's alignment
+_STEP_EDITS = 256  # edits a step may take before _cost_bound gives up
+
+
+def _cost_bound(a: list, b: list) -> int:
+    """The cost of a quick alignment of a and b: an upper bound U on their
+    edit distance D, for _myers_core's band.
+
+    The alignment is built a step at a time. From a mismatch, a greedy Myers
+    search runs to the first point that _RUN equal records follow, or to the
+    end; the step costs the search's round, the fewest edits that reach such
+    a point. The equal records are skipped and the next step starts at the
+    next mismatch. A step that needs more than _STEP_EDITS edits ends the
+    alignment with the rest of both sides unmatched, so on unrelated sides U
+    is n + m, the bound with no quick alignment. On 28 of perfbench's edited
+    CG trace pairs (D 977-1,287 over 35k records) U was D to D + 31%, median
+    D + 4%, and took 3-6 ms. The sides grow by min(n, m) + 1 sentinels, as in
+    _myers_core, and are cut back on return."""
+    n, m = len(a), len(b)
+    stop_a, stop_b = object(), object()
+    a.extend(repeat(stop_a, min(n, m) + 1))
+    b.extend(repeat(stop_b, min(n, m) + 1))
+    # v[c + r] is the furthest x a step's search reached on the diagonal r
+    # off its start's, as in _myers_core; a step clears what it wrote.
+    c = _STEP_EDITS + 1
+    v = [-1] * (2 * c + 1)
+    x = y = cost = 0
+    try:
+        while True:
+            while a[x:x + _RUN] == b[y:y + _RUN]:
+                x += _RUN
+                y += _RUN
+            while a[x] == b[y]:
+                x += 1
+                y += 1
+            if x >= n or y >= m:
+                break
+            rest_a, rest_b = n - x, m - y
+            off, end = c + y - x, c + rest_a - rest_b
+            v[c - 1] = x - 1  # so round 0 takes x on diagonal 0
+            found = None
+            for d in range(_STEP_EDITS + 1):
+                lo = c - d if d <= rest_b else c + d - 2 * rest_b
+                hi = c + d if d <= rest_a else c + 2 * rest_a - d
+                for kk, left, right in zip(range(lo, hi + 1, 2), v[lo - 1:hi:2],
+                                           v[lo + 1:hi + 2:2]):
+                    px = right if left < right else left + 1
+                    py = px - kk + off
+                    if a[px] == b[py]:
+                        if a[px:px + _RUN] == b[py:py + _RUN]:
+                            found = px, py
+                            break
+                        px += 1
+                        py += 1
+                        while a[px] == b[py]:
+                            px += 1
+                            py += 1
+                    v[kk] = px
+                if found or (lo <= end <= hi and v[end] >= n):
+                    break
+            else:
+                break
+            v[c - d:c + d + 1] = repeat(-1, 2 * d + 1)  # d > 0: x was a mismatch
+            cost += d
+            x, y = found or (n, m)
+    finally:
+        del a[n:], b[m:]
+    return cost + (n - x) + (m - y)
+
+
+def _myers_core(a: list, b: list, off_a: int, off_b: int, bound: int | None = None
+                ) -> list[tuple]:
     """Myers' greedy O(ND) script for a and b, as runs offset by off_a and
     off_b: one run per snake and one per stretch of edits of one kind.
 
-    Round d visits only the diagonals k with |k - (n - m)| <= (n + m) - d
-    (Ukkonen's cutoff with n + m as the bound on D): a path through any other
-    diagonal needs more than n + m edits to end at (n, m). Every value that a
-    round or the backtrack reads lies in that band, or belongs to a diagonal
-    no round has reached yet, so the script is the one that visiting every
-    diagonal gives, and a core that is short on one side costs
-    O((n + m) * min(n, m)).
+    `bound` is an upper bound U on the edit distance D (n + m if None), and
+    round d visits only the diagonals k with d + |k - (n - m)| <= U
+    (Ukkonen's cutoff): a path through any other diagonal needs more than U
+    edits to end at (n, m). A kept diagonal reads only diagonals k +- 1 of the
+    round before, which are kept there too, and the backtrack only points of
+    a D-edit path, which are all kept. So the script is the one that visiting
+    every diagonal gives, for any U >= D, and the rounds visit about U**2 / 4
+    diagonals against about D**2 / 2 with no band (_cost_bound gives U). A
+    core that is short on one side costs O((n + m) * min(n, m)). A bound
+    below D raises ValueError; one below |n - m| counts as |n - m|.
 
     Nearly every visit ends without a snake (99.5% of them on two edited
     17.5k-record CG traces, D about 1,160), so a visit is kept to a compare
@@ -553,17 +638,21 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int) -> list[tuple]:
         return [("ins", off_a, off_b, m)] if m else []
     if m == 0:
         return [("del", off_a, off_b, n)]
+    # D = n + m - 2 * matches lies between |n - m| and n + m, with n - m's parity
+    bound = n + m if bound is None else min(max(bound, abs(n - m)), n + m)
+    bound -= (bound - n + m) % 2
 
     # v[off + k] is the furthest x reached on diagonal k = x - y. Round d
-    # visits the band's diagonals max(-d, d - 2m), ..., min(d, 2n - d) in steps
-    # of 2 and appends what it reached there to `saved`, from saved[starts[d]] on,
-    # for the backtrack. A diagonal no round has reached holds -1, so at the
+    # visits the band's diagonals max(-d, n - m - bound + d), ...,
+    # min(d, n - m + bound - d) in steps of 2 and appends what it reached
+    # there to `saved`, where saved[bases[d] + k // 2] holds diagonal k, for
+    # the backtrack. A diagonal no round has reached holds -1, so at the
     # edges k = -d and k = d the one rule picks the only move there is: down
     # from k + 1 and right from k - 1 (and x = 0 in round 0).
-    off = n + m + 1
+    off = bound + 1
     v = [-1] * (2 * off + 1)
     saved = array("i")
-    starts = array("q")
+    bases = array("q")
     # Past its end each side reads as a sentinel that equals nothing, so a
     # snake stops there without a bounds test. Round d reaches at most
     # x = n + d and y = m + d, and no round passes either end by more than
@@ -573,12 +662,12 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int) -> list[tuple]:
     pad = min(n, m)
     end = off + n - m
     try:
-        for d in range(n + m + 1):
+        for d in range(bound + 1):
             if d <= pad:
                 a.append(stop_a)
                 b.append(stop_b)
-            lo = off - d if d <= m else off + d - 2 * m
-            hi = off + d if d <= n else off + 2 * n - d
+            lo = off + max(-d, n - m - bound + d)
+            hi = off + min(d, n - m + bound - d)
             for kk, left, right in zip(range(lo, hi + 1, 2), v[lo - 1:hi:2],
                                        v[lo + 1:hi + 2:2]):
                 x = right if left < right else left + 1
@@ -593,16 +682,17 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int) -> list[tuple]:
             if v[end] >= n:
                 d_final = d
                 break
-            starts.append(len(saved))
+            bases.append(len(saved) - (lo - off) // 2)
             saved.fromlist(v[lo:hi + 1:2])
+        else:
+            raise ValueError(f"no script within {bound} edits")
     finally:
         del a[n:], b[m:]
 
     runs = []
     x, y = n, m
     for d in range(d_final, 0, -1):
-        # round d - 1 reached saved[base + k // 2] on its diagonal k
-        base = starts[d - 1] - max(1 - d, d - 1 - 2 * m) // 2
+        base = bases[d - 1]  # round d - 1 reached saved[base + k // 2] on diagonal k
         k = x - y
         if k == -d or (k != d and saved[base + (k - 1) // 2] < saved[base + (k + 1) // 2]):
             prev_k = k + 1

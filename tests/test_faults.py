@@ -224,11 +224,11 @@ class TestApplyFault:
         target_bits = 0x4014E8D25119F5E3
         faulty = struct.unpack(">d", target_bits.to_bytes(8, "big"))[0]
         err = faulty - 4.0
-        got = apply_fault(4.0, err, "f64")
+        got = apply_fault(4.0, err, "f64", math.inf)
         assert struct.unpack(">Q", struct.pack(">d", got))[0] == target_bits
 
     def test_f32_rounds_to_single_precision(self):
-        got = apply_fault(1.5, 0.1, "f32")
+        got = apply_fault(1.5, 0.1, "f32", math.inf)
         assert got == struct.unpack("f", struct.pack("f", 1.6))[0]
         assert got != 1.6  # double 1.6 is not representable in f32
 
@@ -242,30 +242,30 @@ class TestApplyFault:
         (10, 3.0, 13),
     ])
     def test_int_rounding(self, value, error, expected):
-        assert apply_fault(value, error, "i32") == expected
+        assert apply_fault(value, error, "i32", math.inf) == expected
 
     def test_i32_wraps(self):
-        assert apply_fault(2**31 - 1, 1.0, "i32") == -(2**31)
-        assert apply_fault(-(2**31), -1.0, "i32") == 2**31 - 1
+        assert apply_fault(2**31 - 1, 1.0, "i32", math.inf) == -(2**31)
+        assert apply_fault(-(2**31), -1.0, "i32", math.inf) == 2**31 - 1
 
     def test_i64_wraps(self):
-        assert apply_fault(2**63 - 1, 1.0, "i64") == -(2**63)
+        assert apply_fault(2**63 - 1, 1.0, "i64", math.inf) == -(2**63)
 
     def test_unknown_kind(self):
         with pytest.raises(FaultError):
-            apply_fault(1, 1.0, "i8")
+            apply_fault(1, 1.0, "i8", math.inf)
 
     @given(st.floats(min_value=-1e12, max_value=1e12),
            st.floats(min_value=-1e6, max_value=1e6))
     @settings(max_examples=200)
     def test_f64_is_plain_addition(self, value, error):
-        assert apply_fault(value, error, "f64") == value + error
+        assert apply_fault(value, error, "f64", math.inf) == value + error
 
     @given(st.integers(min_value=-(2**31), max_value=2**31 - 1),
            st.floats(min_value=-1e9, max_value=1e9))
     @settings(max_examples=200)
     def test_i32_stays_in_range(self, value, error):
-        got = apply_fault(value, error, "i32")
+        got = apply_fault(value, error, "i32", math.inf)
         assert -(2**31) <= got <= 2**31 - 1
 
 
@@ -303,7 +303,7 @@ def _exact_apply_fault(value: float, error: float, kind: str, bound: float) -> f
 def _nudged_distance(value: float, error: float, kind: str, nudge: int) -> float:
     """The rounded distance that apply_fault without a bound moves `value`
     by, or the float next to it below (nudge -1) or above (+1)."""
-    tie = abs(apply_fault(value, error, kind) - value)
+    tie = abs(apply_fault(value, error, kind, math.inf) - value)
     return tie if nudge == 0 else math.nextafter(tie, nudge * math.inf)
 
 
@@ -363,7 +363,7 @@ class TestRealizedBound:
         # 0.55 ulp rounds to 1 ulp, beyond a bound of 0.6 ulp
         got = apply_fault(1.0, 0.55 * one_ulp, "f32", 0.6 * one_ulp)
         assert got == 1.0
-        assert apply_fault(1.0, 0.55 * one_ulp, "f32") == 1.0 + one_ulp
+        assert apply_fault(1.0, 0.55 * one_ulp, "f32", math.inf) == 1.0 + one_ulp
 
     @pytest.mark.parametrize("kind", ["f32", "f64"])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -402,7 +402,7 @@ class TestRealizedBound:
         """The rounded distance is not the exact one, so only exact
         arithmetic tells the tie apart."""
         from fractions import Fraction
-        reached = apply_fault(value, error, kind)
+        reached = apply_fault(value, error, kind, math.inf)
         assert abs(reached - value) != abs(Fraction(reached) - Fraction(value))
         _check_exact(value, error, kind, _nudged_distance(value, error, kind, nudge))
 

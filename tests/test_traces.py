@@ -17,8 +17,8 @@ from lcfi.ir.parser import parse_module
 from lcfi import traces
 from lcfi.faults import Sampler, make_sampler
 from lcfi.traces import (AlignedPair, Divergence, IndexMismatch, TraceFormatError,
-                         TraceRecord, _SLICE, _WRITE_CHUNK, _blocks, _myers_core, _myers_ops,
-                         build_propagation, parse_record,
+                         TraceRecord, _SLICE, _WRITE_CHUNK, _blocks, _cost_bound,
+                         _myers_core, _myers_ops, build_propagation, parse_record,
                          RunTrace, TraceColumns, TraceFields, TraceText, format_record,
                          read_trace, trace_diff, trace_to_dot, trace_union, write_trace)
 from lcfi.vm.machine import IoConfig, Machine
@@ -473,11 +473,86 @@ class TestReadLineMemo:
         adds nothing to the line memo; one at half or less fills it."""
         lines = [format_record(i, "load", f"{i:08x}") for i in range(10)]
         for repeats, memoized in ((lines[:4], False), (lines[:5], True)):
-            memo = {}, {}, {}, traces._Memo(int), traces._Memo(traces._lower_interned)
+            memo = {}, {}, {}, traces._Memo(int)
             out = traces.TraceColumns([], [], [])
             traces._parse(lines[:5] + repeats, 1, out, memo)
             assert out == _read_per_line(lines[:5] + repeats)
             assert sorted(memo[0]) == (sorted(lines[:5]) if memoized else [])
+
+    def test_new_lines_past_the_first_half_count_too(self):
+        """The first half of the lines and one more are not all new, so the
+        lines after them decide, with the memo empty or not: the rule is the
+        same as over all lines."""
+        lines = [format_record(i, "load", f"{i:08x}") for i in range(20)]
+        known = lines[10:13]
+        for held in ([], known):
+            for rest, memoized in ((lines[5:9], False), (lines[1:5], True)):
+                memo = {}, {}, {}, traces._Memo(int)
+                out = traces.TraceColumns([], [], [])
+                traces._parse(known * 2, 1, out, memo)  # half new: fills the memo
+                for lookup in memo[:3]:
+                    for line in set(known) - set(held):
+                        del lookup[line]
+                chunk = lines[:5] + lines[:1] + held + rest
+                traces._parse(chunk, 1, out, memo)
+                assert out == _read_per_line(known * 2 + chunk)
+                assert sorted(memo[0]) == sorted(held + (lines[:5] if memoized else []))
+
+
+class TestTraceEquality:
+    """Two column traces compare by their columns; any other sequence
+    compares record by record."""
+
+    LINES = ["ID: 1 OPCode: load Value: 0000002a", "ID: 2 OPCode: fmul Value: 3ff0000000000000",
+             "ID: 1 OPCode: load Value: 0000002b"]
+
+    def test_equal_traces(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("\n".join(self.LINES) + "\n")
+        one, two = read_trace(str(path)), read_trace(iter(self.LINES))
+        assert one == two and two == one
+        assert not one != two
+
+    def test_a_difference_in_each_column(self):
+        base = read_trace(self.LINES)
+        for column, value in (("indices", 3), ("opcodes", "add"), ("hexes", "0000002c")):
+            other = read_trace(self.LINES)
+            getattr(other, column)[1] = value
+            assert base != other and other != base
+
+    def test_different_lengths(self):
+        base = read_trace(self.LINES)
+        assert base != read_trace(self.LINES[:2])
+        assert read_trace(self.LINES[:2]) != base
+
+    def test_columns_compare_without_records(self):
+        class NoRecords(TraceColumns):
+            def __iter__(self):
+                raise AssertionError("built a record")
+
+            def __getitem__(self, i):
+                raise AssertionError("built a record")
+
+        plain = read_trace(self.LINES)
+        assert NoRecords(plain.indices, plain.opcodes, plain.hexes) == plain
+
+    def test_run_trace_against_its_file(self, tmp_path):
+        fields = TraceFields([(1, "load", "i32"), (2, "fmul", "f64")])
+        trace = RunTrace([1, 2, 1], [42, 1.0, 43], fields)
+        path = tmp_path / "t.txt"
+        write_trace(trace, str(path))
+        assert read_trace(str(path)) == trace and trace == read_trace(str(path))
+        assert read_trace(str(path)) == read_trace(self.LINES)
+        other = RunTrace([1, 2, 1], [42, 1.0, 44], fields)
+        assert other != read_trace(str(path))
+
+    def test_against_a_list_of_records_both_ways(self):
+        trace = read_trace(self.LINES)
+        records = [parse_record(line) for line in self.LINES]
+        assert trace == records and records == trace
+        records[2] = TraceRecord(1, "load", "0000002c")
+        assert trace != records and records != trace
+        assert trace != records[:2] and records[:2] != trace
 
 
 def _lcs_len(a, b):
@@ -706,6 +781,106 @@ class TestMyersAlignment:
             assert _expand(runs) == _oracle_myers_ops(a, b)
             assert all(length > 0 for *_rest, length in runs)
             assert all(r[0] != s[0] for r, s in zip(runs, runs[1:]))
+
+
+class TestBandedCore:
+    """_myers_core keeps to the band that a bound U >= D leaves and returns
+    the script of the core without a band for every such U; _cost_bound
+    gives one such U."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(23)
+        for case in range(120):  # randomized, a few of them unrelated
+            symbols = rng.randint(1, 5)
+            a = [rng.randrange(symbols) for _ in range(rng.randint(0, 150))]
+            b = list(a)
+            if case % 10 == 0:
+                b = [rng.randrange(symbols) for _ in range(rng.randint(0, 150))]
+            for _ in range(rng.randint(0, 15)):
+                pos = rng.randint(0, len(b))
+                if rng.random() < 0.5:
+                    del b[pos:pos + rng.randint(1, 4)]
+                else:
+                    b[pos:pos] = [rng.randrange(symbols) for _ in range(rng.randint(1, 4))]
+            yield a, b
+        for _ in range(30):  # trace-shaped: a loop body of distinct indices, repeated
+            body = rng.sample(range(1000), rng.randint(5, 40))
+            a = body * rng.randint(300 // len(body), 600 // len(body))
+            yield a, _edited(a, rng, rng.randint(1, 12))
+        for case in range(40):  # one side of 0-3 records, the other up to 200
+            short = [rng.randrange(3) for _ in range(rng.randint(0, 3))]
+            long = [rng.randrange(3) for _ in range(rng.randint(0, 200))]
+            yield (short, long) if case % 2 else (long, short)
+
+    def test_every_bound_from_d_on_gives_the_unbanded_script(self):
+        for a, b in self._cases():
+            before = (list(a), list(b))
+            expected = _oracle_myers_core(a, b, 3, 5)
+            d = sum(op[0] != "match" for op in expected)
+            u = _cost_bound(a, b)
+            assert d <= u <= len(a) + len(b)
+            for bound in (d, d + 1, d + 2, u, len(a) + len(b), None):
+                assert _expand(_myers_core(a, b, 3, 5, bound)) == expected
+            assert (a, b) == before  # both leave the sides as they were
+
+    def test_a_bound_below_d_raises(self):
+        a, b = [1, 2, 3, 4], [4, 3, 2, 1]  # D = 6
+        with pytest.raises(ValueError):
+            _myers_core(a, b, 0, 0, 4)
+        assert (a, b) == ([1, 2, 3, 4], [4, 3, 2, 1])
+        assert _expand(_myers_core(a, b, 0, 0, 6)) == _oracle_myers_core(a, b, 0, 0)
+
+    def test_cost_bound_is_d_on_sparse_edits(self):
+        """Edits hundreds of records apart in a trace-shaped pair: each step
+        of the quick alignment spans one edit, at its cost."""
+        rng = random.Random(29)
+        body = rng.sample(range(1000), 24)
+        a = body * 60
+        b = list(a)
+        for pos in (1300, 900, 500, 100):  # from the back, so each position holds
+            if pos % 800 == 100:
+                del b[pos:pos + 3]
+            else:
+                b[pos:pos] = body[5:9]
+        d = sum(op[0] != "match" for op in _oracle_myers_core(a, b, 0, 0))
+        assert d == 14
+        assert _cost_bound(a, b) == d
+
+    def test_cost_bound_after_searches_that_ran_ahead(self):
+        """Long runs of one record let a step's search run far ahead on
+        diagonals that the next step visits too; the next step starts from
+        its own mismatch all the same."""
+        rng = random.Random(57)
+        for _ in range(24):
+            x = [rng.randrange(2) for _ in range(rng.randint(20, 60))]
+            a = x + [5] * 40 + x[::-1] + [6] * 40 + x
+            b = _edited(a, rng, rng.randint(1, 10))
+            expected = _oracle_myers_core(a, b, 0, 0)
+            u = _cost_bound(a, b)
+            assert u >= sum(op[0] != "match" for op in expected)
+            assert _expand(_myers_core(a, b, 0, 0, u)) == expected
+
+    def test_cost_bound_gives_up_after_one_capped_step_on_unrelated_sides(self):
+        """With no run of equal records to reach, the first step stops at its
+        cap and the bound is n + m, as with no quick alignment."""
+        compares = 0
+
+        class Counted:
+            def __init__(self, key):
+                self.key = key
+
+            def __eq__(self, other):
+                nonlocal compares
+                compares += 1
+                return isinstance(other, Counted) and self.key == other.key
+
+        a = [Counted(i % 7) for i in range(600)]
+        b = [Counted(7 + i % 5) for i in range(700)]
+        assert _cost_bound(a, b) == 1300
+        # a step's round d visits at most d + 1 diagonals, one compare each
+        assert compares <= (traces._STEP_EDITS + 1) * (traces._STEP_EDITS + 2) // 2 + 2
+        assert (len(a), len(b)) == (600, 700)
 
 
 class TestTraceDiff:
