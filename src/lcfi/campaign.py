@@ -256,9 +256,10 @@ def classify_outcome(golden: RunOutcome, run: RunOutcome,
 
 
 def extract_metric(text: str, spec: MetricSpec) -> float | None:
-    """Pull one number out of program output; None when the pattern misses."""
+    """Pull one number out of program output; None when the pattern misses,
+    its group takes no part in the match or does not parse as a number."""
     m = spec.pattern.search(text)
-    if m is None:
+    if m is None or m.group(1) is None:
         return None
     try:
         v = float(m.group(1))

@@ -5,12 +5,15 @@ that reading, diffing, merging and propagation read directly; a TraceRecord is
 built only when an item is read. Alignment between a golden and a faulty
 trace is a minimal edit script over the instruction-index sequences (Myers
 O(ND)); record values never influence the alignment, they are compared
-afterwards on matched pairs. The core's cost is its diagonal visits, nearly
-all of which end without a snake, so a visit is kept to two compares and a
-store, and the visits are kept to a band around the end's diagonal whose
-width is the cost of a quick alignment (_cost_bound), an upper bound on the
-edit distance: about U**2 / 4 visits for a bound U, against about D**2 / 2
-for edit distance D with no band (see _myers_core).
+afterwards on matched pairs. trace_diff returns the alignment itself, a
+DiffReport: runs of slots and the slots where the traces differ. Records are
+built only when a caller reads a report's items; build_propagation reads the
+edit script's runs and the columns and builds none. The core's cost is its
+diagonal visits, nearly all of which end without a snake, so a visit is kept
+to two compares and a store, and the visits are kept to a band around the
+end's diagonal whose width is the cost of a quick alignment (_cost_bound), an
+upper bound on the edit distance: about U**2 / 4 visits for a bound U, against
+about D**2 / 2 for edit distance D with no band (see _myers_core).
 
 read_trace reads a file in binary, a slice of about _SLICE bytes cut after a
 line end at a time, so beyond the columns it returns a read holds one slice
@@ -776,55 +779,6 @@ class _Slots(Sequence):
                                                                  self._lengths)))
 
 
-class _Alignment:
-    """A minimal alignment of two traces as runs of slots, with the slot
-    positions where the traces differ."""
-
-    def __init__(self, golden, faulty):
-        self.golden, self.faulty = golden, faulty
-        self.golden_indices, golden_hexes = golden.indices, golden.hexes
-        self.faulty_indices, faulty_hexes = faulty.indices, faulty.hexes
-        self.runs = _myers_ops(self.golden_indices, self.faulty_indices)
-        self.starts = list(accumulate((run[3] for run in self.runs), initial=0))
-        self.values: list[int] = []  # matched slots whose values differ
-        firsts, lengths = [], []  # the unmatched runs' slots
-        for (kind, i, j, length), pos in zip(self.runs, self.starts):
-            if kind != "match":
-                firsts.append(pos)
-                lengths.append(length)
-                continue
-            g, f = golden_hexes[i:i + length], faulty_hexes[j:j + length]
-            if g != f:
-                self.values.extend(compress(range(pos, pos + length), map(ne, g, f)))
-        self.control = _Slots(firsts, lengths)  # unmatched slots
-
-    def pair(self, pos: int) -> AlignedPair:
-        """The records at alignment slot `pos`."""
-        r = bisect_right(self.starts, pos) - 1
-        kind, i, j, _length = self.runs[r]
-        t = pos - self.starts[r]
-        return AlignedPair(None if kind == "ins" else self.golden[i + t],
-                           None if kind == "del" else self.faulty[j + t])
-
-    def divergence(self, pos: int) -> Divergence:
-        p = self.pair(pos)
-        kind = ("value" if p.matched()
-                else "golden_only" if p.golden is not None else "faulty_only")
-        return Divergence(kind, pos, p.golden, p.faulty)
-
-    def report(self) -> DiffReport:
-        # The report is a separate object on purpose. Were the alignment its
-        # own report, the report's sequences would hold bound methods of
-        # itself: a reference cycle that keeps the alignment's columns alive
-        # after the last `del` until the garbage collector runs (peak RSS of
-        # a batch of diffs rose about 10% that way).
-        first = min(self.values[:1] + self.control[:1], default=None)
-        return DiffReport(_BuiltOnAccess(range(self.starts[-1]), self.pair),
-                          None if first is None else self.divergence(first),
-                          _BuiltOnAccess(self.values, self.divergence),
-                          _BuiltOnAccess(self.control, self.divergence))
-
-
 class _BuiltOnAccess(Sequence):
     """A read-only sequence of `build(key)` over `keys`, built item by item
     when read."""
@@ -847,14 +801,59 @@ class _BuiltOnAccess(Sequence):
     __eq__ = _sequence_eq
 
 
-@dataclass
 class DiffReport:
-    """The sequences build their AlignedPairs and Divergences when read."""
+    """A minimal alignment of two traces, and the report of where they
+    differ: the runs of slots (_myers_ops), the slot each run starts at, the
+    matched slots whose values differ and the unmatched slots. `pairs`,
+    `value_divergences` and `control_flow_divergences` build their
+    AlignedPairs and Divergences when read. Each read gives a fresh view and
+    the report keeps none, so it is in no reference cycle and its columns go
+    with the last reference to it or a view, not at the next collection."""
 
-    pairs: Sequence[AlignedPair]
-    first_divergence: Divergence | None
-    value_divergences: Sequence[Divergence]
-    control_flow_divergences: Sequence[Divergence]
+    def __init__(self, golden: TraceColumns, faulty: TraceColumns):
+        self.golden, self.faulty = golden, faulty
+        golden_hexes, faulty_hexes = golden.hexes, faulty.hexes
+        self.runs = _myers_ops(golden.indices, faulty.indices)
+        self.starts = list(accumulate((run[3] for run in self.runs), initial=0))
+        self.value_slots: list[int] = []  # matched slots whose values differ
+        firsts, lengths = [], []  # the unmatched runs' slots
+        for (kind, i, j, length), pos in zip(self.runs, self.starts):
+            if kind != "match":
+                firsts.append(pos)
+                lengths.append(length)
+                continue
+            g, f = golden_hexes[i:i + length], faulty_hexes[j:j + length]
+            if g != f:
+                self.value_slots.extend(compress(range(pos, pos + length), map(ne, g, f)))
+        self.control_slots = _Slots(firsts, lengths)
+        first = min(self.value_slots[:1] + self.control_slots[:1], default=None)
+        self.first_divergence = None if first is None else self.divergence(first)
+
+    def pair(self, pos: int) -> AlignedPair:
+        """The records at alignment slot `pos`."""
+        r = bisect_right(self.starts, pos) - 1
+        kind, i, j, _length = self.runs[r]
+        t = pos - self.starts[r]
+        return AlignedPair(None if kind == "ins" else self.golden[i + t],
+                           None if kind == "del" else self.faulty[j + t])
+
+    def divergence(self, pos: int) -> Divergence:
+        p = self.pair(pos)
+        kind = ("value" if p.matched()
+                else "golden_only" if p.golden is not None else "faulty_only")
+        return Divergence(kind, pos, p.golden, p.faulty)
+
+    @property
+    def pairs(self) -> Sequence[AlignedPair]:
+        return _BuiltOnAccess(range(self.starts[-1]), self.pair)
+
+    @property
+    def value_divergences(self) -> Sequence[Divergence]:
+        return _BuiltOnAccess(self.value_slots, self.divergence)
+
+    @property
+    def control_flow_divergences(self) -> Sequence[Divergence]:
+        return _BuiltOnAccess(self.control_slots, self.divergence)
 
     @property
     def identical(self) -> bool:
@@ -864,14 +863,14 @@ class DiffReport:
     def classification(self) -> str:
         if self.identical:
             return "identical"
-        if self.control_flow_divergences:
+        if self.control_slots:
             return "control_flow"
         return "data_flow"
 
 
 def trace_diff(golden: TraceColumns, faulty: TraceColumns) -> DiffReport:
     """Align two traces on instruction indices and report divergences."""
-    return _Alignment(golden, faulty).report()
+    return DiffReport(golden, faulty)
 
 
 # -- union -------------------------------------------------------------------
@@ -929,59 +928,48 @@ class PropagationGraph:
 
 def build_propagation(golden: TraceColumns, faulty: TraceColumns, graph: UseGraph,
                       outputs_equal: bool = True) -> PropagationGraph:
-    """Project a diff onto the def-use graph.
+    """Project a diff onto the def-use graph, from the edit script's runs and
+    the trace columns; no record is built.
 
-    Nodes are instructions with at least one value-diverged matched pair.
-    A node is an annihilation point when every def-use consumer is a pure
-    value-producing instruction (stores, branches, returns, and calls never
-    attest re-convergence) whose matched records agree bit for bit on both
-    sides, with no unmatched occurrences. A diverged node with no consumers
-    annihilates trivially.
+    Nodes are instructions with at least one value-diverged matched pair,
+    each with the values of its first. A node is an annihilation point when
+    every def-use consumer is a pure value-producing instruction (stores,
+    branches, returns, and calls never attest re-convergence) whose matched
+    records agree bit for bit on both sides, with no unmatched occurrences.
+    A diverged node with no consumers annihilates trivially.
     """
-    al = _Alignment(golden, faulty)
-    seen = set(al.golden_indices).union(al.faulty_indices)
-    if not seen.issubset(graph.opcode_of):
-        index = next(i for i in al.golden_indices + al.faulty_indices
-                     if i not in graph.opcode_of)
+    gi, gh, fi, fh = golden.indices, golden.hexes, faulty.indices, faulty.hexes
+    opcode_of = graph.opcode_of
+    seen = set(gi).union(fi)
+    if not seen.issubset(opcode_of):
+        index = next(i for i in chain(gi, fi) if i not in opcode_of)
         raise IndexMismatch(
             f"trace record ID {index} is not an indexed instruction; "
             "trace and program disagree")
-    report = al.report()
-
-    diverged: dict[int, Divergence] = {}
-    for div in report.value_divergences:
-        diverged.setdefault(div.golden.index, div)
-
-    # Re-convergence evidence per instruction: every matched occurrence equal
-    # and never unmatched on either side.
-    unclean = set(diverged)
-    for kind, i, j, length in al.runs:
+    runs = _myers_ops(gi, fi)
+    nodes: dict[int, PropNode] = {}
+    unmatched = set()  # instructions with an unmatched occurrence
+    for kind, i, j, length in runs:
         if kind == "del":
-            unclean.update(al.golden_indices[i:i + length])
+            unmatched.update(gi[i:i + length])
         elif kind == "ins":
-            unclean.update(al.faulty_indices[j:j + length])
-    clean = seen - unclean
-
-    nodes = {}
-    for idx, div in diverged.items():
-        nodes[idx] = PropNode(idx, graph.opcode_of[idx],
-                              div.golden.value_hex, div.faulty.value_hex)
+            unmatched.update(fi[j:j + length])
+        else:
+            for t in _differing(gh[i:i + length], fh[j:j + length], length):
+                index = gi[i + t]
+                if index not in nodes:
+                    nodes[index] = PropNode(index, opcode_of[index], gh[i + t], fh[j + t])
+    # re-convergence evidence: every matched occurrence equal, none unmatched
+    clean = seen - unmatched - nodes.keys()
+    for index, node in nodes.items():
+        node.annihilation = all(succ in clean
+                                and opcode_of[succ] not in _PURE_CONSUMERS_EXCLUDED
+                                for succ in graph.successors(index))
     edges = {(p, c) for (p, c) in graph.edges if p in nodes and c in nodes}
-
-    for idx, node in nodes.items():
-        ok = True
-        for succ in graph.successors(idx):
-            op = graph.opcode_of.get(succ, "")
-            if op in _PURE_CONSUMERS_EXCLUDED:
-                ok = False
-                break
-            if succ not in clean:
-                ok = False
-                break
-        node.annihilation = ok
-
-    last_equal = bool(report.pairs) and report.pairs[-1].value_equal()
-    benign = bool(nodes) and last_equal and outputs_equal
+    benign = False
+    if nodes and outputs_equal:  # a node comes from a matched run, so there are runs
+        kind, i, j, length = runs[-1]  # the last slot's records agree
+        benign = kind == "match" and gh[i + length - 1] == fh[j + length - 1]
     return PropagationGraph(nodes, edges, benign)
 
 

@@ -262,9 +262,13 @@ class Segment:
         for pos, op in enumerate(self.code[:k]):
             lines += ("    " + line for line in op)
             line_op += [pos] * len(op)
-        done = sum(ins.index is not None for ins in self.instrs[:k])
-        lines.append(f"    return ({''.join(f'r[{s}], ' for s in self.rec_slot[:done])})")
+        traced = self.rec_slot[:self.traced(k)]
+        lines.append(f"    return ({''.join(f'r[{s}], ' for s in traced)})")
         return "\n".join(lines), line_op
+
+    def traced(self, k: int) -> int:
+        """How many of the first `k` ops a trace records: those with an index."""
+        return sum(ins.index is not None for ins in self.instrs[:k])
 
     def prefix(self, k: int):
         """The function that runs only the first `k` ops; its lines are the

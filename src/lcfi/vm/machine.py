@@ -339,7 +339,7 @@ class Machine:
         """Trace the first `done` ops of a segment an op trapped in."""
         state = self.state
         if state.trace_idx is not None:
-            n = sum(ins.index is not None for ins in seg.instrs[:done])
+            n = seg.traced(done)
             state.trace_idx.extend(seg.rec_idx[:n])
             state.trace_val.extend(regs[s] for s in seg.rec_slot[:n])
 

@@ -205,6 +205,10 @@ class TestExtractMetric:
         spec = MetricSpec("w", re.compile(r"val (\S+)"))
         assert extract_metric("val abc", spec) is None
 
+    def test_group_outside_the_match_is_none(self):
+        spec = MetricSpec("rf", re.compile(r"residual: (\d\S*)?"))
+        assert extract_metric("final residual: n/a", spec) is None
+
     def test_neg_log10(self):
         spec = MetricSpec("rf", re.compile(r"residual: (\S+)"),
                           transform="neg_log10")

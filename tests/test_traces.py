@@ -943,6 +943,26 @@ class TestTraceDiff:
         assert report.first_divergence.kind in ("golden_only", "faulty_only")
         assert report.first_divergence.position == 0
 
+    def test_a_read_report_is_freed_without_the_collector(self):
+        """Reading a report's sequences leaves no reference cycle, so its
+        columns go at the last `del` (a cycle raised a batch's peak RSS)."""
+        import gc
+        import weakref
+        report = trace_diff(read_trace(fixture_path("trace_golden.txt")),
+                            read_trace(fixture_path("trace_faulty.txt")))
+        assert report.classification == "control_flow"
+        assert all(map(list, (report.pairs, report.value_divergences,
+                              report.control_flow_divergences)))
+        alive = weakref.ref(report)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del report
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from("01")), max_size=30),
            st.lists(st.tuples(st.integers(1, 4), st.sampled_from("01")), max_size=30))
@@ -1367,6 +1387,45 @@ class TestPropagation:
         prop = build_propagation(_as_columns(golden), _as_columns(faulty), graph,
                                  outputs_equal=True)
         assert prop.annihilation_points() == [1]
+
+    # A diverged fadd (1) whose one consumer is a pure fmul (2): the fmul attests
+    # re-convergence only if none of its occurrences is unmatched.
+    CONSUMER = {"matched": ([(1, "aa"), (2, "bb"), (3, "cc")],
+                            [(1, "ab"), (2, "bb"), (3, "cc")]),
+                "del": ([(1, "aa"), (2, "bb"), (2, "bb"), (3, "cc")],
+                        [(1, "ab"), (2, "bb"), (3, "cc")]),
+                "ins": ([(1, "aa"), (2, "bb"), (3, "cc")],
+                        [(1, "ab"), (2, "bb"), (2, "bb"), (3, "cc")])}
+
+    @pytest.mark.parametrize("case,points", [("matched", [1]), ("del", []), ("ins", [])])
+    def test_an_unmatched_consumer_occurrence_is_no_reconvergence(self, case, points):
+        from lcfi.ir.defuse import UseGraph
+        opcode = {1: "fadd", 2: "fmul", 3: "add"}
+        graph = UseGraph(frozenset({(1, 2)}), opcode)
+        golden, faulty = ([TraceRecord(i, opcode[i], h) for i, h in side]
+                          for side in self.CONSUMER[case])
+        kinds = {run[0] for run in _myers_ops([r.index for r in golden],
+                                               [r.index for r in faulty])}
+        assert kinds == {"match"} | ({case} - {"matched"})
+        prop = build_propagation(_as_columns(golden), _as_columns(faulty), graph)
+        assert sorted(prop.nodes) == [1]
+        assert prop.annihilation_points() == points
+        assert prop.benign_candidate
+
+    def test_builds_no_records(self, monkeypatch):
+        m = assign_indices(load_fixture_module("masked.ll"))
+        cfg = load_input_config(fixture_path("masked_input.yaml"))
+        golden = Machine(m, trace=True).run()
+        sampler = make_sampler(cfg.fault_spec(base_dir=str(fixture_path(""))), cfg.seed)
+        faulty = Machine(m, plan=build_plan(m, cfg), sampler=sampler, trace=True).run()
+
+        def no_record(*args):
+            raise AssertionError("build_propagation built a TraceRecord")
+
+        monkeypatch.setattr(traces, "TraceRecord", no_record)
+        prop = build_propagation(golden.trace, faulty.trace, build_def_use(m))
+        assert prop.annihilation_points() == [2]
+        assert prop.benign_candidate
 
     def test_unknown_index_rejected(self, demo_indexed):
         graph = build_def_use(demo_indexed)
