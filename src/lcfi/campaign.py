@@ -20,7 +20,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import yaml
@@ -458,6 +457,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
                      start=(prefix_snapshot(indexed, io_cfg, cfg.budget, plan)
                             if cfg.runs >= 1 else None))
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # jobs=1 never loads multiprocessing
         with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
                                  initargs=(ctx,)) as pool:
             runs = list(pool.map(_pool_run, range(cfg.runs)))

@@ -11,26 +11,29 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .ir.defuse import build_def_use
-from .instrument import (assign_indices, build_plan, emit_artifacts,
-                         load_input_config, InstrumentError)
-from .faults import FaultError, make_sampler
-from .vm.machine import DEFAULT_BUDGET, IoConfig, Machine, VmError
-from .campaign import (OUTCOMES, ConfigError, GoldenRunFailed,
-                       load_campaign_config, load_program, positive_int,
-                       run_campaign, warn)
 from .traces import (TraceFormatError, IndexMismatch, read_trace, trace_diff,
                      trace_union, build_propagation, trace_to_dot, write_trace)
 
+if TYPE_CHECKING:
+    from .vm.machine import IoConfig
+
+# Each command imports the modules it runs, so `trace diff` and `trace union`
+# load only lcfi.traces (no numpy, yaml, IR or interpreter).
+
 
 def _load_indexed(path: str):
+    from .campaign import load_program, warn
+    from .instrument import assign_indices
     module = load_program(path)
     warn(path, module.warnings)
     return assign_indices(module)
 
 
 def _io_from_args(args) -> IoConfig:
+    from .campaign import ConfigError
+    from .vm.machine import IoConfig
     files = {}
     for item in getattr(args, "file", None) or []:
         if "=" not in item:
@@ -48,6 +51,8 @@ def _io_from_args(args) -> IoConfig:
 
 def _load_plan(args, module):
     """The --input config, its plan and its fault spec; warnings go to stderr."""
+    from .campaign import warn
+    from .instrument import build_plan, load_input_config
     input_cfg = load_input_config(args.input)
     warn(args.input, input_cfg.warnings)
     plan = build_plan(module, input_cfg)
@@ -56,7 +61,15 @@ def _load_plan(args, module):
     return input_cfg, plan, spec
 
 
+def _budget(args) -> int:
+    """--budget, or the default budget when it is not given."""
+    from .campaign import positive_int
+    from .vm.machine import DEFAULT_BUDGET
+    return DEFAULT_BUDGET if args.budget is None else positive_int(args.budget, "--budget")
+
+
 def _cmd_instrument(args) -> int:
+    from .instrument import emit_artifacts
     module = _load_indexed(args.program)
     input_cfg, plan, _spec = _load_plan(args, module)
     paths = emit_artifacts(module, args.program, out_dir=args.out or "",
@@ -69,9 +82,9 @@ def _cmd_instrument(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .vm.machine import Machine
     module = _load_indexed(args.program)
-    machine = Machine(module, io=_io_from_args(args),
-                      budget=positive_int(args.budget, "--budget"), trace=True)
+    machine = Machine(module, io=_io_from_args(args), budget=_budget(args), trace=True)
     outcome = machine.run()
     sys.stdout.write(outcome.stdout)
     if args.trace_out:
@@ -86,11 +99,12 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    from .faults import make_sampler
+    from .vm.machine import Machine
     module = _load_indexed(args.program)
     input_cfg, plan, spec = _load_plan(args, module)
     seed = args.seed if args.seed is not None else input_cfg.seed
-    machine = Machine(module, io=_io_from_args(args),
-                      budget=positive_int(args.budget, "--budget"),
+    machine = Machine(module, io=_io_from_args(args), budget=_budget(args),
                       trace=True, plan=plan, sampler=make_sampler(spec, seed))
     outcome = machine.run()
     sys.stdout.write(outcome.stdout)
@@ -105,6 +119,8 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    from .campaign import (OUTCOMES, load_campaign_config, positive_int,
+                           run_campaign, warn)
     cfg = load_campaign_config(args.config)
     warn(args.config, cfg.warnings)
     if args.jobs is not None:
@@ -149,6 +165,7 @@ def _cmd_trace_union(args) -> int:
 
 
 def _cmd_trace_dot(args) -> int:
+    from .ir.defuse import build_def_use
     module = _load_indexed(args.program)
     graph = build_def_use(module)
     golden = read_trace(args.golden)
@@ -183,7 +200,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--stdin", default="", help="text fed to scanf")
     p.add_argument("--file", action="append", metavar="NAME=PATH",
                    help="virtual file visible to freopen/fopen")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument("--trace-out", help="write the golden trace here")
     p.set_defaults(fn=_cmd_profile)
 
@@ -193,7 +210,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--stdin", default="")
     p.add_argument("--file", action="append", metavar="NAME=PATH")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument("--trace-out", help="write the faulty trace here")
     p.set_defaults(fn=_cmd_inject)
 
@@ -229,21 +246,33 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _exit_code(e: Exception, command: str) -> int | None:
+    """main's exit code for an error that reached it; None for one it lets
+    through. The other modules' error classes are imported only here."""
+    from .campaign import ConfigError, GoldenRunFailed
+    from .faults import FaultError
+    from .instrument import InstrumentError
+    from .vm.machine import VmError
+    if isinstance(e, GoldenRunFailed):
+        return 3
+    if isinstance(e, (ConfigError, InstrumentError, FaultError, TraceFormatError,
+                      IndexMismatch, VmError)):
+        return 4 if command == "campaign" else 2
+    if isinstance(e, OSError):
+        return 2
+    return None
+
+
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
-    is_campaign = args.command == "campaign"
     try:
         return args.fn(args)
-    except GoldenRunFailed as e:
+    except Exception as e:
+        code = _exit_code(e, args.command)
+        if code is None:
+            raise
         print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ConfigError, InstrumentError, FaultError, TraceFormatError,
-            IndexMismatch, VmError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4 if is_campaign else 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return code
 
 
 if __name__ == "__main__":

@@ -30,10 +30,12 @@ A run's trace (RunTrace) is written from its raw columns, a block of up to
 _WRITE_CHUNK records at a time: one vectorized pass per block converts the
 values to bits, turns them into digits with one bytes.hex() and fills them
 into rows of bytes that hold each record's line prefix (TraceFields.render).
-That pass imports numpy on first use, so reading and diffing traces never
-loads it. Written against the trace of another run of the same program
-(`TraceText`), a trace copies that trace's bytes wherever the two agree
-record for record, which gives the same file.
+That pass imports numpy on first use, and the value formatter of each scalar
+kind (_value_hex) is built from lcfi.ir.nodes on first use, so reading and
+diffing traces load neither numpy nor any IR module. Written against the
+trace of another run of the same program (`TraceText`), a trace copies that
+trace's bytes wherever the two agree record for record, which gives the same
+file.
 """
 
 from __future__ import annotations
@@ -46,15 +48,16 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from heapq import merge
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
 from math import copysign
 from operator import add, eq, ne
+from typing import TYPE_CHECKING, NamedTuple
 
-from .ir.defuse import UseGraph
-from .ir.nodes import SCALARS, IrType
+if TYPE_CHECKING:
+    from .ir.defuse import UseGraph
+    from .ir.nodes import IrType
 
 
 class TraceFormatError(Exception):
@@ -65,8 +68,7 @@ class IndexMismatch(Exception):
     """A trace references instruction indices the def-use graph lacks."""
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     index: int
     opcode: str
     value_hex: str  # lowercase, 8 or 16 digits
@@ -277,11 +279,15 @@ def _hex_f64(value) -> str:
     return _NO_VALUE if value is None else _PACK_F64(value).hex()
 
 
-# The trace's fixed-width hex field of each scalar kind's runtime value:
-# 16 digits for 8-byte scalars, 8 for the rest, float kinds as their IEEE
-# bits. Plain functions, so a RunTrace pickles.
-VALUE_HEX = {k: {"f32": _hex_f32, "f64": _hex_f64}.get(k, _hex64 if size == 8 else _hex32)
-             for k, (size, _fmt) in SCALARS.items()}
+@cache
+def _value_hex() -> dict:
+    """The trace's fixed-width hex field of each scalar kind's runtime value:
+    16 digits for 8-byte scalars, 8 for the rest, float kinds as their IEEE
+    bits. Plain functions, so a RunTrace pickles. Built on first use, so
+    reading and diffing traces import no IR module."""
+    from .ir.nodes import SCALARS
+    return {k: {"f32": _hex_f32, "f64": _hex_f64}.get(k, _hex64 if size == 8 else _hex32)
+            for k, (size, _fmt) in SCALARS.items()}
 
 
 def _no_value_hex(value) -> str:
@@ -290,7 +296,7 @@ def _no_value_hex(value) -> str:
 
 def value_bits(value, vtype: IrType) -> str:
     """Render a runtime value as the trace's hex field; zeros for no value."""
-    return VALUE_HEX.get(vtype.kind, _no_value_hex)(value)
+    return _value_hex().get(vtype.kind, _no_value_hex)(value)
 
 
 class TraceFields:
@@ -304,10 +310,11 @@ class TraceFields:
         self.opcode: list = [None] * size
         self.prefix: list = [None] * size
         self.value_hex: list = [None] * size
+        value_hex = _value_hex()
         for index, opcode, kind in rows:
             self.opcode[index] = opcode
             self.prefix[index] = format_record(index, opcode, "")
-            self.value_hex[index] = VALUE_HEX.get(kind, _no_value_hex)
+            self.value_hex[index] = value_hex.get(kind, _no_value_hex)
 
     @cached_property
     def _table(self):
@@ -718,8 +725,7 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int, bound: int | None = No
     return runs
 
 
-@dataclass(frozen=True)
-class AlignedPair:
+class AlignedPair(NamedTuple):
     """One alignment slot; exactly one side is None for unmatched records."""
 
     golden: TraceRecord | None
@@ -732,8 +738,7 @@ class AlignedPair:
         return self.matched() and self.golden.value_hex == self.faulty.value_hex
 
 
-@dataclass(frozen=True)
-class Divergence:
+class Divergence(NamedTuple):
     kind: str  # "value" | "golden_only" | "faulty_only"
     position: int  # slot in the alignment
     golden: TraceRecord | None
@@ -875,13 +880,12 @@ def trace_diff(golden: TraceColumns, faulty: TraceColumns) -> DiffReport:
 
 # -- union -------------------------------------------------------------------
 
-@dataclass
-class UnionEntry:
+class UnionEntry(NamedTuple):
     index: int
     opcode: str
     executions: int
     per_trace: list[int]
-    values: set[str] = field(default_factory=set)
+    values: set[str]
 
 
 def trace_union(traces: list[TraceColumns]) -> dict[int, UnionEntry]:
@@ -891,15 +895,14 @@ def trace_union(traces: list[TraceColumns]) -> dict[int, UnionEntry]:
         indices, hexes = trace.indices, trace.hexes
         first = dict(zip(reversed(indices), range(len(indices) - 1, -1, -1)))  # index: row
         for index, count in Counter(indices).items():
-            e = entries.get(index)
-            if e is None:
-                e = entries[index] = UnionEntry(index, trace.opcodes[first[index]], 0,
-                                                [0] * len(traces))
-            e.executions += count
-            e.per_trace[ti] = count
+            if index not in entries:
+                entries[index] = UnionEntry(index, trace.opcodes[first[index]], 0,
+                                            [0] * len(traces), set())
+            entries[index].per_trace[ti] = count
         for index, value_hex in set(zip(indices, hexes)):
             entries[index].values.add(value_hex)
-    return dict(sorted(entries.items()))
+    return {index: e._replace(executions=sum(e.per_trace))  # every trace counted
+            for index, e in sorted(entries.items())}
 
 
 # -- propagation -------------------------------------------------------------
@@ -907,8 +910,7 @@ def trace_union(traces: list[TraceColumns]) -> dict[int, UnionEntry]:
 _PURE_CONSUMERS_EXCLUDED = frozenset({"store", "br", "ret", "call"})
 
 
-@dataclass
-class PropNode:
+class PropNode(NamedTuple):
     index: int
     opcode: str
     golden_hex: str
@@ -916,8 +918,7 @@ class PropNode:
     annihilation: bool = False
 
 
-@dataclass
-class PropagationGraph:
+class PropagationGraph(NamedTuple):
     nodes: dict[int, PropNode]
     edges: set[tuple[int, int]]
     benign_candidate: bool
@@ -947,7 +948,7 @@ def build_propagation(golden: TraceColumns, faulty: TraceColumns, graph: UseGrap
             f"trace record ID {index} is not an indexed instruction; "
             "trace and program disagree")
     runs = _myers_ops(gi, fi)
-    nodes: dict[int, PropNode] = {}
+    first: dict[int, tuple[str, str]] = {}  # diverged instruction: its first pair's hex
     unmatched = set()  # instructions with an unmatched occurrence
     for kind, i, j, length in runs:
         if kind == "del":
@@ -957,14 +958,15 @@ def build_propagation(golden: TraceColumns, faulty: TraceColumns, graph: UseGrap
         else:
             for t in _differing(gh[i:i + length], fh[j:j + length], length):
                 index = gi[i + t]
-                if index not in nodes:
-                    nodes[index] = PropNode(index, opcode_of[index], gh[i + t], fh[j + t])
+                if index not in first:
+                    first[index] = gh[i + t], fh[j + t]
     # re-convergence evidence: every matched occurrence equal, none unmatched
-    clean = seen - unmatched - nodes.keys()
-    for index, node in nodes.items():
-        node.annihilation = all(succ in clean
-                                and opcode_of[succ] not in _PURE_CONSUMERS_EXCLUDED
-                                for succ in graph.successors(index))
+    clean = seen - unmatched - first.keys()
+    nodes = {index: PropNode(index, opcode_of[index], g, f,
+                             all(succ in clean
+                                 and opcode_of[succ] not in _PURE_CONSUMERS_EXCLUDED
+                                 for succ in graph.successors(index)))
+             for index, (g, f) in first.items()}
     edges = {(p, c) for (p, c) in graph.edges if p in nodes and c in nodes}
     benign = False
     if nodes and outputs_equal:  # a node comes from a matched run, so there are runs

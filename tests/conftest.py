@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +12,15 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
+
+
+def run_python(code: str, *args: str, timeout: int = 60) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports this lcfi."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["lcfi"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout, check=True).stdout
 
 
 def load_fixture_module(name: str):

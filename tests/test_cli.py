@@ -1,11 +1,12 @@
 import os
+from pathlib import Path
 
 import pytest
 
 from lcfi.cli import main
 from lcfi.traces import read_trace
 
-from conftest import fixture_path
+from conftest import fixture_path, run_python
 
 TRIPLE = "n[0]: 4.000000\nn[1]: 3.000000\nn[2]: 3.000000\n"
 SEP = "+" * 24 + "\n"
@@ -16,7 +17,7 @@ def _mass4_input(tmp_path):
     """demo's injection config, drawing from a histogram of total mass 4."""
     (tmp_path / "h.txt").write_text("-1 0 1\n0 1 3\n")
     inp = tmp_path / "in.yaml"
-    inp.write_text(open(fixture_path("demo_input.yaml")).read().replace(
+    inp.write_text(Path(fixture_path("demo_input.yaml")).read_text().replace(
         "uniform_rel(0.5)", "empirical_rel(h.txt, 0.5)"))
     return inp
 
@@ -42,7 +43,7 @@ class TestInstrument:
 
     def test_missing_histogram_is_rejected(self, tmp_path, capsys):
         inp = tmp_path / "in.yaml"
-        inp.write_text(open(fixture_path("demo_input.yaml")).read().replace(
+        inp.write_text(Path(fixture_path("demo_input.yaml")).read_text().replace(
             "uniform_rel(0.5)", "empirical_abs(nope.txt, 0.1)"))
         rc = main(["instrument", fixture_path("demo.ll"), "--input", str(inp),
                    "--out", str(tmp_path / "out")])
@@ -262,10 +263,10 @@ class TestCampaign:
     def test_missing_histogram_fails_before_anything_is_written(self, tmp_path, capsys,
                                                                 fi_type):
         inp = tmp_path / "in.yaml"
-        inp.write_text(open(fixture_path("demo_input.yaml")).read().replace(
+        inp.write_text(Path(fixture_path("demo_input.yaml")).read_text().replace(
             "uniform_rel(0.5)", fi_type))
         cfg = tmp_path / "c.yaml"
-        cfg.write_text(open(self._config(tmp_path)).read().replace(
+        cfg.write_text(Path(self._config(tmp_path)).read_text().replace(
             fixture_path("demo_input.yaml"), str(inp)))
         rc = main(["campaign", "--config", str(cfg)])
         assert rc == 4
@@ -279,7 +280,7 @@ class TestCampaign:
                             lambda path: paths.append(path) or load(path))
         inp = _mass4_input(tmp_path)
         cfg = tmp_path / "c.yaml"
-        cfg.write_text(open(self._config(tmp_path, runs=5)).read().replace(
+        cfg.write_text(Path(self._config(tmp_path, runs=5)).read_text().replace(
             fixture_path("demo_input.yaml"), str(inp)))
         rc = main(["campaign", "--config", str(cfg)])
         assert rc == 0
@@ -309,8 +310,8 @@ class TestCampaign:
             files = {"program": d / "demo.ll", "input": d / "in.yaml",
                      "config": d / "c.yaml"}
             d.mkdir()
-            files["program"].write_text(open(fixture_path("demo.ll")).read())
-            files["input"].write_text(open(fixture_path("demo_input.yaml")).read())
+            files["program"].write_text(Path(fixture_path("demo.ll")).read_text())
+            files["input"].write_text(Path(fixture_path("demo_input.yaml")).read_text())
             files["config"].write_text(
                 "program: demo.ll\ninput: in.yaml\nruns: 2\noutput_dir: out\n"
                 f"io:\n  files:\n    in.txt: {{from: {fixture_path('in.txt')}}}\n")
@@ -322,7 +323,7 @@ class TestCampaign:
             assert err == (f"{files[where]}: warning: {warning}\n"
                            if name == "warned" else "")
             trees[name] = {os.path.relpath(os.path.join(root, f), d / "out"):
-                           open(os.path.join(root, f), "rb").read()
+                           Path(root, f).read_bytes()
                            for root, _dirs, names in os.walk(d / "out") for f in names}
         assert trees["warned"] == trees["plain"]
         assert {"report.txt", "report.json", "report.csv"} <= set(trees["plain"])
@@ -413,6 +414,18 @@ def test_trace_commands_stdout_pinned(capsys, command):
     rc = main(["trace", command, fixture_path("trace_golden.txt"),
                fixture_path("trace_faulty.txt"), *extra[command]])
     assert (rc, capsys.readouterr().out) == FIXTURE_PAIR_STDOUT[command]
+
+
+def test_trace_diff_and_union_load_only_the_trace_module():
+    """`lcfi trace diff` and `lcfi trace union` import lcfi.traces alone: the
+    IR, the interpreter, numpy and yaml would quadruple their start-up."""
+    code = ("import sys\n"
+            "from lcfi.cli import main\n"
+            "codes = [main(['trace', c, sys.argv[1], sys.argv[2]]) for c in ('diff', 'union')]\n"
+            "print(codes, sorted(m for m in sys.modules\n"
+            "                    if m.startswith(('lcfi', 'numpy', 'yaml'))))\n")
+    out = run_python(code, fixture_path("trace_golden.txt"), fixture_path("trace_faulty.txt"))
+    assert out.splitlines()[-1] == "[1, 0] ['lcfi', 'lcfi.cli', 'lcfi.traces']"
 
 
 class TestTraceUnion:

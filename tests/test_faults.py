@@ -1,6 +1,7 @@
 import math
 import pickle
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestEmpirical:
 
     def test_compares_and_hashes_on_its_bins(self, tmp_path):
         p = tmp_path / "h.txt"
-        p.write_text(open(fixture_path("hist_sym.txt")).read())
+        p.write_text(Path(fixture_path("hist_sym.txt")).read_text())
         a, b = load_empirical(fixture_path("hist_sym.txt")), load_empirical(str(p))
         assert a == b and hash(a) == hash(b)
         assert a != load_empirical(fixture_path("hist_push.txt"))

@@ -2,7 +2,6 @@ import math
 import os
 import random
 import struct
-import subprocess
 import sys
 import tracemalloc
 from itertools import accumulate
@@ -23,7 +22,7 @@ from lcfi.traces import (AlignedPair, Divergence, IndexMismatch, TraceFormatErro
                          read_trace, trace_diff, trace_to_dot, trace_union, write_trace)
 from lcfi.vm.machine import IoConfig, Machine
 
-from conftest import fixture_path, load_fixture_module
+from conftest import fixture_path, load_fixture_module, run_python
 
 
 def _as_columns(records: list) -> TraceColumns:
@@ -1013,7 +1012,7 @@ class TestTraceDiff:
             trace_diff(golden, faulty).classification
             print(tracemalloc.get_traced_memory()[1])
         """
-        out = _python(code, timeout=120).split()  # a full Myers pass would run for hours
+        out = run_python(code, timeout=120).split()  # a full Myers pass would run for hours
         assert out[:4] == ["control_flow", "0", "100004", "0"]
         assert float(out[4]) < 20  # about 0.5 s on a 2-core host
         # 4 x 5000 takes about 0.3 MB; a snapshot per round would take 50 MB
@@ -1190,7 +1189,7 @@ def _f64(bits: int) -> float:
 
 class TestBlockRenderer:
     """Rendering a RunTrace a block at a time gives the bytes of its records
-    rendered one by one (TraceRecord.render through the VALUE_HEX formatters)."""
+    rendered one by one (TraceRecord.render through the _value_hex() formatters)."""
 
     KINDS = {1: "i1", 2: "i8", 3: "i32", 4: "i64", 5: "ptr", 6: "f32", 7: "f64",
              8: "void", 12345: "i32"}
@@ -1327,16 +1326,23 @@ def test_reading_and_diffing_do_not_import_numpy(tmp_path):
             "report = t.trace_diff(t.read_trace(sys.argv[1]), t.read_trace(sys.argv[2]))\n"
             "assert report.classification == 'data_flow'\n"
             "print('numpy' in sys.modules)\n")
-    assert _python(code, str(tmp_path / "golden.txt"), str(tmp_path / "faulty.txt")) == "False\n"
+    assert run_python(code, str(tmp_path / "golden.txt"), str(tmp_path / "faulty.txt")) == "False\n"
 
 
-def _python(code: str, *args: str, timeout: int = 60) -> str:
-    """The stdout of `code` run in a fresh interpreter that imports this lcfi."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["lcfi"].__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                          text=True, timeout=timeout, check=True).stdout
+def test_reading_and_diffing_load_no_ir_or_interpreter():
+    """lcfi.traces imports no IR module when it loads: it builds its scalar
+    table from lcfi.ir.nodes only when a run's values are formatted. Its
+    records are named tuples, so it does not load dataclasses either (about
+    10 ms of start-up, most of it dataclasses' own import of inspect)."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import lcfi.traces as t\n"
+            "report = t.trace_diff(t.read_trace(sys.argv[1]), t.read_trace(sys.argv[2]))\n"
+            "assert report.classification == 'control_flow'\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith(\n"
+            "    ('lcfi.ir', 'lcfi.vm', 'numpy', 'yaml', 'dataclasses', 'inspect'))))\n")
+    assert run_python(code, fixture_path("trace_golden.txt"),
+                      fixture_path("trace_faulty.txt")) == "[]\n"
 
 
 def _demo_traces(demo_indexed, demo_io, seed=77):
