@@ -369,7 +369,7 @@ def _worker_run(ctx: RunContext, run_index: int) -> RunResult:
     same at any job count.
     """
     cfg = ctx.config
-    seed = mix64(ctx.campaign_seed, run_index, ctx.fault_spec.seed_salt)
+    seed = mix64(ctx.campaign_seed, run_index, 0)
     oc = Machine(ctx.module, io=ctx.io, budget=cfg.budget, trace=True,
                  plan=ctx.plan, sampler=make_sampler(ctx.fault_spec, seed),
                  start=ctx.start).run()
@@ -443,8 +443,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     if golden.status != "ok":
         raise GoldenRunFailed(golden)
     _write_text(os.path.join(baseline_dir, "golden_std_output"), golden.stdout)
-    golden_text = TraceText.write(golden.trace,
-                                  os.path.join(baseline_dir, "llfi.stat.trace.prof.txt"))
+    golden_text = write_trace(golden.trace,
+                              os.path.join(baseline_dir, "llfi.stat.trace.prof.txt"))
     golden_metrics: dict[str, float] = {}
     golden_notes: list[str] = []
     _collect_metrics(golden.stdout, cfg.metrics, "golden", golden_metrics, golden_notes)

@@ -69,7 +69,6 @@ class FaultSpec:
     bound: float
     sigma_ratio: float = 1.0 / 3.0
     histogram: EmpiricalDistribution | None = None
-    seed_salt: int = 0
 
     def __post_init__(self):
         if self.mode not in ("absolute", "relative"):
@@ -260,7 +259,7 @@ def _parse_bound(text: str) -> float:
         raise FaultSpecError(f"bad bound {text!r}") from e
 
 
-def parse_fault_type(text: str, base_dir: str = ".", seed_salt: int = 0) -> FaultSpec:
+def parse_fault_type(text: str, base_dir: str = ".") -> FaultSpec:
     """Parse a fault-type string like "uniform_rel(10%)" or
     "empirical_abs(hist.txt, 0.1)" into a FaultSpec. An empirical type's
     histogram file is read here; a missing or malformed one raises
@@ -281,13 +280,12 @@ def parse_fault_type(text: str, base_dir: str = ".", seed_salt: int = 0) -> Faul
     if name in ("uniform_abs", "uniform_rel"):
         expect_args(1, 1)
         mode = "absolute" if name.endswith("_abs") else "relative"
-        return FaultSpec(mode, "uniform", _parse_bound(args[0]), seed_salt=seed_salt)
+        return FaultSpec(mode, "uniform", _parse_bound(args[0]))
     if name in ("normal_abs", "normal_rel"):
         expect_args(1, 2)
         mode = "absolute" if name.endswith("_abs") else "relative"
         ratio = _parse_bound(args[1]) if len(args) == 2 else 1.0 / 3.0
-        return FaultSpec(mode, "normal", _parse_bound(args[0]), sigma_ratio=ratio,
-                         seed_salt=seed_salt)
+        return FaultSpec(mode, "normal", _parse_bound(args[0]), sigma_ratio=ratio)
     if name in ("empirical_abs", "empirical_rel"):
         expect_args(2, 2)
         mode = "absolute" if name.endswith("_abs") else "relative"
@@ -295,5 +293,5 @@ def parse_fault_type(text: str, base_dir: str = ".", seed_salt: int = 0) -> Faul
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         return FaultSpec(mode, "empirical", _parse_bound(args[1]),
-                         histogram=load_empirical(path), seed_salt=seed_salt)
+                         histogram=load_empirical(path))
     raise FaultSpecError(f"unknown fault type {name!r}")

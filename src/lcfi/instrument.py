@@ -109,16 +109,13 @@ class InputConfig:
     loop_num: tuple[int, ...] = (1,)
     loop_mode: str = "invocation"
     seed: int = 0
-    seed_salt: int = 0
     warnings: list[str] = field(default_factory=list)
 
     def fault_spec(self, base_dir: str = ".") -> FaultSpec:
-        return parse_fault_type(self.fi_type, base_dir=base_dir,
-                                seed_salt=self.seed_salt)
+        return parse_fault_type(self.fi_type, base_dir=base_dir)
 
 
-_KNOWN_TOP = {"fi_type", "variable_num", "loop_num", "loop_mode", "seed",
-              "seed_salt", "option"}
+_KNOWN_TOP = {"fi_type", "variable_num", "loop_num", "loop_mode", "seed", "option"}
 _KNOWN_OPT = {"function_name", "variable_name", "variable_location",
               "in_arr", "in_loop", "variable_init"}
 
@@ -202,13 +199,9 @@ def parse_input_config(data, source: str = "<config>") -> InputConfig:
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise TargetConfigError(f"{source}: seed must be an integer")
-    seed_salt = data.get("seed_salt", 0)
-    if isinstance(seed_salt, bool) or not isinstance(seed_salt, int):
-        raise TargetConfigError(f"{source}: seed_salt must be an integer")
 
     return InputConfig(fi_type=fi_type, options=options, loop_num=loop_num,
-                       loop_mode=loop_mode, seed=seed, seed_salt=seed_salt,
-                       warnings=warnings)
+                       loop_mode=loop_mode, seed=seed, warnings=warnings)
 
 
 def _pointer_homes(fn: IrFunction, variable_name: str) -> set[str]:

@@ -26,16 +26,16 @@ there; half of a slice's lines, deduplicated, can show that. Each distinct
 index is converted once per read and looked up after that; value hex is
 lowered and interned, which costs less than a memo miss.
 
-A run's trace (RunTrace) is written from its raw columns, a block of up to
-_WRITE_CHUNK records at a time: one vectorized pass per block converts the
-values to bits, turns them into digits with one bytes.hex() and fills them
-into rows of bytes that hold each record's line prefix (TraceFields.render).
-That pass imports numpy on first use, and the value formatter of each scalar
-kind (_value_hex) is built from lcfi.ir.nodes on first use, so reading and
-diffing traces load neither numpy nor any IR module. Written against the
-trace of another run of the same program (`TraceText`), a trace copies that
-trace's bytes wherever the two agree record for record, which gives the same
-file.
+write_trace is the one writer. It writes a run's trace (RunTrace) from its
+raw columns, a block of up to _WRITE_CHUNK records at a time: one
+vectorized pass per block converts the values to bits, turns them into
+digits with one bytes.hex() and fills them into rows of bytes that hold
+each record's line prefix (TraceFields.render). That pass imports numpy on
+first use, and the value formatter of each scalar kind (_value_hex) is built
+from lcfi.ir.nodes on first use, so reading and diffing traces load neither
+numpy nor any IR module. It returns the file as a TraceText; written against
+the TraceText of another run of the same program, a trace copies that file's
+bytes wherever the two agree record for record, which gives the same file.
 """
 
 from __future__ import annotations
@@ -140,40 +140,28 @@ class TraceColumns(Sequence):
 _SLICE = 1 << 18  # bytes of a file parsed at a time, cut after a line end
 
 
-def read_trace(source) -> TraceColumns:
-    """Read records from a path (a str or path-like) or an iterable of lines,
-    each item one line; a file's line ends count as text mode counts them.
-    A distinct line is parsed once while the line memo holds it, and each
-    distinct index is converted once per read (_Memo), so equal indices are
-    one int object; opcodes and lowercased value hex go through sys.intern,
-    so each distinct one is one string object however often it occurs."""
+def read_trace(path) -> TraceColumns:
+    """Read the records of the file at `path` (a str or path-like); its line
+    ends count as text mode counts them. A distinct line is parsed once while
+    the line memo holds it, and each distinct index is converted once per
+    read (_Memo), so equal indices are one int object; opcodes and lowercased
+    value hex go through sys.intern, so each distinct one is one string
+    object however often it occurs."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise TypeError(f"read_trace takes a path, not {type(path).__name__}")
     out, lineno, offset = TraceColumns([], [], []), 1, 0
     memo = {}, {}, {}, _Memo(int)
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            for data in _slices(fh):
-                try:
-                    text = str(data, "utf-8")
-                except UnicodeDecodeError as e:
-                    raise TraceFormatError(
-                        f"{source}: not UTF-8 text (byte {offset + e.start})") from e
-                if "\r" in text:
-                    text = text.replace("\r\n", "\n").replace("\r", "\n")
-                lines = text.split("\n")
-                if not lines[-1]:  # every slice but the file's last ends a line
-                    lines.pop()
-                _parse(lines, lineno, out, memo)
-                lineno += len(lines)
-                offset += len(data)
-    else:
-        items = iter(source)
-        # _SLICE // 64 items at a time. A newline that ends an item goes; one
-        # inside it, whitespace to parse_record, becomes a space, so the item
-        # stays one line.
-        while batch := list(islice(items, _SLICE // 64)):
-            _parse([item.removesuffix("\n").replace("\n", " ") for item in batch],
-                   lineno, out, memo)
-            lineno += len(batch)
+    with open(path, "rb") as fh:
+        for data in _slices(fh):
+            try:
+                text = str(data, "utf-8")
+            except UnicodeDecodeError as e:
+                raise TraceFormatError(
+                    f"{path}: not UTF-8 text (byte {offset + e.start})") from e
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lineno = _parse(text, lineno, out, memo)
+            offset += len(data)
     return out
 
 
@@ -209,17 +197,21 @@ class _Memo(dict):
         return value
 
 
-def _parse(lines: list, lineno: int, out: TraceColumns, memo: tuple) -> None:
-    """Append the records of `lines` (no newline in them), the first line
-    `lineno`, to `out`. Lines the line memo lacks are split once, the others
-    looked up; if more than half are new, all are split and the memo is left
-    as it is. With the memo empty, as on every slice of a file of distinct
-    lines, the first half of the lines and one more can show that alone, and
-    only they are deduplicated; with lines in the memo, deduplicating in two
-    halves cost more than it saved. The split serves if _TEXT_RE matches each
-    line, shown by one match per line (a match never spans a newline); else
-    parse_record reads them one by one. Indices are looked up in the read's
-    _Memo."""
+def _parse(text: str, lineno: int, out: TraceColumns, memo: tuple) -> int:
+    """Append the records of `text`, whose lines end in "\\n" (its last may
+    not) and whose first is line `lineno`, to `out`; return the number of
+    the line after its last. Lines the line memo lacks are split once, the
+    others looked up; if more than half are new, the whole text is split and
+    the memo is left as it is. With the memo empty, as on every slice of a
+    file of distinct lines, the first half of the lines and one more can show
+    that alone, and only they are deduplicated; with lines in the memo,
+    deduplicating in two halves cost more than it saved. The split serves if
+    _TEXT_RE matches each line, shown by one match per line (a match never
+    spans a newline); else parse_record reads them one by one. Indices are
+    looked up in the read's _Memo."""
+    lines = text.split("\n")
+    if not lines[-1]:  # a text that ends a line
+        lines.pop()
     line_indices, line_opcodes, line_hexes, indices = memo
     if len(line_indices) > _SLICE // 64:  # so the memo stays about a slice
         for lookup in memo[:3]:
@@ -234,7 +226,7 @@ def _parse(lines: list, lineno: int, out: TraceColumns, memo: tuple) -> None:
     whole = len(new) > half
     split = lines if whole else new
     # split() gives [text before, index, opcode, hex, text between, ...].
-    parts = _TEXT_RE.split("\n".join(split))
+    parts = _TEXT_RE.split(text if whole else "\n".join(new))
     if len(parts) // 4 == len(split):
         columns = (map(indices.__getitem__, parts[1::4]), map(sys.intern, parts[2::4]),
                    map(sys.intern, map(str.lower, parts[3::4])))
@@ -254,6 +246,7 @@ def _parse(lines: list, lineno: int, out: TraceColumns, memo: tuple) -> None:
                 out.indices.append(indices[rec.index])
                 out.opcodes.append(sys.intern(rec.opcode))
                 out.hexes.append(sys.intern(rec.value_hex))
+    return lineno + len(lines)
 
 
 # -- values and run traces ---------------------------------------------------------
@@ -414,14 +407,6 @@ class RunTrace(TraceColumns):
         value_hex = self.fields.value_hex
         return [value_hex[i](v) for i, v in zip(self.indices, self.values)]
 
-    def lines(self, start: int = 0):
-        """The rendered lines of the records from `start` on, built one at a
-        time."""
-        prefix, value_hex = self.fields.prefix, self.fields.value_hex
-        return (prefix[i] + value_hex[i](v)
-                for i, v in zip(islice(self.indices, start, None),
-                                islice(self.values, start, None)))
-
 
 _WRITE_CHUNK = 4096  # records rendered and written per block, so memory stays flat
 
@@ -438,43 +423,40 @@ _FLOAT_HEX = (_hex_f32, _hex_f64)
 
 
 class TraceText:
-    """A RunTrace written to a trace file, for writing the traces of other
-    runs of the same program against it (see write_trace): the trace, the
-    file's path, the offset where each of its lines starts
-    (`offsets[len(trace)]` is the file's length) and, read when first used,
-    the file's bytes."""
+    """A RunTrace and the trace file write_trace wrote of it, for writing the
+    traces of other runs of the same program against it (see write_trace).
+    The file's bytes, where each of its lines starts (`offsets[len(trace)]`
+    is the file's length) and the positions of float zeros are derived when
+    first used, so a TraceText that is never written against costs nothing."""
 
-    def __init__(self, trace: RunTrace, path: str, offsets: array):
+    def __init__(self, trace: RunTrace, path: str):
         self.trace = trace
         self.path = path
-        self.offsets = offsets
-        # Positions of zeros under a float kind's formatter, where an equal
-        # value may render differently: -0.0 == 0.0 == 0.
-        indices, value_hex = trace.indices, trace.fields.value_hex
-        self.zeros = array("q", (pos for pos in compress(count(), map(eq, trace.values,
-                                                                       repeat(0)))
-                                 if value_hex[indices[pos]] in _FLOAT_HEX))
-
-    @classmethod
-    def write(cls, trace: RunTrace, path: str) -> TraceText:
-        """Write `trace` to `path` as write_trace does."""
-        import numpy as np
-        offsets = array("q", [0])
-        with open(path, "wb") as fh:
-            for data in _blocks(trace):
-                fh.write(data)  # each line ends just past its newline
-                ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 10) + (1 + offsets[-1])
-                offsets.frombytes(ends.astype(np.int64).tobytes())
-        return cls(trace, path, offsets)
 
     @cached_property
     def data(self) -> bytes:
         with open(self.path, "rb") as fh:
             return fh.read()
 
+    @cached_property
+    def offsets(self) -> array:
+        import numpy as np
+        ends = np.flatnonzero(np.frombuffer(self.data, np.uint8) == ord("\n")) + 1
+        return array("q", [0]) + array("q", ends.astype(np.int64).tobytes())
 
-def write_trace(trace: RunTrace, path: str, golden: TraceText | None = None) -> None:
-    """Write a run's trace, one line per record.
+    @cached_property
+    def zeros(self) -> array:
+        """Positions of zeros under a float kind's formatter, where an equal
+        value may render differently: -0.0 == 0.0 == 0."""
+        indices, value_hex = self.trace.indices, self.trace.fields.value_hex
+        return array("q", (pos for pos in compress(count(), map(eq, self.trace.values,
+                                                                repeat(0)))
+                           if value_hex[indices[pos]] in _FLOAT_HEX))
+
+
+def write_trace(trace: RunTrace, path: str, golden: TraceText | None = None) -> TraceText:
+    """Write a run's trace, one line per record, and return the TraceText of
+    the file.
 
     With `golden`, the written trace of another run of the same program, the
     records that have golden's instruction and value at their position are
@@ -483,6 +465,7 @@ def write_trace(trace: RunTrace, path: str, golden: TraceText | None = None) -> 
     pieces = _blocks(trace) if golden is None else _pieces_against(trace, golden)
     with open(path, "wb") as fh:
         fh.writelines(pieces)
+    return TraceText(trace, path)
 
 
 _BLOCK = 64  # records compared per list compare
@@ -558,15 +541,19 @@ def _cost_bound(a: list, b: list) -> int:
     edit distance D, for _myers_core's band.
 
     The alignment is built a step at a time. From a mismatch, a greedy Myers
-    search runs to the first point that _RUN equal records follow, or to the
-    end; the step costs the search's round, the fewest edits that reach such
-    a point. The equal records are skipped and the next step starts at the
-    next mismatch. A step that needs more than _STEP_EDITS edits ends the
-    alignment with the rest of both sides unmatched, so on unrelated sides U
-    is n + m, the bound with no quick alignment. On 28 of perfbench's edited
-    CG trace pairs (D 977-1,287 over 35k records) U was D to D + 31%, median
-    D + 4%, and took 3-6 ms. The sides grow by min(n, m) + 1 sentinels, as in
-    _myers_core, and are cut back on return."""
+    search runs to the first round that reaches a point that _RUN equal
+    records follow, or the end; of that round's points, the step takes the
+    one on the diagonal nearest the end's, and costs the round, the fewest
+    edits that reach such a point. The equal records are skipped and the
+    next step starts at the next mismatch. A step that needs more than
+    _STEP_EDITS edits ends the alignment with the rest of both sides
+    unmatched, so on unrelated sides U is n + m, the bound with no quick
+    alignment. On the 28 edited CG trace pairs of perfbench's trace_diff
+    seeds 1-14 (D 1,074-1,287 over 35k records) U was D to D + 12%, median
+    D + 2%, and took 2.6-5.5 ms; the first such point of a round instead of
+    the nearest gave median D + 3% (summed excess 1,150 against 880). The
+    sides grow by min(n, m) + 1 sentinels, as in _myers_core, and are cut
+    back on return."""
     n, m = len(a), len(b)
     stop_a, stop_b = object(), object()
     a.extend(repeat(stop_a, min(n, m) + 1))
@@ -599,8 +586,9 @@ def _cost_bound(a: list, b: list) -> int:
                     py = px - kk + off
                     if a[px] == b[py]:
                         if a[px:px + _RUN] == b[py:py + _RUN]:
-                            found = px, py
-                            break
+                            if found is None or abs(kk - end) < abs(found[0] - end):
+                                found = kk, px, py
+                            continue
                         px += 1
                         py += 1
                         while a[px] == b[py]:
@@ -613,7 +601,7 @@ def _cost_bound(a: list, b: list) -> int:
                 break
             v[c - d:c + d + 1] = repeat(-1, 2 * d + 1)  # d > 0: x was a mismatch
             cost += d
-            x, y = found or (n, m)
+            x, y = found[1:] if found else (n, m)
     finally:
         del a[n:], b[m:]
     return cost + (n - x) + (m - y)

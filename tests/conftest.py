@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import count
 
 import pytest
 
@@ -27,6 +28,27 @@ def load_fixture_module(name: str):
     path = fixture_path(name)
     with open(path, encoding="utf-8") as fh:
         return parse_module(fh.read(), source_name=name)
+
+
+@pytest.fixture
+def read_lines(tmp_path):
+    """read_trace of a new file in tmp_path that holds these lines, each
+    item one line (a newline that ends an item is its line end)."""
+    from lcfi.traces import read_trace
+    made = count()
+
+    def read(lines):
+        path = tmp_path / f"lines.{next(made)}.txt"
+        path.write_bytes("".join(line.removesuffix("\n") + "\n" for line in lines).encode())
+        return read_trace(path)
+    return read
+
+
+def rendered(trace) -> bytes:
+    """A run's trace as write_trace writes it: bytes, so a zero of the other
+    sign, which compares equal, still shows."""
+    from lcfi.traces import _blocks
+    return b"".join(_blocks(trace))
 
 
 @pytest.fixture(scope="session")

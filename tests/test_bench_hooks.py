@@ -12,7 +12,7 @@ import lcfi.vm.machine as machine
 from lcfi.faults import make_sampler
 from lcfi.instrument import assign_indices, build_plan, load_input_config
 
-from conftest import FIXTURES, fixture_path, load_fixture_module
+from conftest import FIXTURES, fixture_path, load_fixture_module, rendered
 
 CHILD = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "child.py")
 
@@ -76,7 +76,7 @@ def test_run_offers_what_layer_metrics_reads(monkeypatch, demo_io):
     assert calls.count("sample_error") == calls.count("apply_fault") == oc.activation_count
     assert len(oc.trace) > 0
     assert all(isinstance(r.index, int) for r in oc.trace)
-    assert [r.render() for r in oc.trace] == list(oc.trace.lines())
+    assert rendered(oc.trace) == "".join(r.render() + "\n" for r in oc.trace).encode()
 
 
 def test_patched_machine_sees_every_injection_run(monkeypatch, tmp_path):
@@ -111,7 +111,7 @@ def test_patched_machine_sees_every_injection_run(monkeypatch, tmp_path):
     plan = build_plan(module, input_cfg)
     spec = input_cfg.fault_spec(base_dir=FIXTURES)
     for i, (_kind, mach, oc) in enumerate(injection[1::2]):
-        seed = mix64(input_cfg.seed, i, spec.seed_salt)
+        seed = mix64(input_cfg.seed, i, 0)
         assert (mach.sampler.spec, mach.sampler.seed) == (spec, seed)
         scratch = machine.Machine(module, io=cfg.io_config(), budget=cfg.budget,
                                   trace=True, plan=plan,

@@ -431,9 +431,6 @@ class TestParseFaultType:
         assert spec.histogram.bins == ((0.0, 1.0, 1.0),)
         assert spec.bound == 0.01
 
-    def test_seed_salt_carried(self):
-        assert parse_fault_type("uniform_abs(1)", seed_salt=42).seed_salt == 42
-
     def test_whitespace_tolerated(self):
         spec = parse_fault_type("  normal_abs( 1.0 , 0.5 )  ")
         assert spec.sigma_ratio == 0.5

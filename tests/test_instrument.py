@@ -84,7 +84,7 @@ class TestConfigParsing:
         cfg = parse_input_config(self._base())
         assert cfg.loop_num == (1,)
         assert cfg.loop_mode == "invocation"
-        assert cfg.seed == 0 and cfg.seed_salt == 0
+        assert cfg.seed == 0
         opt = cfg.options[0]
         assert (opt.variable_location, opt.in_arr, opt.in_loop) == (1, False, False)
 
@@ -99,6 +99,11 @@ class TestConfigParsing:
     def test_truncate_is_an_unknown_key(self):
         cfg = parse_input_config(self._base(truncate=False))
         assert cfg.warnings == ["unknown key 'truncate' ignored"]
+
+    def test_seed_salt_is_an_unknown_key(self):
+        cfg = parse_input_config(self._base(seed_salt=42))
+        assert cfg.warnings == ["unknown key 'seed_salt' ignored"]
+        assert cfg.fault_spec() == parse_input_config(self._base()).fault_spec()
 
     def test_loop_num_list_dedup_sorted(self):
         cfg = parse_input_config(self._base(loop_num=[4, 2, 2, 9]))

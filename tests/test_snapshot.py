@@ -18,7 +18,7 @@ from lcfi.traces import write_trace
 from lcfi.vm.intrinsics import InStream
 from lcfi.vm.machine import IoConfig, Machine, RunState, prefix_snapshot
 
-from conftest import FIXTURES, fixture_path
+from conftest import FIXTURES, fixture_path, rendered
 
 RUNS = 6
 # (program, input config, budget, whether runs start from a snapshot)
@@ -74,7 +74,7 @@ def test_runs_match_runs_from_scratch(tmp_path, case, jobs):
     llfi = os.path.join(cfg.output_dir, "llfi")
     stat = os.path.join(llfi, "llfi_stat_output")
     for i, rr in enumerate(result.runs):
-        seed = mix64(input_cfg.seed, i, spec.seed_salt)
+        seed = mix64(input_cfg.seed, i, 0)
         oc = Machine(module, io=cfg.io_config(), budget=cfg.budget, trace=True,
                      plan=plan, sampler=make_sampler(spec, seed)).run()
         expected_trace = tmp_path / f"trace.{i}.txt"
@@ -114,7 +114,7 @@ def test_hanging_run_matches_run_from_scratch():
         assert resumed.activation_count == 1
         assert (resumed.steps, resumed.stdout, resumed.activations) == (
             scratch.steps, scratch.stdout, scratch.activations)
-        assert list(resumed.trace.lines()) == list(scratch.trace.lines())
+        assert rendered(resumed.trace) == rendered(scratch.trace)
 
 
 def _plan_at(module, result: str, nth: int) -> InjectionPlan:
@@ -169,7 +169,7 @@ def test_start_at_a_budget_that_ends_at_the_snapshot():
                 for s in (None, start)]
         assert runs[0].steps == runs[1].steps == budget + 1
         assert runs[0].activations == runs[1].activations
-        assert list(runs[0].trace.lines()) == list(runs[1].trace.lines())
+        assert rendered(runs[0].trace) == rendered(runs[1].trace)
 
 
 @pytest.mark.parametrize("program, config, budget, io", [
@@ -229,7 +229,7 @@ def test_a_field_added_to_the_run_state_is_carried():
     plain, carried = [m.run() for m in machines]
     assert machines[1].state.mark == 7
     assert (carried.steps, carried.activations) == (plain.steps, plain.activations)
-    assert list(carried.trace.lines()) == list(plain.trace.lines())
+    assert rendered(carried.trace) == rendered(plain.trace)
 
 
 def test_runs_leave_their_snapshot_as_it_was():

@@ -78,9 +78,15 @@ class TestRecordFormat:
         write_trace(RunTrace([1, 2], [42, None], fields), str(p))
         assert read_trace(str(p)) == recs
 
-    def test_read_from_lines(self):
+    def test_read_from_lines(self, read_lines):
         lines = ["ID: 3    OPCode: add     Value: 00000001", "", ]
-        assert read_trace(lines) == [TraceRecord(3, "add", "00000001")]
+        assert read_lines(lines) == [TraceRecord(3, "add", "00000001")]
+
+    @pytest.mark.parametrize("source", [["ID: 3 OPCode: add Value: 00000001"],
+                                        iter(["ID: 3 OPCode: add Value: 00000001"]), 3])
+    def test_read_trace_takes_only_a_path(self, source):
+        with pytest.raises(TypeError, match="read_trace takes a path"):
+            read_trace(source)
 
 
 def _read_per_line(lines):
@@ -140,9 +146,6 @@ class TestReadTraceFastPath:
             lines = fh.readlines()
         expected = _outcome(_read_per_line, lines)
         assert _outcome(read_trace, str(path)) == expected
-        assert _outcome(read_trace, iter(lines)) == expected
-        raw = text.split("\n")
-        assert _outcome(read_trace, raw) == _outcome(_read_per_line, raw)
 
     def test_non_utf8_byte_offset_is_from_file_start(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -202,15 +205,15 @@ class TestReadTraceFastPath:
             read_trace(str(path))
         assert _outcome(read_trace, str(path)) == _outcome(_read_per_line, lines)
 
-    def test_equal_values_share_one_string(self, tmp_path):
+    def test_equal_values_share_one_string(self, tmp_path, read_lines):
         lines = self._long_lines()
         path = tmp_path / "t.txt"
         path.write_text("".join(lines))
-        for trace in (read_trace(str(path)), read_trace(iter(lines))):
-            first = {}
-            for value in trace.hexes + trace.opcodes:
-                assert first.setdefault(value, value) is value
-        other = read_trace(["ID: 5 OPCode: load Value: 0000002A"])
+        trace = read_trace(str(path))
+        first = {}
+        for value in trace.hexes + trace.opcodes:
+            assert first.setdefault(value, value) is value
+        other = read_lines(["ID: 5 OPCode: load Value: 0000002A"])
         assert other.hexes[0] is trace.hexes[trace.hexes.index("0000002a")]
 
 
@@ -285,14 +288,6 @@ class TestReadTraceSlices:
         with pytest.raises(TraceFormatError, match=rf"\(byte {len(lines)}\)"):
             read_trace(str(path))
 
-    def test_an_item_with_a_newline_stays_one_line(self):
-        lines = ["ID: 3\nOPCode: add Value: 00000001\n", "\n \n", REC + "\n\n",
-                 REC + "\n" + REC]
-        with pytest.raises(TraceFormatError, match="^line 4: "):
-            read_trace(lines)
-        assert read_trace(lines[:3]) == _read_per_line(lines[:3]) == [
-            TraceRecord(3, "add", "00000001"), TraceRecord(7, "load", "0000002a")]
-
     def test_path_like_source(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("ID: 12 OPCode: fmul Value: ABCDEF0123456789\n" + REC + "\n")
@@ -353,12 +348,12 @@ class TestReadMemo:
              "ID: 70000 OPCode: fmul Value: 3ff0000000000000\n"]
 
     def _reads(self, tmp_path):
-        """The lines read from a file, from an iterable, and from a file the
-        per-line parser reads (one line holds a form feed)."""
+        """The lines read from a file, and from a file the per-line parser
+        reads (one line holds a form feed)."""
         plain, per_line = tmp_path / "plain.txt", tmp_path / "per_line.txt"
         plain.write_text("".join(self.LINES))
         per_line.write_text("".join(self.LINES) + "ID: 5\x0cOPCode: br Value: 00000000\n")
-        return read_trace(str(plain)), read_trace(iter(self.LINES)), read_trace(str(per_line))
+        return read_trace(str(plain)), read_trace(str(per_line))
 
     def test_equal_indices_share_one_int(self, tmp_path):
         for trace in self._reads(tmp_path):
@@ -427,13 +422,11 @@ class TestReadLineMemo:
         assert len("".join(half)) > _SLICE  # the repeats lie in later slices
         path = tmp_path / "t.txt"
         path.write_text("".join(lines))
-        expected = _read_per_line(lines)
-        for source in (str(path), iter(lines)):
-            with monkeypatch.context() as patch:
-                sent = self._count_split(patch)
-                assert read_trace(source) == expected
-            # every distinct line went to the split once, none of them again
-            assert sorted(sent) == sorted(line.rstrip("\n") for line in set(half))
+        with monkeypatch.context() as patch:
+            sent = self._count_split(patch)
+            assert read_trace(str(path)) == _read_per_line(lines)
+        # every distinct line went to the split once, none of them again
+        assert sorted(sent) == sorted(line.rstrip("\n") for line in set(half))
 
     def test_malformed_line_after_memo_hits(self, tmp_path):
         lines = self._repeating_lines(200, 3 * _SLICE // 40, seed=6)
@@ -441,9 +434,8 @@ class TestReadLineMemo:
         lines[k - 1] = lines[k - 2].replace("Value: ", "Value: 0x")
         path = tmp_path / "t.txt"
         path.write_text("".join(lines))
-        for source in (str(path), iter(lines)):
-            with pytest.raises(TraceFormatError, match=rf"^line {k}: malformed trace record"):
-                read_trace(source)
+        with pytest.raises(TraceFormatError, match=rf"^line {k}: malformed trace record"):
+            read_trace(str(path))
         assert _outcome(read_trace, str(path)) == _outcome(_read_per_line, lines)
 
     def test_longer_than_the_cap_and_fields_shared_across_clears(self, tmp_path):
@@ -460,12 +452,11 @@ class TestReadLineMemo:
         assert len("".join(lines)) > 3 * _SLICE
         path = tmp_path / "t.txt"
         path.write_text("".join(lines))
-        expected = _read_per_line(lines)
-        for trace in (read_trace(str(path)), read_trace(iter(lines))):
-            assert trace == expected
-            for column in (trace.indices, trace.opcodes, trace.hexes):
-                first = {}
-                assert all(first.setdefault(x, x) is x for x in column)
+        trace = read_trace(str(path))
+        assert trace == _read_per_line(lines)
+        for column in (trace.indices, trace.opcodes, trace.hexes):
+            first = {}
+            assert all(first.setdefault(x, x) is x for x in column)
 
     def test_mostly_new_lines_leave_the_memo_as_it_was(self):
         """A slice whose lines are more than half new is split whole and
@@ -474,7 +465,7 @@ class TestReadLineMemo:
         for repeats, memoized in ((lines[:4], False), (lines[:5], True)):
             memo = {}, {}, {}, traces._Memo(int)
             out = traces.TraceColumns([], [], [])
-            traces._parse(lines[:5] + repeats, 1, out, memo)
+            traces._parse("\n".join(lines[:5] + repeats), 1, out, memo)
             assert out == _read_per_line(lines[:5] + repeats)
             assert sorted(memo[0]) == (sorted(lines[:5]) if memoized else [])
 
@@ -488,12 +479,12 @@ class TestReadLineMemo:
             for rest, memoized in ((lines[5:9], False), (lines[1:5], True)):
                 memo = {}, {}, {}, traces._Memo(int)
                 out = traces.TraceColumns([], [], [])
-                traces._parse(known * 2, 1, out, memo)  # half new: fills the memo
+                traces._parse("\n".join(known * 2), 1, out, memo)  # half new: fills the memo
                 for lookup in memo[:3]:
                     for line in set(known) - set(held):
                         del lookup[line]
                 chunk = lines[:5] + lines[:1] + held + rest
-                traces._parse(chunk, 1, out, memo)
+                traces._parse("\n".join(chunk) + "\n", 1, out, memo)
                 assert out == _read_per_line(known * 2 + chunk)
                 assert sorted(memo[0]) == sorted(held + (lines[:5] if memoized else []))
 
@@ -505,26 +496,24 @@ class TestTraceEquality:
     LINES = ["ID: 1 OPCode: load Value: 0000002a", "ID: 2 OPCode: fmul Value: 3ff0000000000000",
              "ID: 1 OPCode: load Value: 0000002b"]
 
-    def test_equal_traces(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("\n".join(self.LINES) + "\n")
-        one, two = read_trace(str(path)), read_trace(iter(self.LINES))
+    def test_equal_traces(self, read_lines):
+        one, two = read_lines(self.LINES), read_lines(self.LINES)
         assert one == two and two == one
         assert not one != two
 
-    def test_a_difference_in_each_column(self):
-        base = read_trace(self.LINES)
+    def test_a_difference_in_each_column(self, read_lines):
+        base = read_lines(self.LINES)
         for column, value in (("indices", 3), ("opcodes", "add"), ("hexes", "0000002c")):
-            other = read_trace(self.LINES)
+            other = read_lines(self.LINES)
             getattr(other, column)[1] = value
             assert base != other and other != base
 
-    def test_different_lengths(self):
-        base = read_trace(self.LINES)
-        assert base != read_trace(self.LINES[:2])
-        assert read_trace(self.LINES[:2]) != base
+    def test_different_lengths(self, read_lines):
+        base = read_lines(self.LINES)
+        assert base != read_lines(self.LINES[:2])
+        assert read_lines(self.LINES[:2]) != base
 
-    def test_columns_compare_without_records(self):
+    def test_columns_compare_without_records(self, read_lines):
         class NoRecords(TraceColumns):
             def __iter__(self):
                 raise AssertionError("built a record")
@@ -532,21 +521,21 @@ class TestTraceEquality:
             def __getitem__(self, i):
                 raise AssertionError("built a record")
 
-        plain = read_trace(self.LINES)
+        plain = read_lines(self.LINES)
         assert NoRecords(plain.indices, plain.opcodes, plain.hexes) == plain
 
-    def test_run_trace_against_its_file(self, tmp_path):
+    def test_run_trace_against_its_file(self, tmp_path, read_lines):
         fields = TraceFields([(1, "load", "i32"), (2, "fmul", "f64")])
         trace = RunTrace([1, 2, 1], [42, 1.0, 43], fields)
         path = tmp_path / "t.txt"
         write_trace(trace, str(path))
         assert read_trace(str(path)) == trace and trace == read_trace(str(path))
-        assert read_trace(str(path)) == read_trace(self.LINES)
+        assert read_trace(str(path)) == read_lines(self.LINES)
         other = RunTrace([1, 2, 1], [42, 1.0, 44], fields)
         assert other != read_trace(str(path))
 
-    def test_against_a_list_of_records_both_ways(self):
-        trace = read_trace(self.LINES)
+    def test_against_a_list_of_records_both_ways(self, read_lines):
+        trace = read_lines(self.LINES)
         records = [parse_record(line) for line in self.LINES]
         assert trace == records and records == trace
         records[2] = TraceRecord(1, "load", "0000002c")
@@ -846,6 +835,16 @@ class TestBandedCore:
         assert d == 14
         assert _cost_bound(a, b) == d
 
+    def test_cost_bound_takes_the_point_nearest_the_end_diagonal(self):
+        """From the first mismatch both one-edit diagonals reach 32 equal
+        records. Inserting b[0], found first, leaves 3 more edits; deleting
+        a[0], on the diagonal nearest the end's (n - m = 2), leaves 1."""
+        a = [1, 2] * 20 + [1, 3] + list(range(100, 140))
+        b = [2, 1] * 20 + list(range(100, 140))
+        d = sum(op[0] != "match" for op in _oracle_myers_core(a, b, 0, 0))
+        assert d == 2
+        assert _cost_bound(a, b) == d
+
     def test_cost_bound_after_searches_that_ran_ahead(self):
         """Long runs of one record let a step's search run far ahead on
         diagonals that the next step visits too; the next step starts from
@@ -1078,9 +1077,9 @@ class TestWriteAgainstGolden:
 
     @staticmethod
     def _text(tmp_path, golden) -> TraceText:
-        text = TraceText.write(golden, str(tmp_path / "golden.txt"))
-        write_trace(golden, str(tmp_path / "plain_golden.txt"))
-        assert text.data == (tmp_path / "plain_golden.txt").read_bytes()
+        text = write_trace(golden, str(tmp_path / "golden.txt"))
+        assert (text.trace, text.path) == (golden, str(tmp_path / "golden.txt"))
+        assert text.data == (tmp_path / "golden.txt").read_bytes()
         return text
 
     def _check(self, tmp_path, indices, values, golden=GOLDEN):
@@ -1097,10 +1096,25 @@ class TestWriteAgainstGolden:
 
     def test_line_offsets(self, tmp_path):
         text = self._text(tmp_path, self.GOLDEN)
-        lines = list(self.GOLDEN.lines())
+        lines = [r.render() for r in self.GOLDEN]
         assert text.data == "".join(line + "\n" for line in lines).encode()
         assert list(text.offsets) == [sum(len(line) + 1 for line in lines[:k])
                                       for k in range(len(lines) + 1)]
+
+    def test_offsets_and_zeros_of_the_written_file(self, tmp_path):
+        """The TraceText write_trace returns derives the file's line starts
+        from its bytes and golden's float zeros from its values."""
+        text = write_trace(self.GOLDEN, str(tmp_path / "golden.txt"))
+        assert not {"data", "offsets", "zeros"} & vars(text).keys()  # none derived yet
+        data = (tmp_path / "golden.txt").read_bytes()
+        assert list(text.offsets) == [0] + [k + 1 for k, byte in enumerate(data)
+                                            if byte == ord("\n")]
+        # 0.0, -0.0, 0.0 and an int 0 under f64 and f32; the zeros under
+        # i32 and i64 are not under a float kind
+        assert list(text.zeros) == [0, 2, 6, 7]
+        kinds = {1: "f64", 3: "f32"}
+        assert list(text.zeros) == [pos for pos, (i, v) in enumerate(zip(
+            self.GOLDEN.indices, self.GOLDEN.values)) if i in kinds and v == 0]
 
     @pytest.mark.parametrize("values,renders_as_golden", [
         ([-0.0, 0, -0.0, None, 7, 2.5, 0.0, 0, 3, 0], False),  # -0.0 for 0.0
@@ -1280,7 +1294,7 @@ class TestBlockRenderer:
         assert b"".join(_blocks(trace, start)) == self._expected(trace, start)
         write_trace(trace, str(tmp_path / "run.txt"))
         assert (tmp_path / "run.txt").read_bytes() == self._expected(trace)
-        text = TraceText.write(trace, str(tmp_path / "golden.txt"))
+        text = write_trace(trace, str(tmp_path / "golden.txt"))
         lengths = [len(rec.render()) + 1 for rec in trace]
         assert list(text.offsets) == list(accumulate(lengths, initial=0))
         assert text.data == self._expected(trace)
