@@ -8,12 +8,13 @@ O(ND)); record values never influence the alignment, they are compared
 afterwards on matched pairs. trace_diff returns the alignment itself, a
 DiffReport: runs of slots and the slots where the traces differ. Records are
 built only when a caller reads a report's items; build_propagation reads the
-edit script's runs and the columns and builds none. The core's cost is its
-diagonal visits, nearly all of which end without a snake, so a visit is kept
-to two compares and a store, and the visits are kept to a band around the
-end's diagonal whose width is the cost of a quick alignment (_cost_bound), an
-upper bound on the edit distance: about U**2 / 4 visits for a bound U, against
-about D**2 / 2 for edit distance D with no band (see _myers_core).
+edit script's runs and the columns and builds none. The core (_myers_core)
+gives Myers' own script from an LCS table computed a whole row at a time in
+a few big-int operations (Allison and Dix's bit-parallel LCS), kept to the
+band of diagonals that a path within the cost of a quick alignment
+(_cost_bound), an upper bound U on the edit distance D, can cross: time
+grows with the length times U / 64 and memory stays near linear, against
+about U**2 / 4 Python-level diagonal visits for Myers' rounds.
 
 read_trace reads a file in binary, a slice of about _SLICE bytes cut after a
 line end at a time, so beyond the columns it returns a read holds one slice
@@ -516,20 +517,28 @@ def _myers_ops(a: list, b: list) -> list[tuple]:
     n_all, m_all = len(a), len(b)
     most = min(n_all, m_all)
     pre = next(_differing(a, b, most), most)
-    suf, most = 0, most - pre
-    while suf < most:
-        step = min(_BLOCK, most - suf)
-        x, y = a[n_all - suf - step:n_all - suf], b[m_all - suf - step:m_all - suf]
-        if x != y:  # the records after its last unequal pair match
-            suf += step - 1 - max(compress(range(step), map(ne, x, y)))
-            break
-        suf += step
+    suf = _suffix(a, b, n_all, m_all, most - pre)
     runs = [("match", 0, 0, pre)] if pre else []
     core_a, core_b = a[pre:n_all - suf], b[pre:m_all - suf]
     runs.extend(_myers_core(core_a, core_b, pre, pre, _cost_bound(core_a, core_b)))
     if suf:
         runs.append(("match", n_all - suf, m_all - suf, suf))
     return runs
+
+
+def _suffix(a: list, b: list, x: int, y: int, most: int) -> int:
+    """The length of the common suffix of a[:x] and b[:y], up to `most`:
+    their last records, then _BLOCK records per list compare."""
+    if not most or a[x - 1] != b[y - 1]:
+        return 0
+    suf = 0
+    while suf < most:
+        step = min(_BLOCK, most - suf)
+        p, q = a[x - suf - step:x - suf], b[y - suf - step:y - suf]
+        if p != q:  # the records after its last unequal pair match
+            return suf + step - 1 - max(compress(range(step), map(ne, p, q)))
+        suf += step
+    return suf
 
 
 _RUN = 32  # equal records that end a step of _cost_bound's alignment
@@ -551,15 +560,17 @@ def _cost_bound(a: list, b: list) -> int:
     alignment. On the 28 edited CG trace pairs of perfbench's trace_diff
     seeds 1-14 (D 1,074-1,287 over 35k records) U was D to D + 12%, median
     D + 2%, and took 2.6-5.5 ms; the first such point of a round instead of
-    the nearest gave median D + 3% (summed excess 1,150 against 880). The
-    sides grow by min(n, m) + 1 sentinels, as in _myers_core, and are cut
-    back on return."""
+    the nearest gave median D + 3% (summed excess 1,150 against 880). Past
+    its end each side reads as a sentinel that equals nothing, so a snake
+    stops there without a bounds test. No search passes either end by more
+    than min(n, m), the most snake steps a path can hold, so the sides grow
+    by min(n, m) + 1 sentinels each; they are cut back on return."""
     n, m = len(a), len(b)
     stop_a, stop_b = object(), object()
     a.extend(repeat(stop_a, min(n, m) + 1))
     b.extend(repeat(stop_b, min(n, m) + 1))
     # v[c + r] is the furthest x a step's search reached on the diagonal r
-    # off its start's, as in _myers_core; a step clears what it wrote.
+    # off its start's (Myers' V); a step clears what it wrote.
     c = _STEP_EDITS + 1
     v = [-1] * (2 * c + 1)
     x = y = cost = 0
@@ -612,25 +623,22 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int, bound: int | None = No
     """Myers' greedy O(ND) script for a and b, as runs offset by off_a and
     off_b: one run per snake and one per stretch of edits of one kind.
 
-    `bound` is an upper bound U on the edit distance D (n + m if None), and
-    round d visits only the diagonals k with d + |k - (n - m)| <= U
-    (Ukkonen's cutoff): a path through any other diagonal needs more than U
-    edits to end at (n, m). A kept diagonal reads only diagonals k +- 1 of the
-    round before, which are kept there too, and the backtrack only points of
-    a D-edit path, which are all kept. So the script is the one that visiting
-    every diagonal gives, for any U >= D, and the rounds visit about U**2 / 4
-    diagonals against about D**2 / 2 with no band (_cost_bound gives U). A
-    core that is short on one side costs O((n + m) * min(n, m)). A bound
-    below D raises ValueError; one below |n - m| counts as |n - m|.
-
-    Nearly every visit ends without a snake (99.5% of them on two edited
-    17.5k-record CG traces, D about 1,160), so a visit is kept to a compare
-    of the two neighbours' values, one compare of records and a store: a
-    round is one loop over its diagonals zipped with slices of the round
-    before, the edge diagonals take the same rule as the others, and a snake
-    stops at sentinels past each side's end instead of testing bounds. The
-    sides grow by up to min(n, m) + 1 sentinels each and are cut back on
-    return, so a caller's lists come back as they went in."""
+    `bound` is an upper bound U on the edit distance D (n + m if None;
+    _cost_bound gives one); a bound below D raises ValueError, one below
+    |n - m| counts as |n - m|. A forward pass computes the LCS table's cells
+    in the band of diagonals that a path of at most U edits can cross
+    (_LcsTable), which gives D. The backward pass is Myers' own backtrack
+    from (n, m). Its step from the furthest point that d edits reach on
+    diagonal k needs V(k + 1) and V(k - 1): V(k') is the largest x on k' with
+    D(x, x - k') <= d - 1, where D(x, y) = x + y - 2 * LCS(a[:x], b[:y])
+    never decreases along a diagonal. V(k') lies between the start of the
+    snake that ends at the point and the point, and a binary search on D
+    finds it. Each cell that search accepts has a path of at most d - 1
+    edits from (0, 0) inside the band, where the table is exact, and a cell
+    reads high elsewhere, so the script is the one Myers' rounds give. Time
+    is O(n * w / 64) word operations for a window of w = min(U + _ROWS,
+    min(n, m)) columns, plus O(log snake) probes per edit; memory is
+    O((n / _ROWS + _ROWS) * w) bits for rows and O(min(n, m)) for masks."""
     n, m = len(a), len(b)
     if n == 0:
         return [("ins", off_a, off_b, m)] if m else []
@@ -639,64 +647,25 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int, bound: int | None = No
     # D = n + m - 2 * matches lies between |n - m| and n + m, with n - m's parity
     bound = n + m if bound is None else min(max(bound, abs(n - m)), n + m)
     bound -= (bound - n + m) % 2
-
-    # v[off + k] is the furthest x reached on diagonal k = x - y. Round d
-    # visits the band's diagonals max(-d, n - m - bound + d), ...,
-    # min(d, n - m + bound - d) in steps of 2 and appends what it reached
-    # there to `saved`, where saved[bases[d] + k // 2] holds diagonal k, for
-    # the backtrack. A diagonal no round has reached holds -1, so at the
-    # edges k = -d and k = d the one rule picks the only move there is: down
-    # from k + 1 and right from k - 1 (and x = 0 in round 0).
-    off = bound + 1
-    v = [-1] * (2 * off + 1)
-    saved = array("i")
-    bases = array("q")
-    # Past its end each side reads as a sentinel that equals nothing, so a
-    # snake stops there without a bounds test. Round d reaches at most
-    # x = n + d and y = m + d, and no round passes either end by more than
-    # min(n, m), the most snake steps a path can hold: one more sentinel each
-    # per round up to that. The sides are cut back on the way out.
-    stop_a, stop_b = object(), object()
-    pad = min(n, m)
-    end = off + n - m
-    try:
-        for d in range(bound + 1):
-            if d <= pad:
-                a.append(stop_a)
-                b.append(stop_b)
-            lo = off + max(-d, n - m - bound + d)
-            hi = off + min(d, n - m + bound - d)
-            for kk, left, right in zip(range(lo, hi + 1, 2), v[lo - 1:hi:2],
-                                       v[lo + 1:hi + 2:2]):
-                x = right if left < right else left + 1
-                y = x - kk + off
-                while a[x] == b[y]:
-                    x += 1
-                    y += 1
-                v[kk] = x
-            # A round reaching a point with x >= n and y >= m for the first
-            # time reaches (n, m), on diagonal n - m: a snake stops there, and
-            # a move to any other such point starts from one of them.
-            if v[end] >= n:
-                d_final = d
-                break
-            bases.append(len(saved) - (lo - off) // 2)
-            saved.fromlist(v[lo:hi + 1:2])
-        else:
-            raise ValueError(f"no script within {bound} edits")
-    finally:
-        del a[n:], b[m:]
+    # A path of at most U edits crosses diagonal k only if |k| + |k - (n - m)|
+    # <= U: the band, widened by one on each side.
+    table = _LcsTable(a, b, (n - m - bound) // 2 - 1, (n - m + bound) // 2 + 1)
+    dist = n + m - 2 * table.lcs(n, m)
+    if dist > bound:
+        raise ValueError(f"no script within {bound} edits")
 
     runs = []
     x, y = n, m
-    for d in range(d_final, 0, -1):
-        base = bases[d - 1]  # round d - 1 reached saved[base + k // 2] on diagonal k
+    for d in range(dist, 0, -1):
+        # (x, y) is the furthest point d edits reach on diagonal k
         k = x - y
-        if k == -d or (k != d and saved[base + (k - 1) // 2] < saved[base + (k + 1) // 2]):
-            prev_k = k + 1
+        s = _suffix(a, b, x, y, min(x, y))  # the snake that ends at (x, y)
+        down = -1 if k == d else table.furthest(k + 1, max(x - s, k + 1, 0), x, d - 1)
+        if k == -d or down == x:
+            prev_x, prev_k = down, k + 1
         else:
-            prev_k = k - 1
-        prev_x = saved[base + prev_k // 2]
+            right = table.furthest(k - 1, max(x - s - 1, k - 1, 0), x - 1, d - 1)
+            prev_x, prev_k = (down, k + 1) if right < down else (right, k - 1)
         prev_y = prev_x - prev_k
         snake = min(x - prev_x, y - prev_y)
         if snake:
@@ -711,6 +680,119 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int, bound: int | None = No
         runs.append(("match", off_a, off_b, x))
     runs.reverse()
     return runs
+
+
+_ROWS = 256  # rows of an _LcsTable block
+
+
+class _LcsTable:
+    """LCS(a[:x], b[:y]) on the band of diagonals lo <= x - y <= hi, from
+    bit-parallel rows (Allison and Dix, IPL 1986). The longer side gives the
+    rows. A row is an int over a window of columns: bit t is clear where LCS
+    grows from the window's column t to t + 1, and the row after V for a
+    record whose matches in the window are the bits of M is (V + U) | (V ^ U),
+    U = V & M. The window covers the band's cells in a block of _ROWS rows,
+    clipped to the grid, and moves right once per block: the LCS left of it
+    takes the columns it drops, and the columns it adds start with their
+    bits set. Each block keeps its first row; its other rows are recomputed
+    when read, and the last three blocks read are kept. A cell reads at most
+    its LCS, and exactly where a path from (0, 0) that collects its LCS stays
+    in the band."""
+
+    def __init__(self, a: list, b: list, lo: int, hi: int):
+        self.swap = len(a) < len(b)
+        rows, cols = (b, a) if self.swap else (a, b)
+        if self.swap:
+            lo, hi = -hi, -lo
+        n, m = len(rows), len(cols)
+        # bit j of masks[s] is set where cols[j] == s, for each symbol both
+        # sides hold that fills at least one column in 512; the rarer ones are
+        # listed with their columns, so the masks take at most 64 bytes a column
+        held, bits = set(rows), {}
+        for s, count in Counter(cols).items():
+            if s in held and count * 512 >= m:
+                bits[s] = bytearray((m >> 3) + 1)
+        self.rare_at, self.rare = array("q"), []
+        for j, s in enumerate(cols):
+            if s in bits:
+                bits[s][j >> 3] |= 1 << (j & 7)
+            elif s in held:
+                self.rare_at.append(j)
+                self.rare.append(s)
+        self.rows, self.masks = rows, {s: int.from_bytes(v, "little") for s, v in bits.items()}
+        # blocks[i] = (its first row, row i * _ROWS; the LCS left of its window;
+        # the window's first and last column)
+        self.blocks = []
+        self.cache = {}
+        v = left = start = end = 0
+        for r in range(0, n, _ROWS):
+            first, last = max(0, r - hi), min(m, r + _ROWS - lo)
+            drop = first - start
+            left += drop - (v & ((1 << drop) - 1)).bit_count()
+            v = (v >> drop) | ((1 << (last - first)) - (1 << (end - first)))
+            start, end = first, last
+            self.blocks.append((v, left, start, end))
+            v = self.block(len(self.blocks) - 1)[-1]
+
+    def block(self, i: int) -> list:
+        """The rows of block i, its first row to the first of block i + 1."""
+        rows = self.cache.get(i)
+        if rows is None:
+            if len(self.cache) == 3:
+                del self.cache[next(iter(self.cache))]
+            v, _left, start, end = self.blocks[i]
+            full = (1 << (end - start)) - 1
+            records = self.rows[i * _ROWS:(i + 1) * _ROWS]
+            masks = {s: (self.masks[s] >> start) & full if s in self.masks else 0
+                     for s in set(records)}
+            rare = slice(bisect_left(self.rare_at, start), bisect_left(self.rare_at, end))
+            for j, s in zip(self.rare_at[rare], self.rare[rare]):
+                if s in masks:
+                    masks[s] |= 1 << (j - start)
+            rows = self.cache[i] = [v]
+            for mask in map(masks.__getitem__, records):
+                u = v & mask
+                v = (v + u) | (v ^ u)
+                rows.append(v)
+            rows[-1] &= full  # drop the carries out of the window
+        return rows
+
+    def lcs(self, x: int, y: int) -> int:
+        """LCS(a[:x], b[:y]), or a lower bound off the band; -1 off the window."""
+        r, c = (y, x) if self.swap else (x, y)
+        i = min(r // _ROWS, len(self.blocks) - 1)
+        _v, left, start, end = self.blocks[i]
+        if not start <= c <= end:
+            return -1
+        t = c - start
+        return left + t - (self.block(i)[r - i * _ROWS] & ((1 << t) - 1)).bit_count()
+
+    def furthest(self, k: int, lo: int, hi: int, d: int) -> int:
+        """The largest x in lo..hi with D(x, x - k) <= d, or -1 if none. D
+        never decreases along a diagonal. The answer is most often hi, else
+        none or near lo, where the backtrack goes next: the search tries hi,
+        then lo, then gallops up from lo and bisects."""
+        def within(x: int) -> bool:
+            return 2 * self.lcs(x, x - k) >= 2 * x - k - d
+
+        if lo > hi:
+            return -1
+        if within(hi):
+            return hi
+        if lo == hi or not within(lo):
+            return -1
+        step = 1
+        while lo + step < hi and within(lo + step):
+            lo += step
+            step *= 2
+        hi = min(hi, lo + step)
+        while hi - lo > 1:  # within(lo), not within(hi)
+            x = (lo + hi) // 2
+            if within(x):
+                lo = x
+            else:
+                hi = x
+        return lo
 
 
 class AlignedPair(NamedTuple):

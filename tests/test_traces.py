@@ -881,6 +881,188 @@ class TestBandedCore:
         assert (len(a), len(b)) == (600, 700)
 
 
+def _oracle_banded_core(a: list, b: list, off_a: int, off_b: int, u: int) -> list[tuple]:
+    """_oracle_myers_core with round d kept to the diagonals k where
+    d + |k - (n - m)| <= u (Ukkonen's cutoff), and each round's snapshot to
+    them, for u >= D. A kept diagonal reads only kept diagonals of the
+    round before, and so does the backtrack, so the script is the same; on a
+    core with one side of s records only about s + 1 diagonals a round are
+    kept, so it stays cheap where the plain oracle's snapshots grow with D**2."""
+    n, m = len(a), len(b)
+    if n == 0:
+        return [("ins", off_b + j) for j in range(m)]
+    if m == 0:
+        return [("del", off_a + i) for i in range(n)]
+    v = {1: 0}
+    snapshots = []
+    d_final = None
+    for d in range(u + 1):
+        snapshots.append(v)
+        lo, hi = max(-d, n - m - u + d), min(d, n - m + u - d)
+        lo += (lo + d) % 2
+        prev, v = v, {}
+        for k in range(lo, hi + 1, 2):
+            if k == -d or (k != d and prev.get(k - 1, 0) < prev.get(k + 1, 0)):
+                x = prev.get(k + 1, 0)
+            else:
+                x = prev.get(k - 1, 0) + 1
+            y = x - k
+            while x < n and y < m and a[x] == b[y]:
+                x += 1
+                y += 1
+            v[k] = x
+            if x >= n and y >= m:
+                d_final = d
+                break
+        if d_final is not None:
+            break
+    assert d_final is not None
+
+    ops = []
+    x, y = n, m
+    for d in range(d_final, 0, -1):
+        vprev = snapshots[d]
+        k = x - y
+        if k == -d or (k != d and vprev.get(k - 1, 0) < vprev.get(k + 1, 0)):
+            prev_k = k + 1
+        else:
+            prev_k = k - 1
+        prev_x = vprev.get(prev_k, 0)
+        prev_y = prev_x - prev_k
+        while x > prev_x and y > prev_y:
+            x -= 1
+            y -= 1
+            ops.append(("match", off_a + x, off_b + y))
+        ops.append(("ins", off_b + prev_y) if x == prev_x else ("del", off_a + prev_x))
+        x, y = prev_x, prev_y
+    while x > 0 and y > 0:
+        x -= 1
+        y -= 1
+        ops.append(("match", off_a + x, off_b + y))
+    ops.reverse()
+    return ops
+
+
+class TestBlockedCore:
+    """_myers_core's LCS table is computed and read a block of _ROWS rows at
+    a time, over a window of columns that moves once per block: cores
+    several blocks long, cores short on one side, runs across a block's
+    edge, and the memory a large edit distance takes."""
+
+    @staticmethod
+    def _distance(runs: list) -> int:
+        return sum(length for kind, _i, _j, length in runs if kind != "match")
+
+    def test_cores_of_several_blocks_match_the_oracle(self):
+        assert traces._ROWS <= 300
+        rng = random.Random(41)
+        cases = []
+        for _ in range(6):  # trace-shaped: a loop body of distinct indices, repeated
+            body = rng.sample(range(1000), rng.randint(5, 40))
+            a = body * rng.randint(300 // len(body) + 1, 3000 // len(body))
+            cases.append((a, _edited(a, rng, rng.randint(2, 30))))
+        for _ in range(3):
+            # A loop body of 600-900 indices, too rare for a mask of their own
+            # (less than one column in 512), and a short one that is not.
+            body, inner = rng.sample(range(1000), rng.randint(600, 900)), [1001, 1002, 1003]
+            a = body * 2 + inner * 40 + body
+            cases.append((a, _edited(a, rng, rng.randint(2, 30))))
+        for _ in range(6):  # random over 2-6 symbols, edited
+            symbols = rng.randint(2, 6)
+            a = [rng.randrange(symbols) for _ in range(rng.randint(300, 3000))]
+            b = list(a)
+            for _ in range(rng.randint(2, 40)):
+                pos = rng.randint(0, len(b))
+                if rng.random() < 0.5:
+                    del b[pos:pos + rng.randint(1, 6)]
+                else:
+                    b[pos:pos] = [rng.randrange(symbols) for _ in range(rng.randint(1, 6))]
+            cases.append((a, b))
+        for _ in range(2):  # random over 2-6 symbols, unrelated
+            symbols = rng.randint(2, 6)
+            cases.append(tuple([rng.randrange(symbols) for _ in range(rng.randint(300, 400))]
+                               for _side in range(2)))
+        for _ in range(4):
+            # A stretch of edits of one kind, a long snake, then edits of the
+            # other kind: at U = D the path runs along the band's edge.
+            common = [rng.randrange(4) for _ in range(rng.randint(600, 2000))]
+            head = [rng.randrange(4, 8) for _ in range(rng.randint(5, 60))]
+            tail = [rng.randrange(4, 8) for _ in range(rng.randint(5, 60))]
+            cases.append((head + common, common + tail))
+        cases += [(b, a) for a, b in cases[::3]]  # the other side gives the rows
+        for a, b in cases:
+            if len(a) == len(b):
+                b = b[:-1]
+            expected = _oracle_myers_core(a, b, 3, 5)
+            d = sum(op[0] != "match" for op in expected)
+            for bound in (_cost_bound(a, b), d, len(a) + len(b)):
+                assert _expand(_myers_core(a, b, 3, 5, bound)) == expected
+            if d - 2 >= abs(len(a) - len(b)):  # a bound below |n - m| counts as |n - m|
+                with pytest.raises(ValueError):
+                    _myers_core(a, b, 3, 5, d - 2)
+
+    def test_banded_oracle_matches_the_oracle(self):
+        rng = random.Random(43)
+        for case in range(60):
+            symbols = rng.randint(1, 4)
+            short = [rng.randrange(symbols) for _ in range(rng.randint(0, 4))]
+            long = [rng.randrange(symbols) + (case % 3 == 0) * symbols
+                    for _ in range(rng.randint(0, 120))]
+            a, b = (short, long) if case % 2 else (long, short)
+            expected = _oracle_myers_core(a, b, 3, 5)
+            d = sum(op[0] != "match" for op in expected)
+            for u in (d, d + 2, len(a) + len(b)):
+                assert _oracle_banded_core(a, b, 3, 5, u) == expected
+
+    def test_short_sided_cores_match_the_oracle(self):
+        """One side of 0-4 records against at least 2,000: the longer side
+        gives the rows, in both orientations, and the window spans the
+        shorter side whole."""
+        rng = random.Random(47)
+        for case in range(16):
+            symbols = rng.randint(1, 4)
+            short = [rng.randrange(symbols) for _ in range(case % 5)]
+            long = [rng.randrange(symbols) + (case % 4 == 0) * symbols  # disjoint
+                    for _ in range(rng.randint(2000, 2600))]
+            a, b = (short, long) if case % 2 else (long, short)
+            runs = _myers_core(a, b, 3, 5, _cost_bound(a, b))
+            assert _expand(runs) == _oracle_banded_core(a, b, 3, 5, self._distance(runs))
+            assert _expand(_myers_core(a, b, 3, 5)) == _expand(runs)
+
+    def test_runs_across_a_block_edge(self):
+        """A trace-shaped pair whose core has an inserted block across its
+        row _ROWS, the first row of the table's second block."""
+        rng = random.Random(53)
+        body = rng.sample(range(1000), 24)
+        a = body * 40
+        cut = 100 + traces._ROWS - 6  # b[cut:cut + 12] is the core's rows 250-261
+        b = a[:100] + a[103:cut + 3] + body[3:15] + a[cut + 3:]
+        runs = _myers_ops(a, b)
+        assert _expand(runs) == _oracle_myers_ops(a, b)
+        pre = runs[0][3]
+        assert pre == 100 and len(b) > len(a)  # b gives the core's rows
+        assert any(kind == "ins" and j - pre < traces._ROWS < j - pre + length
+                   for kind, _i, j, length in runs)
+
+    def test_memory_stays_flat_at_a_large_distance(self):
+        """About 20,000 records a side at D of about 10,000: the core keeps
+        each block's first row, three blocks of rows and its masks; the
+        rounds it replaced kept about D**2 / 2 entries (about 190 MB)."""
+        rng = random.Random(31)
+        body = rng.sample(range(1000), 37)
+        a = body * (20000 // len(body))
+        b = _edited(a, rng, 2800)
+        bound = _cost_bound(a, b)
+        tracemalloc.start()
+        try:
+            runs = _myers_core(a, b, 0, 0, bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 9000 <= self._distance(runs) <= 11000
+        assert peak < 16_000_000
+
+
 class TestTraceDiff:
     def test_fixture_divergence(self):
         golden = read_trace(fixture_path("trace_golden.txt"))
