@@ -9,12 +9,13 @@ afterwards on matched pairs. trace_diff returns the alignment itself, a
 DiffReport: runs of slots and the slots where the traces differ. Records are
 built only when a caller reads a report's items; build_propagation reads the
 edit script's runs and the columns and builds none. The core (_myers_core)
-gives Myers' own script from an LCS table computed a whole row at a time in
-a few big-int operations (Allison and Dix's bit-parallel LCS), kept to the
-band of diagonals that a path within the cost of a quick alignment
-(_cost_bound), an upper bound U on the edit distance D, can cross: time
-grows with the length times U / 64 and memory stays near linear, against
-about U**2 / 4 Python-level diagonal visits for Myers' rounds.
+is kept to the band of diagonals that a path within the cost of a quick
+alignment (_cost_bound), an upper bound U on the edit distance D, can cross,
+and gives Myers' own script from whichever source costs less: Myers' rounds,
+about U**2 / 4 Python-level diagonal visits, or an LCS table computed a
+whole row at a time in a few big-int operations (Allison and Dix's
+bit-parallel LCS), whose time grows with the length whatever D is and whose
+memory stays near linear.
 
 read_trace reads a file in binary, a slice of about _SLICE bytes cut after a
 line end at a time, so beyond the columns it returns a read holds one slice
@@ -542,7 +543,7 @@ def _suffix(a: list, b: list, x: int, y: int, most: int) -> int:
 
 
 _RUN = 32  # equal records that end a step of _cost_bound's alignment
-_STEP_EDITS = 256  # edits a step may take before _cost_bound gives up
+_STEP_EDITS = 256  # edits a step of _cost_bound's alignment may take
 
 
 def _cost_bound(a: list, b: list) -> int:
@@ -555,12 +556,21 @@ def _cost_bound(a: list, b: list) -> int:
     one on the diagonal nearest the end's, and costs the round, the fewest
     edits that reach such a point. The equal records are skipped and the
     next step starts at the next mismatch. A step that needs more than
-    _STEP_EDITS edits ends the alignment with the rest of both sides
-    unmatched, so on unrelated sides U is n + m, the bound with no quick
-    alignment. On the 28 edited CG trace pairs of perfbench's trace_diff
-    seeds 1-14 (D 1,074-1,287 over 35k records) U was D to D + 12%, median
-    D + 2%, and took 2.6-5.5 ms; the first such point of a round instead of
-    the nearest gave median D + 3% (summed excess 1,150 against 880). Past
+    _STEP_EDITS edits goes on from the point furthest along that its search
+    reached (the one nearest the end's diagonal of those), at the cost of
+    its edits, while the failed steps' searches, up to (_STEP_EDITS + 1)**2
+    visits each, come to at most _ROUND_VISITS per record of the longer
+    side, about what _myers_core's table costs. So a block of 300 records
+    inserted into a 17.5k-record CG core gives U = D = 306, not 17,894, and
+    the core takes Myers' rounds (_myers_ops 11 -> 5 ms). Past that the
+    alignment ends with the rest of both sides unmatched, so on short
+    unrelated sides U is n + m, the bound with no quick alignment. A point
+    that a search reached past a side's end took edits past it that the rest
+    of the other side, left unmatched, pays back, so U stays a bound. On the
+    28 edited CG trace pairs of perfbench's trace_diff seeds 1-14 (D
+    1,074-1,287 over 35k records) U was D to D + 12%, median D + 2%, and
+    took 2.6-5.5 ms; the first such point of a round instead of the nearest
+    gave median D + 3% (summed excess 1,150 against 880). Past
     its end each side reads as a sentinel that equals nothing, so a snake
     stops there without a bounds test. No search passes either end by more
     than min(n, m), the most snake steps a path can hold, so the sides grow
@@ -573,7 +583,7 @@ def _cost_bound(a: list, b: list) -> int:
     # off its start's (Myers' V); a step clears what it wrote.
     c = _STEP_EDITS + 1
     v = [-1] * (2 * c + 1)
-    x = y = cost = 0
+    x = y = cost = failed = 0
     try:
         while True:
             while a[x:x + _RUN] == b[y:y + _RUN]:
@@ -609,7 +619,12 @@ def _cost_bound(a: list, b: list) -> int:
                 if found or (lo <= end <= hi and v[end] >= n):
                     break
             else:
-                break
+                failed += (d + 1) ** 2
+                if failed > _ROUND_VISITS * max(n, m):
+                    break
+                # go on from the point furthest along, nearest the end's diagonal
+                found = max(((kk, v[kk], v[kk] - kk + off) for kk in range(lo, hi + 1, 2)),
+                            key=lambda p: (p[1] + p[2], -abs(p[0] - end)))
             v[c - d:c + d + 1] = repeat(-1, 2 * d + 1)  # d > 0: x was a mismatch
             cost += d
             x, y = found[1:] if found else (n, m)
@@ -625,20 +640,20 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int, bound: int | None = No
 
     `bound` is an upper bound U on the edit distance D (n + m if None;
     _cost_bound gives one); a bound below D raises ValueError, one below
-    |n - m| counts as |n - m|. A forward pass computes the LCS table's cells
-    in the band of diagonals that a path of at most U edits can cross
-    (_LcsTable), which gives D. The backward pass is Myers' own backtrack
-    from (n, m). Its step from the furthest point that d edits reach on
-    diagonal k needs V(k + 1) and V(k - 1): V(k') is the largest x on k' with
-    D(x, x - k') <= d - 1, where D(x, y) = x + y - 2 * LCS(a[:x], b[:y])
-    never decreases along a diagonal. V(k') lies between the start of the
-    snake that ends at the point and the point, and a binary search on D
-    finds it. Each cell that search accepts has a path of at most d - 1
-    edits from (0, 0) inside the band, where the table is exact, and a cell
-    reads high elsewhere, so the script is the one Myers' rounds give. Time
-    is O(n * w / 64) word operations for a window of w = min(U + _ROWS,
-    min(n, m)) columns, plus O(log snake) probes per edit; memory is
-    O((n / _ROWS + _ROWS) * w) bits for rows and O(min(n, m)) for masks."""
+    |n - m| counts as |n - m|. The backtrack from (n, m) steps from the
+    furthest point that d edits reach on a diagonal k to the furthest point
+    that d - 1 edits reach on k + 1 or k - 1. Two sources give those points,
+    and the same script. Myers' rounds (_myers_rounds) make about
+    (U**2 - (n - m)**2) / 4 diagonal visits of about 0.2 us, keep four bytes
+    a visit and cost a few visits more a round. An LCS table kept to U's
+    band (_LcsTable) costs about 1-2 us per record of the longer side
+    whatever D is, in near-linear memory. So the rounds run while their
+    visits and rounds come to at most _ROUND_VISITS per record of the longer
+    side, which keeps their memory linear too: up to U of about 730 on a
+    17.5k-record CG core, where U = 58 took 1.5 ms with the rounds and 9 with
+    the table and U = 1,196 59 ms and 20, and up to about 1,680 over 90k
+    records of a 3,000-index loop body, whose indices the table handles one
+    at a time (U = 1,419: 72 ms and 149)."""
     n, m = len(a), len(b)
     if n == 0:
         return [("ins", off_a, off_b, m)] if m else []
@@ -647,25 +662,21 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int, bound: int | None = No
     # D = n + m - 2 * matches lies between |n - m| and n + m, with n - m's parity
     bound = n + m if bound is None else min(max(bound, abs(n - m)), n + m)
     bound -= (bound - n + m) % 2
-    # A path of at most U edits crosses diagonal k only if |k| + |k - (n - m)|
-    # <= U: the band, widened by one on each side.
-    table = _LcsTable(a, b, (n - m - bound) // 2 - 1, (n - m + bound) // 2 + 1)
-    dist = n + m - 2 * table.lcs(n, m)
-    if dist > bound:
-        raise ValueError(f"no script within {bound} edits")
+    # the rounds' visits in the band, and about ten visits a round
+    if (bound * bound - (n - m) ** 2) // 4 + 10 * bound <= _ROUND_VISITS * max(n, m):
+        dist, step = _myers_rounds(a, b, bound)
+    else:
+        # A path of at most U edits crosses diagonal k only if
+        # |k| + |k - (n - m)| <= U: the band, widened by one on each side.
+        table = _LcsTable(a, b, (n - m - bound) // 2 - 1, (n - m + bound) // 2 + 1)
+        dist, step = n + m - 2 * table.lcs(n, m), table.step
+        if dist > bound:
+            raise ValueError(f"no script within {bound} edits")
 
     runs = []
     x, y = n, m
     for d in range(dist, 0, -1):
-        # (x, y) is the furthest point d edits reach on diagonal k
-        k = x - y
-        s = _suffix(a, b, x, y, min(x, y))  # the snake that ends at (x, y)
-        down = -1 if k == d else table.furthest(k + 1, max(x - s, k + 1, 0), x, d - 1)
-        if k == -d or down == x:
-            prev_x, prev_k = down, k + 1
-        else:
-            right = table.furthest(k - 1, max(x - s - 1, k - 1, 0), x - 1, d - 1)
-            prev_x, prev_k = (down, k + 1) if right < down else (right, k - 1)
+        prev_x, prev_k = step(x, y, d)
         prev_y = prev_x - prev_k
         snake = min(x - prev_x, y - prev_y)
         if snake:
@@ -680,6 +691,87 @@ def _myers_core(a: list, b: list, off_a: int, off_b: int, bound: int | None = No
         runs.append(("match", off_a, off_b, x))
     runs.reverse()
     return runs
+
+
+_ROUND_VISITS = 8  # Myers' visits that cost about what the table spends on a record
+
+
+def _myers_rounds(a: list, b: list, bound: int) -> tuple:
+    """Myers' rounds for a and b within `bound` edits (U, at least |n - m|
+    and of n - m's parity): the edit distance D and the backtrack's step,
+    (x, y, d) -> (x, diagonal) of the point that d - 1 edits reach first.
+
+    Round d visits only the diagonals k with d + |k - (n - m)| <= U
+    (Ukkonen's cutoff): a path through any other diagonal needs more than U
+    edits to end at (n, m). A kept diagonal reads only diagonals k +- 1 of the
+    round before, which are kept there too, and the backtrack only points of
+    a D-edit path, which are all kept. So the script is the one that visiting
+    every diagonal gives, for any U >= D, and the rounds visit at most about
+    (U**2 - (n - m)**2) / 4 diagonals against about D**2 / 2 with no band.
+
+    Nearly every visit ends without a snake (99.5% of them on two edited
+    17.5k-record CG traces, D about 1,160), so a visit is kept to a compare
+    of the two neighbours' values, one compare of records and a store: a
+    round is one loop over its diagonals zipped with slices of the round
+    before, the edge diagonals take the same rule as the others, and a snake
+    stops at sentinels past each side's end instead of testing bounds. The
+    sides grow by up to min(n, m) + 1 sentinels each and are cut back on
+    return, so a caller's lists come back as they went in."""
+    n, m = len(a), len(b)
+    # v[off + k] is the furthest x reached on diagonal k = x - y. Round d
+    # visits the band's diagonals max(-d, n - m - bound + d), ...,
+    # min(d, n - m + bound - d) in steps of 2 and appends what it reached
+    # there to `saved`, where saved[bases[d] + k // 2] holds diagonal k, for
+    # the backtrack. A diagonal no round has reached holds -1, so at the
+    # edges k = -d and k = d the one rule picks the only move there is: down
+    # from k + 1 and right from k - 1 (and x = 0 in round 0).
+    off = bound + 1
+    v = [-1] * (2 * off + 1)
+    saved = array("i")
+    bases = array("q")
+    # Past its end each side reads as a sentinel that equals nothing, so a
+    # snake stops there without a bounds test. Round d reaches at most
+    # x = n + d and y = m + d, and no round passes either end by more than
+    # min(n, m), the most snake steps a path can hold: one more sentinel each
+    # per round up to that. The sides are cut back on the way out.
+    stop_a, stop_b = object(), object()
+    pad = min(n, m)
+    end = off + n - m
+    try:
+        for d in range(bound + 1):
+            if d <= pad:
+                a.append(stop_a)
+                b.append(stop_b)
+            lo = off + max(-d, n - m - bound + d)
+            hi = off + min(d, n - m + bound - d)
+            for kk, left, right in zip(range(lo, hi + 1, 2), v[lo - 1:hi:2],
+                                       v[lo + 1:hi + 2:2]):
+                x = right if left < right else left + 1
+                y = x - kk + off
+                while a[x] == b[y]:
+                    x += 1
+                    y += 1
+                v[kk] = x
+            # A round reaching a point with x >= n and y >= m for the first
+            # time reaches (n, m), on diagonal n - m: a snake stops there, and
+            # a move to any other such point starts from one of them.
+            if v[end] >= n:
+                break
+            bases.append(len(saved) - (lo - off) // 2)
+            saved.fromlist(v[lo:hi + 1:2])
+        else:
+            raise ValueError(f"no script within {bound} edits")
+    finally:
+        del a[n:], b[m:]
+
+    def step(x: int, y: int, d: int) -> tuple[int, int]:
+        base = bases[d - 1]  # round d - 1 reached saved[base + k // 2] on diagonal k
+        k = x - y
+        if k == -d or (k != d and saved[base + (k - 1) // 2] < saved[base + (k + 1) // 2]):
+            return saved[base + (k + 1) // 2], k + 1
+        return saved[base + (k - 1) // 2], k - 1
+
+    return d, step
 
 
 _ROWS = 256  # rows of an _LcsTable block
@@ -700,6 +792,7 @@ class _LcsTable:
     in the band."""
 
     def __init__(self, a: list, b: list, lo: int, hi: int):
+        self.a, self.b = a, b
         self.swap = len(a) < len(b)
         rows, cols = (b, a) if self.swap else (a, b)
         if self.swap:
@@ -766,6 +859,25 @@ class _LcsTable:
             return -1
         t = c - start
         return left + t - (self.block(i)[r - i * _ROWS] & ((1 << t) - 1)).bit_count()
+
+    def step(self, x: int, y: int, d: int) -> tuple[int, int]:
+        """Myers' backtrack step from (x, y), the furthest point that d edits
+        reach on diagonal k = x - y: V(k + 1) and V(k - 1), the furthest
+        points that d - 1 edits reach there, lie between the start of the
+        snake that ends at (x, y) and (x, y), and the step returns the one
+        it came from as (x, diagonal). V(k') is the largest x on k' with
+        D(x, x - k') <= d - 1, where D(x, y) = x + y - 2 * LCS(a[:x], b[:y])
+        never decreases along a diagonal, so a search on D finds it. Each
+        cell that search accepts has a path of at most d - 1 edits from
+        (0, 0) inside the band, where the table is exact, and a cell reads
+        high elsewhere, so the step is the one Myers' rounds take."""
+        k = x - y
+        s = _suffix(self.a, self.b, x, y, min(x, y))
+        down = -1 if k == d else self.furthest(k + 1, max(x - s, k + 1, 0), x, d - 1)
+        if k == -d or down == x:
+            return down, k + 1
+        right = self.furthest(k - 1, max(x - s - 1, k - 1, 0), x - 1, d - 1)
+        return (down, k + 1) if right < down else (right, k - 1)
 
     def furthest(self, k: int, lo: int, hi: int, d: int) -> int:
         """The largest x in lo..hi with D(x, x - k) <= d, or -1 if none. D

@@ -657,6 +657,18 @@ def _edited(records: list, rng: random.Random, edits: int) -> list:
     return out
 
 
+def _lcs_length(a: list, b: list) -> int:
+    """LCS length by Hyyro's bit-parallel rows, apart from lcfi's code."""
+    masks: dict = {}
+    for j, s in enumerate(b):
+        masks[s] = masks.get(s, 0) | 1 << j
+    v = full = (1 << len(b)) - 1
+    for s in a:
+        u = v & masks.get(s, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
+
+
 class TestMyersAlignment:
     def _check(self, a, b):
         ops = _expand(_myers_ops(a, b))
@@ -943,17 +955,33 @@ def _oracle_banded_core(a: list, b: list, off_a: int, off_b: int, u: int) -> lis
     return ops
 
 
+@pytest.fixture(params=["rounds", "table"])
+def core_source(request, monkeypatch):
+    """_myers_core with its points taken from Myers' rounds, or from the LCS
+    table, whatever their costs."""
+    monkeypatch.setattr(traces, "_ROUND_VISITS", 10**15 if request.param == "rounds" else -10**15)
+    return request.param
+
+
 class TestBlockedCore:
-    """_myers_core's LCS table is computed and read a block of _ROWS rows at
-    a time, over a window of columns that moves once per block: cores
-    several blocks long, cores short on one side, runs across a block's
-    edge, and the memory a large edit distance takes."""
+    """_myers_core's two sources of points give the same scripts: Myers'
+    rounds, and the LCS table computed and read a block of _ROWS rows at a
+    time over a window of columns that moves once per block. Cores several
+    blocks long, cores short on one side, runs across a block's edge, which
+    source a core's cost picks, and the memory a large edit distance takes."""
 
     @staticmethod
     def _distance(runs: list) -> int:
         return sum(length for kind, _i, _j, length in runs if kind != "match")
 
-    def test_cores_of_several_blocks_match_the_oracle(self):
+    def test_small_cores_match_the_oracle(self, core_source):
+        for a, b in TestBandedCore._cases():
+            expected = _oracle_myers_core(a, b, 3, 5)
+            d = sum(op[0] != "match" for op in expected)
+            for bound in (d, d + 2, _cost_bound(a, b), None):
+                assert _expand(_myers_core(a, b, 3, 5, bound)) == expected
+
+    def test_cores_of_several_blocks_match_the_oracle(self, core_source):
         assert traces._ROWS <= 300
         rng = random.Random(41)
         cases = []
@@ -1014,7 +1042,7 @@ class TestBlockedCore:
             for u in (d, d + 2, len(a) + len(b)):
                 assert _oracle_banded_core(a, b, 3, 5, u) == expected
 
-    def test_short_sided_cores_match_the_oracle(self):
+    def test_short_sided_cores_match_the_oracle(self, core_source):
         """One side of 0-4 records against at least 2,000: the longer side
         gives the rows, in both orientations, and the window spans the
         shorter side whole."""
@@ -1029,7 +1057,7 @@ class TestBlockedCore:
             assert _expand(runs) == _oracle_banded_core(a, b, 3, 5, self._distance(runs))
             assert _expand(_myers_core(a, b, 3, 5)) == _expand(runs)
 
-    def test_runs_across_a_block_edge(self):
+    def test_runs_across_a_block_edge(self, core_source):
         """A trace-shaped pair whose core has an inserted block across its
         row _ROWS, the first row of the table's second block."""
         rng = random.Random(53)
@@ -1043,6 +1071,62 @@ class TestBlockedCore:
         assert pre == 100 and len(b) > len(a)  # b gives the core's rows
         assert any(kind == "ins" and j - pre < traces._ROWS < j - pre + length
                    for kind, _i, j, length in runs)
+
+    def test_the_cheaper_source_is_taken(self, monkeypatch):
+        """The rounds for a long core with a small U, whose U**2 / 4 visits
+        cost less than the table's rows; the table for a large U, and for a
+        core short on one side, where each of the rounds costs more than its
+        few visits."""
+        calls = []
+
+        def rounds(a, b, bound):
+            calls.append(bound)
+            return _myers_rounds(a, b, bound)
+
+        _myers_rounds = traces._myers_rounds
+        monkeypatch.setattr(traces, "_myers_rounds", rounds)
+        rng = random.Random(59)
+        body = rng.sample(range(1000), 37)
+        a = body * 300
+        for core_a, core_b, source in ((a, _edited(a, rng, 6), "rounds"),
+                                       (a, _edited(a, rng, 400), "table"),
+                                       (a[:5000], [1001, 1002], "table"),
+                                       ([1001, 1002], a[:5000], "table")):
+            calls.clear()
+            runs = _myers_core(core_a, core_b, 0, 0, _cost_bound(core_a, core_b))
+            assert ("rounds" if calls else "table") == source
+            assert _expand(runs) == _oracle_banded_core(core_a, core_b, 0, 0, self._distance(runs))
+
+    def test_cost_bound_goes_on_past_a_long_insertion(self):
+        """A step that finds no run of equal records within _STEP_EDITS
+        edits goes on from the furthest point it reached while the failed
+        steps cost less than the table would, so U stays D there, where
+        giving up would leave the rest of both sides unmatched."""
+        rng = random.Random(61)
+        body = rng.sample(range(1000), 24)
+        a = body * 600
+        b = a[:7000] + list(range(2000, 2400)) + a[7000:10000] + a[10003:]
+        assert traces._STEP_EDITS < 400
+        d = sum(op[0] != "match" for op in _oracle_myers_ops(a, b))
+        assert d == 403
+        assert _cost_bound(a, b) == d
+        assert _expand(_myers_ops(a, b)) == _oracle_myers_ops(a, b)
+
+    def test_cost_bound_stays_a_bound_when_every_failed_step_goes_on(self, monkeypatch):
+        """With no limit on failed steps, each goes on from its furthest
+        point, on unrelated and short sides too, where that point can lie
+        past a side's end: reached only by deletions or insertions past the
+        end, which the rest of the other side, left unmatched, pays back."""
+        monkeypatch.setattr(traces, "_ROUND_VISITS", 10**15)
+        rng = random.Random(67)
+        for _ in range(150):
+            symbols = rng.randint(2, 8)
+            a = [rng.randrange(symbols) for _ in range(rng.randint(1, 700))]
+            b = [rng.randrange(symbols) + rng.choice((0, symbols))
+                 for _ in range(rng.choice((rng.randint(1, 10), rng.randint(1, 700))))]
+            for x, y in ((a, b), (b, a)):
+                d = len(x) + len(y) - 2 * _lcs_length(x, y)
+                assert d <= _cost_bound(x, y) <= len(x) + len(y)
 
     def test_memory_stays_flat_at_a_large_distance(self):
         """About 20,000 records a side at D of about 10,000: the core keeps
