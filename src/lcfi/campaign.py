@@ -22,13 +22,12 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-import yaml
-
 from .ir.nodes import IrModule
 from .ir.parser import parse_module, ParseError
 from .ir.validate import validate
-from .instrument import (InjectionPlan, assign_indices, build_plan,
-                         emit_artifacts, load_input_config, InstrumentError)
+from .instrument import (InjectionPlan, InputConfig, assign_indices, as_text,
+                         build_plan, emit_artifacts, integer, load_input_config,
+                         load_yaml, positive_int, unknown_keys, InstrumentError)
 from .faults import FaultSpec, make_sampler, FaultError, mix64
 from .vm.machine import (DEFAULT_BUDGET, IoConfig, Machine, RunOutcome, Snapshot,
                          prefix_snapshot)
@@ -101,41 +100,32 @@ def warn(source: str, warnings: list[str]) -> None:
         print(f"{source}: warning: {w}", file=sys.stderr)
 
 
-def _unknown_keys(block: dict, known: tuple[str, ...], prefix: str = "") -> list[str]:
-    return [f"unknown key {prefix + str(k)!r} ignored" for k in block if k not in known]
-
-
-def positive_int(value, what: str) -> int:
-    """`value` if it is an int >= 1 (bools excluded), else a ConfigError."""
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-             f"{what} must be a positive integer")
-    return value
-
-
 def parse_campaign_config(data, base_dir: str = ".",
                           source: str = "<config>") -> CampaignConfig:
     _require(isinstance(data, dict), f"{source}: top level must be a mapping")
     _require("program" in data, f"{source}: program is required")
     _require("input" in data, f"{source}: input is required")
 
-    def resolve(p: str) -> str:
+    def text(value, key: str) -> str:
+        return as_text(value, f"{source}: {key}", ConfigError)
+
+    def resolve(value, key: str) -> str:
+        p = text(value, key)
         return p if os.path.isabs(p) else os.path.join(base_dir, p)
 
-    cfg = CampaignConfig(program=resolve(str(data["program"])),
-                         input=resolve(str(data["input"])))
-    cfg.warnings += _unknown_keys(data, ("program", "input", "runs", "seed", "budget",
-                                         "jobs", "output_dir", "report_formats", "io",
-                                         "compare", "metrics"))
+    cfg = CampaignConfig(program=resolve(data["program"], "program"),
+                         input=resolve(data["input"], "input"))
+    cfg.warnings += unknown_keys(data, ("program", "input", "runs", "seed", "budget",
+                                        "jobs", "output_dir", "report_formats", "io",
+                                        "compare", "metrics"))
 
     for key in ("runs", "budget", "jobs"):
         if key in data:
-            setattr(cfg, key, positive_int(data[key], f"{source}: {key}"))
+            setattr(cfg, key, positive_int(data[key], f"{source}: {key}", ConfigError))
     if "seed" in data:
-        _require(isinstance(data["seed"], int) and not isinstance(data["seed"], bool),
-                 f"{source}: seed must be an integer")
-        cfg.seed = data["seed"]
+        cfg.seed = integer(data["seed"], f"{source}: seed", ConfigError)
     if "output_dir" in data:
-        cfg.output_dir = resolve(str(data["output_dir"]))
+        cfg.output_dir = resolve(data["output_dir"], "output_dir")
     if "report_formats" in data:
         fmts = data["report_formats"]
         _require(isinstance(fmts, list) and fmts, f"{source}: report_formats must be a list")
@@ -146,27 +136,25 @@ def parse_campaign_config(data, base_dir: str = ".",
 
     io_block = data.get("io", {})
     _require(isinstance(io_block, dict), f"{source}: io must be a mapping")
-    cfg.warnings += _unknown_keys(io_block, ("stdin", "workdir", "files"), "io.")
+    cfg.warnings += unknown_keys(io_block, ("stdin", "workdir", "files"), "io.")
     if "stdin" in io_block:
-        cfg.stdin_text = str(io_block["stdin"])
+        cfg.stdin_text = text(io_block["stdin"], "io.stdin")
     if "workdir" in io_block:
-        cfg.workdir = resolve(str(io_block["workdir"]))
+        cfg.workdir = resolve(io_block["workdir"], "io.workdir")
     files = io_block.get("files", {})
     _require(isinstance(files, dict), f"{source}: io.files must be a mapping")
     for name, val in files.items():
+        entry = f"io.files[{name!r}]"
         if isinstance(val, dict):
-            _require("from" in val, f"{source}: io.files[{name!r}] needs a 'from' path")
-            try:
-                with open(resolve(str(val["from"])), encoding="utf-8") as fh:
-                    cfg.files[str(name)] = fh.read()
-            except OSError as e:
-                raise ConfigError(f"{source}: io.files[{name!r}]: {e}") from e
+            _require("from" in val, f"{source}: {entry} needs a 'from' path")
+            cfg.files[str(name)] = read_text(resolve(val["from"], f"{entry}.from"),
+                                             f"{source}: {entry}")
         else:
-            cfg.files[str(name)] = str(val)
+            cfg.files[str(name)] = text(val, entry)
 
     cmp_block = data.get("compare", {})
     _require(isinstance(cmp_block, dict), f"{source}: compare must be a mapping")
-    cfg.warnings += _unknown_keys(cmp_block, ("mode", "rel_tol", "abs_tol"), "compare.")
+    cfg.warnings += unknown_keys(cmp_block, ("mode", "rel_tol", "abs_tol"), "compare.")
     mode = cmp_block.get("mode", "exact")
     _require(mode in ("exact", "numeric", "none"),
              f"{source}: compare.mode must be exact, numeric, or none")
@@ -185,12 +173,12 @@ def parse_campaign_config(data, base_dir: str = ".",
     _require(metrics is None or isinstance(metrics, list), f"{source}: metrics must be a list")
     for i, m in enumerate(metrics or []):
         _require(isinstance(m, dict), f"{source}: metrics[{i}] must be a mapping")
-        cfg.warnings += _unknown_keys(m, ("name", "pattern", "source", "transform"),
-                                      f"metrics[{i}].")
+        cfg.warnings += unknown_keys(m, ("name", "pattern", "source", "transform"),
+                                     f"metrics[{i}].")
         _require("name" in m and "pattern" in m,
                  f"{source}: metrics[{i}] needs name and pattern")
         try:
-            pat = re.compile(m["pattern"])
+            pat = re.compile(text(m["pattern"], f"metrics[{i}].pattern"))
         except re.error as e:
             raise ConfigError(f"{source}: metrics[{i}].pattern: {e}") from e
         _require(pat.groups == 1,
@@ -201,20 +189,15 @@ def parse_campaign_config(data, base_dir: str = ".",
         metric_source = m.get("source", "stdout")
         _require(metric_source in ("stdout", "golden"),
                  f"{source}: metrics[{i}].source must be stdout or golden")
-        cfg.metrics.append(MetricSpec(str(m["name"]), pat, metric_source, transform))
+        cfg.metrics.append(MetricSpec(text(m["name"], f"metrics[{i}].name"), pat,
+                                      metric_source, transform))
 
     return cfg
 
 
 def load_campaign_config(path: str) -> CampaignConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read {path}: {e}") from e
-    except yaml.YAMLError as e:
-        raise ConfigError(f"{path}: {e}") from e
-    return parse_campaign_config(data, base_dir=os.path.dirname(os.path.abspath(path)),
+    return parse_campaign_config(load_yaml(path, ConfigError),
+                                 base_dir=os.path.dirname(os.path.abspath(path)),
                                  source=path)
 
 
@@ -316,21 +299,47 @@ class RunContext:
     start: Snapshot | None  # where every run starts; None: from scratch
 
 
+def read_text(path: str, what: str) -> str:
+    """A program's or a virtual file's text; a ConfigError starts with `what`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise ConfigError(f"{what}: {e}") from e
+
+
 def load_program(path: str) -> IrModule:
     """Read, parse and validate a program; a ConfigError names every problem."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read program: {e}") from e
-    try:
-        module = parse_module(text, source_name=os.path.basename(path))
+        module = parse_module(read_text(path, "cannot read program"),
+                              source_name=os.path.basename(path))
     except ParseError as e:
         raise ConfigError(f"{path}: {e}") from e
     problems = validate(module)
     if problems:
         raise ConfigError(f"{path}: " + "; ".join(str(p) for p in problems))
     return module
+
+
+def load_indexed(path: str) -> IrModule:
+    """`load_program` with its warnings on stderr, then indexed."""
+    module = load_program(path)
+    warn(path, module.warnings)
+    return assign_indices(module)
+
+
+def load_plan(path: str, module: IrModule) -> tuple[InputConfig, InjectionPlan, FaultSpec]:
+    """The injection config at `path`, its plan on an indexed module and its
+    fault spec; their warnings go to stderr, their errors are ConfigErrors."""
+    try:
+        input_cfg = load_input_config(path)
+        warn(path, input_cfg.warnings)
+        plan = build_plan(module, input_cfg)
+        spec = input_cfg.fault_spec(base_dir=os.path.dirname(os.path.abspath(path)))
+        warn(path, spec.warnings)
+    except (InstrumentError, FaultError) as e:
+        raise ConfigError(str(e)) from e
+    return input_cfg, plan, spec
 
 
 def _collect_metrics(text: str, specs: list[MetricSpec], source: str,
@@ -418,18 +427,8 @@ def _pool_run(run_index: int) -> RunResult:
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Execute a full campaign and write the artifact tree. The program's
     and the injection config's warnings go to stderr."""
-    module = load_program(cfg.program)
-    warn(cfg.program, module.warnings)
-    indexed = assign_indices(module)
-    try:
-        input_cfg = load_input_config(cfg.input)
-        warn(cfg.input, input_cfg.warnings)
-        plan = build_plan(indexed, input_cfg)
-        fault_spec = input_cfg.fault_spec(base_dir=os.path.dirname(
-            os.path.abspath(cfg.input)))
-        warn(cfg.input, fault_spec.warnings)
-    except (InstrumentError, FaultError) as e:
-        raise ConfigError(str(e)) from e
+    indexed = load_indexed(cfg.program)
+    input_cfg, plan, fault_spec = load_plan(cfg.input, indexed)
 
     out = cfg.output_dir
     baseline_dir = os.path.join(out, "llfi", "baseline")

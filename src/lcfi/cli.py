@@ -11,67 +11,42 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .traces import (TraceFormatError, IndexMismatch, read_trace, trace_diff,
                      trace_union, build_propagation, trace_to_dot, write_trace)
-
-if TYPE_CHECKING:
-    from .vm.machine import IoConfig
 
 # Each command imports the modules it runs, so `trace diff` and `trace union`
 # load only lcfi.traces (no numpy, yaml, IR or interpreter).
 
 
-def _load_indexed(path: str):
-    from .campaign import load_program, warn
-    from .instrument import assign_indices
-    module = load_program(path)
-    warn(path, module.warnings)
-    return assign_indices(module)
-
-
-def _io_from_args(args) -> IoConfig:
-    from .campaign import ConfigError
-    from .vm.machine import IoConfig
+def _run(args, module, **faults):
+    """Run the program with tracing on, as --stdin, --file and --budget set it;
+    its stdout goes to ours and its trace to --trace-out."""
+    from .campaign import ConfigError, read_text
+    from .instrument import positive_int
+    from .vm.machine import DEFAULT_BUDGET, IoConfig, Machine
     files = {}
-    for item in getattr(args, "file", None) or []:
+    for item in args.file or []:
         if "=" not in item:
             raise ConfigError(f"--file expects name=path, got {item!r}")
         name, path = item.split("=", 1)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                files[name] = fh.read()
-        except OSError as e:
-            raise ConfigError(str(e)) from e
-    workdir = os.path.dirname(os.path.abspath(args.program))
-    return IoConfig(stdin_text=getattr(args, "stdin", "") or "", files=files,
-                    workdir=workdir)
-
-
-def _load_plan(args, module):
-    """The --input config, its plan and its fault spec; warnings go to stderr."""
-    from .campaign import warn
-    from .instrument import build_plan, load_input_config
-    input_cfg = load_input_config(args.input)
-    warn(args.input, input_cfg.warnings)
-    plan = build_plan(module, input_cfg)
-    spec = input_cfg.fault_spec(base_dir=os.path.dirname(os.path.abspath(args.input)))
-    warn(args.input, spec.warnings)
-    return input_cfg, plan, spec
-
-
-def _budget(args) -> int:
-    """--budget, or the default budget when it is not given."""
-    from .campaign import positive_int
-    from .vm.machine import DEFAULT_BUDGET
-    return DEFAULT_BUDGET if args.budget is None else positive_int(args.budget, "--budget")
+        files[name] = read_text(path, f"--file {item}")
+    io = IoConfig(stdin_text=args.stdin or "", files=files,
+                  workdir=os.path.dirname(os.path.abspath(args.program)))
+    budget = (DEFAULT_BUDGET if args.budget is None
+              else positive_int(args.budget, "--budget", ConfigError))
+    outcome = Machine(module, io=io, budget=budget, trace=True, **faults).run()
+    sys.stdout.write(outcome.stdout)
+    if args.trace_out:
+        write_trace(outcome.trace, args.trace_out)
+    return outcome
 
 
 def _cmd_instrument(args) -> int:
+    from .campaign import load_indexed, load_plan
     from .instrument import emit_artifacts
-    module = _load_indexed(args.program)
-    input_cfg, plan, _spec = _load_plan(args, module)
+    module = load_indexed(args.program)
+    input_cfg, plan, _spec = load_plan(args.input, module)
     paths = emit_artifacts(module, args.program, out_dir=args.out or "",
                            plan=plan, config=input_cfg)
     print(f"targets: {sorted(plan.target_indices())} "
@@ -82,13 +57,8 @@ def _cmd_instrument(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .vm.machine import Machine
-    module = _load_indexed(args.program)
-    machine = Machine(module, io=_io_from_args(args), budget=_budget(args), trace=True)
-    outcome = machine.run()
-    sys.stdout.write(outcome.stdout)
-    if args.trace_out:
-        write_trace(outcome.trace, args.trace_out)
+    from .campaign import load_indexed
+    outcome = _run(args, load_indexed(args.program))
     if outcome.status != "ok":
         detail = outcome.trap.kind if outcome.trap else outcome.status
         print(f"run did not complete: {detail}", file=sys.stderr)
@@ -99,17 +69,12 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    from .campaign import load_indexed, load_plan
     from .faults import make_sampler
-    from .vm.machine import Machine
-    module = _load_indexed(args.program)
-    input_cfg, plan, spec = _load_plan(args, module)
+    module = load_indexed(args.program)
+    input_cfg, plan, spec = load_plan(args.input, module)
     seed = args.seed if args.seed is not None else input_cfg.seed
-    machine = Machine(module, io=_io_from_args(args), budget=_budget(args),
-                      trace=True, plan=plan, sampler=make_sampler(spec, seed))
-    outcome = machine.run()
-    sys.stdout.write(outcome.stdout)
-    if args.trace_out:
-        write_trace(outcome.trace, args.trace_out)
+    outcome = _run(args, module, plan=plan, sampler=make_sampler(spec, seed))
     status = outcome.status
     if outcome.trap is not None:
         status += f" ({outcome.trap.kind})"
@@ -119,12 +84,13 @@ def _cmd_inject(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    from .campaign import (OUTCOMES, load_campaign_config, positive_int,
-                           run_campaign, warn)
+    from .campaign import (OUTCOMES, ConfigError, load_campaign_config, run_campaign,
+                           warn)
+    from .instrument import positive_int
     cfg = load_campaign_config(args.config)
     warn(args.config, cfg.warnings)
     if args.jobs is not None:
-        cfg.jobs = positive_int(args.jobs, "--jobs")
+        cfg.jobs = positive_int(args.jobs, "--jobs", ConfigError)
     result = run_campaign(cfg)
     print(f"{len(result.runs)} runs -> " + "  ".join(
         f"{k}: {result.counts.get(k, 0)}" for k in OUTCOMES))
@@ -165,8 +131,9 @@ def _cmd_trace_union(args) -> int:
 
 
 def _cmd_trace_dot(args) -> int:
+    from .campaign import load_indexed
     from .ir.defuse import build_def_use
-    module = _load_indexed(args.program)
+    module = load_indexed(args.program)
     graph = build_def_use(module)
     golden = read_trace(args.golden)
     faulty = read_trace(args.faulty)

@@ -115,9 +115,46 @@ class InputConfig:
         return parse_fault_type(self.fi_type, base_dir=base_dir)
 
 
-_KNOWN_TOP = {"fi_type", "variable_num", "loop_num", "loop_mode", "seed", "option"}
-_KNOWN_OPT = {"function_name", "variable_name", "variable_location",
-              "in_arr", "in_loop", "variable_init"}
+_KNOWN_TOP = ("fi_type", "variable_num", "loop_num", "loop_mode", "seed", "option")
+_KNOWN_OPT = ("function_name", "variable_name", "variable_location",
+              "in_arr", "in_loop", "variable_init")
+
+
+# The YAML reader and value checks of both config files, the injection config
+# here and the campaign config; each raises its file's own error class.
+
+def load_yaml(path: str, error: type[Exception]):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return yaml.safe_load(fh)
+    except OSError as e:
+        raise error(f"cannot read {path}: {e}") from e
+    except yaml.YAMLError as e:
+        raise error(f"{path}: {e}") from e
+
+
+def unknown_keys(block: dict, known: tuple[str, ...], prefix: str = "") -> list[str]:
+    return [f"unknown key {prefix + str(k)!r} ignored" for k in block if k not in known]
+
+
+def positive_int(value, what: str, error: type[Exception]) -> int:
+    """`value` if it is an int >= 1 (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise error(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def integer(value, what: str, error: type[Exception]) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer")
+    return value
+
+
+def as_text(value, what: str, error: type[Exception]) -> str:
+    """`value` as text, a number as str() gives it; a null is an error."""
+    if value is None:
+        raise error(f"{what} must not be null")
+    return str(value)
 
 
 def _as_bool(v, key: str) -> bool:
@@ -128,28 +165,15 @@ def _as_bool(v, key: str) -> bool:
     raise TargetConfigError(f"{key} must be a boolean, got {v!r}")
 
 
-def _as_pos_int(v, key: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise TargetConfigError(f"{key} must be a positive integer, got {v!r}")
-    return v
-
-
 def load_input_config(path: str) -> InputConfig:
     """Load and validate the injection YAML. Unknown keys warn, they never fail."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
-    except OSError as e:
-        raise TargetConfigError(f"cannot read {path}: {e}") from e
-    except yaml.YAMLError as e:
-        raise TargetConfigError(f"{path}: {e}") from e
-    return parse_input_config(data, source=path)
+    return parse_input_config(load_yaml(path, TargetConfigError), source=path)
 
 
 def parse_input_config(data, source: str = "<config>") -> InputConfig:
     if not isinstance(data, dict):
         raise TargetConfigError(f"{source}: top level must be a mapping")
-    warnings = [f"unknown key {k!r} ignored" for k in data if k not in _KNOWN_TOP]
+    warnings = unknown_keys(data, _KNOWN_TOP)
 
     if "fi_type" not in data:
         raise TargetConfigError(f"{source}: fi_type is required")
@@ -162,44 +186,45 @@ def parse_input_config(data, source: str = "<config>") -> InputConfig:
         raise TargetConfigError(f"{source}: option must be a non-empty list")
     options = []
     for i, opt in enumerate(raw_opts):
+        where = f"option[{i}]"
         if not isinstance(opt, dict):
-            raise TargetConfigError(f"{source}: option[{i}] must be a mapping")
-        warnings += [f"unknown option key {k!r} ignored" for k in opt if k not in _KNOWN_OPT]
+            raise TargetConfigError(f"{source}: {where} must be a mapping")
+        warnings += unknown_keys(opt, _KNOWN_OPT, f"{where}.")
         if "function_name" not in opt or "variable_name" not in opt:
             raise TargetConfigError(
-                f"{source}: option[{i}] needs function_name and variable_name")
+                f"{source}: {where} needs function_name and variable_name")
         options.append(TargetSpec(
-            function_name=str(opt["function_name"]),
-            variable_name=str(opt["variable_name"]).lstrip("%"),
-            variable_location=_as_pos_int(opt.get("variable_location", 1),
-                                          "variable_location"),
+            function_name=as_text(opt["function_name"],
+                                  f"{source}: {where}.function_name", TargetConfigError),
+            variable_name=as_text(opt["variable_name"], f"{source}: {where}.variable_name",
+                                  TargetConfigError).lstrip("%"),
+            variable_location=positive_int(opt.get("variable_location", 1),
+                                           "variable_location", TargetConfigError),
             in_arr=_as_bool(opt.get("in_arr", False), "in_arr"),
             in_loop=_as_bool(opt.get("in_loop", False), "in_loop"),
             variable_init=_as_bool(opt.get("variable_init", False), "variable_init"),
         ))
 
     if "variable_num" in data:
-        n = _as_pos_int(data["variable_num"], "variable_num")
+        n = positive_int(data["variable_num"], "variable_num", TargetConfigError)
         if n != len(options):
             raise TargetConfigError(
                 f"{source}: variable_num is {n} but option lists {len(options)} entries")
 
     loop_raw = data.get("loop_num", 1)
     if isinstance(loop_raw, list):
-        loop_num = tuple(sorted({_as_pos_int(x, "loop_num") for x in loop_raw}))
+        loop_num = tuple(sorted({positive_int(x, "loop_num", TargetConfigError)
+                                 for x in loop_raw}))
         if not loop_num:
             raise TargetConfigError(f"{source}: loop_num list is empty")
     else:
-        loop_num = (_as_pos_int(loop_raw, "loop_num"),)
+        loop_num = (positive_int(loop_raw, "loop_num", TargetConfigError),)
 
     loop_mode = data.get("loop_mode", "invocation")
     if loop_mode not in ("nth_execution", "loop_iteration", "invocation"):
         raise TargetConfigError(f"{source}: unknown loop_mode {loop_mode!r}")
 
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise TargetConfigError(f"{source}: seed must be an integer")
-
+    seed = integer(data.get("seed", 0), f"{source}: seed", TargetConfigError)
     return InputConfig(fi_type=fi_type, options=options, loop_num=loop_num,
                        loop_mode=loop_mode, seed=seed, warnings=warnings)
 

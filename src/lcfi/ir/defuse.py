@@ -23,11 +23,21 @@ class UseGraph:
     edges: frozenset[tuple[int, int]]
     opcode_of: dict[int, str] = field(compare=False, default_factory=dict)
 
+    def __post_init__(self):
+        # Each index's consumers and producers in ascending order, built once.
+        succ: dict[int, list[int]] = {}
+        pred: dict[int, list[int]] = {}
+        for p, c in sorted(self.edges):
+            succ.setdefault(p, []).append(c)
+            pred.setdefault(c, []).append(p)
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
+
     def successors(self, index: int) -> list[int]:
-        return sorted(c for p, c in self.edges if p == index)
+        return list(self._succ.get(index, ()))
 
     def predecessors(self, index: int) -> list[int]:
-        return sorted(p for p, c in self.edges if c == index)
+        return list(self._pred.get(index, ()))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

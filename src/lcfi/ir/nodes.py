@@ -97,12 +97,7 @@ class IrType:
         if self.kind == "array":
             return self.count * self.elem.byte_width()
         if self.kind == "struct":
-            size = 0
-            for f in self.fields:
-                a = f.alignment()
-                size = (size + a - 1) // a * a + f.byte_width()
-            a = self.alignment()
-            return (size + a - 1) // a * a
+            return self._layout()[1]
         raise ValueError(f"type {self.render()} has no byte width")
 
     def alignment(self) -> int:
@@ -113,15 +108,17 @@ class IrType:
         return self.byte_width()
 
     def field_offset(self, index: int) -> int:
-        assert self.kind == "struct"
-        off = 0
-        for i, f in enumerate(self.fields):
+        return self._layout()[0][index]
+
+    def _layout(self) -> tuple[list[int], int]:
+        """A struct's field offsets and its size, padded to its alignment."""
+        offsets, end = [], 0
+        for f in self.fields:
             a = f.alignment()
-            off = (off + a - 1) // a * a
-            if i == index:
-                return off
-            off += f.byte_width()
-        raise IndexError(index)
+            offsets.append((end + a - 1) // a * a)
+            end = offsets[-1] + f.byte_width()
+        a = self.alignment()
+        return offsets, (end + a - 1) // a * a
 
     def render(self) -> str:
         if self.kind in _KEYWORDS:
@@ -352,17 +349,19 @@ class IrModule:
                     yield f, b, ins
 
 
-def gep_layout(source: IrType, indices) -> tuple[int, list]:
+def gep_layout(source: IrType, indices) -> tuple[int, list, IrType]:
     """A getelementptr's address as base + offset + sum of index * stride:
-    the constant offset, and (index operand, stride) for each index that is
-    not an integer constant. ValueError when the path steps through a scalar
-    or a struct field index is not a constant field number."""
-    offset, terms, t = 0, [], None
+    the constant offset, (index operand, stride) for each index that is not
+    an integer constant, and the type the result points to. ValueError when
+    the path steps through a scalar or a struct field index is not a
+    constant field number."""
+    offset, terms, t = 0, [], source
     for pos, v in enumerate(indices):
         if pos == 0:
-            stride, nxt = source.byte_width(), source
+            stride = source.byte_width()
         elif t.kind == "array":
-            stride, nxt = t.elem.byte_width(), t.elem
+            t = t.elem
+            stride = t.byte_width()
         elif t.kind == "struct":
             if v.kind != "int":
                 raise ValueError("getelementptr struct field index is not a constant")
@@ -378,5 +377,4 @@ def gep_layout(source: IrType, indices) -> tuple[int, list]:
             offset += v.ival * stride
         else:
             terms.append((v, stride))
-        t = nxt
-    return offset, terms
+    return offset, terms, t

@@ -19,7 +19,7 @@ from .nodes import (
     FCMP_PREDICATES, ICMP_PREDICATES, OPCODES, TYPE_NAMES,
     BasicBlock, FnDecl, GlobalDef, GlobalInit, Instruction, IrFunction,
     IrModule, IrType, ValueRef,
-    array_of, floatc, gepc, glob, intc, nullc, ptr_to, reg,
+    array_of, floatc, gep_layout, gepc, glob, intc, nullc, ptr_to, reg,
 )
 
 
@@ -589,25 +589,13 @@ class _ModuleParser:
             inbounds = cur.accept("inbounds")
             source, base = self._pointer_operand(cur, opcode)
             operands = [base]
-            elem = source
-            first = True
             while cur.peek_text() == "," and not self._align_follows(cur):
                 cur.expect(",")
-                idx = self._typed_value(cur)
-                operands.append(idx)
-                if first:
-                    first = False
-                    continue
-                if elem.kind == "array":
-                    elem = elem.elem
-                elif elem.kind == "struct":
-                    if idx.kind != "int":
-                        raise cur.error("struct index must be a constant")
-                    if not 0 <= idx.ival < len(elem.fields):
-                        raise cur.error(f"struct index {idx.ival} out of range")
-                    elem = elem.fields[idx.ival]
-                else:
-                    raise cur.error("getelementptr steps through a non-aggregate")
+                operands.append(self._typed_value(cur))
+            try:
+                _offset, _terms, elem = gep_layout(source, operands[1:])
+            except ValueError as e:
+                raise cur.error(str(e)) from e
             return Instruction(opcode, result, ptr_to(elem), operands,
                                aux_type=source, inbounds=inbounds)
 

@@ -193,7 +193,7 @@ def _constant_problems(v: ValueRef) -> list[str]:
         return []
     problems = _constant_problems(v.base)
     try:
-        _offset, terms = gep_layout(v.gep_source, v.indices)
+        _offset, terms, _t = gep_layout(v.gep_source, v.indices)
     except ValueError as e:
         problems.append(str(e))
     else:

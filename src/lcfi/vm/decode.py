@@ -208,7 +208,7 @@ def _alloca(ins, d, arg):
 
 
 def _gep(ins, d, arg):
-    off, terms = gep_layout(ins.aux_type, ins.operands[1:])
+    off, terms, _t = gep_layout(ins.aux_type, ins.operands[1:])
     parts = [arg(ins.operands[0]), *([str(off)] if off else []),
              *(f"{arg(v)} * {stride}" for v, stride in terms)]
     return [f"r[{d}] = {' + '.join(parts)}"]
@@ -445,7 +445,7 @@ class DecodedModule:
                 self.arena.store(addr, "ptr", _HANDLES[v.name])
             return self.globals[v.name]
         if v.kind == "gep":
-            offset, _terms = gep_layout(v.gep_source, v.indices)
+            offset, _terms, _t = gep_layout(v.gep_source, v.indices)
             return self._const(v.base) + offset
         return v.ival if v.kind == "int" else v.fval if v.kind == "float" else 0
 

@@ -105,6 +105,14 @@ class TestConfigParsing:
         ({"metrics": {}}, "<config>: metrics must be a list"),
         ({"report_formats": ["txt", "txt"]}, "<config>: report format 'txt' given twice"),
         ({"report_formats": ["csv", "json", "csv"]}, "report format 'csv' given twice"),
+        ({"io": {"stdin": None}}, "<config>: io.stdin must not be null"),
+        ({"io": {"workdir": None}}, "<config>: io.workdir must not be null"),
+        ({"io": {"files": {"in.txt": None}}}, "io.files['in.txt'] must not be null"),
+        ({"io": {"files": {"in.txt": {"from": None}}}},
+         "io.files['in.txt'].from must not be null"),
+        ({"metrics": [{"name": None, "pattern": "(x)"}]}, "metrics[0].name must not be null"),
+        ({"metrics": [{"name": "m", "pattern": None}]},
+         "metrics[0].pattern must not be null"),
     ])
     def test_rejected_configs(self, mutate, fragment):
         data = self._minimal()
@@ -115,6 +123,15 @@ class TestConfigParsing:
                 data[k] = v
         with pytest.raises(ConfigError, match=re.escape(fragment)):
             parse_campaign_config(data)
+
+    @pytest.mark.parametrize("key", ["program", "input", "output_dir"])
+    def test_null_path_rejected(self, key):
+        with pytest.raises(ConfigError, match=re.escape(f"<config>: {key} must not be null")):
+            parse_campaign_config({**self._minimal(), key: None})
+
+    def test_numbers_still_convert_to_text(self):
+        cfg = parse_campaign_config(self._minimal(io={"stdin": 7, "files": {"n": 1.5}}))
+        assert (cfg.stdin_text, cfg.files) == ("7", {"n": "1.5"})
 
     def test_load_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):

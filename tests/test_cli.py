@@ -135,6 +135,23 @@ b:
         assert captured.out == ""
         assert "--budget must be a positive integer" in captured.err
 
+    @pytest.mark.parametrize("command", ["profile", "inject"])
+    @pytest.mark.parametrize("entry,message", [
+        ("in.txt", "--file expects name=path, got 'in.txt'"),
+        ("in.txt={missing}", "--file in.txt={missing}: [Errno 2] No such file"),
+    ], ids=["no_equals", "unreadable"])
+    def test_bad_file_entry_is_named(self, tmp_path, capsys, command, entry, message):
+        missing = tmp_path / "nope.txt"
+        args = [command, fixture_path("demo.ll"), "--file", entry.format(missing=missing)]
+        if command == "inject":
+            args += ["--input", fixture_path("demo_input.yaml")]
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message.format(missing=missing))
+        assert captured.err.count("\n") == 1
+
 
 class TestInject:
     def test_seeded_run(self, capsys):
@@ -293,13 +310,15 @@ class TestCampaign:
     @pytest.mark.parametrize("where,extra,ignored,warning", [
         ("program", "!0 = !{i32 7}\n", "!0 = !{i32 7}\n", "line 79: metadata stripped"),
         ("input", "bogus_key: 1\n", "bogus_key: 1\n", "unknown key 'bogus_key' ignored"),
+        ("input", "    in_lop: true\n", "    in_lop: true\n",
+         "unknown key 'option[0].in_lop' ignored"),
         ("config", "run: 50\n", "run: 50\n", "unknown key 'run' ignored"),
         ("config", "  stdn: '7'\n", "  stdn: '7'\n", "unknown key 'io.stdn' ignored"),
         ("config", "compare: {mod: numeric}\n", "compare: {mod: numeric}\n",
          "unknown key 'compare.mod' ignored"),
         ("config", "metrics:\n  - {name: n, pattern: 'n.0.: (\\S+)', sourc: golden}\n",
          ", sourc: golden", "unknown key 'metrics[0].sourc' ignored"),
-    ], ids=["program", "input", "top", "io", "compare", "metrics"])
+    ], ids=["program", "input", "option", "top", "io", "compare", "metrics"])
     def test_what_a_campaign_ignores_is_warned_on_stderr(self, tmp_path, capsys, where,
                                                          extra, ignored, warning):
         """The warning names its file, and the artifact tree, reports

@@ -1,5 +1,6 @@
 import copy
 import os
+import re
 
 import pytest
 
@@ -125,6 +126,8 @@ class TestConfigParsing:
         {"loop_mode": "sometimes"},
         {"seed": "abc"},
         {"seed": True},
+        {"option": [{"function_name": "process", "variable_name": None}]},
+        {"option": [{"function_name": None, "variable_name": "n"}]},
     ])
     def test_rejected_values(self, mutate):
         data = self._base()
@@ -132,6 +135,14 @@ class TestConfigParsing:
         if data["fi_type"] is None:
             del data["fi_type"]
         with pytest.raises(TargetConfigError):
+            parse_input_config(data)
+
+    @pytest.mark.parametrize("key", ["function_name", "variable_name"])
+    def test_null_name_is_rejected(self, key):
+        data = self._base()
+        data["option"][0][key] = None
+        with pytest.raises(TargetConfigError,
+                           match=re.escape(f"<config>: option[0].{key} must not be null")):
             parse_input_config(data)
 
     def test_top_level_must_be_mapping(self):

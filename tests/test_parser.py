@@ -205,6 +205,19 @@ def test_parse_errors_carry_position(bad):
     assert ":" in str(exc.value)
 
 
+@pytest.mark.parametrize("indices,message", [
+    ("i32 0, i32 %i", "getelementptr struct field index is not a constant"),
+    ("i32 0, i32 2", "getelementptr struct field index 2 out of range for { i32, double }"),
+    ("i32 0, i32 1, i32 0", "getelementptr walks through a scalar"),
+])
+def test_gep_errors_are_gep_layouts(indices, message):
+    """The parser rejects a bad getelementptr path in validate's words."""
+    with pytest.raises(ParseError, match=re.escape(f": {message}")) as exc:
+        parse_module("define void @f({ i32, double }* %s, i32 %i) {\n  %p = getelementptr "
+                     f"{{ i32, double }}, {{ i32, double }}* %s, {indices}\n  ret void\n}}\n")
+    assert exc.value.line == 2
+
+
 @pytest.mark.parametrize("bad", [
     # typed as i1 whatever was written, this stored one byte of an i32
     "define i32 @f(i32* %p) {\n  store i32 true, i32* %p\n  ret i32 0\n}\n",
