@@ -47,7 +47,11 @@ class GoldenRunFailed(Exception):
         super().__init__(f"golden run did not complete: {detail}")
 
 
-class NonPositiveForLog(Exception):
+class MetricValueError(Exception):
+    """A metric value a report cannot hold; the run keeps a note instead."""
+
+
+class NonPositiveForLog(MetricValueError):
     pass
 
 
@@ -239,7 +243,9 @@ def classify_outcome(golden: RunOutcome, run: RunOutcome,
 
 def extract_metric(text: str, spec: MetricSpec) -> float | None:
     """Pull one number out of program output; None when the pattern misses,
-    its group takes no part in the match or does not parse as a number."""
+    its group takes no part in the match or does not parse as a number. A
+    value that is not finite raises MetricValueError, as does neg_log10 of
+    one that is not positive."""
     m = spec.pattern.search(text)
     if m is None or m.group(1) is None:
         return None
@@ -247,6 +253,8 @@ def extract_metric(text: str, spec: MetricSpec) -> float | None:
         v = float(m.group(1))
     except ValueError:
         return None
+    if not math.isfinite(v):
+        raise MetricValueError(f"metric {spec.name}: non-finite value {v!r}")
     if spec.transform == "neg_log10":
         if v <= 0:
             raise NonPositiveForLog(
@@ -349,7 +357,7 @@ def _collect_metrics(text: str, specs: list[MetricSpec], source: str,
             continue
         try:
             v = extract_metric(text, spec)
-        except NonPositiveForLog as e:
+        except MetricValueError as e:
             notes.append(str(e))
             continue
         if v is not None:
@@ -493,8 +501,10 @@ def _metric_summary(runs: list[RunResult]) -> dict[str, dict[str, float]]:
     out = {}
     for name in sorted(by_name):
         vs = by_name[name]
-        out[name] = {"count": len(vs), "mean": sum(vs) / len(vs),
-                     "min": min(vs), "max": max(vs)}
+        mean = sum(vs) / len(vs)
+        if math.isinf(mean):  # the sum overflowed; finite values have a finite mean
+            mean = sum(v / len(vs) for v in vs)
+        out[name] = {"count": len(vs), "mean": mean, "min": min(vs), "max": max(vs)}
     return out
 
 
@@ -543,7 +553,7 @@ def render_json_report(result: CampaignResult, golden_notes: list[str]) -> str:
         "run_details": [{**_run_row(r), "metrics": dict(sorted(r.metrics.items())),
                          "notes": r.notes} for r in result.runs],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def render_csv_report(result: CampaignResult) -> str:

@@ -157,12 +157,12 @@ def as_text(value, what: str, error: type[Exception]) -> str:
     return str(value)
 
 
-def _as_bool(v, key: str) -> bool:
+def _as_bool(v, what: str) -> bool:
     if isinstance(v, bool):
         return v
     if isinstance(v, str) and v.lower() in ("true", "false"):
         return v.lower() == "true"
-    raise TargetConfigError(f"{key} must be a boolean, got {v!r}")
+    raise TargetConfigError(f"{what} must be a boolean, got {v!r}")
 
 
 def load_input_config(path: str) -> InputConfig:
@@ -199,26 +199,28 @@ def parse_input_config(data, source: str = "<config>") -> InputConfig:
             variable_name=as_text(opt["variable_name"], f"{source}: {where}.variable_name",
                                   TargetConfigError).lstrip("%"),
             variable_location=positive_int(opt.get("variable_location", 1),
-                                           "variable_location", TargetConfigError),
-            in_arr=_as_bool(opt.get("in_arr", False), "in_arr"),
-            in_loop=_as_bool(opt.get("in_loop", False), "in_loop"),
-            variable_init=_as_bool(opt.get("variable_init", False), "variable_init"),
+                                           f"{source}: {where}.variable_location",
+                                           TargetConfigError),
+            in_arr=_as_bool(opt.get("in_arr", False), f"{source}: {where}.in_arr"),
+            in_loop=_as_bool(opt.get("in_loop", False), f"{source}: {where}.in_loop"),
+            variable_init=_as_bool(opt.get("variable_init", False),
+                                   f"{source}: {where}.variable_init"),
         ))
 
     if "variable_num" in data:
-        n = positive_int(data["variable_num"], "variable_num", TargetConfigError)
+        n = positive_int(data["variable_num"], f"{source}: variable_num", TargetConfigError)
         if n != len(options):
             raise TargetConfigError(
                 f"{source}: variable_num is {n} but option lists {len(options)} entries")
 
     loop_raw = data.get("loop_num", 1)
     if isinstance(loop_raw, list):
-        loop_num = tuple(sorted({positive_int(x, "loop_num", TargetConfigError)
+        loop_num = tuple(sorted({positive_int(x, f"{source}: loop_num", TargetConfigError)
                                  for x in loop_raw}))
         if not loop_num:
             raise TargetConfigError(f"{source}: loop_num list is empty")
     else:
-        loop_num = (positive_int(loop_raw, "loop_num", TargetConfigError),)
+        loop_num = (positive_int(loop_raw, f"{source}: loop_num", TargetConfigError),)
 
     loop_mode = data.get("loop_mode", "invocation")
     if loop_mode not in ("nth_execution", "loop_iteration", "invocation"):

@@ -154,10 +154,6 @@ def array_of(count: int, elem: IrType) -> IrType:
     return IrType("array", count=count, elem=elem)
 
 
-def struct_of(*fields: IrType) -> IrType:
-    return IrType("struct", fields=tuple(fields))
-
-
 @dataclass(frozen=True)
 class ValueRef:
     """An operand: register, global, literal constant, null, or constant gep."""

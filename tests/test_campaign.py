@@ -7,7 +7,8 @@ import pytest
 
 from lcfi.campaign import (CampaignConfig, CampaignResult, CompareSpec,
                            ConfigError, GoldenRunFailed, MetricSpec,
-                           NonPositiveForLog, OUTCOMES, classify_outcome,
+                           MetricValueError, NonPositiveForLog, OUTCOMES,
+                           RunResult, _metric_summary, classify_outcome,
                            extract_metric, load_campaign_config,
                            outputs_match, parse_campaign_config, run_campaign)
 from lcfi.vm.machine import RunOutcome, TrapInfo
@@ -238,6 +239,68 @@ class TestExtractMetric:
                           transform="neg_log10")
         with pytest.raises(NonPositiveForLog):
             extract_metric(text, spec)
+
+    @pytest.mark.parametrize("transform", ["identity", "neg_log10"])
+    @pytest.mark.parametrize("text, shown", [("r = nan", "nan"), ("r = NaN", "nan"),
+                                             ("r = inf", "inf"), ("r = -Infinity", "-inf")])
+    def test_non_finite_is_rejected(self, text, shown, transform):
+        spec = MetricSpec("r", re.compile(r"r = (\S+)"), transform=transform)
+        with pytest.raises(MetricValueError,
+                           match=f"^metric r: non-finite value {re.escape(shown)}$"):
+            extract_metric(text, spec)
+
+    def test_non_finite_values_leave_report_json_valid(self, tmp_path):
+        """The golden run prints r = nan and both faulted runs (seed 0) print
+        r = -inf: the values are left out with a note, and report.json holds
+        no NaN or Infinity constant."""
+        (tmp_path / "nanr.ll").write_text(NANR_LL)
+        (tmp_path / "nanr_input.yaml").write_text(
+            "fi_type: uniform_abs(1.0)\noption:\n"
+            "  - function_name: ratio\n    variable_name: x\n")
+        pattern = re.compile(r"r = (\S+)")
+        result = run_campaign(CampaignConfig(
+            program=str(tmp_path / "nanr.ll"), input=str(tmp_path / "nanr_input.yaml"),
+            runs=2, output_dir=str(tmp_path / "out"),
+            metrics=[MetricSpec("r", pattern), MetricSpec("g", pattern, source="golden")]))
+
+        def no_constant(name):
+            raise ValueError(f"report.json holds {name}")
+
+        with open(tmp_path / "out" / "report.json") as fh:
+            doc = json.load(fh, parse_constant=no_constant)
+        assert doc["metrics_summary"] == {}
+        assert doc["golden_notes"] == ["metric g: non-finite value nan"]
+        assert [r["notes"] for r in doc["run_details"]] == \
+            [["metric r: non-finite value -inf"]] * 2
+        assert all(r.metrics == {} for r in result.runs)
+
+    def test_summary_mean_of_large_values_is_finite(self):
+        runs = [RunResult(i, 0, "sdc", 1, 0, 10, metrics={"r": 1.5e308}) for i in range(3)]
+        assert _metric_summary(runs)["r"]["mean"] == pytest.approx(1.5e308)
+
+
+NANR_LL = """\
+; nanr: prints r = x / 0.0, nan for the golden x = 0 and an infinity once x is faulted
+source_filename = "nanr.ll"
+
+@.str = private unnamed_addr constant [8 x i8] c"r = %f\\0A\\00", align 1
+
+define double @ratio() {
+  %x = alloca double, align 8
+  store double 0.000000e+00, double* %x, align 8
+  %1 = load double* %x, align 8
+  %2 = fdiv double %1, 0.000000e+00
+  ret double %2
+}
+
+define i32 @main() {
+  %1 = call double @ratio()
+  %2 = call i32 (i8*, ...)* @printf(i8* getelementptr inbounds ([8 x i8]* @.str, i32 0, i32 0), double %1)
+  ret i32 0
+}
+
+declare i32 @printf(i8*, ...)
+"""
 
 
 @pytest.fixture(scope="module")

@@ -137,6 +137,24 @@ class TestConfigParsing:
         with pytest.raises(TargetConfigError):
             parse_input_config(data)
 
+    @pytest.mark.parametrize("entry, value, message", [
+        ("option[0].variable_location", 0, "must be a positive integer, got 0"),
+        ("option[0].in_arr", "yes", "must be a boolean, got 'yes'"),
+        ("option[0].in_loop", 1, "must be a boolean, got 1"),
+        ("option[0].variable_init", None, "must be a boolean, got None"),
+        ("loop_num", [0], "must be a positive integer, got 0"),
+        ("loop_num", 0, "must be a positive integer, got 0"),
+        ("variable_num", 0, "must be a positive integer, got 0"),
+    ])
+    def test_rejected_values_name_their_file_and_entry(self, entry, value, message):
+        data = self._base()
+        if entry.startswith("option[0]."):
+            data["option"][0][entry.removeprefix("option[0].")] = value
+        else:
+            data[entry] = value
+        with pytest.raises(TargetConfigError, match=f"^{re.escape(f'in.yaml: {entry} {message}')}$"):
+            parse_input_config(data, source="in.yaml")
+
     @pytest.mark.parametrize("key", ["function_name", "variable_name"])
     def test_null_name_is_rejected(self, key):
         data = self._base()

@@ -955,33 +955,24 @@ def _oracle_banded_core(a: list, b: list, off_a: int, off_b: int, u: int) -> lis
     return ops
 
 
-@pytest.fixture(params=["rounds", "table"])
-def core_source(request, monkeypatch):
-    """_myers_core with its points taken from Myers' rounds, or from the LCS
-    table, whatever their costs."""
-    monkeypatch.setattr(traces, "_ROUND_VISITS", 10**15 if request.param == "rounds" else -10**15)
-    return request.param
-
-
 class TestBlockedCore:
-    """_myers_core's two sources of points give the same scripts: Myers'
-    rounds, and the LCS table computed and read a block of _ROWS rows at a
-    time over a window of columns that moves once per block. Cores several
-    blocks long, cores short on one side, runs across a block's edge, which
-    source a core's cost picks, and the memory a large edit distance takes."""
+    """_myers_core's LCS table, computed and read a block of _ROWS rows at a
+    time over a window of columns that moves once per block, gives Myers'
+    scripts: cores several blocks long, cores short on one side, runs across
+    a block's edge, and the memory a large edit distance takes."""
 
     @staticmethod
     def _distance(runs: list) -> int:
         return sum(length for kind, _i, _j, length in runs if kind != "match")
 
-    def test_small_cores_match_the_oracle(self, core_source):
+    def test_small_cores_match_the_oracle(self):
         for a, b in TestBandedCore._cases():
             expected = _oracle_myers_core(a, b, 3, 5)
             d = sum(op[0] != "match" for op in expected)
             for bound in (d, d + 2, _cost_bound(a, b), None):
                 assert _expand(_myers_core(a, b, 3, 5, bound)) == expected
 
-    def test_cores_of_several_blocks_match_the_oracle(self, core_source):
+    def test_cores_of_several_blocks_match_the_oracle(self):
         assert traces._ROWS <= 300
         rng = random.Random(41)
         cases = []
@@ -1042,22 +1033,31 @@ class TestBlockedCore:
             for u in (d, d + 2, len(a) + len(b)):
                 assert _oracle_banded_core(a, b, 3, 5, u) == expected
 
-    def test_short_sided_cores_match_the_oracle(self, core_source):
+    def test_short_sided_cores_match_the_oracle(self):
         """One side of 0-4 records against at least 2,000: the longer side
         gives the rows, in both orientations, and the window spans the
-        shorter side whole."""
+        shorter side whole. Then 2 records against 5,000 of a 37-index loop
+        body, both ways, and the body x300 against itself with 6 and with 400
+        edits: a long core at a small U and at a large one."""
         rng = random.Random(47)
+        cases = []
         for case in range(16):
             symbols = rng.randint(1, 4)
             short = [rng.randrange(symbols) for _ in range(case % 5)]
             long = [rng.randrange(symbols) + (case % 4 == 0) * symbols  # disjoint
                     for _ in range(rng.randint(2000, 2600))]
-            a, b = (short, long) if case % 2 else (long, short)
+            cases.append((short, long) if case % 2 else (long, short))
+        rng = random.Random(59)
+        body = rng.sample(range(1000), 37)
+        a = body * 300
+        cases += [(a, _edited(a, rng, 6)), (a, _edited(a, rng, 400)),
+                  (a[:5000], [1001, 1002]), ([1001, 1002], a[:5000])]
+        for a, b in cases:
             runs = _myers_core(a, b, 3, 5, _cost_bound(a, b))
             assert _expand(runs) == _oracle_banded_core(a, b, 3, 5, self._distance(runs))
             assert _expand(_myers_core(a, b, 3, 5)) == _expand(runs)
 
-    def test_runs_across_a_block_edge(self, core_source):
+    def test_runs_across_a_block_edge(self):
         """A trace-shaped pair whose core has an inserted block across its
         row _ROWS, the first row of the table's second block."""
         rng = random.Random(53)
@@ -1071,31 +1071,6 @@ class TestBlockedCore:
         assert pre == 100 and len(b) > len(a)  # b gives the core's rows
         assert any(kind == "ins" and j - pre < traces._ROWS < j - pre + length
                    for kind, _i, j, length in runs)
-
-    def test_the_cheaper_source_is_taken(self, monkeypatch):
-        """The rounds for a long core with a small U, whose U**2 / 4 visits
-        cost less than the table's rows; the table for a large U, and for a
-        core short on one side, where each of the rounds costs more than its
-        few visits."""
-        calls = []
-
-        def rounds(a, b, bound):
-            calls.append(bound)
-            return _myers_rounds(a, b, bound)
-
-        _myers_rounds = traces._myers_rounds
-        monkeypatch.setattr(traces, "_myers_rounds", rounds)
-        rng = random.Random(59)
-        body = rng.sample(range(1000), 37)
-        a = body * 300
-        for core_a, core_b, source in ((a, _edited(a, rng, 6), "rounds"),
-                                       (a, _edited(a, rng, 400), "table"),
-                                       (a[:5000], [1001, 1002], "table"),
-                                       ([1001, 1002], a[:5000], "table")):
-            calls.clear()
-            runs = _myers_core(core_a, core_b, 0, 0, _cost_bound(core_a, core_b))
-            assert ("rounds" if calls else "table") == source
-            assert _expand(runs) == _oracle_banded_core(core_a, core_b, 0, 0, self._distance(runs))
 
     def test_cost_bound_goes_on_past_a_long_insertion(self):
         """A step that finds no run of equal records within _STEP_EDITS
