@@ -27,15 +27,20 @@ index is converted once per read and looked up after that; value hex is
 lowered and interned, which costs less than a memo miss.
 
 write_trace is the one writer. It writes a run's trace (RunTrace) from its
-raw columns, a block of up to _WRITE_CHUNK records at a time: one
-vectorized pass per block converts the values to bits, turns them into
-digits with one bytes.hex() and fills them into rows of bytes that hold
-each record's line prefix (TraceFields.render). That pass imports numpy on
-first use, and the value formatter of each scalar kind (_value_hex) is built
-from lcfi.ir.nodes on first use, so reading and diffing traces load neither
-numpy nor any IR module. It returns the file as a TraceText; written against
-the TraceText of another run of the same program, a trace copies that file's
-bytes wherever the two agree record for record, which gives the same file.
+packed columns: an array("i") of instruction indices and one 8-byte word per
+record that holds the bits its line shows, which each compiled segment packs
+with one struct as the run goes. A block of up to _WRITE_CHUNK records
+renders in one vectorized pass: one bytes.hex() of the words, made
+big-endian, gives every digit, filled into rows of bytes that hold each
+record's line prefix (TraceFields.render); a stretch of fewer than _SHORT
+records is formatted one record at a time from its words, which costs less.
+That pass imports numpy on first use, and the value formatter of each scalar
+kind (_value_hex) is built from lcfi.ir.nodes on first use, so reading and
+diffing traces load neither numpy nor any IR module. It returns the file as
+a TraceText; written against the TraceText of another run of the same
+program, a trace copies that file's bytes wherever the two agree record for
+record, instruction and word bit for bit, which array compares find, and
+gives the same file.
 """
 
 from __future__ import annotations
@@ -49,9 +54,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from functools import cache, cached_property
-from heapq import merge
-from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
-from math import copysign
+from itertools import accumulate, chain, compress, count, filterfalse, repeat
 from operator import add, eq, ne
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -292,9 +295,55 @@ def value_bits(value, vtype: IrType) -> str:
     return _value_hex().get(vtype.kind, _no_value_hex)(value)
 
 
+# A record's word: 8 little-endian bytes that hold the bits its line shows. The
+# struct code of each formatter's word: an integer's two's complement (a narrow
+# kind shows its low 32 bits), an f32's bits in the low half, an f64's bits, and
+# zeros for no value. Each refuses what its formatter refuses, and None, which
+# the formatter shows as zeros; "q" also refuses an integer outside the signed
+# 64-bit range.
+_WORD_CODE = {_hex32: "q", _hex64: "q", _hex_f32: "f4x", _hex_f64: "d"}
+_ZERO_WORD = bytes(8)
+_PACK_U64 = struct.Struct("<Q").pack
+# The function that packs one value into a word of each code, or raises on None
+# and where the formatter does; an integer packs as its low 64 bits, as it shows.
+_WORD = {"q": lambda value: _PACK_U64(value & 0xFFFFFFFFFFFFFFFF),
+         "f4x": struct.Struct("<f4x").pack, "d": struct.Struct("<d").pack,
+         "8x": lambda value: _ZERO_WORD}
+_UNPACK_WORD = {"q": struct.Struct("<q").unpack_from, "f4x": struct.Struct("<f").unpack_from,
+                "d": struct.Struct("<d").unpack_from}
+
+
+def _word_code(kind: str) -> str:
+    """The struct code of the word of a record whose result is of `kind`."""
+    return _WORD_CODE.get(_value_hex().get(kind), "8x")
+
+
+def word_packer(kind: str):
+    """The function that packs one value of `kind` into its word, or raises
+    TypeError, OverflowError or struct.error where the word cannot hold it."""
+    return _WORD[_word_code(kind)]
+
+
+def words_packer(kinds) -> tuple:
+    """(pack, takes) for records whose results are of these kinds: `pack`
+    packs their words in one call, from the values of the records that
+    `takes` marks (a kind with no value takes none). It raises on a value a
+    word cannot hold, and on an integer outside the signed 64-bit range,
+    which word_packer packs as its low 64 bits."""
+    codes = list(map(_word_code, kinds))
+    return struct.Struct("<" + "".join(codes)).pack, tuple(c != "8x" for c in codes)
+
+
+def _unsigned_words(words) -> tuple:
+    return struct.unpack(f"<{len(words) // 8}Q", words)
+
+
 class TraceFields:
-    """The parts of a trace line fixed by the instruction index: opcode, line
-    prefix and value formatter, in lists indexed by instruction index."""
+    """The parts of a trace line fixed by the instruction index, in lists
+    indexed by instruction index: opcode, line prefix and value formatter;
+    the struct code of its word; and the line as a bytes format of the word
+    masked to the digits it shows (`line`, `mask`), with its digits alone as
+    a str format (`digits`)."""
 
     def __init__(self, instructions):
         """`instructions` yields (index, opcode, result kind) triples."""
@@ -303,131 +352,175 @@ class TraceFields:
         self.opcode: list = [None] * size
         self.prefix: list = [None] * size
         self.value_hex: list = [None] * size
+        self.code: list = [None] * size
+        self.digits: list = [None] * size
+        self.line: list = [None] * size
+        self.mask: list = [None] * size
         value_hex = _value_hex()
         for index, opcode, kind in rows:
             self.opcode[index] = opcode
             self.prefix[index] = format_record(index, opcode, "")
-            self.value_hex[index] = value_hex.get(kind, _no_value_hex)
+            self.value_hex[index] = formatter = value_hex.get(kind, _no_value_hex)
+            self.code[index] = _word_code(kind)
+            wide = formatter in (_hex64, _hex_f64)
+            self.digits[index] = "%016x" if wide else "%08x"
+            self.line[index] = f"{self.prefix[index]}{self.digits[index]}\n".encode()
+            self.mask[index] = 0xFFFFFFFFFFFFFFFF if wide else 0xFFFFFFFF
+
+    def pack(self, indices, values, odd: dict, first: int = 0) -> bytearray:
+        """The words of the records with these instruction indices and raw
+        values, the first at trace position `first`. A value its word cannot
+        hold goes into `odd` at its position, and its word is zeros."""
+        code, out = self.code, bytearray()
+        for pos, i, value in zip(count(first), indices, values):
+            try:
+                out += _WORD[code[i]](value)
+            except (TypeError, OverflowError, struct.error):
+                out += _ZERO_WORD
+                odd[pos] = value
+        return out
 
     @cached_property
     def _table(self):
-        """render's per-index table, built on first use: the value group of
-        each index's formatter (_GROUP) and its line as a row of bytes: the
-        prefix, zeros up to the digit columns, 0xff over the digits the
-        formatter shows and a newline. Every row has its 16 digit columns in
-        the same place."""
+        """render's per-index table, built on first use: each index's line as
+        a row of bytes: the prefix, zeros up to the digit columns, 0xff over
+        the digits the formatter shows and a newline. Every row has its 16
+        digit columns in the same place."""
         import numpy as np
         width = max(map(len, filter(None, self.prefix)), default=0)
-        group = np.zeros(len(self.prefix), np.uint8)
         rows = np.zeros((len(self.prefix), width + 17), np.uint8)
-        for i, (prefix, value_hex) in enumerate(zip(self.prefix, self.value_hex)):
+        for i, (prefix, mask) in enumerate(zip(self.prefix, self.mask)):
             if prefix is not None:
-                group[i] = _GROUP.get(value_hex, 0)
                 rows[i, :len(prefix)] = np.frombuffer(prefix.encode(), np.uint8)
-                rows[i, -17 if value_hex in (_hex64, _hex_f64) else -9:] = 0xFF
+                rows[i, -17 if mask > 0xFFFFFFFF else -9:] = 0xFF
                 rows[i, -1] = ord("\n")
-        return group, rows
+        return rows
 
-    def render(self, indices: list, values: list) -> bytes:
-        """The lines of the records with these instruction indices and raw
-        values, in one vectorized pass: the values of each group convert to
-        64-bit words with one C-level call, all digits come from one
-        bytes.hex(), and the lines are the records' rows with the digits
-        filled in and the zeros dropped. A value no conversion takes (None
-        under a scalar kind, a float under an integer kind, an integer outside
-        the signed 64-bit range) sends the block through the per-record
-        formatters, which render it or raise as they always did."""
+    def render(self, indices, words) -> bytes:
+        """The lines of the records with these instruction indices (an
+        array("i")) and words, in one vectorized pass: all digits come from
+        one bytes.hex() of the words made big-endian, and the lines are the
+        records' rows with the digits filled in and the zeros dropped."""
         import numpy as np
-        group, rows = self._table
-        idx = np.fromiter(indices, np.intp, len(indices))
-        in_group = group.take(idx)
-        order = in_group.argsort(kind="stable")  # group g is order[ends[g-1]:ends[g]]
-        ends = list(accumulate(np.bincount(in_group, minlength=len(_GROUP_BITS) + 1)
-                               .tolist()))
-        ordered = np.fromiter(values, object, len(values)).take(order).tolist()
-        try:
-            parts = [bits(ordered[a:b]) for bits, a, b in zip(_GROUP_BITS, ends, ends[1:])
-                     if a < b]
-        except (TypeError, OverflowError, FloatingPointError):
-            prefix, value_hex = self.prefix, self.value_hex
-            return "".join([prefix[i] + value_hex[i](v) + "\n"
-                            for i, v in zip(indices, values)]).encode()
-        words = np.zeros(len(idx), ">u8")  # group 0 shows zeros
-        if parts:
-            words[order[ends[0]:]] = np.concatenate(parts)
-        out = rows.take(idx, axis=0)
-        out[:, -17:-1] &= np.frombuffer(memoryview(words).hex().encode(),
+        out = self._table.take(np.frombuffer(indices, np.int32), axis=0)
+        digits = np.frombuffer(words, "<u8").astype(">u8")
+        out[:, -17:-1] &= np.frombuffer(memoryview(digits).hex().encode(),
                                         np.uint8).reshape(-1, 16)
         return out[out != 0].tobytes()
 
-
-def _int_bits(values: list):
-    """ints as their low 64 bits (a narrow kind shows the low 32 of them)."""
-    import numpy as np
-    return np.frombuffer(array("q", values), np.uint64)
-
-
-def _f32_bits(values: list):
-    """float32 bits, through the C cast struct's '>f' makes; a finite value
-    past the f32 range raises, as it does there."""
-    import numpy as np
-    with np.errstate(over="raise"):
-        return np.frombuffer(array("d", values)).astype(np.float32).view(np.uint32)
-
-
-def _f64_bits(values: list):
-    import numpy as np
-    return np.frombuffer(array("d", values), np.uint64)
-
-
-# render's value group of each formatter, and the conversion of each group
-# from 1 on. Group 0, the formatter of non-scalar kinds, shows zeros whatever
-# the value.
-_GROUP = {_hex32: 1, _hex64: 1, _hex_f32: 2, _hex_f64: 3}
-_GROUP_BITS = (_int_bits, _f32_bits, _f64_bits)
+    def lines(self, indices, words) -> bytes:
+        """The same lines, formatted record by record: cheaper than render
+        for fewer than _SHORT records."""
+        line, mask = self.line, self.mask
+        return b"".join([line[i] % (w & mask[i])
+                         for i, w in zip(indices, _unsigned_words(words))])
 
 
 class RunTrace(TraceColumns):
-    """A run's trace as the machine recorded it: a column of instruction
-    indices and a column of raw values. Its opcode and value-hex columns are
-    built from them when first read; write_trace renders lines from the raw
-    columns without building either."""
+    """A run's trace as the machine records it, packed: `idx`, an
+    array("i") of instruction indices, and `words`, one 8-byte word per
+    record that holds the bits its line shows (see _WORD_CODE). `odd` maps
+    the position of each record whose value no word holds (a None under a
+    scalar kind, or a value its formatter refuses) to that value; its word
+    is zeros and its line comes from the formatter. The indices, values,
+    opcodes and value-hex columns are built from these when first read, and
+    are not pickled; write_trace renders lines from the words."""
 
-    def __init__(self, indices: list, values: list, fields: TraceFields):
-        self.indices = indices
-        self.values = values
+    def __init__(self, indices, values, fields: TraceFields):
+        """The trace of records with these indices and raw values, packed
+        as a run packs them."""
+        self.idx = array("i", indices)
+        self.odd: dict = {}
+        self.words = fields.pack(self.idx, values, self.odd)
         self.fields = fields
+
+    @classmethod
+    def packed(cls, idx: array, words, odd: dict, fields: TraceFields) -> RunTrace:
+        trace = cls.__new__(cls)
+        trace.idx, trace.words, trace.odd, trace.fields = idx, words, odd, fields
+        return trace
+
+    def __getstate__(self) -> dict:
+        return {name: self.__dict__[name] for name in ("idx", "words", "odd", "fields")}
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    @cached_property
+    def indices(self) -> list:
+        return self.idx.tolist()
+
+    @cached_property
+    def odd_at(self) -> list:
+        """The positions of the odd records, in order."""
+        return sorted(self.odd)
+
+    @cached_property
+    def values(self) -> list:
+        """Each record's value as its word holds it: an int, a float, or None
+        for no value; a record in `odd` has its own."""
+        code, words = self.fields.code, self.words
+        values = [None if code[i] == "8x" else _UNPACK_WORD[code[i]](words, 8 * pos)[0]
+                  for pos, i in enumerate(self.idx)]
+        for pos, value in self.odd.items():
+            values[pos] = value
+        return values
 
     @cached_property
     def opcodes(self) -> list:
-        return list(map(self.fields.opcode.__getitem__, self.indices))
+        return list(map(self.fields.opcode.__getitem__, self.idx))
 
     @cached_property
     def hexes(self) -> list:
+        digits, mask = self.fields.digits, self.fields.mask
+        hexes = [digits[i] % (w & mask[i])
+                 for i, w in zip(self.idx, _unsigned_words(self.words))]
         value_hex = self.fields.value_hex
-        return [value_hex[i](v) for i, v in zip(self.indices, self.values)]
+        for pos, value in self.odd.items():
+            hexes[pos] = value_hex[self.idx[pos]](value)
+        return hexes
 
 
 _WRITE_CHUNK = 4096  # records rendered and written per block, so memory stays flat
+# Fewer records than this render faster one by one than in one vectorized
+# pass: on cg.ll's records a pass cost about 10 us plus 0.1 us a record, one by
+# one about 0.4 us a record, even at 30 to 40 records (2-core host, Python 3.11).
+_SHORT = 32
 
 
-def _blocks(trace: RunTrace, start: int = 0):
-    """The trace's lines from record `start` on as bytes, rendered a block
-    of _WRITE_CHUNK records at a time (TraceFields.render)."""
-    for a in range(start, len(trace), _WRITE_CHUNK):
-        yield trace.fields.render(trace.indices[a:a + _WRITE_CHUNK],
-                                  trace.values[a:a + _WRITE_CHUNK])
+def _blocks(trace: RunTrace, start: int = 0, stop: int | None = None):
+    """The lines of records `start` to `stop` (the end if None) as bytes, a
+    block of at most _WRITE_CHUNK records at a time."""
+    stop = len(trace) if stop is None else stop
+    for a in range(start, stop, _WRITE_CHUNK):
+        yield _lines(trace, a, min(stop, a + _WRITE_CHUNK))
 
 
-_FLOAT_HEX = (_hex_f32, _hex_f64)
+def _lines(trace: RunTrace, a: int, b: int) -> bytes:
+    """The lines of records a to b - 1: one by one from their words below
+    _SHORT records, else in one vectorized pass; a record in `odd` through
+    its formatter."""
+    fields, parts, at = trace.fields, [], trace.odd_at
+    for pos in at[bisect_left(at, a):bisect_left(at, b)]:
+        parts.append(_plain_lines(trace, a, pos))
+        i = trace.idx[pos]
+        parts.append(f"{fields.prefix[i]}{fields.value_hex[i](trace.odd[pos])}\n".encode())
+        a = pos + 1
+    parts.append(_plain_lines(trace, a, b))
+    return b"".join(parts)
+
+
+def _plain_lines(trace: RunTrace, a: int, b: int) -> bytes:
+    render = trace.fields.lines if b - a < _SHORT else trace.fields.render
+    return render(trace.idx[a:b], trace.words[8 * a:8 * b])
 
 
 class TraceText:
     """A RunTrace and the trace file write_trace wrote of it, for writing the
     traces of other runs of the same program against it (see write_trace).
-    The file's bytes, where each of its lines starts (`offsets[len(trace)]`
-    is the file's length) and the positions of float zeros are derived when
-    first used, so a TraceText that is never written against costs nothing."""
+    The file's bytes and where each of its lines starts (`offsets[len(trace)]`
+    is the file's length) are derived when first used, so a TraceText that is
+    never written against costs nothing."""
 
     def __init__(self, trace: RunTrace, path: str):
         self.trace = trace
@@ -444,29 +537,54 @@ class TraceText:
         ends = np.flatnonzero(np.frombuffer(self.data, np.uint8) == ord("\n")) + 1
         return array("q", [0]) + array("q", ends.astype(np.int64).tobytes())
 
-    @cached_property
-    def zeros(self) -> array:
-        """Positions of zeros under a float kind's formatter, where an equal
-        value may render differently: -0.0 == 0.0 == 0."""
-        indices, value_hex = self.trace.indices, self.trace.fields.value_hex
-        return array("q", (pos for pos in compress(count(), map(eq, self.trace.values,
-                                                                repeat(0)))
-                           if value_hex[indices[pos]] in _FLOAT_HEX))
-
 
 def write_trace(trace: RunTrace, path: str, golden: TraceText | None = None) -> TraceText:
     """Write a run's trace, one line per record, and return the TraceText of
     the file.
 
     With `golden`, the written trace of another run of the same program, the
-    records that have golden's instruction and value at their position are
-    copied from golden's bytes, up to the first record whose instruction
-    differs; the rest are rendered. The bytes are the same either way."""
+    records before the first whose instruction differs from golden's are
+    copied from golden's bytes wherever their words are golden's, bit for
+    bit, and neither side's record is odd; the rest are rendered. The bytes
+    are the same either way."""
     pieces = _blocks(trace) if golden is None else _pieces_against(trace, golden)
     with open(path, "wb") as fh:
         fh.writelines(pieces)
     return TraceText(trace, path)
 
+
+def _pieces_against(trace: RunTrace, golden: TraceText):
+    """write_trace's bytes for `trace` against `golden`, piece by piece. The
+    records to render before `agree` are grouped into stretches, each ended
+    by _SHORT records that golden's bytes can give, so a stretch of values
+    that mostly differ renders in one pass."""
+    import numpy as np
+    other = golden.trace
+    end = min(len(trace), len(other))
+    unequal = np.flatnonzero(np.frombuffer(trace.idx, np.int32)[:end]
+                             != np.frombuffer(other.idx, np.int32)[:end])
+    agree = int(unequal[0]) if len(unequal) else end
+    render = np.flatnonzero(np.frombuffer(trace.words, "<u8")[:agree]
+                            != np.frombuffer(other.words, "<u8")[:agree])
+    if trace.odd or other.odd:
+        odd = [pos for pos in chain(trace.odd, other.odd) if pos < agree]
+        render = np.union1d(render, np.array(odd, np.intp))
+    cut = np.flatnonzero(np.diff(render) > _SHORT) + 1
+    stretches = np.split(render, cut) if len(render) else []
+    data, offsets = memoryview(golden.data), golden.offsets
+    done = 0
+    for stretch in stretches:
+        a, b = int(stretch[0]), int(stretch[-1]) + 1
+        if a > done:
+            yield data[offsets[done]:offsets[a]]
+        yield from _blocks(trace, a, b)
+        done = b
+    if agree > done:
+        yield data[offsets[done]:offsets[agree]]
+    yield from _blocks(trace, agree)
+
+
+# -- alignment ---------------------------------------------------------------
 
 _BLOCK = 64  # records compared per list compare
 
@@ -480,32 +598,6 @@ def _differing(xs: list, ys: list, n: int):
         if x != y:
             yield from compress(count(a), map(ne, x, y))
 
-
-def _pieces_against(trace: RunTrace, golden: TraceText):
-    """write_trace's bytes for `trace` against `golden`, piece by piece."""
-    ri, rv = trace.indices, trace.values
-    gi, gv = golden.trace.indices, golden.trace.values
-    data, offsets, zeros = memoryview(golden.data), golden.offsets, golden.zeros
-    end = min(len(ri), len(gi))
-    agree = next(_differing(ri, gi, end), end)
-    # the records to render before `agree`: values that compare unequal,
-    # and zeros of the other sign where golden has a zero
-    signs = (pos for pos in islice(zeros, bisect_left(zeros, agree))
-             if rv[pos] == 0 and copysign(1.0, rv[pos]) != copysign(1.0, gv[pos]))
-    prefix, value_hex = trace.fields.prefix, trace.fields.value_hex
-    done = 0
-    for pos in chain(merge(_differing(rv, gv, agree), signs), (agree,)):
-        if pos > done:
-            yield data[offsets[done]:offsets[pos]]
-        if pos == agree:
-            break
-        i = ri[pos]
-        yield (prefix[i] + value_hex[i](rv[pos]) + "\n").encode()
-        done = pos + 1
-    yield from _blocks(trace, agree)
-
-
-# -- alignment ---------------------------------------------------------------
 
 def _myers_ops(a: list, b: list) -> list[tuple]:
     """Minimal edit script as runs (kind, i, j, length): "match" pairs a[i+t]

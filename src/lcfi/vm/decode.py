@@ -7,14 +7,22 @@ of ops ended by one terminator, which is a branch, a return, or a call to a
 defined function (the interpreter's frame stack, not the host stack, runs the
 callee). Each op becomes a few lines of Python source, and a segment's ops
 become one function `run(r, m)`, compiled once, that runs them in order on
-the frame's register list `r` for the machine `m` and returns the values of
-its indexed ops for the trace. In that source a register is `r[slot]`;
-constants, integer widths and masks, gep strides and f32 rounding are
-literals or bound names; a load or store checks the arena's `base` and `top`
-inline and then unpacks or packs with a precompiled `struct.Struct`. Branch
-targets become segment numbers and a branch carries its edge's phi moves. A
-phi's op has no source: the branch into its block has already assigned all of
-the block's phis at once, from the values on that edge.
+the frame's register list `r` for the machine `m` and returns the trace
+words of its indexed ops' values, packed by one precompiled struct
+(traces.words_packer). A value that struct refuses sends the segment's
+records through `m.words`, one by one. In that source a register
+is `r[slot]`; constants, integer widths and masks, gep strides and f32
+rounding are literals or bound names; a load or store checks the arena's
+`base` and `top` inline and then unpacks or packs with a precompiled
+`struct.Struct`. A load or store whose pointer is one of the function's own
+allocas, or a global's constant address, and whose width fits that
+allocation, cannot leave it, so it skips the check and the heap/stack
+choice: it is a bare `unpack_from` or `pack_into` on the stack arena's
+buffer `M`, which the segment binds once, at the offset from the decoded
+arena's base. Branch targets become segment numbers and a branch carries its
+edge's phi moves. A phi's op has no source: the branch into its block has
+already assigned all of the block's phis at once, from the values on that
+edge.
 
 Each segment's source is registered with linecache under the filename
 `<lcfi @function#segment checksum>`, so a traceback through an op shows its
@@ -43,11 +51,12 @@ import linecache
 import math
 import struct
 import zlib
+from array import array
 
 from ..ir.nodes import (SCALARS, IrFunction, IrModule, ValueRef, gep_layout,
                         to_f32)
 from ..ir.validate import validate
-from ..traces import TraceFields
+from ..traces import TraceFields, word_packer, words_packer
 from .arena import HEAP_BASE, MemoryArena, OutOfBounds
 from .intrinsics import INTRINSICS, STDERR_HANDLE, STDIN_HANDLE, STDOUT_HANDLE
 
@@ -88,7 +97,8 @@ _GLOBALS = {
 
 # Terminator kinds, the first field of Segment.term:
 #   (BR, condition slot or None, edge taken on true or always, edge on false)
-#   (CALL, callee's function number, argument slots, result slot, index)
+#   (CALL, callee's function number, argument slots, result slot, index,
+#    the function that packs the returned value's trace word)
 #   (RET, value slot)
 # An edge is (target segment, (phi slots, incoming slots) or None, source
 # label, target label).
@@ -175,30 +185,36 @@ def _cast(ins, d, arg):
     return [f"r[{d}] = {value}"]
 
 
-def _access(addr: str, size: int) -> list[str]:
-    """Source that sets a to `addr`, x to the arena holding it and o to its
-    offset there, or raises OutOfBounds for `size` bytes at a."""
-    return [f"a = {addr}; x = m.state.heap if a >= {HEAP_BASE} else m.state.arena; "
+def _access(ptr, size: int, arg, at) -> tuple[list[str], str, str]:
+    """Source that finds `size` bytes at the pointer operand `ptr`, as (lines,
+    buffer, offset). An access `at` proves in bounds takes the stack arena's
+    buffer M at its offset; any other sets a to the address, x to the arena
+    holding it and o to its offset there, or raises OutOfBounds."""
+    offset = at(ptr, size)
+    if offset is not None:
+        return [], "M", offset
+    return [f"a = {arg(ptr)}; x = m.state.heap if a >= {HEAP_BASE} else m.state.arena; "
             "o = a - x.base",
-            f"if o < 0 or a + {size} > x.top: raise OutOfBounds(a, {size})"]
+            f"if o < 0 or a + {size} > x.top: raise OutOfBounds(a, {size})"], "x._mem", "o"
 
 
-def _load(ins, d, arg):
+def _load(ins, d, arg, at):
     kind = ins.result_type.kind
-    value = f"unpack_from_{kind}(x._mem, o)[0]"
-    return [*_access(arg(ins.operands[0]), SCALARS[kind][0]),
-            f"r[{d}] = {value} & 1" if kind == "i1" else f"r[{d}] = {value}"]
+    lines, buf, o = _access(ins.operands[0], SCALARS[kind][0], arg, at)
+    value = f"unpack_from_{kind}({buf}, {o})[0]"
+    return [*lines, f"r[{d}] = {value} & 1" if kind == "i1" else f"r[{d}] = {value}"]
 
 
-def _store(ins, d, arg):
-    v, p = map(arg, ins.operands)
+def _store(ins, d, arg, at):
+    v = arg(ins.operands[0])
     kind = ins.operands[0].type.kind
     size = SCALARS[kind][0]
     if kind == "f32":
         v = f"to_f32({v})"
     elif kind != "f64":
         v = f"{v} & {(1 << 8 * size) - 1}"
-    return [*_access(p, size), f"pack_into_{kind}(x._mem, o, {v})"]
+    lines, buf, o = _access(ins.operands[1], size, arg, at)
+    return [*lines, f"pack_into_{kind}({buf}, {o}, {v})"]
 
 
 def _alloca(ins, d, arg):
@@ -234,37 +250,59 @@ _SOURCES = {
 
 class Segment:
     """Ops run in order, then the terminator. `code` holds each op's source
-    lines and `run` is them compiled; it returns the values a traced run
-    records, which are those of `rec_slot`, for the instructions `rec_idx`.
-    `instrs` lists the ops' instructions and then the terminator's, if any.
-    `bound` names objects the source refers to besides the common globals."""
+    lines and `run` is them compiled; it returns the trace words of the
+    values a traced run records, which are those of `rec_slot`, for the
+    instructions `rec_idx` (also held as the array `rec_arr`), packed by one
+    struct; a value that struct refuses sends the segment's records through
+    `m.words`. With `stack`, the function first binds M to the stack arena's
+    buffer, for the accesses decode proved in bounds. `instrs` lists the
+    ops' instructions and then the terminator's, if any. `bound` names
+    objects the source refers to besides the common globals."""
 
-    __slots__ = ("code", "instrs", "n", "rec_idx", "rec_slot", "term", "run",
-                 "_line_op", "_cuts")
+    __slots__ = ("code", "instrs", "n", "rec_idx", "rec_arr", "rec_slot", "term",
+                 "stack", "run", "_line_op", "_cuts", "_ns")
 
-    def __init__(self, name, code, instrs, rec_idx, rec_slot, term, bound=None):
+    def __init__(self, name, code, instrs, rec_idx, rec_slot, term, stack, bound=None):
         self.code = code
         self.instrs = instrs
         self.n = len(code) + 1  # steps, the terminator's included
         self.rec_idx = rec_idx
+        self.rec_arr = array("i", rec_idx)
         self.rec_slot = rec_slot
         self.term = term
+        self.stack = stack
+        self._ns = dict(_GLOBALS, **(bound or {}))
         src, self._line_op = self._source(len(code))
         filename = f"<lcfi {name} {zlib.crc32(src.encode()):08x}>"
         linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
-        self.run = _compile(src, filename, dict(_GLOBALS, **(bound or {})))
+        self.run = _compile(src, filename, self._ns)
         self._cuts: dict = {}
 
     def _source(self, k: int) -> tuple[str, list]:
         """The source of a function that runs the first `k` ops, and the
-        position of the op on each of its lines (None on the others)."""
+        position of the op on each of its lines (None on the others). The
+        struct that packs its records and their indices are bound as Pn and
+        In, for its n records."""
         lines, line_op = ["def run(r, m):"], [None, None]  # line numbers from 1
+        if self.stack:
+            lines.append("    M = m.state.arena._mem")
+            line_op.append(None)
         for pos, op in enumerate(self.code[:k]):
             lines += ("    " + line for line in op)
             line_op += [pos] * len(op)
-        traced = self.rec_slot[:self.traced(k)]
-        lines.append(f"    return ({''.join(f'r[{s}], ' for s in traced)})")
-        return "\n".join(lines), line_op
+        n = self.traced(k)
+        slots = self.rec_slot[:n]
+        if n:
+            self._ns[f"P{n}"], takes = words_packer(
+                ins.result_type.kind for ins in self.instrs[:k] if ins.index is not None)
+            self._ns[f"I{n}"] = self.rec_idx[:n]
+            valued = ", ".join(f"r[{s}]" for s, t in zip(slots, takes) if t)
+            lines += ["    try:", f"        return P{n}({valued})",
+                      "    except Exception:  # a value this struct refuses",
+                      f"        return m.words(I{n}, ({''.join(f'r[{s}], ' for s in slots)}))"]
+        else:
+            lines.append("    return b''")
+        return "\n".join(lines), line_op + [None] * (len(lines) + 1 - len(line_op))
 
     def traced(self, k: int) -> int:
         """How many of the first `k` ops a trace records: those with an index."""
@@ -275,7 +313,7 @@ class Segment:
         first lines of `run`'s, so `position` holds for it too."""
         if k not in self._cuts:
             self._cuts[k] = _compile(self._source(k)[0], self.run.__code__.co_filename,
-                                     self.run.__globals__)
+                                     self._ns)
         return self._cuts[k]
 
     def position(self, tb) -> int:
@@ -308,11 +346,11 @@ def _is_terminator(ins, fn_index) -> bool:
                                             and ins.callee in fn_index)
 
 
-def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
-                    where: dict, const) -> DecodedFn:
-    """Decode one validated function; `const` gives a constant operand's
-    value. `where` gains, for each op's instruction index, (function number,
-    segment number, position, result slot)."""
+def decode_function(fn: IrFunction, fi: int, dm: DecodedModule) -> DecodedFn:
+    """Decode one validated function of `dm`'s module, the `fi`th. `dm.where`
+    gains, for each op's instruction index, (function number, segment
+    number, position, result slot)."""
+    fn_index, where, const = dm.fn_index, dm.where, dm._const
     template = [None] * (1 + len(fn.params))
     reg_slots = {name: i + 1 for i, (name, _t) in enumerate(fn.params)}
     const_slots: dict = {}
@@ -350,6 +388,29 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
             return reg(ins.result)
         return fresh() if ins.opcode == "call" else 0
 
+    # The frame of a function's segments is live while they run, the stack
+    # arena's top falls only at a ret (no intrinsic moves it), and a plan
+    # never injects at an alloca (build_plan targets loads; _build_codes
+    # refuses any other plan), so an access within one of the frame's
+    # allocas, through its register, or within a global, at a constant
+    # address, is in bounds; such an access reads the buffer M directly.
+    allocas = {ins.result: ins.aux_type.byte_width()
+               for b in fn.blocks for ins in b.instructions if ins.opcode == "alloca"}
+    proven = []  # the offsets `at` gave
+
+    def at(v: ValueRef, size: int) -> str | None:
+        """Source of the offset in the stack arena's buffer of an access of
+        `size` bytes at the pointer `v`, if decode proves it in bounds."""
+        if v.kind == "reg":
+            offset = (f"r[{reg(v.name)}] - {dm.arena.base}"
+                      if allocas.get(v.name, 0) >= size else None)
+        else:
+            offset = dm.global_offset(v, size)
+            offset = None if offset is None else str(offset)
+        if offset is not None:
+            proven.append(offset)
+        return offset
+
     # cut blocks into segments, so branch targets are known before decoding
     cuts, block_seg = [], {}
     for b in fn.blocks:
@@ -376,9 +437,12 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
     for si, (label, run) in enumerate(cuts):
         *body, last = run
         code, rec_idx, rec_slot = [], [], []
+        proven.clear()
         for pos, ins in enumerate(body):
             d = result(ins)
-            code.append(tuple(_SOURCES[ins.opcode](ins, d, arg)))
+            source = _SOURCES[ins.opcode]
+            code.append(tuple(source(ins, d, arg, at) if ins.opcode in ("load", "store")
+                              else source(ins, d, arg)))
             if ins.index is not None:
                 where[ins.index] = (fi, si, pos, d)
                 rec_idx.append(ins.index)
@@ -390,9 +454,9 @@ def decode_function(fn: IrFunction, fi: int, fn_index: dict[str, int],
             term = (RET, slot(last.operands[0]) if last.operands else 0)
         else:
             term = (CALL, fn_index[last.callee], tuple(map(slot, last.operands)),
-                    result(last), last.index)
-        segs.append(Segment(f"@{fn.name}#{si}", tuple(code), tuple(run),
-                            tuple(rec_idx), tuple(rec_slot), term))
+                    result(last), last.index, word_packer(last.result_type.kind))
+        segs.append(Segment(f"@{fn.name}#{si}", tuple(code), tuple(run), tuple(rec_idx),
+                            tuple(rec_slot), term, bool(proven)))
     return DecodedFn(fn.name, len(fn.params), template, segs)
 
 
@@ -416,22 +480,23 @@ _HANDLES = {"stdin": STDIN_HANDLE, "stdout": STDOUT_HANDLE, "stderr": STDERR_HAN
 
 class DecodedModule:
     """A validated module's functions, trace fields and initial stack arena
-    (its globals); `globals` maps each global's name to its address."""
+    (its globals); `globals` maps each global's name to its address and
+    `sizes` to its size in bytes."""
 
     def __init__(self, module: IrModule):
         problems = validate(module)
         if problems:
             raise VmError("; ".join(map(str, problems)))
         self.arena = MemoryArena()
-        self.globals = {g.name: self.arena.alloc(g.type.byte_width(),
+        self.sizes = {g.name: g.type.byte_width() for g in module.globals}
+        self.globals = {g.name: self.arena.alloc(self.sizes[g.name],
                                                  g.align or g.type.alignment())
                         for g in module.globals}
         for g in module.globals:
             self._init_global(g)
         self.fn_index = {f.name: i for i, f in enumerate(module.functions)}
         self.where: dict = {}
-        self.fns = [decode_function(f, i, self.fn_index, self.where, self._const)
-                    for i, f in enumerate(module.functions)]
+        self.fns = [decode_function(f, i, self) for i, f in enumerate(module.functions)]
         self.fields = TraceFields(
             (ins.index, ins.opcode, ins.result_type.kind)
             for _f, _b, ins in module.all_instructions() if ins.index is not None)
@@ -442,12 +507,27 @@ class DecodedModule:
         if v.kind == "global":
             if v.name not in self.globals:  # @stdin, @stdout or @stderr, undeclared
                 addr = self.globals[v.name] = self.arena.alloc(8, 8)
+                self.sizes[v.name] = 8
                 self.arena.store(addr, "ptr", _HANDLES[v.name])
             return self.globals[v.name]
         if v.kind == "gep":
             offset, _terms, _t = gep_layout(v.gep_source, v.indices)
             return self._const(v.base) + offset
         return v.ival if v.kind == "int" else v.fval if v.kind == "float" else 0
+
+    def global_offset(self, v: ValueRef, size: int) -> int | None:
+        """The offset in the stack arena's buffer of the constant pointer
+        `v`, if `size` bytes from it lie within the global it points into:
+        a global, or a constant gep off one; None otherwise."""
+        root = v
+        while root.kind == "gep":
+            root = root.base
+        if root.kind != "global":
+            return None
+        addr, start = self._const(v), self._const(root)
+        if not start <= addr <= start + self.sizes[root.name] - size:
+            return None
+        return addr - self.arena.base
 
     def _init_global(self, g) -> None:
         addr, init = self.globals[g.name], g.init
@@ -486,12 +566,14 @@ class DecodedModule:
             seg = segs[fi][si]
             code, bound = list(seg.code), {}
             for pos, d, t in targets:
+                if seg.instrs[pos].opcode == "alloca":  # see decode_function
+                    raise ValueError(f"plan target {t.index} is an alloca")
                 bound[f"target{pos}"], bound[f"ins{pos}"] = t, seg.instrs[pos]
                 code[pos] += (f"r[{d}] = m.inject(target{pos}, ins{pos}, r[{d}], "
                               f"m.state.steps - {seg.n - pos - 1})",)
             segs[fi][si] = Segment(f"@{self.fns[fi].name}#{si}", tuple(code),
                                    seg.instrs, seg.rec_idx, seg.rec_slot, seg.term,
-                                   bound)
+                                   seg.stack, bound)
         return [Code(fn, s, tuple(w) or None)
                 for fn, s, w in zip(self.fns, segs, watch)]
 

@@ -14,9 +14,14 @@ runs the terminator. A budget that ends inside a segment runs the segment's
 prefix function for the steps left instead. When an op traps, the line of
 the generated function that its exception passed through gives the op, and
 with it the exact step, trap location and trace length. A run's stack arena
-starts as a copy of the decoded globals. A traced run keeps its trace as raw
-(index, value) columns; values become hex only when the trace is read or
-written.
+starts as a copy of the decoded globals. A traced run keeps its trace packed,
+as the columns of a RunTrace: an array("i") of instruction indices, which
+each segment's index array extends, and a bytearray of 8-byte words, which
+the words each segment returns extend; a call's return value, a budget-cut
+prefix and the ops before a trap pack the same way. Records whose values a
+segment's struct refuses are packed by `words`, one at a time, which keeps a
+value no word holds as it is, by position (`trace_odd`). Values become hex
+only when the trace is read or written.
 
 Hook order at a target instruction: the result is computed, the occurrence
 scope is consulted, a sampled error is applied, and only then does the trace
@@ -39,6 +44,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+from array import array
 from dataclasses import dataclass, field, replace
 
 from ..ir.nodes import IrModule, Instruction
@@ -128,15 +134,17 @@ class Frame:
 
 @dataclass
 class RunState:
-    """Everything a run changes, as plain data that pickles. `trace_idx` is
-    None in an untraced run."""
+    """Everything a run changes, as plain data that pickles. The trace is
+    the columns of a RunTrace: `trace_idx` (None in an untraced run),
+    `trace_words` and `trace_odd`."""
     arena: MemoryArena
     heap: MemoryArena
     stdin: InStream
     call_counts: list[int]
     exec_counts: dict[int, int]
-    trace_idx: list[int] | None
-    trace_val: list = field(default_factory=list)
+    trace_idx: array | None
+    trace_words: bytearray = field(default_factory=bytearray)
+    trace_odd: dict = field(default_factory=dict)
     open_streams: dict[int, InStream] = field(default_factory=dict)
     stdout_parts: list[str] = field(default_factory=list)
     frames: list[Frame] = field(default_factory=list)
@@ -151,8 +159,8 @@ class RunState:
             self, arena=self.arena.copy(), heap=self.heap.copy(),
             stdin=copy.copy(self.stdin),
             call_counts=list(self.call_counts), exec_counts=dict(self.exec_counts),
-            trace_idx=None if self.trace_idx is None else list(self.trace_idx),
-            trace_val=list(self.trace_val),
+            trace_idx=None if self.trace_idx is None else self.trace_idx[:],
+            trace_words=self.trace_words[:], trace_odd=dict(self.trace_odd),
             open_streams={h: copy.copy(st) for h, st in self.open_streams.items()},
             stdout_parts=list(self.stdout_parts),
             frames=[f.copy() for f in self.frames],
@@ -193,7 +201,7 @@ class Machine:
                 arena=self._decoded.arena.copy(), heap=MemoryArena(base=HEAP_BASE),
                 stdin=InStream(self.io.stdin_text), call_counts=[0] * len(self._codes),
                 exec_counts={t.index: 0 for t in plan.targets} if plan else {},
-                trace_idx=[] if trace else None)
+                trace_idx=array("i") if trace else None)
             return
         # resume a run this machine would have made: one of its module under
         # its plan and io, that its budget lets reach the snapshot
@@ -205,7 +213,7 @@ class Machine:
                              f"snapshot's step {start.state.steps}")
         self.state = start.state.copy()
         if not trace:
-            self.state.trace_idx = None
+            self.state.trace_idx, self.state.trace_words = None, bytearray()
 
     # -- services used by intrinsics and ops --------------------------------
 
@@ -225,6 +233,14 @@ class Machine:
     def mem_for(self, addr: int) -> MemoryArena:
         return self.state.heap if addr >= HEAP_BASE else self.state.arena
 
+    def words(self, indices: tuple, values: tuple) -> bytes:
+        """The trace words of records that a segment's struct refused, packed
+        one by one: each value no word holds is kept in the trace as odd."""
+        state = self.state
+        return self._decoded.fields.pack(
+            indices, values, {} if state.trace_idx is None else state.trace_odd,
+            len(state.trace_words) // 8)
+
     def trap(self, kind: str, message: str):
         """Stop the run with a trap; the step loop adds where it happened."""
         assert kind in TRAP_KINDS, kind
@@ -243,8 +259,8 @@ class Machine:
         except _BudgetExhausted:
             status, trap, value = "budget_exhausted", None, None
         state = self.state
-        trace = (RunTrace(state.trace_idx, state.trace_val, self._decoded.fields)
-                 if self.tracing else None)
+        trace = (RunTrace.packed(state.trace_idx, state.trace_words, state.trace_odd,
+                                 self._decoded.fields) if self.tracing else None)
         return RunOutcome(
             status=status, return_value=value, stdout="".join(state.stdout_parts),
             trap=trap, steps=state.steps, activation_count=len(state.activations),
@@ -266,7 +282,7 @@ class Machine:
     def _exec(self):
         """Run segments until `@main` returns."""
         state, codes, budget = self.state, self._codes, self.budget
-        stack, tidx, tval = state.frames, state.trace_idx, state.trace_val
+        stack, tidx, words = state.frames, state.trace_idx, state.trace_words
         if not stack:
             fi = self._decoded.fn_index.get("main")
             if fi is None:
@@ -281,17 +297,17 @@ class Machine:
                 base = state.steps
                 steps = state.steps = base + seg.n
                 if steps > budget:
-                    values = seg.prefix(budget - base)(regs, self)
+                    packed = seg.prefix(budget - base)(regs, self)
                     if tidx is not None:
-                        tidx.extend(seg.rec_idx[:len(values)])
-                        tval.extend(values)
+                        tidx.extend(seg.rec_arr[:len(packed) // 8])
+                        words += packed
                     state.steps = budget + 1
                     frame.si = si  # where a snapshot resumes
                     raise _BudgetExhausted
-                values = seg.run(regs, self)
+                packed = seg.run(regs, self)
                 if tidx is not None:
-                    tidx.extend(seg.rec_idx)
-                    tval.extend(values)
+                    tidx.extend(seg.rec_arr)
+                    words += packed
                 term = seg.term
                 kind = term[0]
                 if kind == BR:
@@ -318,11 +334,15 @@ class Machine:
                     code = codes[frame.fi]
                     segs, regs, watch, si = code.segs, frame.regs, code.watch, frame.si
                     # finish the caller's call instruction with the returned value
-                    _kind, _fi, _args, d, index = segs[si].term
+                    _kind, _fi, _args, d, index, pack = segs[si].term
                     regs[d] = value
                     if tidx is not None and index is not None:
+                        try:
+                            packed = pack(value)
+                        except Exception:  # a value no word of its kind holds
+                            packed = self.words((index,), (value,))
                         tidx.append(index)
-                        tval.append(value)
+                        words += packed
                     si += 1
         except (_TrapSignal, OutOfBounds) as e:
             # an op raised, or else the terminator did
@@ -340,8 +360,9 @@ class Machine:
         state = self.state
         if state.trace_idx is not None:
             n = seg.traced(done)
-            state.trace_idx.extend(seg.rec_idx[:n])
-            state.trace_val.extend(regs[s] for s in seg.rec_slot[:n])
+            packed = self.words(seg.rec_idx[:n], tuple(regs[s] for s in seg.rec_slot[:n]))
+            state.trace_idx.extend(seg.rec_arr[:n])
+            state.trace_words += packed
 
     @staticmethod
     def _count_trip(frame: Frame, watch: tuple, src: str, dst: str) -> None:

@@ -43,11 +43,21 @@ def tree_digest(root: str) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("program,config", sorted(DIGESTS))
-def test_tree_digest(tmp_path, program, config):
+def _digest(tmp_path, program: str, config: str, jobs: int) -> str:
     run_campaign(CampaignConfig(
         program=fixture_path(f"{program}.ll"),
         input=fixture_path(f"{config}_input.yaml"),
-        runs=10, jobs=1, output_dir=str(tmp_path),
+        runs=10, jobs=jobs, output_dir=str(tmp_path),
         files={"in.txt": "4 3 3\n"}))
-    assert tree_digest(str(tmp_path)) == DIGESTS[program, config]
+    return tree_digest(str(tmp_path))
+
+
+@pytest.mark.parametrize("program,config", sorted(DIGESTS))
+def test_tree_digest(tmp_path, program, config):
+    assert _digest(tmp_path, program, config, 1) == DIGESTS[program, config]
+
+
+@pytest.mark.parametrize("program,config", [("cg", "cg"), ("cg", "cg_loop")])
+def test_tree_digest_from_a_worker_pool(tmp_path, program, config):
+    """jobs=2 writes the tree jobs=1 writes: the same digest."""
+    assert _digest(tmp_path, program, config, 2) == DIGESTS[program, config]

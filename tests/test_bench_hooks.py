@@ -7,6 +7,7 @@ still offers what `layer_metrics` reads from it."""
 import ast
 import importlib
 import os
+import pickle
 
 import lcfi.vm.machine as machine
 from lcfi.faults import make_sampler
@@ -74,9 +75,15 @@ def test_run_offers_what_layer_metrics_reads(monkeypatch, demo_io):
     assert (mach.sampler.spec, mach.sampler.seed) == (sampler.spec, 5)
     assert oc.activation_count > 0 and oc.activations[0].step >= 1
     assert calls.count("sample_error") == calls.count("apply_fault") == oc.activation_count
-    assert len(oc.trace) > 0
+    # layer_metrics reads a run's packed trace: its length, its records'
+    # render() lines, and then the pickle of (i, oc) a pool would return
+    assert len(oc.trace) == len(oc.trace.idx) > 0
     assert all(isinstance(r.index, int) for r in oc.trace)
-    assert rendered(oc.trace) == "".join(r.render() + "\n" for r in oc.trace).encode()
+    lines = [r.render() for r in oc.trace]
+    assert rendered(oc.trace) == "".join(line + "\n" for line in lines).encode()
+    i, again = pickle.loads(pickle.dumps((3, oc)))
+    assert i == 3 and len(again.trace) == len(oc.trace)
+    assert [r.render() for r in again.trace] == lines
 
 
 def test_patched_machine_sees_every_injection_run(monkeypatch, tmp_path):

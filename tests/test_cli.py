@@ -1,3 +1,4 @@
+import json
 import os
 from pathlib import Path
 
@@ -167,6 +168,31 @@ class TestInject:
         # first two invocations untouched, third carries the fault
         assert captured.out != GOLDEN_STDOUT
         assert captured.out.startswith(TRIPLE + SEP + TRIPLE + SEP)
+
+    @pytest.mark.parametrize("program,config", [("demo", "demo"), ("cg", "cg_loop")])
+    def test_a_report_rows_seed_replays_its_trace(self, tmp_path, capsys, program,
+                                                  config):
+        """inject at the seed a campaign's report gives a run, from scratch,
+        writes that run's trace file byte for byte; the campaign ran it from
+        the golden run's snapshot."""
+        from lcfi.campaign import CampaignConfig, run_campaign
+        out = tmp_path / "campaign"
+        run_campaign(CampaignConfig(program=fixture_path(f"{program}.ll"),
+                                    input=fixture_path(f"{config}_input.yaml"), runs=3,
+                                    output_dir=str(out), files={"in.txt": "4 3 3\n"}))
+        rows = json.loads((out / "report.json").read_text())["run_details"]
+        assert len({row["seed"] for row in rows}) == 3
+        assert any(row["activations"] for row in rows)
+        for row in rows:
+            replay = tmp_path / f"replay.{row['run']}.txt"
+            assert main(["inject", fixture_path(f"{program}.ll"),
+                         "--input", fixture_path(f"{config}_input.yaml"),
+                         "--seed", str(row["seed"]),
+                         "--file", "in.txt=" + fixture_path("in.txt"),
+                         "--trace-out", str(replay)]) == 0
+            written = (out / "llfi" / "llfi_stat_output"
+                       / f"llfi.stat.trace.{row['run']}-0.txt").read_bytes()
+            assert replay.read_bytes() == written and written
 
     def test_seed_defaults_to_config(self, capsys):
         rc = main(["inject", fixture_path("demo.ll"),

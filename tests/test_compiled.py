@@ -3,6 +3,7 @@ any step, a trap at any op position is placed exactly, and a traceback
 through generated code shows the op's line."""
 
 import traceback
+from dataclasses import replace
 
 import pytest
 
@@ -198,3 +199,99 @@ define i32 @main() {{
 """)
     out = Machine(m).run()
     assert out.status == ("trapped" if traps else "ok")
+
+
+def _op_source(m, ins) -> list:
+    """The source lines of the op of the instruction `ins`, or of the one
+    whose result is the register named `ins`."""
+    for fn in decode.decoded(m).fns:
+        for seg in fn.segs:
+            for op, lines in zip(seg.instrs, seg.code):
+                if op is ins or op.result == ins:
+                    return list(lines)
+    raise KeyError(ins)
+
+
+def test_an_alloca_load_and_store_read_the_stack_buffer_directly():
+    """An access through a function's own alloca register, within its width,
+    is a bare unpack_from or pack_into on the stack arena's buffer; so is
+    one at a constant address within a global."""
+    m = _module("""
+@g = global [4 x i32] zeroinitializer
+define i32 @main() {
+entry:
+  %s = alloca double
+  store double 2.5, double* %s
+  %v = load double* %s
+  %w = load i32* getelementptr ([4 x i32]* @g, i64 0, i64 3)
+  %x = fptosi double %v to i32
+  %y = add i32 %x, %w
+  ret i32 %y
+}
+""")
+    for lines in (_op_source(m, "v"), _op_source(m, "w")):
+        assert len(lines) == 1 and "unpack_from_" in lines[0] and "(M, " in lines[0]
+        assert not any(word in lines[0] for word in ("OutOfBounds", ".top", "heap"))
+    [store] = [ins for _f, _b, ins in m.all_instructions() if ins.opcode == "store"]
+    assert _op_source(m, store) == ["pack_into_f64(M, r[1] - 4096, 2.5)"]
+    out = Machine(m).run()
+    assert (out.status, out.return_value) == ("ok", 2)
+
+
+@pytest.mark.parametrize("body,result", [
+    # an access wider than its alloca
+    ("  %s = alloca i32\n  %v = load i64* %s\n", "v"),
+    # a getelementptr off an alloca
+    ("  %s = alloca [2 x i32]\n  %q = getelementptr [2 x i32]* %s, i64 0, i64 2\n"
+     "  %v = load i32* %q\n", "v"),
+    # past the end of a global, at a constant address (@g is the last one)
+    ("  %v = load i32* getelementptr ([2 x i32]* @g, i64 0, i64 2)\n", "v"),
+    # wider than what is left of a global
+    ("  %v = load i64* getelementptr ([2 x i32]* @g, i64 0, i64 1)\n", "v"),
+], ids=["wider_than_alloca", "gep_off_alloca", "past_a_global", "wider_than_global"])
+def test_accesses_decode_cannot_prove_stay_checked(body, result):
+    m = _module(f"@h = global i32 0\n@g = global [2 x i32] zeroinitializer\n"
+                f"define i32 @main() {{\nentry:\n{body}  ret i32 0\n}}\n")
+    assert any("raise OutOfBounds" in line for line in _op_source(m, result))
+    out = Machine(m, trace=True).run()
+    assert (out.status, out.trap.kind, out.trap.index) == (
+        "trapped", "out_of_bounds", _by_result(m, result).index)
+
+
+def test_a_pointer_to_a_returned_callees_alloca_stays_checked():
+    m = _module("""
+define i32* @leak() {
+entry:
+  %s = alloca i32
+  store i32 5, i32* %s
+  %v = load i32* %s
+  ret i32* %s
+}
+define i32 @main() {
+entry:
+  %p = call i32* @leak()
+  %v2 = load i32* %p
+  ret i32 %v2
+}
+""")
+    assert "(M, " in _op_source(m, "v")[0]
+    assert any("raise OutOfBounds" in line for line in _op_source(m, "v2"))
+    out = Machine(m, trace=True).run()
+    assert (out.status, out.trap.kind, out.trap.function, out.trap.index) == (
+        "trapped", "out_of_bounds", "main", _by_result(m, "v2").index)
+    loaded = _by_result(m, "v").index
+    assert [r.value_hex for r in out.trace if r.index == loaded] == ["00000005"]
+
+
+def test_a_plan_that_targets_an_alloca_is_refused(demo_io):
+    """The direct stack accesses rely on an alloca's register holding its
+    allocation, so a plan built by hand to fault one is refused."""
+    m = assign_indices(load_fixture_module("demo.ll"))
+    cfg = load_input_config(fixture_path("demo_input.yaml"))
+    plan = build_plan(m, cfg)
+    alloca = next(ins for _f, _b, ins in m.all_instructions()
+                  if ins.opcode == "alloca" and ins.index is not None)
+    bad = replace(plan, targets=(replace(plan.targets[0], index=alloca.index),))
+    with pytest.raises(ValueError, match=f"plan target {alloca.index} is an alloca"):
+        Machine(m, demo_io, plan=bad,
+                sampler=make_sampler(cfg.fault_spec(base_dir=FIXTURES), 1))

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import random
 import struct
 import sys
@@ -20,9 +21,9 @@ from lcfi.traces import (AlignedPair, Divergence, IndexMismatch, TraceFormatErro
                          _myers_core, _myers_ops, build_propagation, parse_record,
                          RunTrace, TraceColumns, TraceFields, TraceText, format_record,
                          read_trace, trace_diff, trace_to_dot, trace_union, write_trace)
-from lcfi.vm.machine import IoConfig, Machine
+from lcfi.vm.machine import IoConfig, Machine, prefix_snapshot
 
-from conftest import fixture_path, load_fixture_module, run_python
+from conftest import fixture_path, load_fixture_module, rendered, run_python
 
 
 def _as_columns(records: list) -> TraceColumns:
@@ -1342,20 +1343,20 @@ class TestWriteAgainstGolden:
         assert list(text.offsets) == [sum(len(line) + 1 for line in lines[:k])
                                       for k in range(len(lines) + 1)]
 
-    def test_offsets_and_zeros_of_the_written_file(self, tmp_path):
+    def test_offsets_and_words_of_the_written_file(self, tmp_path):
         """The TraceText write_trace returns derives the file's line starts
-        from its bytes and golden's float zeros from its values."""
+        from its bytes; golden's words tell zeros of either sign apart, so
+        bit equality alone decides what is copied."""
         text = write_trace(self.GOLDEN, str(tmp_path / "golden.txt"))
-        assert not {"data", "offsets", "zeros"} & vars(text).keys()  # none derived yet
+        assert not {"data", "offsets"} & vars(text).keys()  # none derived yet
         data = (tmp_path / "golden.txt").read_bytes()
         assert list(text.offsets) == [0] + [k + 1 for k, byte in enumerate(data)
                                             if byte == ord("\n")]
-        # 0.0, -0.0, 0.0 and an int 0 under f64 and f32; the zeros under
-        # i32 and i64 are not under a float kind
-        assert list(text.zeros) == [0, 2, 6, 7]
-        kinds = {1: "f64", 3: "f32"}
-        assert list(text.zeros) == [pos for pos, (i, v) in enumerate(zip(
-            self.GOLDEN.indices, self.GOLDEN.values)) if i in kinds and v == 0]
+        # each zero but the f32 -0.0, whose word is its sign bit, and the
+        # store's no value are words of zeros
+        words = struct.unpack("<10Q", self.GOLDEN.words)
+        assert [pos for pos, w in enumerate(words) if w == 0] == [0, 1, 3, 6, 7, 9]
+        assert words[2] == 0x80000000 and self.GOLDEN.odd == {}
 
     @pytest.mark.parametrize("values,renders_as_golden", [
         ([-0.0, 0, -0.0, None, 7, 2.5, 0.0, 0, 3, 0], False),  # -0.0 for 0.0
@@ -1570,6 +1571,181 @@ class TestBlockRenderer:
             trace[1]
         with pytest.raises(error):
             b"".join(_blocks(trace))
+
+
+# Every scalar kind's edge values, made by a run: the hex that the formatters
+# (value_bits) give each record's raw value.
+EDGE_PROGRAM = """declare ptr @malloc(i64)
+declare i64 @free(ptr)
+
+define double @half(double %x) {
+entry:
+  %h = fmul double %x, 0.5
+  ret double %h
+}
+
+define i32 @main() {
+entry:
+  %b = icmp eq i32 1, 1
+  %c = trunc i32 -1 to i8
+  %d = add i32 2147483647, 1
+  %e = sub i64 0, 1
+  %f = fsub float -0.0, 0.0
+  %g = fadd float 0.0, 0.0
+  %h = fsub double -0.0, 0.0
+  %i = fadd double 0.0, 0.0
+  %j = bitcast i64 9221120237041090561 to double
+  %k = bitcast i64 -2251799813685247 to double
+  %l = bitcast i32 2143289345 to float
+  %l2 = bitcast i32 -4194303 to float
+  %m = fdiv double 1.0, 0.0
+  %n = fdiv double -1.0, 0.0
+  %o = fmul float 3.0e38, 10.0
+  %o2 = fmul float -3.0e38, 10.0
+  %p = call ptr @malloc(i64 8)
+  %q = getelementptr i8, ptr %p, i64 9223372036854775807
+  %q2 = getelementptr i8, ptr %q, i64 9223372036854775807
+  %r = call i64 @free(ptr %p)
+  %s = call double @half(double %h)
+  %big = select i1 true, i64 18446744073709551615, i64 0
+  ret i32 0
+}
+"""
+# (opcode, hex) of each record of EDGE_PROGRAM's run: malloc's first heap
+# address is 2**32, and the geps add 2**63 - 1 twice, past 2**64.
+EDGE_RECORDS = [
+    ("icmp", "00000001"), ("trunc", "ffffffff"), ("add", "80000000"),
+    ("sub", "ffffffffffffffff"), ("fsub", "80000000"), ("fadd", "00000000"),
+    ("fsub", "8000000000000000"), ("fadd", "0000000000000000"),
+    ("bitcast", "7ff8000000000001"), ("bitcast", "fff8000000000001"),
+    ("bitcast", "7fc00001"), ("bitcast", "ffc00001"),
+    ("fdiv", "7ff0000000000000"), ("fdiv", "fff0000000000000"),
+    ("fmul", "7f800000"), ("fmul", "ff800000"),
+    ("call", "0000000100000000"), ("getelementptr", "80000000ffffffff"),
+    ("getelementptr", "00000000fffffffe"),
+    ("call", "00000000"),  # free declared with a result returns none
+    ("fmul", "8000000000000000"), ("call", "8000000000000000"),  # a call's return
+    ("select", "ffffffffffffffff"),
+]
+
+
+class TestPackedRuns:
+    """A run packs each record's value into a word as it runs; its trace file
+    has the bytes the formatters give the raw values, record by record."""
+
+    @staticmethod
+    def _lines(records) -> bytes:
+        return "".join(format_record(r.index, r.opcode, r.value_hex) + "\n"
+                       for r in records).encode()
+
+    def test_edge_values_of_every_kind(self, tmp_path):
+        m = assign_indices(parse_module(EDGE_PROGRAM))
+        out = Machine(m, trace=True).run()
+        assert out.status == "ok"
+        trace = out.trace
+        assert [(r.opcode, r.value_hex) for r in trace] == EDGE_RECORDS
+        write_trace(trace, str(tmp_path / "run.txt"))
+        assert (tmp_path / "run.txt").read_bytes() == self._lines(trace)
+        # only free's None is odd; the geps past 2**63 fit a word
+        free = [r.opcode for r in trace].index("call", 17)
+        assert trace.odd == {free: None} and trace.values[free] is None
+        assert trace.values[6] == 0.0 and math.copysign(1.0, trace.values[6]) == -1.0
+
+    def test_cuts_and_traps_render_prefixes(self):
+        """A budget cut or a trap mid-segment keeps the records of the ops
+        before it, packed as a whole run packs them."""
+        m = assign_indices(parse_module(EDGE_PROGRAM))
+        full = Machine(m, trace=True).run()
+        lines = rendered(full.trace).splitlines(keepends=True)
+        for k in range(full.steps):
+            cut = Machine(m, budget=k, trace=True).run()
+            assert cut.status == "budget_exhausted"
+            assert rendered(cut.trace) == b"".join(lines[:len(cut.trace)]), k
+        trapping = EDGE_PROGRAM.replace("  %big", "  %z = sdiv i32 1, 0\n  %big")
+        out = Machine(assign_indices(parse_module(trapping)), trace=True).run()
+        assert out.trap.kind == "division_by_zero"
+        assert rendered(out.trace) == b"".join(lines[:-1])
+
+    def test_a_snapshot_started_run_packs_a_scratch_runs_words(self, demo_io):
+        m = assign_indices(load_fixture_module("demo.ll"))
+        cfg = load_input_config(fixture_path("demo_input.yaml"))
+        plan, spec = build_plan(m, cfg), cfg.fault_spec(base_dir=fixture_path(""))
+        start = prefix_snapshot(m, demo_io, 10 ** 6, plan)
+        assert len(start.state.trace_idx) > 0
+        runs = [Machine(m, demo_io, budget=10 ** 6, trace=True, plan=plan,
+                        sampler=make_sampler(spec, 3), start=s).run() for s in (start, None)]
+        assert rendered(runs[0].trace) == rendered(runs[1].trace)
+        assert runs[0].trace.words == runs[1].trace.words
+
+    @pytest.mark.parametrize("bad,error", [
+        ("  %x = select i1 true, float 1.0e300, float 0.0\n", OverflowError),
+        ("  %x = call i32 @sqrt(double 2.0)\n", TypeError),
+    ], ids=["f32_overflow", "float_under_i32"])
+    def test_values_the_formatters_refuse_raise_at_write(self, tmp_path, bad, error):
+        """A value the formatter refuses is kept as it is, and writing the
+        trace raises the formatter's error, as it did from raw values."""
+        text = "declare i32 @sqrt(double)\n" + EDGE_PROGRAM.replace(
+            "  ret i32 0\n}\n", bad + "  ret i32 0\n}\n")
+        out = Machine(assign_indices(parse_module(text)), trace=True).run()
+        assert out.status == "ok" and len(out.trace.odd) == 2
+        with pytest.raises(error):
+            write_trace(out.trace, str(tmp_path / "run.txt"))
+
+    @pytest.mark.parametrize("n", [1, traces._SHORT - 1, traces._SHORT, traces._SHORT + 1,
+                                   3 * traces._SHORT])
+    def test_both_sides_of_the_short_render_give_the_same_bytes(self, n):
+        """Below _SHORT records a stretch renders record by record from its
+        words, from _SHORT on in one vectorized pass: the same bytes."""
+        trace = Machine(assign_indices(load_fixture_module("cg.ll")), trace=True).run().trace
+        fields = trace.fields
+        for a in (0, 777, len(trace) - n):
+            idx, words = trace.idx[a:a + n], trace.words[8 * a:8 * (a + n)]
+            assert fields.lines(idx, words) == fields.render(idx, words)
+            assert fields.lines(idx, words) == self._lines(trace[a:a + n])
+
+    def test_written_against_golden_across_the_short_render(self, tmp_path):
+        """Stretches of differing values shorter and longer than _SHORT, and
+        gaps between them on either side of it, write golden's bytes."""
+        fields = TraceFields([(1, "fadd", "f64"), (2, "add", "i32"), (3, "call", "i64")])
+        n = 6 * traces._SHORT
+        golden = RunTrace([1, 2, 3] * n, [0.5, 1, 2] * n, fields)
+        text = write_trace(golden, str(tmp_path / "golden.txt"))
+        values = list(golden.values)
+        for a, length in ((5, 1), (9, traces._SHORT - 1), (9 + 2 * traces._SHORT, 3),
+                          (400, traces._SHORT + 2)):
+            values[a:a + length] = [-0.0 if i % 3 == 0 else None
+                                    for i in range(a, a + length)]
+        trace = RunTrace(golden.indices, values, fields)
+        write_trace(trace, str(tmp_path / "plain.txt"))
+        write_trace(trace, str(tmp_path / "against.txt"), text)
+        assert (tmp_path / "against.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
+        assert (tmp_path / "plain.txt").read_bytes() == self._lines(trace)
+
+    def test_a_long_traced_run_holds_twelve_bytes_a_record(self):
+        """Each record is a 4-byte index and an 8-byte word; the columns grow
+        by at most an eighth past that, and all the run keeps, looper's 0.8
+        records a step, grows by less than 12 bytes a step."""
+        m = assign_indices(load_fixture_module("looper.ll"))
+        Machine(m, budget=1000, trace=True).run()  # decode and compile first
+        tracemalloc.start()
+        try:
+            out = Machine(m, budget=200_000, trace=True).run()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        trace = out.trace
+        n = len(trace)
+        assert n == 159_999 and not trace.odd
+        assert trace.idx.itemsize * n + len(trace.words) == 12 * n
+        assert sys.getsizeof(trace.idx) + sys.getsizeof(trace.words) <= 13.5 * n
+        assert kept <= 12 * out.steps
+
+    def test_a_pickled_trace_carries_its_columns_only(self, demo_indexed, demo_io):
+        trace = Machine(demo_indexed, demo_io, trace=True).run().trace
+        records = list(trace)  # builds the indices, opcodes and hexes
+        copy = pickle.loads(pickle.dumps(trace))
+        assert set(vars(copy)) == {"idx", "words", "odd", "fields"}
+        assert list(copy) == records and copy.words == trace.words
 
 
 def test_reading_and_diffing_do_not_import_numpy(tmp_path):
