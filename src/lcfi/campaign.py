@@ -29,6 +29,7 @@ from .instrument import (InjectionPlan, InputConfig, assign_indices, as_text,
                          build_plan, emit_artifacts, integer, load_input_config,
                          load_yaml, positive_int, unknown_keys, InstrumentError)
 from .faults import FaultSpec, make_sampler, FaultError, mix64
+from .vm.decode import decoded
 from .vm.machine import (DEFAULT_BUDGET, IoConfig, Machine, RunOutcome, Snapshot,
                          prefix_snapshot)
 from .traces import TraceText, write_trace
@@ -330,10 +331,13 @@ def load_program(path: str) -> IrModule:
 
 
 def load_indexed(path: str) -> IrModule:
-    """`load_program` with its warnings on stderr, then indexed."""
+    """`load_program` with its warnings on stderr, then indexed and decoded,
+    so the module is validated once."""
     module = load_program(path)
     warn(path, module.warnings)
-    return assign_indices(module)
+    indexed = assign_indices(module)
+    decoded(indexed, valid=True)
+    return indexed
 
 
 def load_plan(path: str, module: IrModule) -> tuple[InputConfig, InjectionPlan, FaultSpec]:

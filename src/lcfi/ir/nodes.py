@@ -45,7 +45,9 @@ BITCASTS = frozenset({("i32", "f32"), ("f32", "i32"), ("i64", "f64"), ("f64", "i
 
 
 def wrap_int(v: int, bits: int) -> int:
-    """Wrap an integer to a signed `bits`-wide value."""
+    """Wrap an integer to a signed `bits`-wide value; an i1 is 0 or 1."""
+    if bits == 1:
+        return v & 1
     half = 1 << (bits - 1)
     return ((v + half) & ((1 << bits) - 1)) - half
 

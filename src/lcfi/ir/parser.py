@@ -453,7 +453,10 @@ class _ModuleParser:
                     val = float(text)
                 return floatc(val, vtype)
             if vtype.is_integer() or vtype.is_pointer():
-                val = int(text, 16) if text.startswith("0x") else int(text)
+                try:
+                    val = int(text, 16) if text.startswith("0x") else int(text)
+                except ValueError:
+                    raise cur.error(f"{text} is not an integer literal") from None
                 return intc(val, vtype if vtype.is_integer() else I64)
             raise cur.error(f"numeric literal not valid for type {vtype.render()}")
         if t.kind == "word":

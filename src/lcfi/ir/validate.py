@@ -9,10 +9,18 @@ through its incoming edge. Blocks no path reaches are not checked.
 Phis: none in the entry block, and each phi names a value for every block
 that branches to its own.
 
-Types: every opcode is one the interpreter runs, loads and stores move
+Types: every opcode is one the interpreter runs, on operands and to a
+result of the classes it takes (`add` integers, `sitofp` an integer to a
+float, a condition an i1, an address a pointer, ...), loads and stores move
 scalars, a bitcast converts between pointers or between same-width integer
-and float kinds, and every getelementptr path (constant ones included) steps
-only through arrays and structs, with constant struct field numbers.
+and float kinds, and every getelementptr path (constant ones included)
+steps only through arrays and structs, with constant struct field numbers.
+
+Kinds: a register is read at its definition's kind (all pointers are one),
+a call passes its callee's parameter kinds and declares its return kind, a
+ret returns its function's kind, and an intrinsic call declares void or the
+class of value the intrinsic returns (`lcfi.vm.intrinsics.INTRINSICS`), so
+no value of another type reaches a register or a trace.
 
 The interpreter decodes only modules that pass (see `lcfi.vm.decode`), so
 every rule it relies on is checked here.
@@ -22,8 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nodes import (BITCASTS, OPCODES, SCALARS, TERMINATORS, GlobalDef, Instruction,
-                    IrFunction, IrModule, ValueRef, gep_layout)
+from .nodes import (BITCASTS, OPCODES, SCALARS, TERMINATORS, VOID, GlobalDef,
+                    Instruction, IrFunction, IrModule, IrType, ValueRef, gep_layout)
 
 
 @dataclass
@@ -46,7 +54,6 @@ class Diagnostic:
 
 def validate(module: IrModule) -> list[Diagnostic]:
     """Return all diagnostics for the module; an empty list means valid."""
-    from ..vm.intrinsics import INTRINSIC_NAMES  # not at the top: lcfi.vm imports lcfi.ir
     diags: list[Diagnostic] = []
 
     seen_fn: set[str] = set()
@@ -67,14 +74,12 @@ def validate(module: IrModule) -> list[Diagnostic]:
         diags.extend(Diagnostic(f"{problem} in the initializer of @{g.name}")
                      for problem in _initializer_problems(g, global_names))
     for fn in module.functions:
-        diags.extend(_validate_function(fn, module, seen_fn, global_names,
-                                        INTRINSIC_NAMES))
+        diags.extend(_validate_function(fn, module, global_names))
     return diags
 
 
-def _validate_function(fn: IrFunction, module: IrModule, fn_names: set[str],
-                       global_names: set[str],
-                       intrinsics: frozenset[str]) -> list[Diagnostic]:
+def _validate_function(fn: IrFunction, module: IrModule,
+                       global_names: set[str]) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     if not fn.blocks:
@@ -89,6 +94,7 @@ def _validate_function(fn: IrFunction, module: IrModule, fn_names: set[str],
     preds = _predecessors(fn)
     into, defs = must_defined(fn, preds)
     defined: dict[str, str] = {name: "param" for name, _ in fn.params}
+    types: dict[str, IrType] = dict(fn.params)  # each register's definition's type
     for b in fn.blocks:
         for ins in b.instructions:
             if ins.result is not None:
@@ -96,6 +102,7 @@ def _validate_function(fn: IrFunction, module: IrModule, fn_names: set[str],
                     diags.append(Diagnostic(
                         f"register %{ins.result} redefined", fn.name, b.label, ins.line))
                 defined[ins.result] = b.label
+                types[ins.result] = ins.result_type
 
     for b in fn.blocks:
         term = b.terminator()
@@ -108,7 +115,7 @@ def _validate_function(fn: IrFunction, module: IrModule, fn_names: set[str],
             diags.extend(_check_operands(ins, b, pos, fn, defined, into, defs,
                                          global_names))
             diags.extend(Diagnostic(problem, fn.name, b.label, ins.line)
-                         for problem in _type_problems(ins))
+                         for problem in _type_problems(ins) + _kind_problems(ins, fn, types))
             if ins.opcode == "br":
                 for lbl in ins.labels:
                     if lbl not in label_set:
@@ -127,7 +134,7 @@ def _validate_function(fn: IrFunction, module: IrModule, fn_names: set[str],
                             f"phi has no incoming edge from %{lbl}", fn.name, b.label,
                             ins.line))
             elif ins.opcode == "call":
-                diags.extend(_check_call(ins, fn, b, module, fn_names, intrinsics))
+                diags.extend(_check_call(ins, fn, b, module))
     return diags
 
 
@@ -165,12 +172,41 @@ def _check_operands(ins: Instruction, block, pos: int, fn: IrFunction,
     return diags
 
 
+# The classes of value (_value_class) that each opcode below takes as its first
+# operand and gives as its result.
+_INT, _FLOAT = ("int",), ("float",)
+_CLASSES = {
+    **dict.fromkeys(("add", "sub", "mul", "sdiv", "srem", "zext", "sext", "trunc"),
+                    (_INT, _INT)),
+    **dict.fromkeys(("fadd", "fsub", "fmul", "fdiv", "fneg", "fpext", "fptrunc"),
+                    (_FLOAT, _FLOAT)),
+    "fptosi": (_FLOAT, _INT), "sitofp": (_INT, _FLOAT),
+    "icmp": (("int", "ptr"), _INT), "fcmp": (_FLOAT, _INT),
+}
+# The operands that an opcode takes of one kind: (position, kind).
+_FIXED_KINDS = {"select": ((0, "i1"),), "br": ((0, "i1"),), "load": ((0, "ptr"),),
+                "store": ((1, "ptr"),), "getelementptr": ((0, "ptr"),)}
+
+
 def _type_problems(ins: Instruction) -> list[str]:
     """What the interpreter cannot run in `ins`, by its types."""
     op = ins.opcode
     problems = [p for v in ins.operands for p in _constant_problems(v)]
+    problems += [f"{op} operand {pos + 1} is {ins.operands[pos].type.render()}, not {kind}"
+                 for pos, kind in _FIXED_KINDS.get(op, ())
+                 if pos < len(ins.operands) and ins.operands[pos].type.kind != kind]
     if op not in OPCODES:
         problems.append(f"opcode {op!r} not executable")
+    elif op in _CLASSES:
+        src, dst = ins.operands[0].type, ins.result_type
+        takes, gives = _CLASSES[op]
+        bad = _value_class(src) not in takes or _value_class(dst) not in gives
+        if not bad and OPCODES[op] == "cast" and takes == gives:
+            # within a class, trunc and fptrunc narrow and the other casts widen
+            bad = (src.int_bits() > dst.int_bits()) != op.endswith("trunc") or src == dst
+        if bad:
+            to = f" to {dst.render()}" if OPCODES[op] == "cast" else ""
+            problems.append(f"{op} {src.render()}{to} unsupported")
     elif op == "bitcast":
         src, dst = ins.operands[0].type, ins.result_type
         if not (src.is_pointer() and dst.is_pointer()) and (src.kind, dst.kind) not in BITCASTS:
@@ -184,7 +220,28 @@ def _type_problems(ins: Instruction) -> list[str]:
             gep_layout(ins.aux_type, ins.operands[1:])
         except ValueError as e:
             problems.append(str(e))
+        problems += [f"getelementptr index of type {v.type.render()}"
+                     for v in ins.operands[1:] if not v.type.is_integer()]
     return problems
+
+
+def _kind_problems(ins: Instruction, fn: IrFunction, types: dict) -> list[str]:
+    """The registers `ins` reads at another kind than their definitions',
+    and, for a ret, a kind other than the function's."""
+    problems = [f"register %{v.name} is {types[v.name].render()}, read as {v.type.render()}"
+                for v in ins.operands
+                if v.kind == "reg" and v.name in types and v.type.kind != types[v.name].kind]
+    if ins.opcode == "ret":
+        t = ins.operands[0].type if ins.operands else VOID
+        if t.kind != fn.return_type.kind:
+            problems.append(f"ret {t.render()} in a function returning "
+                            f"{fn.return_type.render()}")
+    return problems
+
+
+def _value_class(t: IrType) -> str:
+    """The class of value a type holds, as INTRINSICS names them."""
+    return "int" if t.is_integer() else "float" if t.is_float() else t.kind
 
 
 def _constant_problems(v: ValueRef) -> list[str]:
@@ -259,16 +316,26 @@ def operand_refs(v: ValueRef) -> list[ValueRef]:
     return [v] if v.kind in ("reg", "global") else []
 
 
-def _check_call(ins: Instruction, fn: IrFunction, block, module: IrModule,
-                fn_names: set[str], intrinsics: frozenset[str]) -> list[Diagnostic]:
-    callee = ins.callee
+def _check_call(ins: Instruction, fn: IrFunction, block, module: IrModule) -> list[Diagnostic]:
+    from ..vm.intrinsics import INTRINSICS  # not at the top: lcfi.vm imports lcfi.ir
+    callee, declared = ins.callee, ins.result_type
     target = module.function(callee)
     if target is not None:
         if len(ins.operands) != len(target.params):
-            return [Diagnostic(
-                f"call to @{callee} passes {len(ins.operands)} args, expected {len(target.params)}",
-                fn.name, block.label, ins.line)]
-        return []
-    if callee in intrinsics:
-        return []
-    return [Diagnostic(f"call to unknown function @{callee}", fn.name, block.label, ins.line)]
+            problems = [f"call to @{callee} passes {len(ins.operands)} args, "
+                        f"expected {len(target.params)}"]
+        else:
+            problems = [f"call to @{callee} passes {v.type.render()} as argument {k}, "
+                        f"which is {t.render()}"
+                        for k, (v, (_name, t)) in enumerate(zip(ins.operands, target.params), 1)
+                        if v.type.kind != t.kind]
+        if declared.kind != target.return_type.kind:
+            problems.append(f"call to @{callee} declares {declared.render()}, "
+                            f"which returns {target.return_type.render()}")
+    elif callee in INTRINSICS:
+        returns = INTRINSICS[callee][1]
+        problems = ([] if _value_class(declared) in ("void", returns) else
+                    [f"call to @{callee} declares {declared.render()}, which returns {returns}"])
+    else:
+        problems = [f"call to unknown function @{callee}"]
+    return [Diagnostic(problem, fn.name, block.label, ins.line) for problem in problems]

@@ -34,12 +34,13 @@ renders in one vectorized pass: one bytes.hex() of the words, made
 big-endian, gives every digit, filled into rows of bytes that hold each
 record's line prefix (TraceFields.render); a stretch of fewer than _SHORT
 records is formatted one record at a time from its words, which costs less.
-That pass imports numpy on first use, and the value formatter of each scalar
-kind (_value_hex) is built from lcfi.ir.nodes on first use, so reading and
-diffing traces load neither numpy nor any IR module. It returns the file as
-a TraceText; written against the TraceText of another run of the same
-program, a trace copies that file's bytes wherever the two agree record for
-record, instruction and word bit for bit, which array compares find, and
+A record's value is the one value of its type that validate and decode let
+a register hold, so every value has a word, and one table (_WORD_KINDS)
+gives each kind's word and digits. That pass imports numpy on first use, so
+reading and diffing traces load neither numpy nor any IR module. It returns
+the file as a TraceText; written against the TraceText of another run of the
+same program, a trace copies that file's bytes wherever the two agree record
+for record, instruction and word bit for bit, which array compares find, and
 gives the same file.
 """
 
@@ -53,7 +54,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, chain, compress, count, filterfalse, repeat
 from operator import add, eq, ne
 from typing import TYPE_CHECKING, NamedTuple
@@ -254,83 +255,43 @@ def _parse(text: str, lineno: int, out: TraceColumns, memo: tuple) -> int:
 
 # -- values and run traces ---------------------------------------------------------
 
-_NO_VALUE = "00000000"
-_PACK_F32 = struct.Struct(">f").pack
-_PACK_F64 = struct.Struct(">d").pack
-
-
-def _hex32(value) -> str:
-    return _NO_VALUE if value is None else "%08x" % (value & 0xFFFFFFFF)
-
-
-def _hex64(value) -> str:
-    return _NO_VALUE if value is None else "%016x" % (value & 0xFFFFFFFFFFFFFFFF)
-
-
-def _hex_f32(value) -> str:
-    return _NO_VALUE if value is None else _PACK_F32(value).hex()
-
-
-def _hex_f64(value) -> str:
-    return _NO_VALUE if value is None else _PACK_F64(value).hex()
-
-
-@cache
-def _value_hex() -> dict:
-    """The trace's fixed-width hex field of each scalar kind's runtime value:
-    16 digits for 8-byte scalars, 8 for the rest, float kinds as their IEEE
-    bits. Plain functions, so a RunTrace pickles. Built on first use, so
-    reading and diffing traces import no IR module."""
-    from .ir.nodes import SCALARS
-    return {k: {"f32": _hex_f32, "f64": _hex_f64}.get(k, _hex64 if size == 8 else _hex32)
-            for k, (size, _fmt) in SCALARS.items()}
-
-
-def _no_value_hex(value) -> str:
-    return _NO_VALUE
-
-
-def value_bits(value, vtype: IrType) -> str:
-    """Render a runtime value as the trace's hex field; zeros for no value."""
-    return _value_hex().get(vtype.kind, _no_value_hex)(value)
-
-
 # A record's word: 8 little-endian bytes that hold the bits its line shows. The
-# struct code of each formatter's word: an integer's two's complement (a narrow
-# kind shows its low 32 bits), an f32's bits in the low half, an f64's bits, and
-# zeros for no value. Each refuses what its formatter refuses, and None, which
-# the formatter shows as zeros; "q" also refuses an integer outside the signed
-# 64-bit range.
-_WORD_CODE = {_hex32: "q", _hex64: "q", _hex_f32: "f4x", _hex_f64: "d"}
+# function that packs one value into a word of each struct code: an integer as
+# its low 64 bits ("q"), an f32's bits in the low half ("f4x"), an f64's bits
+# ("d"), and zeros for a kind with no value ("8x"), whatever the value.
 _ZERO_WORD = bytes(8)
 _PACK_U64 = struct.Struct("<Q").pack
-# The function that packs one value into a word of each code, or raises on None
-# and where the formatter does; an integer packs as its low 64 bits, as it shows.
 _WORD = {"q": lambda value: _PACK_U64(value & 0xFFFFFFFFFFFFFFFF),
          "f4x": struct.Struct("<f4x").pack, "d": struct.Struct("<d").pack,
          "8x": lambda value: _ZERO_WORD}
 _UNPACK_WORD = {"q": struct.Struct("<q").unpack_from, "f4x": struct.Struct("<f").unpack_from,
                 "d": struct.Struct("<d").unpack_from}
+# Each scalar kind of lcfi.ir.nodes.SCALARS: its word code and the hex digits
+# its line shows, 16 for an 8-byte kind and 8 for the rest (a narrow integer
+# shows its low 32 bits). Any other kind has no value and shows eight zeros.
+_WORD_KINDS = {"i1": ("q", 8), "i8": ("q", 8), "i32": ("q", 8), "i64": ("q", 16),
+               "ptr": ("q", 16), "f32": ("f4x", 8), "f64": ("d", 16)}
+_NO_WORD = ("8x", 8)
 
 
-def _word_code(kind: str) -> str:
-    """The struct code of the word of a record whose result is of `kind`."""
-    return _WORD_CODE.get(_value_hex().get(kind), "8x")
+def value_bits(value, vtype: IrType) -> str:
+    """Render a value of `vtype` as the trace's hex field, from its word."""
+    code, digits = _WORD_KINDS.get(vtype.kind, _NO_WORD)
+    word = int.from_bytes(_WORD[code](value), "little")
+    return "%0*x" % (digits, word & ((1 << 4 * digits) - 1))
 
 
 def word_packer(kind: str):
-    """The function that packs one value of `kind` into its word, or raises
-    TypeError, OverflowError or struct.error where the word cannot hold it."""
-    return _WORD[_word_code(kind)]
+    """The function that packs one value of `kind` into its word."""
+    return _WORD[_WORD_KINDS.get(kind, _NO_WORD)[0]]
 
 
 def words_packer(kinds) -> tuple:
     """(pack, takes) for records whose results are of these kinds: `pack`
     packs their words in one call, from the values of the records that
-    `takes` marks (a kind with no value takes none). It raises on a value a
-    word cannot hold, and on an integer outside the signed 64-bit range,
-    which word_packer packs as its low 64 bits."""
-    codes = list(map(_word_code, kinds))
+    `takes` marks (a kind with no value takes none). It raises on an integer
+    outside the signed 64-bit range, which word_packer packs as its low 64."""
+    codes = [_WORD_KINDS.get(kind, _NO_WORD)[0] for kind in kinds]
     return struct.Struct("<" + "".join(codes)).pack, tuple(c != "8x" for c in codes)
 
 
@@ -340,10 +301,10 @@ def _unsigned_words(words) -> tuple:
 
 class TraceFields:
     """The parts of a trace line fixed by the instruction index, in lists
-    indexed by instruction index: opcode, line prefix and value formatter;
-    the struct code of its word; and the line as a bytes format of the word
-    masked to the digits it shows (`line`, `mask`), with its digits alone as
-    a str format (`digits`)."""
+    indexed by instruction index: opcode and line prefix; the struct code
+    of its word; and the line as a bytes format of the word masked to the
+    digits it shows (`line`, `mask`), with its digits alone as a str format
+    (`digits`)."""
 
     def __init__(self, instructions):
         """`instructions` yields (index, opcode, result kind) triples."""
@@ -351,41 +312,31 @@ class TraceFields:
         size = max((index for index, _op, _kind in rows), default=0) + 1
         self.opcode: list = [None] * size
         self.prefix: list = [None] * size
-        self.value_hex: list = [None] * size
         self.code: list = [None] * size
         self.digits: list = [None] * size
         self.line: list = [None] * size
         self.mask: list = [None] * size
-        value_hex = _value_hex()
         for index, opcode, kind in rows:
+            code, digits = _WORD_KINDS.get(kind, _NO_WORD)
             self.opcode[index] = opcode
             self.prefix[index] = format_record(index, opcode, "")
-            self.value_hex[index] = formatter = value_hex.get(kind, _no_value_hex)
-            self.code[index] = _word_code(kind)
-            wide = formatter in (_hex64, _hex_f64)
-            self.digits[index] = "%016x" if wide else "%08x"
+            self.code[index] = code
+            self.digits[index] = f"%0{digits}x"
             self.line[index] = f"{self.prefix[index]}{self.digits[index]}\n".encode()
-            self.mask[index] = 0xFFFFFFFFFFFFFFFF if wide else 0xFFFFFFFF
+            self.mask[index] = (1 << 4 * digits) - 1
 
-    def pack(self, indices, values, odd: dict, first: int = 0) -> bytearray:
-        """The words of the records with these instruction indices and raw
-        values, the first at trace position `first`. A value its word cannot
-        hold goes into `odd` at its position, and its word is zeros."""
-        code, out = self.code, bytearray()
-        for pos, i, value in zip(count(first), indices, values):
-            try:
-                out += _WORD[code[i]](value)
-            except (TypeError, OverflowError, struct.error):
-                out += _ZERO_WORD
-                odd[pos] = value
-        return out
+    def pack(self, indices, values) -> bytes:
+        """The words of the records with these instruction indices and
+        values, each a value of its record's type."""
+        code = self.code
+        return b"".join([_WORD[code[i]](value) for i, value in zip(indices, values)])
 
     @cached_property
     def _table(self):
         """render's per-index table, built on first use: each index's line as
         a row of bytes: the prefix, zeros up to the digit columns, 0xff over
-        the digits the formatter shows and a newline. Every row has its 16
-        digit columns in the same place."""
+        the digits the line shows and a newline. Every row has its 16 digit
+        columns in the same place."""
         import numpy as np
         width = max(map(len, filter(None, self.prefix)), default=0)
         rows = np.zeros((len(self.prefix), width + 17), np.uint8)
@@ -419,29 +370,16 @@ class TraceFields:
 class RunTrace(TraceColumns):
     """A run's trace as the machine records it, packed: `idx`, an
     array("i") of instruction indices, and `words`, one 8-byte word per
-    record that holds the bits its line shows (see _WORD_CODE). `odd` maps
-    the position of each record whose value no word holds (a None under a
-    scalar kind, or a value its formatter refuses) to that value; its word
-    is zeros and its line comes from the formatter. The indices, values,
-    opcodes and value-hex columns are built from these when first read, and
-    are not pickled; write_trace renders lines from the words."""
+    record that holds the bits its line shows (TraceFields.pack packs
+    values into words). The indices, values, opcodes and value-hex columns
+    are built from these when first read, and are not pickled; write_trace
+    renders lines from the words."""
 
-    def __init__(self, indices, values, fields: TraceFields):
-        """The trace of records with these indices and raw values, packed
-        as a run packs them."""
-        self.idx = array("i", indices)
-        self.odd: dict = {}
-        self.words = fields.pack(self.idx, values, self.odd)
-        self.fields = fields
-
-    @classmethod
-    def packed(cls, idx: array, words, odd: dict, fields: TraceFields) -> RunTrace:
-        trace = cls.__new__(cls)
-        trace.idx, trace.words, trace.odd, trace.fields = idx, words, odd, fields
-        return trace
+    def __init__(self, idx: array, words, fields: TraceFields):
+        self.idx, self.words, self.fields = idx, words, fields
 
     def __getstate__(self) -> dict:
-        return {name: self.__dict__[name] for name in ("idx", "words", "odd", "fields")}
+        return {name: self.__dict__[name] for name in ("idx", "words", "fields")}
 
     def __len__(self) -> int:
         return len(self.idx)
@@ -451,20 +389,12 @@ class RunTrace(TraceColumns):
         return self.idx.tolist()
 
     @cached_property
-    def odd_at(self) -> list:
-        """The positions of the odd records, in order."""
-        return sorted(self.odd)
-
-    @cached_property
     def values(self) -> list:
         """Each record's value as its word holds it: an int, a float, or None
-        for no value; a record in `odd` has its own."""
+        for no value."""
         code, words = self.fields.code, self.words
-        values = [None if code[i] == "8x" else _UNPACK_WORD[code[i]](words, 8 * pos)[0]
-                  for pos, i in enumerate(self.idx)]
-        for pos, value in self.odd.items():
-            values[pos] = value
-        return values
+        return [None if code[i] == "8x" else _UNPACK_WORD[code[i]](words, 8 * pos)[0]
+                for pos, i in enumerate(self.idx)]
 
     @cached_property
     def opcodes(self) -> list:
@@ -473,12 +403,7 @@ class RunTrace(TraceColumns):
     @cached_property
     def hexes(self) -> list:
         digits, mask = self.fields.digits, self.fields.mask
-        hexes = [digits[i] % (w & mask[i])
-                 for i, w in zip(self.idx, _unsigned_words(self.words))]
-        value_hex = self.fields.value_hex
-        for pos, value in self.odd.items():
-            hexes[pos] = value_hex[self.idx[pos]](value)
-        return hexes
+        return [digits[i] % (w & mask[i]) for i, w in zip(self.idx, _unsigned_words(self.words))]
 
 
 _WRITE_CHUNK = 4096  # records rendered and written per block, so memory stays flat
@@ -498,19 +423,7 @@ def _blocks(trace: RunTrace, start: int = 0, stop: int | None = None):
 
 def _lines(trace: RunTrace, a: int, b: int) -> bytes:
     """The lines of records a to b - 1: one by one from their words below
-    _SHORT records, else in one vectorized pass; a record in `odd` through
-    its formatter."""
-    fields, parts, at = trace.fields, [], trace.odd_at
-    for pos in at[bisect_left(at, a):bisect_left(at, b)]:
-        parts.append(_plain_lines(trace, a, pos))
-        i = trace.idx[pos]
-        parts.append(f"{fields.prefix[i]}{fields.value_hex[i](trace.odd[pos])}\n".encode())
-        a = pos + 1
-    parts.append(_plain_lines(trace, a, b))
-    return b"".join(parts)
-
-
-def _plain_lines(trace: RunTrace, a: int, b: int) -> bytes:
+    _SHORT records, else in one vectorized pass."""
     render = trace.fields.lines if b - a < _SHORT else trace.fields.render
     return render(trace.idx[a:b], trace.words[8 * a:8 * b])
 
@@ -545,8 +458,7 @@ def write_trace(trace: RunTrace, path: str, golden: TraceText | None = None) -> 
     With `golden`, the written trace of another run of the same program, the
     records before the first whose instruction differs from golden's are
     copied from golden's bytes wherever their words are golden's, bit for
-    bit, and neither side's record is odd; the rest are rendered. The bytes
-    are the same either way."""
+    bit; the rest are rendered. The bytes are the same either way."""
     pieces = _blocks(trace) if golden is None else _pieces_against(trace, golden)
     with open(path, "wb") as fh:
         fh.writelines(pieces)
@@ -566,9 +478,6 @@ def _pieces_against(trace: RunTrace, golden: TraceText):
     agree = int(unequal[0]) if len(unequal) else end
     render = np.flatnonzero(np.frombuffer(trace.words, "<u8")[:agree]
                             != np.frombuffer(other.words, "<u8")[:agree])
-    if trace.odd or other.odd:
-        odd = [pos for pos in chain(trace.odd, other.odd) if pos < agree]
-        render = np.union1d(render, np.array(odd, np.intp))
     cut = np.flatnonzero(np.diff(render) > _SHORT) + 1
     stretches = np.split(render, cut) if len(render) else []
     data, offsets = memoryview(golden.data), golden.offsets

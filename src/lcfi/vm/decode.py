@@ -9,9 +9,10 @@ callee). Each op becomes a few lines of Python source, and a segment's ops
 become one function `run(r, m)`, compiled once, that runs them in order on
 the frame's register list `r` for the machine `m` and returns the trace
 words of its indexed ops' values, packed by one precompiled struct
-(traces.words_packer). A value that struct refuses sends the segment's
-records through `m.words`, one by one. In that source a register
-is `r[slot]`; constants, integer widths and masks, gep strides and f32
+(traces.words_packer). A pointer that getelementptr took past 64 bits, which
+that struct refuses, sends the segment's records through `m.words`, which
+packs the low 64 bits its line shows. In that source a register is
+`r[slot]`; constants, integer widths and masks, gep strides and f32
 rounding are literals or bound names; a load or store checks the arena's
 `base` and `top` inline and then unpacks or packs with a precompiled
 `struct.Struct`. A load or store whose pointer is one of the function's own
@@ -24,6 +25,13 @@ edge's phi moves. A phi's op has no source: the branch into its block has
 already assigned all of the block's phis at once, from the values on that
 edge.
 
+A value has one form per type: an integer wraps to its width (an i1 is 0 or
+1) and an f32 is rounded. Ops leave their results in that form, decode puts
+each constant and intrinsic result in it (`DecodedModule._const`, `_call`),
+and validate keeps every value at its own type, so conditions, stores and
+the trace take values as they are. Only getelementptr results are not
+wrapped.
+
 Each segment's source is registered with linecache under the filename
 `<lcfi @function#segment checksum>`, so a traceback through an op shows its
 line, and `Segment.position` maps the line an exception passed through back
@@ -31,10 +39,11 @@ to the op. A run whose budget ends inside a segment runs `Segment.prefix(k)`,
 the same source cut after k ops, compiled on first use.
 
 `decoded(module)` is the one well-formedness gate: it validates the module
-and raises VmError with the diagnostics, so the decoder trusts its input. It
-caches the result on the module, so the golden run and every injection run in
-a process share it. Global addresses are the same in every run (the stack
-arena is a bump allocator), so the module's globals are laid out and
+and raises VmError with the diagnostics, so the decoder trusts its input; a
+caller that has validated the module says so and it is not validated again.
+It caches the result on the module, so the golden run and every injection
+run in a process share it. Global addresses are the same in every run (the
+stack arena is a bump allocator), so the module's globals are laid out and
 initialized here, once, with a handle slot for each of @stdin, @stdout and
 @stderr used without a declaration; each run starts from a copy of that
 arena. Nothing here holds per-run state. Per plan, `DecodedModule.codes`
@@ -54,7 +63,7 @@ import zlib
 from array import array
 
 from ..ir.nodes import (SCALARS, IrFunction, IrModule, ValueRef, gep_layout,
-                        to_f32)
+                        to_f32, wrap_int)
 from ..ir.validate import validate
 from ..traces import TraceFields, word_packer, words_packer
 from .arena import HEAP_BASE, MemoryArena, OutOfBounds
@@ -84,15 +93,13 @@ _FLOAT_OPS = {"fadd": "{} + {}", "fsub": "{} - {}", "fmul": "{} * {}", "fdiv": "
 _RELATIONS = {"eq": "==", "ne": "!=", "gt": ">", "ge": ">=", "lt": "<", "le": "<="}
 
 # The globals of every generated function: helpers, and for each scalar kind
-# its precompiled struct functions (a store packs integers unsigned).
+# its precompiled struct functions.
 _GLOBALS = {
     "to_f32": to_f32, "fdiv": _fdiv, "trunc": math.trunc, "isfinite": math.isfinite,
-    "OutOfBounds": OutOfBounds, "INTRINSICS": INTRINSICS,
+    "OutOfBounds": OutOfBounds, "INTRINSICS": INTRINSICS, "StructError": struct.error,
     **{f"{name}_{kind}": getattr(struct.Struct(fmt), name)
        for kind, (_size, fmt) in SCALARS.items()
-       for name in ("pack", "unpack", "unpack_from")},
-    **{f"pack_into_{kind}": struct.Struct(fmt if kind[0] == "f" else fmt.upper()).pack_into
-       for kind, (_size, fmt) in SCALARS.items()},
+       for name in ("pack", "unpack", "unpack_from", "pack_into")},
 }
 
 # Terminator kinds, the first field of Segment.term:
@@ -106,7 +113,9 @@ BR, CALL, RET = range(3)
 
 
 def _wrap(value: str, bits: int) -> str:
-    """Source that wraps the integer `value` to a signed `bits`-wide value."""
+    """Source that wraps the integer `value` as wrap_int does."""
+    if bits == 1:
+        return f"{value} & 1"
     half = 1 << (bits - 1)
     return f"({value} + {half} & {2 * half - 1}) - {half}"
 
@@ -141,11 +150,12 @@ def _fneg(ins, d, arg):
 
 def _icmp(ins, d, arg):
     x, y = map(arg, ins.operands)
-    pred = ins.predicate
+    pred, t = ins.predicate, ins.operands[0].type
     if pred[0] != "s":  # eq, ne and the u* predicates compare unsigned
-        t = ins.operands[0].type
         mask = (1 << (64 if t.is_pointer() else t.int_bits())) - 1
         x, y = f"({x} & {mask})", f"({y} & {mask})"
+    elif t.kind == "i1":  # a signed i1 true is -1
+        x, y = f"-{x}", f"-{y}"
     return [f"r[{d}] = 1 if {x} {_RELATIONS[pred[-2:]]} {y} else 0"]
 
 
@@ -163,12 +173,14 @@ def _fcmp(ins, d, arg):
 
 def _select(ins, d, arg):
     c, t, f = map(arg, ins.operands)
-    return [f"r[{d}] = {t} if {c} & 1 else {f}"]
+    return [f"r[{d}] = {t} if {c} else {f}"]
 
 
 def _cast(ins, d, arg):
     x = arg(ins.operands[0])
     op, src, dst = ins.opcode, ins.operands[0].type, ins.result_type
+    if src.kind == "i1" and op in ("sext", "sitofp"):  # a signed i1 true is -1
+        x = f"-{x}"
     if op == "zext":
         value = f"{x} & {(1 << src.int_bits()) - 1}"
     elif op == "trunc":
@@ -180,7 +192,7 @@ def _cast(ins, d, arg):
         value = f"unpack_{dst.kind}(pack_{src.kind}({x}))[0]"
     elif op in ("sitofp", "fpext", "fptrunc"):
         value = f"to_f32({x})" if op == "fptrunc" or dst.kind == "f32" else f"float({x})"
-    else:  # sext (values are already sign-canonical) and pointer bitcasts
+    else:  # sext (other values are already sign-canonical) and pointer bitcasts
         value = x
     return [f"r[{d}] = {value}"]
 
@@ -206,14 +218,10 @@ def _load(ins, d, arg, at):
 
 
 def _store(ins, d, arg, at):
-    v = arg(ins.operands[0])
-    kind = ins.operands[0].type.kind
-    size = SCALARS[kind][0]
-    if kind == "f32":
-        v = f"to_f32({v})"
-    elif kind != "f64":
-        v = f"{v} & {(1 << 8 * size) - 1}"
-    lines, buf, o = _access(ins.operands[1], size, arg, at)
+    v, kind = arg(ins.operands[0]), ins.operands[0].type.kind
+    if kind == "ptr":  # unwrapped getelementptr arithmetic may leave 64 bits
+        v = f"{v} & {(1 << 64) - 1}"
+    lines, buf, o = _access(ins.operands[1], SCALARS[kind][0], arg, at)
     return [*lines, f"pack_into_{kind}({buf}, {o}, {v})"]
 
 
@@ -231,8 +239,12 @@ def _gep(ins, d, arg):
 
 
 def _call(ins, d, arg):
+    """An intrinsic call, its value wrapped or rounded to its declared type."""
     args = ", ".join(map(arg, ins.operands))
-    return [f"r[{d}] = INTRINSICS[{ins.callee!r}](m, [{args}])"]
+    value, t = f"INTRINSICS[{ins.callee!r}][0](m, [{args}])", ins.result_type
+    if t.is_integer():
+        value = _wrap(value, t.int_bits())
+    return [f"r[{d}] = {_f32(t, value)}"]
 
 
 _SOURCES = {
@@ -253,11 +265,10 @@ class Segment:
     lines and `run` is them compiled; it returns the trace words of the
     values a traced run records, which are those of `rec_slot`, for the
     instructions `rec_idx` (also held as the array `rec_arr`), packed by one
-    struct; a value that struct refuses sends the segment's records through
-    `m.words`. With `stack`, the function first binds M to the stack arena's
-    buffer, for the accesses decode proved in bounds. `instrs` lists the
-    ops' instructions and then the terminator's, if any. `bound` names
-    objects the source refers to besides the common globals."""
+    struct. With `stack`, the function first binds M to the stack arena's
+    buffer, for the accesses decode proved in bounds. `instrs` lists the ops' instructions and then the terminator's,
+    if any. `bound` names objects the source refers to besides the common
+    globals."""
 
     __slots__ = ("code", "instrs", "n", "rec_idx", "rec_arr", "rec_slot", "term",
                  "stack", "run", "_line_op", "_cuts", "_ns")
@@ -298,7 +309,7 @@ class Segment:
             self._ns[f"I{n}"] = self.rec_idx[:n]
             valued = ", ".join(f"r[{s}]" for s, t in zip(slots, takes) if t)
             lines += ["    try:", f"        return P{n}({valued})",
-                      "    except Exception:  # a value this struct refuses",
+                      "    except StructError:  # a pointer past 64 bits",
                       f"        return m.words(I{n}, ({''.join(f'r[{s}], ' for s in slots)}))"]
         else:
             lines.append("    return b''")
@@ -484,9 +495,6 @@ class DecodedModule:
     `sizes` to its size in bytes."""
 
     def __init__(self, module: IrModule):
-        problems = validate(module)
-        if problems:
-            raise VmError("; ".join(map(str, problems)))
         self.arena = MemoryArena()
         self.sizes = {g.name: g.type.byte_width() for g in module.globals}
         self.globals = {g.name: self.arena.alloc(self.sizes[g.name],
@@ -503,7 +511,8 @@ class DecodedModule:
         self._codes: dict = {}
 
     def _const(self, v: ValueRef):
-        """The value of a constant operand: int, float, null, global or gep."""
+        """The value of a constant operand: int, float, null, global or gep;
+        an int wrapped to its width and an f32 rounded, as ops leave them."""
         if v.kind == "global":
             if v.name not in self.globals:  # @stdin, @stdout or @stderr, undeclared
                 addr = self.globals[v.name] = self.arena.alloc(8, 8)
@@ -513,7 +522,11 @@ class DecodedModule:
         if v.kind == "gep":
             offset, _terms, _t = gep_layout(v.gep_source, v.indices)
             return self._const(v.base) + offset
-        return v.ival if v.kind == "int" else v.fval if v.kind == "float" else 0
+        if v.kind == "int":
+            return wrap_int(v.ival, v.type.int_bits())
+        if v.kind == "float":
+            return to_f32(v.fval) if v.type.kind == "f32" else v.fval
+        return 0
 
     def global_offset(self, v: ValueRef, size: int) -> int | None:
         """The offset in the stack arena's buffer of the constant pointer
@@ -578,10 +591,16 @@ class DecodedModule:
                 for fn, s, w in zip(self.fns, segs, watch)]
 
 
-def decoded(module: IrModule) -> DecodedModule:
+def decoded(module: IrModule, valid: bool = False) -> DecodedModule:
     """The module's decoded form, built on first use and kept on the module
-    (IrModule leaves it out of pickles and comparisons)."""
+    (IrModule leaves it out of pickles and comparisons). It validates the
+    module first, unless the caller has (`valid`), and raises VmError with
+    the diagnostics."""
     dm = module.__dict__.get("_decoded")
     if dm is None:
+        if not valid:
+            problems = validate(module)
+            if problems:
+                raise VmError("; ".join(map(str, problems)))
         dm = module._decoded = DecodedModule(module)
     return dm

@@ -319,23 +319,24 @@ def _intrinsic_memcpy(machine, args):
     return dst
 
 
+# Each intrinsic's implementation and the class of value it returns: "int",
+# "ptr", "float", or "void" for none. A call declares void or a type of that
+# class (validate checks it); decode wraps or rounds the value to that type.
 INTRINSICS = {
-    "printf": _intrinsic_printf,
-    "scanf": _intrinsic_scanf,
-    "__isoc99_scanf": _intrinsic_scanf,
-    "freopen": _intrinsic_freopen,
-    "fopen": _intrinsic_fopen,
-    "fclose": _intrinsic_fclose,
-    "sqrt": _unary_math(_safe_sqrt),
-    "sqrtf": _unary_math(_safe_sqrt),
-    "fabs": _unary_math(abs),
-    "exp": _unary_math(_safe_exp),
-    "log": _unary_math(_safe_log),
-    "pow": _intrinsic_pow,
-    "malloc": _intrinsic_malloc,
-    "free": _intrinsic_free,
-    "memset": _intrinsic_memset,
-    "memcpy": _intrinsic_memcpy,
+    "printf": (_intrinsic_printf, "int"),
+    "scanf": (_intrinsic_scanf, "int"),
+    "__isoc99_scanf": (_intrinsic_scanf, "int"),
+    "freopen": (_intrinsic_freopen, "ptr"),
+    "fopen": (_intrinsic_fopen, "ptr"),
+    "fclose": (_intrinsic_fclose, "int"),
+    "sqrt": (_unary_math(_safe_sqrt), "float"),
+    "sqrtf": (_unary_math(_safe_sqrt), "float"),
+    "fabs": (_unary_math(abs), "float"),
+    "exp": (_unary_math(_safe_exp), "float"),
+    "log": (_unary_math(_safe_log), "float"),
+    "pow": (_intrinsic_pow, "float"),
+    "malloc": (_intrinsic_malloc, "ptr"),
+    "free": (_intrinsic_free, "void"),
+    "memset": (_intrinsic_memset, "ptr"),
+    "memcpy": (_intrinsic_memcpy, "ptr"),
 }
-
-INTRINSIC_NAMES = frozenset(INTRINSICS)

@@ -1,8 +1,10 @@
 """Interpreter for the IR subset with trace and fault hooks.
 
-Values are host-native: integers stay canonically signed and wrap at their
-type width, floats are IEEE doubles (f32 results re-rounded through 32 bits),
-pointers are arena addresses. The call stack is explicit, so recursion depth
+Values are host-native, one form for each value of a type (validate checks
+that every register is read at its own type, and decode wraps or rounds
+constants and intrinsic results): integers are signed and wrap at their type
+width, an i1 is 0 or 1, floats are IEEE doubles (an f32 rounded through 32
+bits), and pointers are arena addresses. The call stack is explicit, so recursion depth
 is bounded by `MAX_DEPTH` frames rather than the host stack. A run starts at
 `@main` with no arguments.
 
@@ -18,10 +20,8 @@ starts as a copy of the decoded globals. A traced run keeps its trace packed,
 as the columns of a RunTrace: an array("i") of instruction indices, which
 each segment's index array extends, and a bytearray of 8-byte words, which
 the words each segment returns extend; a call's return value, a budget-cut
-prefix and the ops before a trap pack the same way. Records whose values a
-segment's struct refuses are packed by `words`, one at a time, which keeps a
-value no word holds as it is, by position (`trace_odd`). Values become hex
-only when the trace is read or written.
+prefix and the ops before a trap pack the same way (`words` packs records
+one by one). Values become hex only when the trace is read or written.
 
 Hook order at a target instruction: the result is computed, the occurrence
 scope is consulted, a sampled error is applied, and only then does the trace
@@ -135,8 +135,8 @@ class Frame:
 @dataclass
 class RunState:
     """Everything a run changes, as plain data that pickles. The trace is
-    the columns of a RunTrace: `trace_idx` (None in an untraced run),
-    `trace_words` and `trace_odd`."""
+    the columns of a RunTrace: `trace_idx` (None in an untraced run) and
+    `trace_words`."""
     arena: MemoryArena
     heap: MemoryArena
     stdin: InStream
@@ -144,7 +144,6 @@ class RunState:
     exec_counts: dict[int, int]
     trace_idx: array | None
     trace_words: bytearray = field(default_factory=bytearray)
-    trace_odd: dict = field(default_factory=dict)
     open_streams: dict[int, InStream] = field(default_factory=dict)
     stdout_parts: list[str] = field(default_factory=list)
     frames: list[Frame] = field(default_factory=list)
@@ -160,7 +159,7 @@ class RunState:
             stdin=copy.copy(self.stdin),
             call_counts=list(self.call_counts), exec_counts=dict(self.exec_counts),
             trace_idx=None if self.trace_idx is None else self.trace_idx[:],
-            trace_words=self.trace_words[:], trace_odd=dict(self.trace_odd),
+            trace_words=self.trace_words[:],
             open_streams={h: copy.copy(st) for h, st in self.open_streams.items()},
             stdout_parts=list(self.stdout_parts),
             frames=[f.copy() for f in self.frames],
@@ -234,12 +233,8 @@ class Machine:
         return self.state.heap if addr >= HEAP_BASE else self.state.arena
 
     def words(self, indices: tuple, values: tuple) -> bytes:
-        """The trace words of records that a segment's struct refused, packed
-        one by one: each value no word holds is kept in the trace as odd."""
-        state = self.state
-        return self._decoded.fields.pack(
-            indices, values, {} if state.trace_idx is None else state.trace_odd,
-            len(state.trace_words) // 8)
+        """The trace words of records, packed one by one."""
+        return self._decoded.fields.pack(indices, values)
 
     def trap(self, kind: str, message: str):
         """Stop the run with a trap; the step loop adds where it happened."""
@@ -259,8 +254,8 @@ class Machine:
         except _BudgetExhausted:
             status, trap, value = "budget_exhausted", None, None
         state = self.state
-        trace = (RunTrace.packed(state.trace_idx, state.trace_words, state.trace_odd,
-                                 self._decoded.fields) if self.tracing else None)
+        trace = (RunTrace(state.trace_idx, state.trace_words, self._decoded.fields)
+                 if self.tracing else None)
         return RunOutcome(
             status=status, return_value=value, stdout="".join(state.stdout_parts),
             trap=trap, steps=state.steps, activation_count=len(state.activations),
@@ -312,7 +307,7 @@ class Machine:
                 kind = term[0]
                 if kind == BR:
                     si, moves, src, dst = (
-                        term[2] if term[1] is None or regs[term[1]] & 1 else term[3])
+                        term[2] if term[1] is None or regs[term[1]] else term[3])
                     if moves is not None:  # the target's phis, all at once
                         for d, v in zip(moves[0], [regs[s] for s in moves[1]]):
                             regs[d] = v
@@ -337,12 +332,8 @@ class Machine:
                     _kind, _fi, _args, d, index, pack = segs[si].term
                     regs[d] = value
                     if tidx is not None and index is not None:
-                        try:
-                            packed = pack(value)
-                        except Exception:  # a value no word of its kind holds
-                            packed = self.words((index,), (value,))
                         tidx.append(index)
-                        words += packed
+                        words += pack(value)
                     si += 1
         except (_TrapSignal, OutOfBounds) as e:
             # an op raised, or else the terminator did
@@ -360,9 +351,9 @@ class Machine:
         state = self.state
         if state.trace_idx is not None:
             n = seg.traced(done)
-            packed = self.words(seg.rec_idx[:n], tuple(regs[s] for s in seg.rec_slot[:n]))
             state.trace_idx.extend(seg.rec_arr[:n])
-            state.trace_words += packed
+            state.trace_words += self.words(seg.rec_idx[:n],
+                                            tuple(regs[s] for s in seg.rec_slot[:n]))
 
     @staticmethod
     def _count_trip(frame: Frame, watch: tuple, src: str, dst: str) -> None:

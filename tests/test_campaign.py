@@ -497,8 +497,21 @@ class TestFailurePaths:
         cfg = CampaignConfig(program=str(prog),
                              input=fixture_path("demo_input.yaml"),
                              output_dir=str(tmp_path / "out"))
-        with pytest.raises(ConfigError, match="ghost"):
+        with pytest.raises(ConfigError, match="ghost") as exc:
             run_campaign(cfg)
+        assert str(exc.value) == f"{prog}: line 2: branch to unknown label %ghost in @main:%0"
+
+    def test_a_campaign_validates_its_program_once(self, tmp_path, monkeypatch):
+        import lcfi.campaign as campaign
+        import lcfi.vm.decode as decode
+        calls = []
+        for module in (campaign, decode):
+            monkeypatch.setattr(module, "validate",
+                                lambda m, _real=module.validate: calls.append(m) or _real(m))
+        run_campaign(CampaignConfig(program=fixture_path("demo.ll"),
+                                    input=fixture_path("demo_input.yaml"), runs=2,
+                                    output_dir=str(tmp_path), files={"in.txt": "4 3 3\n"}))
+        assert len(calls) == 1
 
     def test_unresolvable_target_is_config_error(self, tmp_path):
         inp = tmp_path / "in.yaml"

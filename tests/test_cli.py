@@ -507,3 +507,57 @@ def test_no_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# Programs that would give a register a value that is not of its type, and
+# the line of the one diagnostic each gets, in @main's entry block.
+ILL_KINDED = {
+    "sqrt_declared_i32": ("declare double @sqrt(double)\ndefine i32 @main() {\nentry:\n"
+                          "  %x = call i32 @sqrt(double 2.0)\n  ret i32 0\n}\n", 4),
+    "free_declared_i64": ("declare i8* @malloc(i64)\ndeclare i64 @free(i8*)\n"
+                          "define i32 @main() {\nentry:\n"
+                          "  %p = call i8* @malloc(i64 8)\n  %r = call i64 @free(i8* %p)\n"
+                          "  %s = add i64 %r, 1\n  ret i32 0\n}\n", 6),
+    "double_for_i32_parameter": ("define i32 @f(i32 %x) {\nentry:\n  ret i32 %x\n}\n"
+                                 "define i32 @main() {\nentry:\n"
+                                 "  %r = call i32 @f(double 2.5)\n  ret i32 %r\n}\n", 7),
+    "i32_call_of_double_function": ("define double @g() {\nentry:\n  ret double 1.5\n}\n"
+                                    "define i32 @main() {\nentry:\n"
+                                    "  %r = call i32 @g()\n  ret i32 %r\n}\n", 7),
+    "ret_double_in_i32_function": ("define i32 @main() {\nentry:\n  ret double 2.5\n}\n", 3),
+    "add_i32_of_a_double": ("define i32 @main() {\nentry:\n  %x = fadd double 1.0, 2.0\n"
+                            "  %y = add i32 %x, 1\n  ret i32 %y\n}\n", 4),
+}
+
+
+class TestIllKindedPrograms:
+    """Each is refused before it runs, with one error line that names the
+    line and the function, and no traceback."""
+
+    @pytest.mark.parametrize("command,code", [("profile", 2), ("campaign", 4)])
+    @pytest.mark.parametrize("name", list(ILL_KINDED))
+    def test_refused_with_one_error_line(self, tmp_path, capsys, name, command, code):
+        text, line = ILL_KINDED[name]
+        prog = tmp_path / "bad.ll"
+        prog.write_text(text)
+        args = ["profile", str(prog)]
+        if command == "campaign":
+            cfg = tmp_path / "c.yaml"
+            cfg.write_text(f"program: {prog}\ninput: {fixture_path('demo_input.yaml')}\n"
+                           f"output_dir: {tmp_path / 'out'}\n")
+            args = ["campaign", "--config", str(cfg)]
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert rc == code and captured.out == ""
+        assert "Traceback" not in captured.err
+        [error] = captured.err.splitlines()
+        assert error.startswith(f"error: {prog}: line {line}: ")
+        assert error.endswith(" in @main:%entry")
+
+    def test_an_f32_constant_past_the_range_profiles_as_infinity(self, tmp_path, capsys):
+        prog = tmp_path / "inf.ll"
+        prog.write_text("define i32 @main() {\nentry:\n"
+                        "  %x = select i1 true, float 1.0e300, float 0.0\n  ret i32 0\n}\n")
+        rc = main(["profile", str(prog), "--trace-out", str(tmp_path / "t.txt")])
+        assert rc == 0 and "Traceback" not in capsys.readouterr().err
+        assert [r.value_hex for r in read_trace(str(tmp_path / "t.txt"))] == ["7f800000"]

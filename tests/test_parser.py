@@ -229,6 +229,16 @@ def test_bool_constant_of_wider_type_rejected(bad):
         parse_module(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    "define i32 @f(i32* %p) {\n  store i32 1.5, i32* %p\n  ret i32 0\n}\n",
+    "define i32 @f() {\n  %c = select i1 true, i32 1e3, i32 2\n  ret i32 %c\n}\n",
+])
+def test_float_literal_of_integer_type_rejected(bad):
+    with pytest.raises(ParseError, match="is not an integer literal") as exc:
+        parse_module(bad)
+    assert exc.value.line == 2
+
+
 def test_bool_constant_of_i1_accepted():
     m = parse_module("define i1 @f() {\n  ret i1 true\n}\n")
     (v,) = m.function("f").blocks[0].instructions[0].operands

@@ -5,6 +5,7 @@ import random
 import struct
 import sys
 import tracemalloc
+from array import array
 from itertools import accumulate
 
 import pytest
@@ -21,9 +22,16 @@ from lcfi.traces import (AlignedPair, Divergence, IndexMismatch, TraceFormatErro
                          _myers_core, _myers_ops, build_propagation, parse_record,
                          RunTrace, TraceColumns, TraceFields, TraceText, format_record,
                          read_trace, trace_diff, trace_to_dot, trace_union, write_trace)
-from lcfi.vm.machine import IoConfig, Machine, prefix_snapshot
+from lcfi.vm.machine import IoConfig, Machine, VmError, prefix_snapshot
 
 from conftest import fixture_path, load_fixture_module, rendered, run_python
+
+
+def packed(indices, values, fields: TraceFields) -> RunTrace:
+    """The trace of records with these indices and values, packed as a run
+    packs them."""
+    idx = array("i", indices)
+    return RunTrace(idx, fields.pack(idx, values), fields)
 
 
 def _as_columns(records: list) -> TraceColumns:
@@ -76,7 +84,7 @@ class TestRecordFormat:
                 TraceRecord(2, "store", "00000000")]
         p = tmp_path / "t.txt"
         fields = TraceFields([(1, "load", "i32"), (2, "store", "void")])
-        write_trace(RunTrace([1, 2], [42, None], fields), str(p))
+        write_trace(packed([1, 2], [42, None], fields), str(p))
         assert read_trace(str(p)) == recs
 
     def test_read_from_lines(self, read_lines):
@@ -527,12 +535,12 @@ class TestTraceEquality:
 
     def test_run_trace_against_its_file(self, tmp_path, read_lines):
         fields = TraceFields([(1, "load", "i32"), (2, "fmul", "f64")])
-        trace = RunTrace([1, 2, 1], [42, 1.0, 43], fields)
+        trace = packed([1, 2, 1], [42, 1.0, 43], fields)
         path = tmp_path / "t.txt"
         write_trace(trace, str(path))
         assert read_trace(str(path)) == trace and trace == read_trace(str(path))
         assert read_trace(str(path)) == read_lines(self.LINES)
-        other = RunTrace([1, 2, 1], [42, 1.0, 44], fields)
+        other = packed([1, 2, 1], [42, 1.0, 44], fields)
         assert other != read_trace(str(path))
 
     def test_against_a_list_of_records_both_ways(self, read_lines):
@@ -1314,7 +1322,7 @@ class TestWriteAgainstGolden:
 
     FIELDS = TraceFields([(1, "fadd", "f64"), (2, "add", "i32"), (3, "fmul", "f32"),
                           (4, "store", "void"), (5, "load", "i64")])
-    GOLDEN = RunTrace([1, 2, 3, 4, 5, 1, 3, 1, 2, 5],
+    GOLDEN = packed([1, 2, 3, 4, 5, 1, 3, 1, 2, 5],
                       [0.0, 0, -0.0, None, 7, 2.5, 0.0, 0, 3, 0], FIELDS)
 
     @staticmethod
@@ -1325,7 +1333,7 @@ class TestWriteAgainstGolden:
         return text
 
     def _check(self, tmp_path, indices, values, golden=GOLDEN):
-        trace = RunTrace(indices, values, self.FIELDS)
+        trace = packed(indices, values, self.FIELDS)
         write_trace(trace, str(tmp_path / "plain.txt"))
         write_trace(trace, str(tmp_path / "against.txt"), self._text(tmp_path, golden))
         plain = (tmp_path / "plain.txt").read_bytes()
@@ -1356,7 +1364,7 @@ class TestWriteAgainstGolden:
         # store's no value are words of zeros
         words = struct.unpack("<10Q", self.GOLDEN.words)
         assert [pos for pos, w in enumerate(words) if w == 0] == [0, 1, 3, 6, 7, 9]
-        assert words[2] == 0x80000000 and self.GOLDEN.odd == {}
+        assert words[2] == 0x80000000
 
     @pytest.mark.parametrize("values,renders_as_golden", [
         ([-0.0, 0, -0.0, None, 7, 2.5, 0.0, 0, 3, 0], False),  # -0.0 for 0.0
@@ -1373,7 +1381,7 @@ class TestWriteAgainstGolden:
         assert (plain == self._text(tmp_path, self.GOLDEN).data) == renders_as_golden
 
     def test_nan_on_both_sides(self, tmp_path):
-        golden = RunTrace([1, 1], [math.nan, 1.0], self.FIELDS)
+        golden = packed([1, 1], [math.nan, 1.0], self.FIELDS)
         self._check(tmp_path, [1, 1], [math.nan, 1.0], golden=golden)
         self._check(tmp_path, [1, 1], [golden.values[0], 1.0], golden=golden)
 
@@ -1392,7 +1400,7 @@ class TestWriteAgainstGolden:
 
     def test_empty_traces(self, tmp_path):
         assert self._check(tmp_path, [], []) == b""
-        empty = RunTrace([], [], self.FIELDS)
+        empty = packed([], [], self.FIELDS)
         assert self._check(tmp_path, self.GOLDEN.indices, self.GOLDEN.values,
                            golden=empty) != b""
 
@@ -1400,7 +1408,7 @@ class TestWriteAgainstGolden:
         n = 3 * 4096 + 5
         golden_values = [v for k in range(n) for v in (float(k), k)]
         golden_values[12000] = 0.0
-        golden = RunTrace([1, 2] * n, golden_values, self.FIELDS)
+        golden = packed([1, 2] * n, golden_values, self.FIELDS)
         values = list(golden.values)
         values[12000] = -0.0
         values[5000] = -1.0
@@ -1431,7 +1439,7 @@ class TestWriteAgainstGolden:
             else:
                 idx.insert(pos, 2)
                 val.insert(pos, 4)
-        self._check(tmp_path, idx, val, RunTrace(g_idx, g_val, self.FIELDS))
+        self._check(tmp_path, idx, val, packed(g_idx, g_val, self.FIELDS))
 
 
 def _f32(bits: int) -> float:
@@ -1490,7 +1498,7 @@ class TestBlockRenderer:
     def _trace(cls, n: int, seed: int) -> RunTrace:
         rng = random.Random(seed)
         indices = [rng.choice(list(cls.KINDS)) for _ in range(n)]
-        return RunTrace(indices, [cls._value(rng, cls.KINDS[i]) for i in indices],
+        return packed(indices, [cls._value(rng, cls.KINDS[i]) for i in indices],
                         cls.FIELDS)
 
     @staticmethod
@@ -1499,10 +1507,10 @@ class TestBlockRenderer:
 
     def test_edge_values(self):
         pairs = [(i, v) for i, kind in self.KINDS.items() for v in self.EDGES[kind]]
-        trace = RunTrace([i for i, _v in pairs], [v for _i, v in pairs], self.FIELDS)
+        trace = packed([i for i, _v in pairs], [v for _i, v in pairs], self.FIELDS)
         # one record at a time, and all of them in one block
         for i, v in pairs:
-            one = RunTrace([i], [v], self.FIELDS)
+            one = packed([i], [v], self.FIELDS)
             assert b"".join(_blocks(one)) == self._expected(one), (self.KINDS[i], v)
         assert b"".join(_blocks(trace)) == self._expected(trace)
         hex_of = self._block_hex
@@ -1521,7 +1529,7 @@ class TestBlockRenderer:
         assert {hex_of(8, v) for v in self.EDGES["void"]} == {"00000000"}
 
     def _block_hex(self, index: int, value) -> str:
-        line = b"".join(_blocks(RunTrace([index], [value], self.FIELDS))).decode()
+        line = b"".join(_blocks(packed([index], [value], self.FIELDS))).decode()
         return line.rsplit(" ", 1)[1].rstrip("\n")
 
     @settings(max_examples=60, deadline=None,
@@ -1543,22 +1551,23 @@ class TestBlockRenderer:
 
     @pytest.mark.parametrize("kind", ["i32", "i64", "ptr", "f32", "f64"])
     def test_none_under_a_scalar_kind(self, kind):
-        """A value no conversion takes still renders as its formatter does:
-        None under any kind shows eight zeros."""
+        """No value is no value of a scalar kind: packing it raises. A run
+        never packs one, since validate rejects a call that declares a
+        result of an intrinsic that returns none."""
         index = next(i for i, k in self.KINDS.items() if k == kind)
-        trace = RunTrace([index, 7, index], [1, 2.5, None], self.FIELDS)
-        assert trace[2].value_hex == "00000000"
-        assert b"".join(_blocks(trace)) == self._expected(trace)
+        with pytest.raises((TypeError, struct.error)):
+            self.FIELDS.pack([index, 7, index], [1, 2.5, None])
 
     def test_free_declared_with_a_result(self):
-        """free returns no value, so a call that declares one traces None."""
+        """free returns no value, so a program with a call that declares one
+        is rejected before it runs, naming the call's line and function."""
         m = assign_indices(parse_module(
             "declare ptr @malloc(i64)\ndeclare i64 @free(ptr)\n"
             "define i32 @main() {\nentry:\n  %p = call ptr @malloc(i64 8)\n"
             "  %r = call i64 @free(ptr %p)\n  ret i32 0\n}\n"))
-        trace = Machine(m, trace=True).run().trace
-        assert trace.values[-1] is None and trace[-1].value_hex == "00000000"
-        assert b"".join(_blocks(trace)) == self._expected(trace)
+        with pytest.raises(VmError, match=r"^line 6: call to @free declares i64, "
+                                          r"which returns void in @main:%entry$"):
+            Machine(m, trace=True)
 
     @pytest.mark.parametrize("index,value,error", [
         (3, 1.5, TypeError),  # a float under an integer kind
@@ -1566,17 +1575,14 @@ class TestBlockRenderer:
         (7, "text", struct.error),
     ])
     def test_values_the_formatters_refuse(self, index, value, error):
-        trace = RunTrace([7, index], [2.5, value], self.FIELDS)
+        """A value that is no value of its record's type has no word."""
         with pytest.raises(error):
-            trace[1]
-        with pytest.raises(error):
-            b"".join(_blocks(trace))
+            self.FIELDS.pack([7, index], [2.5, value])
 
 
 # Every scalar kind's edge values, made by a run: the hex that the formatters
 # (value_bits) give each record's raw value.
 EDGE_PROGRAM = """declare ptr @malloc(i64)
-declare i64 @free(ptr)
 
 define double @half(double %x) {
 entry:
@@ -1605,7 +1611,6 @@ entry:
   %p = call ptr @malloc(i64 8)
   %q = getelementptr i8, ptr %p, i64 9223372036854775807
   %q2 = getelementptr i8, ptr %q, i64 9223372036854775807
-  %r = call i64 @free(ptr %p)
   %s = call double @half(double %h)
   %big = select i1 true, i64 18446744073709551615, i64 0
   ret i32 0
@@ -1623,7 +1628,6 @@ EDGE_RECORDS = [
     ("fmul", "7f800000"), ("fmul", "ff800000"),
     ("call", "0000000100000000"), ("getelementptr", "80000000ffffffff"),
     ("getelementptr", "00000000fffffffe"),
-    ("call", "00000000"),  # free declared with a result returns none
     ("fmul", "8000000000000000"), ("call", "8000000000000000"),  # a call's return
     ("select", "ffffffffffffffff"),
 ]
@@ -1646,9 +1650,6 @@ class TestPackedRuns:
         assert [(r.opcode, r.value_hex) for r in trace] == EDGE_RECORDS
         write_trace(trace, str(tmp_path / "run.txt"))
         assert (tmp_path / "run.txt").read_bytes() == self._lines(trace)
-        # only free's None is odd; the geps past 2**63 fit a word
-        free = [r.opcode for r in trace].index("call", 17)
-        assert trace.odd == {free: None} and trace.values[free] is None
         assert trace.values[6] == 0.0 and math.copysign(1.0, trace.values[6]) == -1.0
 
     def test_cuts_and_traps_render_prefixes(self):
@@ -1677,19 +1678,25 @@ class TestPackedRuns:
         assert rendered(runs[0].trace) == rendered(runs[1].trace)
         assert runs[0].trace.words == runs[1].trace.words
 
-    @pytest.mark.parametrize("bad,error", [
-        ("  %x = select i1 true, float 1.0e300, float 0.0\n", OverflowError),
-        ("  %x = call i32 @sqrt(double 2.0)\n", TypeError),
+    @pytest.mark.parametrize("bad,last", [
+        ("  %x = select i1 true, float 1.0e300, float 0.0\n", "7f800000"),
+        ("  %x = call i32 @sqrt(double 2.0)\n", None),
     ], ids=["f32_overflow", "float_under_i32"])
-    def test_values_the_formatters_refuse_raise_at_write(self, tmp_path, bad, error):
-        """A value the formatter refuses is kept as it is, and writing the
-        trace raises the formatter's error, as it did from raw values."""
+    def test_values_no_word_holds_never_reach_a_trace(self, tmp_path, bad, last):
+        """An f32 constant past the f32 range is decoded as infinity, so the
+        select traces its bits; a call that declares an integer result of an
+        intrinsic that returns a float is rejected before the run."""
         text = "declare i32 @sqrt(double)\n" + EDGE_PROGRAM.replace(
             "  ret i32 0\n}\n", bad + "  ret i32 0\n}\n")
-        out = Machine(assign_indices(parse_module(text)), trace=True).run()
-        assert out.status == "ok" and len(out.trace.odd) == 2
-        with pytest.raises(error):
-            write_trace(out.trace, str(tmp_path / "run.txt"))
+        m = assign_indices(parse_module(text))
+        if last is None:
+            with pytest.raises(VmError, match="call to @sqrt declares i32, which returns float"):
+                Machine(m, trace=True)
+            return
+        out = Machine(m, trace=True).run()
+        assert out.status == "ok" and out.trace[-1].value_hex == last
+        write_trace(out.trace, str(tmp_path / "run.txt"))
+        assert (tmp_path / "run.txt").read_bytes() == self._lines(out.trace)
 
     @pytest.mark.parametrize("n", [1, traces._SHORT - 1, traces._SHORT, traces._SHORT + 1,
                                    3 * traces._SHORT])
@@ -1708,14 +1715,14 @@ class TestPackedRuns:
         gaps between them on either side of it, write golden's bytes."""
         fields = TraceFields([(1, "fadd", "f64"), (2, "add", "i32"), (3, "call", "i64")])
         n = 6 * traces._SHORT
-        golden = RunTrace([1, 2, 3] * n, [0.5, 1, 2] * n, fields)
+        golden = packed([1, 2, 3] * n, [0.5, 1, 2] * n, fields)
         text = write_trace(golden, str(tmp_path / "golden.txt"))
         values = list(golden.values)
         for a, length in ((5, 1), (9, traces._SHORT - 1), (9 + 2 * traces._SHORT, 3),
                           (400, traces._SHORT + 2)):
-            values[a:a + length] = [-0.0 if i % 3 == 0 else None
+            values[a:a + length] = [-0.0 if i % 3 == 0 else -1
                                     for i in range(a, a + length)]
-        trace = RunTrace(golden.indices, values, fields)
+        trace = packed(golden.indices, values, fields)
         write_trace(trace, str(tmp_path / "plain.txt"))
         write_trace(trace, str(tmp_path / "against.txt"), text)
         assert (tmp_path / "against.txt").read_bytes() == (tmp_path / "plain.txt").read_bytes()
@@ -1735,7 +1742,7 @@ class TestPackedRuns:
             tracemalloc.stop()
         trace = out.trace
         n = len(trace)
-        assert n == 159_999 and not trace.odd
+        assert n == 159_999
         assert trace.idx.itemsize * n + len(trace.words) == 12 * n
         assert sys.getsizeof(trace.idx) + sys.getsizeof(trace.words) <= 13.5 * n
         assert kept <= 12 * out.steps
@@ -1744,7 +1751,7 @@ class TestPackedRuns:
         trace = Machine(demo_indexed, demo_io, trace=True).run().trace
         records = list(trace)  # builds the indices, opcodes and hexes
         copy = pickle.loads(pickle.dumps(trace))
-        assert set(vars(copy)) == {"idx", "words", "odd", "fields"}
+        assert set(vars(copy)) == {"idx", "words", "fields"}
         assert list(copy) == records and copy.words == trace.words
 
 
@@ -1761,9 +1768,9 @@ def test_reading_and_diffing_do_not_import_numpy(tmp_path):
 
 
 def test_reading_and_diffing_load_no_ir_or_interpreter():
-    """lcfi.traces imports no IR module when it loads: it builds its scalar
-    table from lcfi.ir.nodes only when a run's values are formatted. Its
-    records are named tuples, so it does not load dataclasses either (about
+    """lcfi.traces imports no IR module when it loads: its table of each
+    scalar kind's word is its own (see test_every_scalar_kind_has_a_word).
+    Its records are named tuples, so it does not load dataclasses either (about
     10 ms of start-up, most of it dataclasses' own import of inspect)."""
     code = ("import sys\n"
             "before = set(sys.modules)\n"
@@ -1774,6 +1781,15 @@ def test_reading_and_diffing_load_no_ir_or_interpreter():
             "    ('lcfi.ir', 'lcfi.vm', 'numpy', 'yaml', 'dataclasses', 'inspect'))))\n")
     assert run_python(code, fixture_path("trace_golden.txt"),
                       fixture_path("trace_faulty.txt")) == "[]\n"
+
+
+def test_every_scalar_kind_has_a_word():
+    """_WORD_KINDS names each scalar kind of the IR, with 16 digits for an
+    8-byte kind and 8 for the rest, and the struct code of its bits."""
+    from lcfi.ir.nodes import SCALARS
+    assert traces._WORD_KINDS == {
+        kind: ({"f32": "f4x", "f64": "d"}.get(kind, "q"), 16 if size == 8 else 8)
+        for kind, (size, _fmt) in SCALARS.items()}
 
 
 def _demo_traces(demo_indexed, demo_io, seed=77):

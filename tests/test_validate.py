@@ -271,6 +271,93 @@ define void @f() {
     assert msgs == []
 
 
+@pytest.mark.parametrize("text,message", [
+    ("define i32 @f() {\n  %x = fadd double 1.0, 2.0\n  %y = add i32 %x, 1\n"
+     "  ret i32 %y\n}\n", "line 3: register %x is double, read as i32 in @f"),
+    ("define i32 @f(double %d) {\n  %y = add i32 %d, 1\n  ret i32 %y\n}\n",
+     "line 2: register %d is double, read as i32 in @f"),
+    ("define i32 @f() {\n  ret double 2.5\n}\n",
+     "line 2: ret double in a function returning i32 in @f"),
+    ("define i32 @f() {\n  ret void\n}\n",
+     "line 2: ret void in a function returning i32 in @f"),
+    ("define i32 @g(i32 %x) {\n  ret i32 %x\n}\ndefine i32 @f() {\n"
+     "  %r = call i32 @g(double 2.5)\n  ret i32 %r\n}\n",
+     "line 5: call to @g passes double as argument 1, which is i32 in @f"),
+    ("define double @g() {\n  ret double 1.5\n}\ndefine i32 @f() {\n"
+     "  %r = call i32 @g()\n  ret i32 %r\n}\n",
+     "line 5: call to @g declares i32, which returns double in @f"),
+    ("declare i32 @sqrt(double)\ndefine i32 @f() {\n"
+     "  %r = call i32 @sqrt(double 2.0)\n  ret i32 %r\n}\n",
+     "line 3: call to @sqrt declares i32, which returns float in @f"),
+    ("define i32 @f() {\n  %p = call i8* @malloc(i64 8)\n"
+     "  %r = call i64 @free(i8* %p)\n  ret i32 0\n}\n",
+     "line 3: call to @free declares i64, which returns void in @f"),
+    ("define i32 @f() {\n  %p = call i64 @malloc(i64 8)\n  ret i32 0\n}\n",
+     "line 2: call to @malloc declares i64, which returns ptr in @f"),
+    ("define i32 @f() {\n  %r = call double @printf(i8* null)\n  ret i32 0\n}\n",
+     "line 2: call to @printf declares double, which returns int in @f"),
+], ids=["register", "parameter", "ret_value", "ret_void", "argument", "result",
+        "sqrt_int", "free_result", "malloc_int", "printf_float"])
+def test_a_value_of_another_kind_is_rejected(text, message):
+    assert [str(d) for d in validate(parse_module(text))] == [message + ":%0"]
+
+
+@pytest.mark.parametrize("body,message", [
+    ("%x = add double 1.0, 2.0", "add double unsupported"),
+    ("%x = fadd i32 1, 2", "fadd i32 unsupported"),
+    ("%x = fneg i64 1", "fneg i64 unsupported"),
+    ("%c = icmp eq double 1.0, 2.0", "icmp double unsupported"),
+    ("%c = fcmp oeq i32 1, 2", "fcmp i32 unsupported"),
+    ("%c = zext double 1.0 to i64", "zext double to i64 unsupported"),
+    ("%c = sext i64 5 to i32", "sext i64 to i32 unsupported"),
+    ("%c = zext i32 5 to i32", "zext i32 to i32 unsupported"),
+    ("%c = trunc i32 5 to i64", "trunc i32 to i64 unsupported"),
+    ("%c = fptosi i32 3 to i32", "fptosi i32 to i32 unsupported"),
+    ("%c = sitofp double 1.5 to float", "sitofp double to float unsupported"),
+    ("%c = fpext double 1.0 to float", "fpext double to float unsupported"),
+    ("%c = fptrunc float 1.0 to float", "fptrunc float to float unsupported"),
+    ("%p = alloca [2 x i32]\n  %c = getelementptr [2 x i32], [2 x i32]* %p, i64 0, "
+     "double 1.0", "getelementptr index of type double"),
+    ("%c = select double 1.0, i32 1, i32 2", "select operand 1 is double, not i1"),
+    ("br double 1.0, label %a, label %a\na:", "br operand 1 is double, not i1"),
+    ("%v = load i32, double 1.0", "load operand 1 is double, not ptr"),
+    ("store i32 1, double 2.0", "store operand 2 is double, not ptr"),
+    ("%c = getelementptr i32, i32 5, i64 1", "getelementptr operand 1 is i32, not ptr"),
+], ids=["add", "fadd", "fneg", "icmp", "fcmp", "zext_float", "sext_narrows",
+        "zext_same_width", "trunc_widens", "fptosi", "sitofp", "fpext_narrows",
+        "fptrunc_same_width", "gep_index",
+        "select_condition", "br_condition", "load_address", "store_address", "gep_base"])
+def test_an_opcode_on_values_of_another_class_is_rejected(body, message):
+    """Each of these ran into a Python error or left a value of another
+    type: an integer op on a float or the reverse, a cast from or to the
+    wrong class or width, a float index, condition or address."""
+    text = f"define i32 @f() {{\n  {body}\n  ret i32 0\n}}\n"
+    assert _messages(text) == [message]
+
+
+def test_kinds_that_agree_are_accepted():
+    """All pointers are one kind; an intrinsic's result may be any type of
+    its class, or void."""
+    assert _messages("""
+declare float @sqrtf(float)
+define i8* @id(i32* %p) {
+  %q = bitcast i32* %p to i8*
+  ret i8* %q
+}
+define void @f() {
+  %a = alloca i32
+  %p = call i8* @id(i8* %a)
+  %c = load i8, i32* %a
+  %r = call float @sqrtf(float 2.0)
+  %n = call i8 (i8*, ...)* @printf(i8* %p)
+  call void @printf(i8* %p)
+  %m = call i32* @malloc(i64 4)
+  call void @free(i32* %m)
+  ret void
+}
+""") == []
+
+
 def test_unknown_global():
     msgs = _messages("""
 define i32 @f() {

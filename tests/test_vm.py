@@ -843,6 +843,80 @@ class TestValueBits:
         assert value_bits(0x1234, ptr_to(I32)) == "0000000000001234"
 
 
+class TestOneValuePerType:
+    """A register holds the one value of its type: decode wraps or rounds
+    constants and intrinsic results, and an i1 is 0 or 1."""
+
+    def test_sqrtf_is_rounded_to_f32(self):
+        # C's printf("%.17g", (double)sqrtf(2.0f)) prints 1.4142135381698608
+        out = run_src("""
+@f = constant [6 x i8] c"%.17g\\00"
+define i32 @main() {
+  %r = call float @sqrtf(float 2.0)
+  %d = fpext float %r to double
+  %p = call i32 (i8*, ...)* @printf(i8* getelementptr ([6 x i8]* @f, i32 0, i32 0), double %d)
+  ret i32 0
+}
+""", trace=True)
+        assert out.stdout == "1.4142135381698608"
+        assert [r.value_hex for r in out.trace[:2]] == ["3fb504f3", "3ff6a09e60000000"]
+
+    def test_an_i32_constant_is_read_at_its_width(self):
+        # 4294967295 is the i32 -1, so icmp slt against 0 holds, as in LLVM
+        assert ret_of("""
+define i32 @main() {
+  %c = icmp slt i32 4294967295, 0
+  %z = zext i1 %c to i32
+  ret i32 %z
+}
+""") == 1
+
+    def test_an_f32_constant_past_the_range_is_infinity(self):
+        out = run_src("""
+define i32 @main() {
+  %x = select i1 true, float 1.0e300, float 0.0
+  ret i32 0
+}
+""", trace=True)
+        assert out.status == "ok" and out.trace[0].value_hex == "7f800000"
+
+    def test_an_intrinsic_result_is_wrapped_to_its_declared_width(self):
+        # printf returns the 200 characters it wrote: -56 as an i8
+        out = run_src(f"""
+@s = constant [201 x i8] c"{'a' * 200}\\00"
+define i8 @main() {{
+  %n = call i8 (i8*, ...)* @printf(i8* getelementptr ([201 x i8]* @s, i32 0, i32 0))
+  ret i8 %n
+}}
+""", trace=True)
+        assert out.return_value == -56 and out.trace[0].value_hex == "ffffffc8"
+
+    def test_trunc_to_i1_gives_true_as_icmp_does(self):
+        out = run_src("""
+define i32 @main() {
+  %t = trunc i32 3 to i1
+  %c = icmp eq i32 1, 1
+  %z = zext i1 %t to i32
+  ret i32 %z
+}
+""", trace=True)
+        assert out.return_value == 1
+        assert [r.value_hex for r in out.trace[:2]] == ["00000001", "00000001"]
+
+    @pytest.mark.parametrize("op,expected", [
+        ("%s = sext i1 %c to i32\n  ret i32 %s", -1),
+        ("%s = sitofp i1 %c to double\n  %i = fptosi double %s to i32\n  ret i32 %i", -1),
+        ("%s = icmp slt i1 %c, false\n  %i = zext i1 %s to i32\n  ret i32 %i", 1),
+    ], ids=["sext", "sitofp", "icmp_slt"])
+    def test_a_signed_i1_true_is_minus_one(self, op, expected):
+        assert ret_of(f"""
+define i32 @main() {{
+  %c = icmp eq i32 1, 1
+  {op}
+}}
+""") == expected
+
+
 class TestGoldenDemo:
     def test_stdout(self, demo_indexed, demo_io):
         out = Machine(demo_indexed, demo_io).run()
