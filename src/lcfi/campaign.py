@@ -29,7 +29,7 @@ from .instrument import (InjectionPlan, InputConfig, assign_indices, as_text,
                          build_plan, emit_artifacts, integer, load_input_config,
                          load_yaml, positive_int, unknown_keys, InstrumentError)
 from .faults import FaultSpec, make_sampler, FaultError, mix64
-from .vm.decode import decoded
+from .vm.decode import VmError, decoded
 from .vm.machine import (DEFAULT_BUDGET, IoConfig, Machine, RunOutcome, Snapshot,
                          prefix_snapshot)
 from .traces import TraceText, write_trace
@@ -318,26 +318,35 @@ def read_text(path: str, what: str) -> str:
 
 
 def load_program(path: str) -> IrModule:
-    """Read, parse and validate a program; a ConfigError names every problem."""
+    """Read and parse a program; a ConfigError names a parse error."""
     try:
-        module = parse_module(read_text(path, "cannot read program"),
-                              source_name=os.path.basename(path))
+        return parse_module(read_text(path, "cannot read program"),
+                            source_name=os.path.basename(path))
     except ParseError as e:
         raise ConfigError(f"{path}: {e}") from e
-    problems = validate(module)
-    if problems:
-        raise ConfigError(f"{path}: " + "; ".join(str(p) for p in problems))
-    return module
 
 
 def load_indexed(path: str) -> IrModule:
-    """`load_program` with its warnings on stderr, then indexed and decoded,
-    so the module is validated once."""
-    module = load_program(path)
+    """A program read, parsed, indexed and validated, its warnings on stderr;
+    a ConfigError names every problem. For a command that does not run it."""
+    module = assign_indices(load_program(path))
+    problems = validate(module)
+    if problems:
+        raise ConfigError(f"{path}: " + "; ".join(map(str, problems)))
     warn(path, module.warnings)
-    indexed = assign_indices(module)
-    decoded(indexed, valid=True)
-    return indexed
+    return module
+
+
+def load_runnable(path: str) -> IrModule:
+    """`load_indexed` for a program about to run: decoding it validates it,
+    so it is validated once."""
+    module = assign_indices(load_program(path))
+    try:
+        decoded(module)
+    except VmError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    warn(path, module.warnings)
+    return module
 
 
 def load_plan(path: str, module: IrModule) -> tuple[InputConfig, InjectionPlan, FaultSpec]:
@@ -439,7 +448,7 @@ def _pool_run(run_index: int) -> RunResult:
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Execute a full campaign and write the artifact tree. The program's
     and the injection config's warnings go to stderr."""
-    indexed = load_indexed(cfg.program)
+    indexed = load_runnable(cfg.program)
     input_cfg, plan, fault_spec = load_plan(cfg.input, indexed)
 
     out = cfg.output_dir

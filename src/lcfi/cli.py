@@ -57,8 +57,8 @@ def _cmd_instrument(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from .campaign import load_indexed
-    outcome = _run(args, load_indexed(args.program))
+    from .campaign import load_runnable
+    outcome = _run(args, load_runnable(args.program))
     if outcome.status != "ok":
         detail = outcome.trap.kind if outcome.trap else outcome.status
         print(f"run did not complete: {detail}", file=sys.stderr)
@@ -69,9 +69,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_inject(args) -> int:
-    from .campaign import load_indexed, load_plan
+    from .campaign import load_plan, load_runnable
     from .faults import make_sampler
-    module = load_indexed(args.program)
+    module = load_runnable(args.program)
     input_cfg, plan, spec = load_plan(args.input, module)
     seed = args.seed if args.seed is not None else input_cfg.seed
     outcome = _run(args, module, plan=plan, sampler=make_sampler(spec, seed))

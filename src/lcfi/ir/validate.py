@@ -17,10 +17,11 @@ and float kinds, and every getelementptr path (constant ones included)
 steps only through arrays and structs, with constant struct field numbers.
 
 Kinds: a register is read at its definition's kind (all pointers are one),
-a call passes its callee's parameter kinds and declares its return kind, a
-ret returns its function's kind, and an intrinsic call declares void or the
-class of value the intrinsic returns (`lcfi.vm.intrinsics.INTRINSICS`), so
-no value of another type reaches a register or a trace.
+a select's two choices are of its result's kind, a call passes its callee's
+parameter kinds and declares its return kind, a ret returns its function's
+kind, and an intrinsic call declares void or the class of value the
+intrinsic returns (`lcfi.vm.intrinsics.INTRINSICS`), so no value of another
+type reaches a register or a trace.
 
 The interpreter decodes only modules that pass (see `lcfi.vm.decode`), so
 every rule it relies on is checked here.
@@ -116,23 +117,15 @@ def _validate_function(fn: IrFunction, module: IrModule,
                                          global_names))
             diags.extend(Diagnostic(problem, fn.name, b.label, ins.line)
                          for problem in _type_problems(ins) + _kind_problems(ins, fn, types))
-            if ins.opcode == "br":
-                for lbl in ins.labels:
-                    if lbl not in label_set:
-                        diags.append(Diagnostic(
-                            f"branch to unknown label %{lbl}", fn.name, b.label, ins.line))
-            elif ins.opcode == "phi":
-                for lbl in ins.labels:
-                    if lbl not in label_set:
-                        diags.append(Diagnostic(
-                            f"phi references unknown label %{lbl}", fn.name, b.label, ins.line))
+            uses = "branch to" if ins.opcode == "br" else "phi references"  # only they have labels
+            diags.extend(Diagnostic(f"{uses} unknown label %{lbl}", fn.name, b.label, ins.line)
+                         for lbl in ins.labels if lbl not in label_set)
+            if ins.opcode == "phi":
                 if b is fn.blocks[0]:
                     diags.append(Diagnostic("phi in entry block", fn.name, b.label, ins.line))
-                for lbl in labels:
-                    if lbl in preds[b.label] and lbl not in ins.labels:
-                        diags.append(Diagnostic(
-                            f"phi has no incoming edge from %{lbl}", fn.name, b.label,
-                            ins.line))
+                diags.extend(Diagnostic(f"phi has no incoming edge from %{lbl}", fn.name,
+                                        b.label, ins.line)
+                             for lbl in labels if lbl in preds[b.label] and lbl not in ins.labels)
             elif ins.opcode == "call":
                 diags.extend(_check_call(ins, fn, b, module))
     return diags
@@ -227,10 +220,14 @@ def _type_problems(ins: Instruction) -> list[str]:
 
 def _kind_problems(ins: Instruction, fn: IrFunction, types: dict) -> list[str]:
     """The registers `ins` reads at another kind than their definitions',
-    and, for a ret, a kind other than the function's."""
+    a select's second choice of another kind than its result (the parser
+    types it on its own), and, for a ret, a kind other than the function's."""
     problems = [f"register %{v.name} is {types[v.name].render()}, read as {v.type.render()}"
                 for v in ins.operands
                 if v.kind == "reg" and v.name in types and v.type.kind != types[v.name].kind]
+    if ins.opcode == "select" and ins.operands[2].type.kind != ins.result_type.kind:
+        problems.append(f"select operand 3 is {ins.operands[2].type.render()}, "
+                        f"not {ins.result_type.render()}")
     if ins.opcode == "ret":
         t = ins.operands[0].type if ins.operands else VOID
         if t.kind != fn.return_type.kind:

@@ -35,9 +35,10 @@ big-endian, gives every digit, filled into rows of bytes that hold each
 record's line prefix (TraceFields.render); a stretch of fewer than _SHORT
 records is formatted one record at a time from its words, which costs less.
 A record's value is the one value of its type that validate and decode let
-a register hold, so every value has a word, and one table (_WORD_KINDS)
-gives each kind's word and digits. That pass imports numpy on first use, so
-reading and diffing traces load neither numpy nor any IR module. It returns
+a register hold, so every value has a word, and one table (_word_kinds,
+built from lcfi.ir.nodes on first use) gives each kind's word and digits.
+The vectorized pass imports numpy on first use, so reading and diffing
+traces load neither numpy nor any IR module. It returns
 the file as a TraceText; written against the TraceText of another run of the
 same program, a trace copies that file's bytes wherever the two agree record
 for record, instruction and word bit for bit, which array compares find, and
@@ -54,7 +55,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, chain, compress, count, filterfalse, repeat
 from operator import add, eq, ne
 from typing import TYPE_CHECKING, NamedTuple
@@ -266,24 +267,30 @@ _WORD = {"q": lambda value: _PACK_U64(value & 0xFFFFFFFFFFFFFFFF),
          "8x": lambda value: _ZERO_WORD}
 _UNPACK_WORD = {"q": struct.Struct("<q").unpack_from, "f4x": struct.Struct("<f").unpack_from,
                 "d": struct.Struct("<d").unpack_from}
-# Each scalar kind of lcfi.ir.nodes.SCALARS: its word code and the hex digits
-# its line shows, 16 for an 8-byte kind and 8 for the rest (a narrow integer
-# shows its low 32 bits). Any other kind has no value and shows eight zeros.
-_WORD_KINDS = {"i1": ("q", 8), "i8": ("q", 8), "i32": ("q", 8), "i64": ("q", 16),
-               "ptr": ("q", 16), "f32": ("f4x", 8), "f64": ("d", 16)}
 _NO_WORD = ("8x", 8)
+
+
+@cache
+def _word_kinds() -> dict:
+    """The table of each scalar kind's word code and the hex digits its line
+    shows: 16 for an 8-byte kind, else 8 (a narrow integer shows its low 32
+    bits). Built from lcfi.ir.nodes on first use, so reading traces imports
+    no IR module. A kind with no value has _NO_WORD: eight zeros."""
+    from .ir.nodes import SCALARS
+    return {k: ({"f32": "f4x", "f64": "d"}.get(k, "q"), 16 if size == 8 else 8)
+            for k, (size, _fmt) in SCALARS.items()}
 
 
 def value_bits(value, vtype: IrType) -> str:
     """Render a value of `vtype` as the trace's hex field, from its word."""
-    code, digits = _WORD_KINDS.get(vtype.kind, _NO_WORD)
+    code, digits = _word_kinds().get(vtype.kind, _NO_WORD)
     word = int.from_bytes(_WORD[code](value), "little")
     return "%0*x" % (digits, word & ((1 << 4 * digits) - 1))
 
 
 def word_packer(kind: str):
     """The function that packs one value of `kind` into its word."""
-    return _WORD[_WORD_KINDS.get(kind, _NO_WORD)[0]]
+    return _WORD[_word_kinds().get(kind, _NO_WORD)[0]]
 
 
 def words_packer(kinds) -> tuple:
@@ -291,7 +298,7 @@ def words_packer(kinds) -> tuple:
     packs their words in one call, from the values of the records that
     `takes` marks (a kind with no value takes none). It raises on an integer
     outside the signed 64-bit range, which word_packer packs as its low 64."""
-    codes = [_WORD_KINDS.get(kind, _NO_WORD)[0] for kind in kinds]
+    codes = [_word_kinds().get(kind, _NO_WORD)[0] for kind in kinds]
     return struct.Struct("<" + "".join(codes)).pack, tuple(c != "8x" for c in codes)
 
 
@@ -317,7 +324,7 @@ class TraceFields:
         self.line: list = [None] * size
         self.mask: list = [None] * size
         for index, opcode, kind in rows:
-            code, digits = _WORD_KINDS.get(kind, _NO_WORD)
+            code, digits = _word_kinds().get(kind, _NO_WORD)
             self.opcode[index] = opcode
             self.prefix[index] = format_record(index, opcode, "")
             self.code[index] = code

@@ -26,11 +26,10 @@ already assigned all of the block's phis at once, from the values on that
 edge.
 
 A value has one form per type: an integer wraps to its width (an i1 is 0 or
-1) and an f32 is rounded. Ops leave their results in that form, decode puts
-each constant and intrinsic result in it (`DecodedModule._const`, `_call`),
-and validate keeps every value at its own type, so conditions, stores and
-the trace take values as they are. Only getelementptr results are not
-wrapped.
+1) and an f32 is rounded. Ops leave their results so, and decode puts each
+constant and intrinsic result so (`DecodedModule._const`, `_call`); as
+validate keeps each value at its own type, conditions, stores and the trace
+take values as they are. Only getelementptr results are not wrapped.
 
 Each segment's source is registered with linecache under the filename
 `<lcfi @function#segment checksum>`, so a traceback through an op shows its
@@ -39,8 +38,7 @@ to the op. A run whose budget ends inside a segment runs `Segment.prefix(k)`,
 the same source cut after k ops, compiled on first use.
 
 `decoded(module)` is the one well-formedness gate: it validates the module
-and raises VmError with the diagnostics, so the decoder trusts its input; a
-caller that has validated the module says so and it is not validated again.
+and raises VmError with the diagnostics, so the decoder trusts its input.
 It caches the result on the module, so the golden run and every injection
 run in a process share it. Global addresses are the same in every run (the
 stack arena is a bump allocator), so the module's globals are laid out and
@@ -61,6 +59,7 @@ import math
 import struct
 import zlib
 from array import array
+from typing import NamedTuple
 
 from ..ir.nodes import (SCALARS, IrFunction, IrModule, ValueRef, gep_layout,
                         to_f32, wrap_int)
@@ -266,9 +265,9 @@ class Segment:
     values a traced run records, which are those of `rec_slot`, for the
     instructions `rec_idx` (also held as the array `rec_arr`), packed by one
     struct. With `stack`, the function first binds M to the stack arena's
-    buffer, for the accesses decode proved in bounds. `instrs` lists the ops' instructions and then the terminator's,
-    if any. `bound` names objects the source refers to besides the common
-    globals."""
+    buffer, for the accesses decode proved in bounds. `instrs` lists the
+    ops' instructions and then the terminator's, if any. `bound` names
+    objects the source refers to besides the common globals."""
 
     __slots__ = ("code", "instrs", "n", "rec_idx", "rec_arr", "rec_slot", "term",
                  "stack", "run", "_line_op", "_cuts", "_ns")
@@ -342,14 +341,11 @@ def _compile(src: str, filename: str, namespace: dict):
     return namespace.pop("run")
 
 
-class DecodedFn:
-    __slots__ = ("name", "nparams", "template", "segs")
-
-    def __init__(self, name, nparams, template, segs):
-        self.name = name
-        self.nparams = nparams
-        self.template = template  # initial register list, constants in place
-        self.segs = segs
+class DecodedFn(NamedTuple):
+    name: str
+    nparams: int
+    template: list  # initial register list, constants in place
+    segs: list
 
 
 def _is_terminator(ins, fn_index) -> bool:
@@ -473,17 +469,13 @@ def decode_function(fn: IrFunction, fi: int, dm: DecodedModule) -> DecodedFn:
 
 # -- modules and plans -----------------------------------------------------------
 
-class Code:
+class Code(NamedTuple):
     """A function as one plan runs it: its segments, recompiled to inject at
     the plan's targets, and the loops (header, body labels) whose trips the
     plan's loop_iteration scope counts."""
-
-    __slots__ = ("fn", "segs", "watch")
-
-    def __init__(self, fn: DecodedFn, segs: list, watch: tuple | None):
-        self.fn = fn
-        self.segs = segs
-        self.watch = watch
+    fn: DecodedFn
+    segs: list
+    watch: tuple | None
 
 
 _HANDLES = {"stdin": STDIN_HANDLE, "stdout": STDOUT_HANDLE, "stderr": STDERR_HANDLE}
@@ -591,16 +583,14 @@ class DecodedModule:
                 for fn, s, w in zip(self.fns, segs, watch)]
 
 
-def decoded(module: IrModule, valid: bool = False) -> DecodedModule:
+def decoded(module: IrModule) -> DecodedModule:
     """The module's decoded form, built on first use and kept on the module
     (IrModule leaves it out of pickles and comparisons). It validates the
-    module first, unless the caller has (`valid`), and raises VmError with
-    the diagnostics."""
+    module first and raises VmError with the diagnostics."""
     dm = module.__dict__.get("_decoded")
     if dm is None:
-        if not valid:
-            problems = validate(module)
-            if problems:
-                raise VmError("; ".join(map(str, problems)))
+        problems = validate(module)
+        if problems:
+            raise VmError("; ".join(map(str, problems)))
         dm = module._decoded = DecodedModule(module)
     return dm

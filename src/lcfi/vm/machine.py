@@ -4,9 +4,9 @@ Values are host-native, one form for each value of a type (validate checks
 that every register is read at its own type, and decode wraps or rounds
 constants and intrinsic results): integers are signed and wrap at their type
 width, an i1 is 0 or 1, floats are IEEE doubles (an f32 rounded through 32
-bits), and pointers are arena addresses. The call stack is explicit, so recursion depth
-is bounded by `MAX_DEPTH` frames rather than the host stack. A run starts at
-`@main` with no arguments.
+bits), and pointers are arena addresses. The call stack is explicit, so
+recursion depth is bounded by `MAX_DEPTH` frames rather than the host stack.
+A run starts at `@main` with no arguments.
 
 The machine runs the module's decoded form (see decode.py), validated and
 compiled once per module and shared by every run in the process, one segment

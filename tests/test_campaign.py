@@ -513,6 +513,13 @@ class TestFailurePaths:
                                     output_dir=str(tmp_path), files={"in.txt": "4 3 3\n"}))
         assert len(calls) == 1
 
+    def test_only_a_program_about_to_run_is_decoded(self):
+        """Both loads validate; instrument and trace dot, which do not run
+        the program, do not pay for compiling its segments."""
+        from lcfi.campaign import load_indexed, load_runnable
+        assert "_decoded" not in load_indexed(fixture_path("demo.ll")).__dict__
+        assert "_decoded" in load_runnable(fixture_path("demo.ll")).__dict__
+
     def test_unresolvable_target_is_config_error(self, tmp_path):
         inp = tmp_path / "in.yaml"
         inp.write_text("fi_type: uniform_abs(1.0)\noption:\n"

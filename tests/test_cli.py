@@ -527,6 +527,12 @@ ILL_KINDED = {
     "ret_double_in_i32_function": ("define i32 @main() {\nentry:\n  ret double 2.5\n}\n", 3),
     "add_i32_of_a_double": ("define i32 @main() {\nentry:\n  %x = fadd double 1.0, 2.0\n"
                             "  %y = add i32 %x, 1\n  ret i32 %y\n}\n", 4),
+    "select_of_i8_and_i32": ("define i32 @main() {\nentry:\n  %p = alloca i8\n"
+                             "  %x = select i1 true, i8 1, i32 300\n"
+                             "  store i8 %x, i8* %p\n  ret i32 0\n}\n", 4),
+    "select_of_i32_and_double": ("define i32 @main() {\nentry:\n"
+                                 "  %x = select i1 false, i32 1, double 2.5\n"
+                                 "  ret i32 %x\n}\n", 3),
 }
 
 
@@ -534,13 +540,17 @@ class TestIllKindedPrograms:
     """Each is refused before it runs, with one error line that names the
     line and the function, and no traceback."""
 
-    @pytest.mark.parametrize("command,code", [("profile", 2), ("campaign", 4)])
+    @pytest.mark.parametrize("command,code", [("profile", 2), ("campaign", 4),
+                                              ("instrument", 2)])
     @pytest.mark.parametrize("name", list(ILL_KINDED))
     def test_refused_with_one_error_line(self, tmp_path, capsys, name, command, code):
         text, line = ILL_KINDED[name]
         prog = tmp_path / "bad.ll"
         prog.write_text(text)
         args = ["profile", str(prog)]
+        if command == "instrument":
+            args = ["instrument", str(prog), "--input", fixture_path("demo_input.yaml"),
+                    "--out", str(tmp_path / "out")]
         if command == "campaign":
             cfg = tmp_path / "c.yaml"
             cfg.write_text(f"program: {prog}\ninput: {fixture_path('demo_input.yaml')}\n"

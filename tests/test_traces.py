@@ -1768,10 +1768,11 @@ def test_reading_and_diffing_do_not_import_numpy(tmp_path):
 
 
 def test_reading_and_diffing_load_no_ir_or_interpreter():
-    """lcfi.traces imports no IR module when it loads: its table of each
-    scalar kind's word is its own (see test_every_scalar_kind_has_a_word).
-    Its records are named tuples, so it does not load dataclasses either (about
-    10 ms of start-up, most of it dataclasses' own import of inspect)."""
+    """lcfi.traces imports no IR module when it loads: it builds its scalar
+    table from lcfi.ir.nodes only when a run's values are packed or
+    rendered. Its records are named tuples, so it does not load dataclasses
+    either (about 10 ms of start-up, most of it dataclasses' own import of
+    inspect)."""
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import lcfi.traces as t\n"
@@ -1781,15 +1782,6 @@ def test_reading_and_diffing_load_no_ir_or_interpreter():
             "    ('lcfi.ir', 'lcfi.vm', 'numpy', 'yaml', 'dataclasses', 'inspect'))))\n")
     assert run_python(code, fixture_path("trace_golden.txt"),
                       fixture_path("trace_faulty.txt")) == "[]\n"
-
-
-def test_every_scalar_kind_has_a_word():
-    """_WORD_KINDS names each scalar kind of the IR, with 16 digits for an
-    8-byte kind and 8 for the rest, and the struct code of its bits."""
-    from lcfi.ir.nodes import SCALARS
-    assert traces._WORD_KINDS == {
-        kind: ({"f32": "f4x", "f64": "d"}.get(kind, "q"), 16 if size == 8 else 8)
-        for kind, (size, _fmt) in SCALARS.items()}
 
 
 def _demo_traces(demo_indexed, demo_io, seed=77):

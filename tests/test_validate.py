@@ -323,10 +323,13 @@ def test_a_value_of_another_kind_is_rejected(text, message):
     ("%v = load i32, double 1.0", "load operand 1 is double, not ptr"),
     ("store i32 1, double 2.0", "store operand 2 is double, not ptr"),
     ("%c = getelementptr i32, i32 5, i64 1", "getelementptr operand 1 is i32, not ptr"),
+    ("%c = select i1 true, i8 1, i32 300", "select operand 3 is i32, not i8"),
+    ("%c = select i1 false, i32 1, double 2.5", "select operand 3 is double, not i32"),
 ], ids=["add", "fadd", "fneg", "icmp", "fcmp", "zext_float", "sext_narrows",
         "zext_same_width", "trunc_widens", "fptosi", "sitofp", "fpext_narrows",
         "fptrunc_same_width", "gep_index",
-        "select_condition", "br_condition", "load_address", "store_address", "gep_base"])
+        "select_condition", "br_condition", "load_address", "store_address", "gep_base",
+        "select_i8_of_i32", "select_i32_of_double"])
 def test_an_opcode_on_values_of_another_class_is_rejected(body, message):
     """Each of these ran into a Python error or left a value of another
     type: an integer op on a float or the reverse, a cast from or to the
