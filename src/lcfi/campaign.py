@@ -355,11 +355,14 @@ def load_plan(path: str, module: IrModule) -> tuple[InputConfig, InjectionPlan, 
     try:
         input_cfg = load_input_config(path)
         warn(path, input_cfg.warnings)
-        plan = build_plan(module, input_cfg)
         spec = input_cfg.fault_spec(base_dir=os.path.dirname(os.path.abspath(path)))
-        warn(path, spec.warnings)
     except (InstrumentError, FaultError) as e:
         raise ConfigError(str(e)) from e
+    try:
+        plan = build_plan(module, input_cfg)
+    except InstrumentError as e:  # it names the entry, not the file
+        raise ConfigError(f"{path}: {e}") from e
+    warn(path, spec.warnings)
     return input_cfg, plan, spec
 
 

@@ -219,11 +219,10 @@ def _exit_code(e: Exception, command: str) -> int | None:
     from .campaign import ConfigError, GoldenRunFailed
     from .faults import FaultError
     from .instrument import InstrumentError
-    from .vm.machine import VmError
     if isinstance(e, GoldenRunFailed):
         return 3
     if isinstance(e, (ConfigError, InstrumentError, FaultError, TraceFormatError,
-                      IndexMismatch, VmError)):
+                      IndexMismatch)):
         return 4 if command == "campaign" else 2
     if isinstance(e, OSError):
         return 2

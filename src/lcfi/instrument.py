@@ -286,7 +286,7 @@ def resolve_targets(module: IrModule, spec: TargetSpec) -> list[Instruction]:
         raise MainFunctionRejected("main is the measurement harness, not a target")
     fn = module.function(spec.function_name)
     if fn is None:
-        raise FunctionNotFound(spec.function_name)
+        raise FunctionNotFound(f"no function @{spec.function_name}")
     homes = _pointer_homes(fn, spec.variable_name)
     if not homes:
         raise VariableNotFound(f"{spec.function_name}: no variable %{spec.variable_name}")
@@ -353,19 +353,24 @@ class InjectionPlan:
 
 
 def build_plan(module: IrModule, config: InputConfig) -> InjectionPlan:
-    """Resolve every option entry against an indexed module."""
+    """Resolve every option entry against an indexed module. An error about
+    an entry starts with its place, `option[i]: `."""
     check_indexed(module)
     scope = None
     targets: dict[int, PlanTarget] = {}
-    for spec in config.options:
+    for i, spec in enumerate(config.options):
         s = derive_scope(config, spec)
         if scope is None:
             scope = s
         elif scope != s:
             raise TargetConfigError(
-                "option entries disagree on occurrence scope; split them into "
-                "separate configs")
-        picked = {ins.index for ins in resolve_targets(module, spec)}
+                f"option[{i}]: disagrees with option[0] on occurrence scope; split "
+                "them into separate configs")
+        try:
+            picked = {ins.index for ins in resolve_targets(module, spec)}
+        except InstrumentError as e:
+            e.args = (f"option[{i}]: {e}",)
+            raise
         fn = module.function(spec.function_name)
         for block in fn.blocks:
             for ins in block.instructions:

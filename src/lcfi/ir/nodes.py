@@ -298,6 +298,7 @@ class GlobalDef:
     is_const: bool = False
     external: bool = False
     align: int | None = None
+    line: int = field(default=0, compare=False)
 
 
 @dataclass

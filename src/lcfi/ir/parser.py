@@ -273,7 +273,8 @@ class _ModuleParser:
                 cur.next()  # section "..." and friends: ignored
         if not cur.at_end():
             raise cur.error("trailing tokens after global definition")
-        self.module.globals.append(GlobalDef(name, gtype, init, is_const, external, align))
+        self.module.globals.append(GlobalDef(name, gtype, init, is_const, external, align,
+                                             line_no))
 
     def _parse_global_init(self, cur: Cursor, gtype: IrType) -> GlobalInit:
         t = cur.peek()
@@ -410,7 +411,7 @@ class _ModuleParser:
             else:
                 raise cur.error(f"unknown type {t.text!r}")
         elif t.text == "[":
-            count = int(cur.next().text)
+            count = self._count(cur)
             if cur.next().text != "x":
                 raise cur.error("expected 'x' in array type")
             elem = self._parse_type(cur)
@@ -424,7 +425,7 @@ class _ModuleParser:
                     cur.expect(",")
             base = IrType("struct", fields=tuple(fields))
         elif t.text == "<":
-            count = int(cur.next().text)
+            count = self._count(cur)
             if cur.next().text != "x":
                 raise cur.error("expected 'x' in vector type")
             elem = self._parse_type(cur)
@@ -437,6 +438,12 @@ class _ModuleParser:
             cur.next()
             base = ptr_to(base)
         return base
+
+    def _count(self, cur: Cursor) -> int:
+        """An array or vector type's element count, as LLVM takes it."""
+        if not (cur.peek() and cur.peek().text.isascii() and cur.peek().text.isdigit()):
+            raise cur.error("element count must be a non-negative integer")
+        return int(cur.next().text)
 
     def _parse_value(self, cur: Cursor, vtype: IrType) -> ValueRef:
         t = cur.next()

@@ -15,16 +15,19 @@ float, a condition an i1, an address a pointer, ...), loads and stores move
 scalars, a bitcast converts between pointers or between same-width integer
 and float kinds, and every getelementptr path (constant ones included)
 steps only through arrays and structs, with constant struct field numbers.
+An alloca or a global has a size (no void), and an initializer fits its
+global: a c-string an i8 array, an element list an array of its kind.
 
 Kinds: a register is read at its definition's kind (all pointers are one),
 a select's two choices are of its result's kind, a call passes its callee's
 parameter kinds and declares its return kind, a ret returns its function's
-kind, and an intrinsic call declares void or the class of value the
-intrinsic returns (`lcfi.vm.intrinsics.INTRINSICS`), so no value of another
-type reaches a register or a trace.
+kind, and an intrinsic call passes the parameter classes of its signature
+in `lcfi.vm.intrinsics.INTRINSICS` and declares void or the class of value
+it returns, so no value of another type reaches a register or a trace.
 
 The interpreter decodes only modules that pass (see `lcfi.vm.decode`), so
-every rule it relies on is checked here.
+every rule it relies on is checked here, but for decode's `@main`, which a
+module that is only instrumented need not have.
 """
 
 from __future__ import annotations
@@ -66,14 +69,17 @@ def validate(module: IrModule) -> list[Diagnostic]:
     seen_glob: set[str] = set()
     for g in module.globals:
         if g.name in seen_glob:
-            diags.append(Diagnostic(f"duplicate global @{g.name}"))
+            diags.append(Diagnostic(f"duplicate global @{g.name}", line=g.line))
         seen_glob.add(g.name)
 
     global_names = seen_glob | {"stdin", "stdout", "stderr"}
 
     for g in module.globals:
-        diags.extend(Diagnostic(f"{problem} in the initializer of @{g.name}")
-                     for problem in _initializer_problems(g, global_names))
+        if not _sized(g.type):
+            diags.append(Diagnostic(f"unsized type {g.type.render()} of @{g.name}", line=g.line))
+        else:
+            diags.extend(Diagnostic(f"{problem} in the initializer of @{g.name}", line=g.line)
+                         for problem in _initializer_problems(g, global_names))
     for fn in module.functions:
         diags.extend(_validate_function(fn, module, global_names))
     return diags
@@ -204,6 +210,8 @@ def _type_problems(ins: Instruction) -> list[str]:
         src, dst = ins.operands[0].type, ins.result_type
         if not (src.is_pointer() and dst.is_pointer()) and (src.kind, dst.kind) not in BITCASTS:
             problems.append(f"bitcast {src.render()} to {dst.render()} unsupported")
+    elif op == "alloca" and not _sized(ins.aux_type):
+        problems.append(f"alloca of unsized type {ins.aux_type.render()}")
     elif op == "load" and ins.result_type.kind not in SCALARS:
         problems.append(f"cannot load type {ins.result_type.render()}")
     elif op == "store" and ins.operands[0].type.kind not in SCALARS:
@@ -256,16 +264,28 @@ def _constant_problems(v: ValueRef) -> list[str]:
     return problems
 
 
+def _sized(t: IrType) -> bool:
+    """Whether `t` has a size in memory: it is not void and holds no void."""
+    return t.kind != "void" and all(map(_sized, (t.elem,) if t.kind == "array" else t.fields))
+
+
 def _initializer_problems(g: GlobalDef, global_names: set[str]) -> list[str]:
-    init = g.init
-    if init is None or init.kind not in ("scalar", "array"):
+    init, t = g.init, g.type
+    if init is None or init.kind == "zero":
         return []
-    t, values = ((g.type, (init.value,)) if init.kind == "scalar"
-                 else (g.type.elem, init.values))
+    values = (init.value,) if init.kind == "scalar" else init.values  # a c-string has none
+    if init.kind != "scalar":  # one item per element of an array, of i8s for a c-string
+        n = len(init.data) if init.kind == "bytes" else len(values)
+        if t.kind != "array" or t.count != n or init.kind == "bytes" and t.elem.kind != "i8":
+            return [f"{n} {'bytes' if init.kind == 'bytes' else 'elements'} for type "
+                    f"{t.render()}"]
+        t = t.elem
     if t.kind not in SCALARS:
         return [f"cannot store type {t.render()}"]
-    return ([f"unknown global @{r.name}" for v in values for r in operand_refs(v)
-             if r.kind == "global" and r.name not in global_names]
+    return ([f"element {k} is {v.type.render()}, not {t.render()}"
+             for k, v in enumerate(values, 1) if v.type.kind != t.kind]
+            + [f"unknown global @{r.name}" for v in values for r in operand_refs(v)
+               if r.kind == "global" and r.name not in global_names]
             + [p for v in values for p in _constant_problems(v)])
 
 
@@ -315,24 +335,26 @@ def operand_refs(v: ValueRef) -> list[ValueRef]:
 
 def _check_call(ins: Instruction, fn: IrFunction, block, module: IrModule) -> list[Diagnostic]:
     from ..vm.intrinsics import INTRINSICS  # not at the top: lcfi.vm imports lcfi.ir
-    callee, declared = ins.callee, ins.result_type
+    callee, declared, args = ins.callee, ins.result_type, ins.operands
     target = module.function(callee)
+    # each parameter as (the kind or class an argument needs, how to show it)
     if target is not None:
-        if len(ins.operands) != len(target.params):
-            problems = [f"call to @{callee} passes {len(ins.operands)} args, "
-                        f"expected {len(target.params)}"]
-        else:
-            problems = [f"call to @{callee} passes {v.type.render()} as argument {k}, "
-                        f"which is {t.render()}"
-                        for k, (v, (_name, t)) in enumerate(zip(ins.operands, target.params), 1)
-                        if v.type.kind != t.kind]
-        if declared.kind != target.return_type.kind:
-            problems.append(f"call to @{callee} declares {declared.render()}, "
-                            f"which returns {target.return_type.render()}")
-    elif callee in INTRINSICS:
-        returns = INTRINSICS[callee][1]
-        problems = ([] if _value_class(declared) in ("void", returns) else
-                    [f"call to @{callee} declares {declared.render()}, which returns {returns}"])
+        params = [(t.kind, t.render()) for _name, t in target.params]
+        returns, fits = target.return_type.render(), declared.kind == target.return_type.kind
+    elif callee in INTRINSICS:  # a final ... takes any more arguments
+        _impl, returns, classes = INTRINSICS[callee]
+        params, fits = [(c, c) for c in classes], _value_class(declared) in ("void", returns)
     else:
-        problems = [f"call to unknown function @{callee}"]
+        return [Diagnostic(f"call to unknown function @{callee}", fn.name, block.label, ins.line)]
+    fixed = [p for p in params if p[0] is not ...]
+    varargs = len(fixed) < len(params)
+    if len(args) < len(fixed) or len(args) > len(fixed) and not varargs:
+        problems = [f"call to @{callee} passes {len(args)} args, expected {len(fixed)}"]
+    else:
+        problems = [f"call to @{callee} passes {v.type.render()} as argument {k}, "
+                    f"which is {shown}"
+                    for k, (v, (want, shown)) in enumerate(zip(args, fixed), 1)
+                    if want not in (v.type.kind, _value_class(v.type))]
+    if not fits:
+        problems.append(f"call to @{callee} declares {declared.render()}, which returns {returns}")
     return [Diagnostic(problem, fn.name, block.label, ins.line) for problem in problems]

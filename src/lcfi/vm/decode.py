@@ -38,7 +38,8 @@ to the op. A run whose budget ends inside a segment runs `Segment.prefix(k)`,
 the same source cut after k ops, compiled on first use.
 
 `decoded(module)` is the one well-formedness gate: it validates the module
-and raises VmError with the diagnostics, so the decoder trusts its input.
+and that a run can start at its `@main`, and raises VmError with every
+problem (nothing else raises it), so the decoder trusts its input.
 It caches the result on the module, so the golden run and every injection
 run in a process share it. Global addresses are the same in every run (the
 stack arena is a bump allocator), so the module's globals are laid out and
@@ -71,7 +72,7 @@ from .intrinsics import INTRINSICS, STDERR_HANDLE, STDIN_HANDLE, STDOUT_HANDLE
 
 class VmError(Exception):
     """A program the interpreter cannot run: it fails validation, or it has
-    no entry function of that name and arity."""
+    no `@main` that takes no parameters. Only `decoded` raises it."""
 
 
 def _fdiv(a: float, b: float) -> float:
@@ -343,7 +344,6 @@ def _compile(src: str, filename: str, namespace: dict):
 
 class DecodedFn(NamedTuple):
     name: str
-    nparams: int
     template: list  # initial register list, constants in place
     segs: list
 
@@ -464,7 +464,7 @@ def decode_function(fn: IrFunction, fi: int, dm: DecodedModule) -> DecodedFn:
                     result(last), last.index, word_packer(last.result_type.kind))
         segs.append(Segment(f"@{fn.name}#{si}", tuple(code), tuple(run), tuple(rec_idx),
                             tuple(rec_slot), term, bool(proven)))
-    return DecodedFn(fn.name, len(fn.params), template, segs)
+    return DecodedFn(fn.name, template, segs)
 
 
 # -- modules and plans -----------------------------------------------------------
@@ -586,11 +586,15 @@ class DecodedModule:
 def decoded(module: IrModule) -> DecodedModule:
     """The module's decoded form, built on first use and kept on the module
     (IrModule leaves it out of pickles and comparisons). It validates the
-    module first and raises VmError with the diagnostics."""
+    module and checks that a run can start at its `@main`, with no arguments;
+    VmError lists every problem."""
     dm = module.__dict__.get("_decoded")
     if dm is None:
-        problems = validate(module)
+        problems, main = list(map(str, validate(module))), module.function("main")
+        if main is None or main.params:
+            problems.append("no function @main" if main is None else
+                            f"@main takes {len(main.params)} parameter(s); a run passes none")
         if problems:
-            raise VmError("; ".join(map(str, problems)))
+            raise VmError("; ".join(problems))
         dm = module._decoded = DecodedModule(module)
     return dm

@@ -1,7 +1,9 @@
 """Host implementations of the external functions the runtime understands.
 
-Each intrinsic takes the machine and the evaluated argument list and returns
-the call's value. Stream handles are small integers below the arena base, so
+Each intrinsic takes the machine and the evaluated argument list, which
+validate checks against its signature in INTRINSICS, and returns the call's
+value; it checks only what values decide, formats and sizes. printf formats
+as C (glibc) does. Stream handles are small integers below the arena base, so
 a program that tries to dereference one traps as out-of-bounds instead of
 corrupting memory.
 """
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 import math
 import re
+
+from ..ir.nodes import wrap_int
 
 STDIN_HANDLE = 8
 STDOUT_HANDLE = 16
@@ -58,9 +62,47 @@ _FLOAT_TOKEN = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
 _WORD_TOKEN = re.compile(r"\S+")
 
 
-def _cstring(machine, addr) -> str:
-    addr = int(addr)
+def _cstring(machine, addr: int) -> str:
     return machine.mem_for(addr).read_cstring(addr)
+
+
+# The width in bits that each length modifier gives d, i, o, u, x and X.
+_INT_BITS = {"hh": 8, "h": 16, "": 32, "l": 64, "ll": 64}
+
+
+def _c_pad(flags: str, width: str | None, text: str) -> str:
+    """`text` padded with spaces to `width`, on the right under the - flag."""
+    pad = " " * (int(width or 0) - len(text))
+    return text + pad if "-" in flags else pad + text
+
+
+def _c_int(flags: str, width: str | None, prec: str | None, conv: str, v: int) -> str:
+    """A d, i, o, u, x or X conversion of `v`, already narrowed, as C
+    formats it: an explicit precision turns off the 0 flag, precision 0
+    prints no digits for 0, and # gives octal a leading 0 and nonzero hex
+    a 0x or 0X."""
+    digits = "" if prec == "0" and v == 0 else format(abs(v), "d" if conv in "diu" else conv)
+    digits = digits.zfill(int(prec or 0))
+    if "#" in flags and conv == "o" and not digits.startswith("0"):
+        digits = "0" + digits
+    if conv in "di":
+        prefix = "-" if v < 0 else "+" if "+" in flags else " " if " " in flags else ""
+    else:
+        prefix = "0" + conv if "#" in flags and conv in "xX" and v else ""
+    if "0" in flags and "-" not in flags and prec is None:
+        digits = digits.zfill(int(width or 0) - len(prefix))
+    return _c_pad(flags, width, prefix + digits)
+
+
+def _c_float(flags: str, width: str | None, prec: str | None, conv: str, x: float) -> str:
+    """An f, F, e, E, g or G conversion of `x` as C formats it: an infinity
+    or NaN is padded with spaces, never zeros, and a NaN shows its sign."""
+    spec = f"%{flags if math.isfinite(x) else flags.replace('0', '')}{width or ''}"
+    spec += f"{'.' + prec if prec else ''}{conv}"
+    if not math.isnan(x):
+        return spec % x
+    # Python drops a NaN's sign: format the infinity of its sign, renamed
+    return (spec % math.copysign(math.inf, x)).replace("inf", "nan").replace("INF", "NAN")
 
 
 def _do_printf(machine, fmt: str, args: list) -> int:
@@ -85,43 +127,37 @@ def _do_printf(machine, fmt: str, args: list) -> int:
         m = _PRINTF_DIRECTIVE.match(fmt, i)
         if m is None:
             machine.trap("bad_intrinsic_arg", f"printf: bad directive at {fmt[i:i+8]!r}")
-        flags, width, prec, _length, conv = m.groups()
+        flags, width, prec, length, conv = m.groups()
         i = m.end()
+        # the format sets each argument's class, so each is coerced to it
         if conv == "%":
             out.append("%")
-            continue
-        spec = "%" + flags + (width or "") + ("." + prec if prec else "")
-        if conv in "di":
-            out.append((spec + "d") % int(next_arg()))
-        elif conv == "u":
-            out.append((spec + "d") % (int(next_arg()) & 0xFFFFFFFFFFFFFFFF))
+        elif conv in "di":
+            out.append(_c_int(flags, width, prec, conv,
+                              wrap_int(int(next_arg()), _INT_BITS[length])))
+        elif conv in "ouxX":
+            out.append(_c_int(flags, width, prec, conv,
+                              int(next_arg()) & (1 << _INT_BITS[length]) - 1))
         elif conv in "fFeEgG":
-            out.append((spec + conv.lower()) % float(next_arg()))
-        elif conv in "xX":
-            out.append((spec + conv) % (int(next_arg()) & 0xFFFFFFFFFFFFFFFF))
+            out.append(_c_float(flags, width, prec, conv, float(next_arg())))
         elif conv == "c":
-            out.append(chr(int(next_arg()) & 0xFF))
+            out.append(_c_pad(flags, width, chr(int(next_arg()) & 0xFF)))
         elif conv == "s":
-            out.append(_cstring(machine, next_arg()))
-        elif conv == "p":
-            out.append("0x%x" % (int(next_arg()) & 0xFFFFFFFFFFFFFFFF))
-        else:
-            machine.trap("bad_intrinsic_arg", f"printf: %{conv} unsupported")
+            text = _cstring(machine, int(next_arg()))
+            out.append(_c_pad(flags, width, text if prec is None else text[:int(prec)]))
+        else:  # p, which glibc prints as (nil) for null
+            p = int(next_arg()) & 0xFFFFFFFFFFFFFFFF
+            out.append(_c_pad(flags, width, f"0x{p:x}" if p else "(nil)"))
     text = "".join(out)
     machine.write_stdout(text)
     return len(text)
 
 
 def _intrinsic_printf(machine, args):
-    if not args:
-        machine.trap("bad_intrinsic_arg", "printf: missing format string")
-    fmt = _cstring(machine, args[0])
-    return _do_printf(machine, fmt, args[1:])
+    return _do_printf(machine, _cstring(machine, args[0]), args[1:])
 
 
 def _intrinsic_scanf(machine, args):
-    if not args:
-        machine.trap("bad_intrinsic_arg", "scanf: missing format string")
     fmt = _cstring(machine, args[0])
     stream = machine.state.stdin
     assigned = 0
@@ -200,14 +236,10 @@ def _intrinsic_scanf(machine, args):
 
 
 def _intrinsic_freopen(machine, args):
-    if len(args) != 3:
-        machine.trap("bad_intrinsic_arg", "freopen: expected 3 arguments")
-    path = _cstring(machine, args[0])
-    mode = _cstring(machine, args[1])
-    stream = int(args[2])
-    if stream != STDIN_HANDLE or "r" not in mode:
+    path, mode, stream = args
+    if stream != STDIN_HANDLE or "r" not in _cstring(machine, mode):
         return 0
-    content = machine.resolve_file(path)
+    content = machine.resolve_file(_cstring(machine, path))
     if content is None:
         return 0
     machine.state.stdin = InStream(content)
@@ -215,13 +247,10 @@ def _intrinsic_freopen(machine, args):
 
 
 def _intrinsic_fopen(machine, args):
-    if len(args) != 2:
-        machine.trap("bad_intrinsic_arg", "fopen: expected 2 arguments")
-    path = _cstring(machine, args[0])
-    mode = _cstring(machine, args[1])
-    if "r" not in mode:
+    path, mode = args
+    if "r" not in _cstring(machine, mode):
         return 0
-    content = machine.resolve_file(path)
+    content = machine.resolve_file(_cstring(machine, path))
     if content is None:
         return 0
     streams = machine.state.open_streams
@@ -235,17 +264,8 @@ def _intrinsic_fopen(machine, args):
 
 
 def _intrinsic_fclose(machine, args):
-    if args:
-        machine.state.open_streams.pop(int(args[0]), None)
+    machine.state.open_streams.pop(args[0], None)
     return 0
-
-
-def _unary_math(fn):
-    def impl(machine, args):
-        if len(args) != 1:
-            machine.trap("bad_intrinsic_arg", "expected 1 argument")
-        return fn(float(args[0]))
-    return impl
 
 
 def _safe_sqrt(x: float) -> float:
@@ -272,22 +292,16 @@ def _safe_exp(x: float) -> float:
 
 
 def _intrinsic_pow(machine, args):
-    if len(args) != 2:
-        machine.trap("bad_intrinsic_arg", "pow: expected 2 arguments")
-    x, y = float(args[0]), float(args[1])
     try:
-        r = math.pow(x, y)
+        return math.pow(*args)
     except OverflowError:
         return math.inf
     except ValueError:
         return math.nan
-    return r
 
 
 def _intrinsic_malloc(machine, args):
-    if len(args) != 1:
-        machine.trap("bad_intrinsic_arg", "malloc: expected 1 argument")
-    size = int(args[0])
+    size = args[0]
     if size < 0:
         machine.trap("bad_intrinsic_arg", f"malloc: negative size {size}")
     return machine.state.heap.alloc(size, 8)
@@ -299,9 +313,7 @@ def _intrinsic_free(machine, args):
 
 
 def _intrinsic_memset(machine, args):
-    if len(args) != 3:
-        machine.trap("bad_intrinsic_arg", "memset: expected 3 arguments")
-    addr, val, size = (int(a) for a in args)
+    addr, val, size = args
     if size < 0:
         machine.trap("bad_intrinsic_arg", f"memset: negative size {size}")
     machine.mem_for(addr).store_bytes(addr, bytes([val & 0xFF]) * size)
@@ -309,9 +321,7 @@ def _intrinsic_memset(machine, args):
 
 
 def _intrinsic_memcpy(machine, args):
-    if len(args) != 3:
-        machine.trap("bad_intrinsic_arg", "memcpy: expected 3 arguments")
-    dst, src, size = (int(a) for a in args)
+    dst, src, size = args
     if size < 0:
         machine.trap("bad_intrinsic_arg", f"memcpy: negative size {size}")
     data = machine.mem_for(src).load_bytes(src, size)
@@ -319,24 +329,25 @@ def _intrinsic_memcpy(machine, args):
     return dst
 
 
-# Each intrinsic's implementation and the class of value it returns: "int",
-# "ptr", "float", or "void" for none. A call declares void or a type of that
-# class (validate checks it); decode wraps or rounds the value to that type.
+# Each intrinsic's implementation, the class of value it returns ("int",
+# "ptr", "float", or "void" for none) and its parameters' classes, a final
+# ... taking any more arguments. A call declares void or a type of the
+# result's class (validate checks it); decode wraps or rounds the value to it.
 INTRINSICS = {
-    "printf": (_intrinsic_printf, "int"),
-    "scanf": (_intrinsic_scanf, "int"),
-    "__isoc99_scanf": (_intrinsic_scanf, "int"),
-    "freopen": (_intrinsic_freopen, "ptr"),
-    "fopen": (_intrinsic_fopen, "ptr"),
-    "fclose": (_intrinsic_fclose, "int"),
-    "sqrt": (_unary_math(_safe_sqrt), "float"),
-    "sqrtf": (_unary_math(_safe_sqrt), "float"),
-    "fabs": (_unary_math(abs), "float"),
-    "exp": (_unary_math(_safe_exp), "float"),
-    "log": (_unary_math(_safe_log), "float"),
-    "pow": (_intrinsic_pow, "float"),
-    "malloc": (_intrinsic_malloc, "ptr"),
-    "free": (_intrinsic_free, "void"),
-    "memset": (_intrinsic_memset, "ptr"),
-    "memcpy": (_intrinsic_memcpy, "ptr"),
+    "printf": (_intrinsic_printf, "int", ("ptr", ...)),
+    "scanf": (_intrinsic_scanf, "int", ("ptr", ...)),
+    "__isoc99_scanf": (_intrinsic_scanf, "int", ("ptr", ...)),
+    "freopen": (_intrinsic_freopen, "ptr", ("ptr", "ptr", "ptr")),
+    "fopen": (_intrinsic_fopen, "ptr", ("ptr", "ptr")),
+    "fclose": (_intrinsic_fclose, "int", ("ptr",)),
+    "sqrt": (lambda machine, args: _safe_sqrt(*args), "float", ("float",)),
+    "sqrtf": (lambda machine, args: _safe_sqrt(*args), "float", ("float",)),
+    "fabs": (lambda machine, args: abs(*args), "float", ("float",)),
+    "exp": (lambda machine, args: _safe_exp(*args), "float", ("float",)),
+    "log": (lambda machine, args: _safe_log(*args), "float", ("float",)),
+    "pow": (_intrinsic_pow, "float", ("float", "float")),
+    "malloc": (_intrinsic_malloc, "ptr", ("int",)),
+    "free": (_intrinsic_free, "void", ("ptr",)),
+    "memset": (_intrinsic_memset, "ptr", ("ptr", "int", "int")),
+    "memcpy": (_intrinsic_memcpy, "ptr", ("ptr", "ptr", "int")),
 }

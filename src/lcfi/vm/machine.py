@@ -6,7 +6,8 @@ constants and intrinsic results): integers are signed and wrap at their type
 width, an i1 is 0 or 1, floats are IEEE doubles (an f32 rounded through 32
 bits), and pointers are arena addresses. The call stack is explicit, so
 recursion depth is bounded by `MAX_DEPTH` frames rather than the host stack.
-A run starts at `@main` with no arguments.
+A run starts at `@main` with no arguments. Decode checks that it can, and all
+else the text shows, so a run's only errors are traps on values.
 
 The machine runs the module's decoded form (see decode.py), validated and
 compiled once per module and shared by every run in the process, one segment
@@ -52,7 +53,7 @@ from ..faults import Sampler, apply_fault, draw_bound, sample_error
 from ..instrument import InjectionPlan, PlanTarget
 from ..traces import RunTrace, value_bits
 from .arena import HEAP_BASE, MemoryArena, OutOfBounds
-from .decode import BR, CALL, VmError, decoded
+from .decode import BR, CALL, VmError, decoded  # VmError: for callers of Machine
 from .intrinsics import InStream
 
 TRAP_KINDS = frozenset({
@@ -201,6 +202,7 @@ class Machine:
                 stdin=InStream(self.io.stdin_text), call_counts=[0] * len(self._codes),
                 exec_counts={t.index: 0 for t in plan.targets} if plan else {},
                 trace_idx=array("i") if trace else None)
+            self._push(self._decoded.fn_index["main"], [])
             return
         # resume a run this machine would have made: one of its module under
         # its plan and io, that its budget lets reach the snapshot
@@ -266,9 +268,6 @@ class Machine:
         fn, state = self._codes[fi].fn, self.state
         if len(state.frames) >= MAX_DEPTH:
             self.trap("stack_overflow", f"call depth exceeds {MAX_DEPTH} frames")
-        if len(args) != fn.nparams:
-            raise VmError(f"@{fn.name} called with {len(args)} args, "
-                          f"takes {fn.nparams}")
         state.call_counts[fi] += 1
         regs = fn.template.copy()
         regs[1:1 + len(args)] = args
@@ -278,11 +277,6 @@ class Machine:
         """Run segments until `@main` returns."""
         state, codes, budget = self.state, self._codes, self.budget
         stack, tidx, words = state.frames, state.trace_idx, state.trace_words
-        if not stack:
-            fi = self._decoded.fn_index.get("main")
-            if fi is None:
-                raise VmError("no function @main")
-            self._push(fi, [])
         frame = stack[-1]
         code = codes[frame.fi]
         segs, regs, watch, si = code.segs, frame.regs, code.watch, frame.si

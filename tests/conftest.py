@@ -11,6 +11,109 @@ from lcfi.instrument import assign_indices
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
+# printf directives, an argument of each, and what C's printf prints for it.
+PRINTF_CASES = [
+    ("%E", "double 1.5", "1.500000E+00"),
+    ("%G", "double 1.0e-10", "1E-10"),
+    ("%F", "double 0x7FF0000000000000", "INF"),
+    ("%08f", "double 0x7FF0000000000000", "     inf"),
+    ("%f", "double 0xFFF8000000000000", "-nan"),
+    ("%x", "i32 -1", "ffffffff"),
+    ("%u", "i32 -1", "4294967295"),
+    ("%lu", "i64 -1", "18446744073709551615"),
+    ("%hhd", "i32 300", "44"),
+    ("%hu", "i32 -1", "65535"),
+    ("%o", "i32 8", "10"),
+    ("%#o", "i32 8", "010"),
+    ("%#x", "i32 0", "0"),
+    ("%.0d", "i32 0", ""),
+    ("%05.3d", "i32 5", "  005"),
+    ("%-3c|", "i32 65", "A  |"),
+    ("%.2s|%-4s|", "i8* getelementptr ([4 x i8], [4 x i8]* @abc, i64 0, i64 0), "
+     "i8* getelementptr ([4 x i8], [4 x i8]* @abc, i64 0, i64 0)", "ab|abc |"),
+    ("%p", "i8* null", "(nil)"),
+]
+
+
+def printf_program(cases) -> str:
+    """A program that prints each of PRINTF_CASES' arguments with its
+    directive, a line each."""
+    lines = ['@abc = constant [4 x i8] c"abc\\00"', "declare i32 @printf(i8*, ...)"]
+    calls = []
+    for k, (fmt, arg, _printed) in enumerate(cases):
+        n = len(fmt) + 2
+        lines.append(f'@f{k} = constant [{n} x i8] c"{fmt}\\0A\\00"')
+        calls.append(f"%r{k} = call i32 (i8*, ...) @printf(i8* getelementptr "
+                     f"([{n} x i8], [{n} x i8]* @f{k}, i64 0, i64 0), {arg})")
+    return "\n".join(lines) + "\n" + _main(*calls)
+
+
+def _main(*body: str) -> str:
+    return ("define i32 @main() {\nentry:\n" + "".join(f"  {i}\n" for i in body)
+            + "  ret i32 0\n}\n")
+
+
+# Programs whose fault shows in their text, in two-type syntax with a declare
+# for each C function, and the error lcfi gives each after "<path>: ". Only
+# the entry-point faults are valid LLVM IR (llvm-as accepts them).
+UNRUNNABLE = {
+    "alloca_void": (_main("%p = alloca void"),
+                    "line 3: alloca of unsized type void in @main:%entry"),
+    "alloca_array_of_void": (_main("%p = alloca [3 x void]"),
+                             "line 3: alloca of unsized type [3 x void] in @main:%entry"),
+    "alloca_struct_holding_void": (
+        _main("%p = alloca { i32, void }"),
+        "line 3: alloca of unsized type { i32, void } in @main:%entry"),
+    "global_void": ("@g = global void zeroinitializer\n" + _main(),
+                    "line 1: unsized type void of @g"),
+    "element_list_for_a_struct": (
+        "@g = global { i32, i32 } [i32 1, i32 2]\n" + _main(),
+        "line 1: 2 elements for type { i32, i32 } in the initializer of @g"),
+    "long_c_string_last": (
+        '@g = global [2 x i8] c"abcdef"\n' + _main(),
+        "line 1: 6 bytes for type [2 x i8] in the initializer of @g"),
+    "c_string_for_an_i8": ('@g = global i8 c"ab"\n' + _main(),
+                           "line 1: 2 bytes for type i8 in the initializer of @g"),
+    "negative_alloca_count": (_main("%p = alloca [-4 x i32]"),
+                              "3:16: element count must be a non-negative integer"),
+    "negative_global_count": ("@g = global [-2 x i32] zeroinitializer\n" + _main(),
+                              "1:14: element count must be a non-negative integer"),
+    "long_c_string_before_another_global": (
+        '@s = global [2 x i8] c"hello\\00"\n@z = global [4 x i8] zeroinitializer\n'
+        '@f = constant [4 x i8] c"%s\\0A\\00"\ndeclare i32 @printf(i8*, ...)\n'
+        + _main("%r = call i32 (i8*, ...) @printf(i8* getelementptr ([4 x i8], [4 x i8]* @f,"
+                " i64 0, i64 0), i8* getelementptr ([4 x i8], [4 x i8]* @z, i64 0, i64 0))"),
+        "line 1: 6 bytes for type [2 x i8] in the initializer of @s"),
+    "elements_of_another_kind": (
+        "@g = global [2 x i32] [double 1.5, double 2.5]\n" + _main(),
+        "line 1: element 1 is double, not i32 in the initializer of @g; "
+        "line 1: element 2 is double, not i32 in the initializer of @g"),
+    "short_element_list": (
+        "@g = global [2 x i32] [i32 1]\n" + _main(),
+        "line 1: 1 elements for type [2 x i32] in the initializer of @g"),
+    "sqrt_of_two_arguments": (
+        "declare double @sqrt(double)\n" + _main("%x = call double @sqrt(double 1.0, double 2.0)"),
+        "line 4: call to @sqrt passes 2 args, expected 1 in @main:%entry"),
+    "sqrt_of_an_i32": (
+        "declare double @sqrt(double)\n" + _main("%x = call double @sqrt(i32 4)"),
+        "line 4: call to @sqrt passes i32 as argument 1, which is float in @main:%entry"),
+    "malloc_of_a_double": (
+        "declare i8* @malloc(i64)\n" + _main("%p = call i8* @malloc(double 1.5)"),
+        "line 4: call to @malloc passes double as argument 1, which is int in @main:%entry"),
+    "memset_of_a_double_size": (
+        "declare i8* @memset(i8*, i32, i64)\n"
+        + _main("%p = alloca [4 x i8]", "%q = getelementptr [4 x i8], [4 x i8]* %p, i64 0, i64 0",
+                "%r = call i8* @memset(i8* %q, i32 0, double 1.5)"),
+        "line 6: call to @memset passes double as argument 3, which is int in @main:%entry"),
+    "fclose_of_a_double": (
+        "declare i32 @fclose(i8*)\n" + _main("%r = call i32 @fclose(double 1.5)"),
+        "line 4: call to @fclose passes double as argument 1, which is ptr in @main:%entry"),
+    "no_main": ("define i32 @f() {\nentry:\n  ret i32 0\n}\n", "no function @main"),
+    "main_with_a_parameter": ("define i32 @main(i32 %x) {\nentry:\n  ret i32 %x\n}\n",
+                              "@main takes 1 parameter(s); a run passes none"),
+}
+
+
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 

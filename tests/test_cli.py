@@ -7,7 +7,7 @@ import pytest
 from lcfi.cli import main
 from lcfi.traces import read_trace
 
-from conftest import fixture_path, run_python
+from conftest import UNRUNNABLE, fixture_path, run_python
 
 TRIPLE = "n[0]: 4.000000\nn[1]: 3.000000\nn[2]: 3.000000\n"
 SEP = "+" * 24 + "\n"
@@ -35,6 +35,34 @@ class TestInstrument:
             path = str(tmp_path / ("demo" + suffix))
             assert path in out
             assert os.path.isfile(path)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("function_name: axpy", "function_name: nosuch", "no function @nosuch"),
+        ("variable_name: x", "variable_name: nosuch", "axpy: no variable %nosuch"),
+        ("function_name: axpy", "function_name: main",
+         "main is the measurement harness, not a target"),
+        ("variable_location: 1", "variable_location: 99",
+         "axpy: %x has 2 accesses, location 99 does not exist"),
+    ], ids=["function", "variable", "main", "location"])
+    def test_target_errors_name_the_file_and_the_entry(self, tmp_path, capsys, old, new,
+                                                       message):
+        inp = tmp_path / "in.yaml"
+        inp.write_text(Path(fixture_path("cg_input.yaml")).read_text().replace(old, new))
+        rc = main(["instrument", fixture_path("cg.ll"), "--input", str(inp),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {inp}: option[0]: {message}\n"
+
+    def test_disagreeing_scopes_name_the_second_entry(self, tmp_path, capsys):
+        inp = tmp_path / "in.yaml"
+        inp.write_text(Path(fixture_path("cg_input.yaml")).read_text().replace(
+            "variable_num: 1", "variable_num: 2")
+            + "  - {function_name: axpy, variable_name: y}\n")
+        rc = main(["instrument", fixture_path("cg.ll"), "--input", str(inp)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {inp}: option[1]: disagrees with option[0] on occurrence scope; "
+            "split them into separate configs\n")
 
     def test_missing_input_config(self, tmp_path, capsys):
         rc = main(["instrument", fixture_path("demo.ll"),
@@ -278,7 +306,8 @@ class TestCampaign:
         rc = main(["campaign", "--config", str(cfg)])
         captured = capsys.readouterr()
         assert rc == 4
-        assert captured.err == "error: no function @main\n"
+        assert captured.err == f"error: {prog}: no function @main\n"
+        assert not os.path.exists(tmp_path / "out")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "c.yaml"
@@ -571,3 +600,27 @@ class TestIllKindedPrograms:
         rc = main(["profile", str(prog), "--trace-out", str(tmp_path / "t.txt")])
         assert rc == 0 and "Traceback" not in capsys.readouterr().err
         assert [r.value_hex for r in read_trace(str(tmp_path / "t.txt"))] == ["7f800000"]
+
+
+class TestUnrunnablePrograms:
+    """A program whose fault shows in its text is refused when it loads:
+    one error line naming the file, and the line and function where the
+    problem has them, with no traceback and no campaign output."""
+
+    @pytest.mark.parametrize("command,code", [("profile", 2), ("campaign", 4)])
+    @pytest.mark.parametrize("name", list(UNRUNNABLE))
+    def test_refused_at_load(self, tmp_path, capsys, name, command, code):
+        text, error = UNRUNNABLE[name]
+        prog = tmp_path / "bad.ll"
+        prog.write_text(text)
+        args = ["profile", str(prog)]
+        if command == "campaign":
+            cfg = tmp_path / "c.yaml"
+            cfg.write_text(f"program: {prog}\ninput: {fixture_path('demo_input.yaml')}\n"
+                           f"output_dir: {tmp_path / 'out'}\n")
+            args = ["campaign", "--config", str(cfg)]
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert rc == code and captured.out == ""
+        assert captured.err == f"error: {prog}: {error}\n"
+        assert not os.path.exists(tmp_path / "out")

@@ -1,0 +1,94 @@
+"""lcfi against LLVM's own tools: programs lcfi runs assemble with llvm-as
+and print under lli what `lcfi profile` prints, and programs lcfi refuses
+at load are refused by llvm-as too.
+
+The tests need `llvm-as` and `lli` on PATH, of LLVM 16 or older: the
+fixtures use typed pointers (`i32*`), which later versions no longer read.
+Without them the tests are skipped.
+"""
+
+import importlib.util
+import os
+import re
+import shutil
+import subprocess
+
+import pytest
+
+from lcfi.cli import main
+
+from conftest import PRINTF_CASES, UNRUNNABLE, fixture_path, printf_program
+
+# Faults in where a run starts: valid IR, which llvm-as accepts.
+ENTRY_POINT = ("no_main", "main_with_a_parameter")
+
+
+@pytest.fixture(scope="module")
+def llvm() -> dict:
+    """The path of each LLVM tool the tests run."""
+    tools = {}
+    for name in ("llvm-as", "lli"):
+        path = shutil.which(name)
+        if path is None:
+            pytest.skip(f"{name} is not on PATH")
+        version = subprocess.run([path, "--version"], capture_output=True, text=True,
+                                 timeout=60).stdout
+        major = re.search(r"version (\d+)\.", version)
+        if major is None or int(major.group(1)) > 16:
+            pytest.skip(f"{name} is not of LLVM 16 or older, which reads typed "
+                        f"pointers: {version.strip()!r}")
+        tools[name] = path
+    return tools
+
+
+def _assembles(llvm: dict, path) -> subprocess.CompletedProcess:
+    return subprocess.run([llvm["llvm-as"], str(path), "-o", os.devnull],
+                          capture_output=True, text=True, timeout=60)
+
+
+def _prints_as_lli(llvm: dict, capsys, path) -> str:
+    """What `lcfi profile` prints for the program at `path`, checked to be
+    what lli prints for it."""
+    assert _assembles(llvm, path).returncode == 0
+    want = subprocess.run([llvm["lli"], str(path)], capture_output=True, text=True,
+                          timeout=120).stdout
+    assert main(["profile", str(path)]) == 0
+    got = capsys.readouterr().out
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("name", ["cg.ll", "masked.ll", "fragile.ll"])
+def test_a_fixture_prints_as_under_lli(llvm, capsys, name):
+    assert _prints_as_lli(llvm, capsys, fixture_path(name))
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_a_scaled_cg_program_prints_as_under_lli(llvm, capsys, tmp_path, n):
+    spec = importlib.util.spec_from_file_location(
+        "cgref", os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "cgref.py"))
+    cgref = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cgref)
+    with open(fixture_path("cg.ll"), encoding="utf-8") as fh:
+        text = cgref.cg_program(fh.read(), n)
+    prog = tmp_path / f"cg{n}.ll"
+    prog.write_text(text)
+    assert _prints_as_lli(llvm, capsys, prog) == cgref.cg_stdout(n)
+
+
+@pytest.mark.parametrize("name", list(UNRUNNABLE))
+def test_llvm_as_refuses_what_lcfi_refuses_at_load(llvm, tmp_path, name):
+    prog = tmp_path / "bad.ll"
+    prog.write_text(UNRUNNABLE[name][0])
+    result = _assembles(llvm, prog)
+    if name in ENTRY_POINT:  # lcfi's rule for where a run starts, not LLVM's
+        assert result.returncode == 0, result.stderr
+    else:
+        assert result.returncode != 0 and "error:" in result.stderr
+
+
+def test_printf_prints_as_under_lli(llvm, capsys, tmp_path):
+    prog = tmp_path / "printf.ll"
+    prog.write_text(printf_program(PRINTF_CASES))
+    assert _prints_as_lli(llvm, capsys, prog) == "".join(
+        printed + "\n" for _fmt, _arg, printed in PRINTF_CASES)

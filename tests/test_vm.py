@@ -15,7 +15,8 @@ from lcfi.vm.machine import DEFAULT_BUDGET, IoConfig, Machine, VmError, value_bi
 
 import lcfi.vm.decode as decode
 
-from conftest import FIXTURES, fixture_path, load_fixture_module
+from conftest import (FIXTURES, PRINTF_CASES, fixture_path, load_fixture_module,
+                      printf_program)
 
 
 def run_src(text, **kw):
@@ -327,10 +328,10 @@ b:
             Machine(m).run()
 
     def test_main_that_takes_parameters_is_a_vm_error(self):
-        # a run starts at @main with no arguments
+        # a run starts at @main with no arguments, so decode refuses it
         m = assign_indices(parse_module("define i32 @main(i32 %z) {\n  ret i32 %z\n}\n"))
-        with pytest.raises(VmError, match="@main called with 0 args, takes 1"):
-            Machine(m).run()
+        with pytest.raises(VmError, match=r"^@main takes 1 parameter\(s\); a run passes none$"):
+            Machine(m)
 
     def test_stores_to_a_global_do_not_leak_into_the_next_run(self):
         m = assign_indices(parse_module("""
@@ -626,7 +627,12 @@ define i32 @main() {
 
     def test_unsigned(self):
         out = run_src(self._printf("%u\\00", ", i32 -1", 3))
-        assert out.stdout == str(0xFFFFFFFFFFFFFFFF)
+        assert out.stdout == str(0xFFFFFFFF)
+
+    @pytest.mark.parametrize("fmt,arg,printed", PRINTF_CASES)
+    def test_conversions_as_c_prints_them(self, fmt, arg, printed):
+        # test_llvm checks these against lli
+        assert run_src(printf_program([(fmt, arg, printed)])).stdout == printed + "\n"
 
     def test_missing_argument_traps(self):
         out = run_src(self._printf("%d\\00", "", 3))
