@@ -52,6 +52,11 @@ def wrap_int(v: int, bits: int) -> int:
     return ((v + half) & ((1 << bits) - 1)) - half
 
 
+# A pointer is an unsigned 64-bit address, as SCALARS["ptr"] stores it:
+# getelementptr arithmetic wraps modulo 2**64, as LLVM defines it.
+PTR_MASK = (1 << 64) - 1
+
+
 def to_f32(x: float) -> float:
     """Round a double to the nearest f32 value; past the f32 range, ±inf."""
     try:

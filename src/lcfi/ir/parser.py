@@ -144,8 +144,9 @@ class Cursor:
                 return
             if t.text in _SKIPPED_ATTRS or t.kind == "attrg":
                 self.pos += 1
-            elif t.text == "align" and self._num_follows():
-                self.pos += 2
+            elif t.text == "align":
+                self.pos += 1
+                self.alignment()
             elif t.text == "dereferenceable":
                 self.pos += 1
                 if self.accept("("):
@@ -154,9 +155,19 @@ class Cursor:
             else:
                 return
 
-    def _num_follows(self) -> bool:
-        nxt = self.pos + 1
-        return nxt < len(self.tokens) and self.tokens[nxt].kind == "num"
+    def alignment(self) -> int:
+        """The number after an `align`, which LLVM reads as a power of two
+        of at most 2**32."""
+        t = self.peek()
+        if t is None or not t.text.isdigit():
+            raise self.error("expected an integer alignment")
+        value = int(t.text)
+        if value & (value - 1) or not value:
+            raise self.error("alignment is not a power of two")
+        if value > 1 << 32:
+            raise self.error("alignment exceeds 2**32")
+        self.pos += 1
+        return value
 
 
 def _decode_cstring(token: str) -> bytes:
@@ -268,7 +279,7 @@ class _ModuleParser:
         align = None
         while cur.accept(","):
             if cur.accept("align"):
-                align = int(cur.next().text)
+                align = cur.alignment()
             else:
                 cur.next()  # section "..." and friends: ignored
         if not cur.at_end():
@@ -541,7 +552,7 @@ class _ModuleParser:
     def _check_trailing(self, cur: Cursor, ins: Instruction) -> None:
         while cur.accept(","):
             if cur.accept("align"):
-                ins.align = int(cur.next().text)
+                ins.align = cur.alignment()
             elif cur.peek() and cur.peek().kind == "meta":
                 self.warn("metadata stripped", cur.line_no)
                 while not cur.at_end() and cur.peek_text() != ",":

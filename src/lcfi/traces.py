@@ -257,28 +257,30 @@ def _parse(text: str, lineno: int, out: TraceColumns, memo: tuple) -> int:
 # -- values and run traces ---------------------------------------------------------
 
 # A record's word: 8 little-endian bytes that hold the bits its line shows. The
-# function that packs one value into a word of each struct code: an integer as
-# its low 64 bits ("q"), an f32's bits in the low half ("f4x"), an f64's bits
-# ("d"), and zeros for a kind with no value ("8x"), whatever the value.
+# function that packs one value into a word of each struct code: an integer
+# ("q") or a pointer ("Q") as it is, which refuses a float or a value out of
+# range, an f32's bits in the low half ("f4x"), an f64's bits ("d"), and zeros
+# for a kind with no value ("8x"), whatever the value.
 _ZERO_WORD = bytes(8)
-_PACK_U64 = struct.Struct("<Q").pack
-_WORD = {"q": lambda value: _PACK_U64(value & 0xFFFFFFFFFFFFFFFF),
+_WORD = {"q": lambda value: int.to_bytes(value, 8, "little", signed=True),
+         "Q": lambda value: int.to_bytes(value, 8, "little"),
          "f4x": struct.Struct("<f4x").pack, "d": struct.Struct("<d").pack,
          "8x": lambda value: _ZERO_WORD}
-_UNPACK_WORD = {"q": struct.Struct("<q").unpack_from, "f4x": struct.Struct("<f").unpack_from,
-                "d": struct.Struct("<d").unpack_from}
+_UNPACK_WORD = {"q": struct.Struct("<q").unpack_from, "Q": struct.Struct("<Q").unpack_from,
+                "f4x": struct.Struct("<f").unpack_from, "d": struct.Struct("<d").unpack_from}
 _NO_WORD = ("8x", 8)
 
 
 @cache
 def _word_kinds() -> dict:
     """The table of each scalar kind's word code and the hex digits its line
-    shows: 16 for an 8-byte kind, else 8 (a narrow integer shows its low 32
-    bits). Built from lcfi.ir.nodes on first use, so reading traces imports
-    no IR module. A kind with no value has _NO_WORD: eight zeros."""
+    shows: an 8-byte kind's SCALARS format and 16, else 8 (a narrow integer
+    shows its low 32 bits). Built from lcfi.ir.nodes on first use, so reading
+    traces imports no IR module. A kind with no value has _NO_WORD: eight
+    zeros."""
     from .ir.nodes import SCALARS
-    return {k: ({"f32": "f4x", "f64": "d"}.get(k, "q"), 16 if size == 8 else 8)
-            for k, (size, _fmt) in SCALARS.items()}
+    return {k: (fmt[1:], 16) if size == 8 else ("f4x" if k == "f32" else "q", 8)
+            for k, (size, fmt) in SCALARS.items()}
 
 
 def value_bits(value, vtype: IrType) -> str:
@@ -296,8 +298,7 @@ def word_packer(kind: str):
 def words_packer(kinds) -> tuple:
     """(pack, takes) for records whose results are of these kinds: `pack`
     packs their words in one call, from the values of the records that
-    `takes` marks (a kind with no value takes none). It raises on an integer
-    outside the signed 64-bit range, which word_packer packs as its low 64."""
+    `takes` marks (a kind with no value takes none)."""
     codes = [_word_kinds().get(kind, _NO_WORD)[0] for kind in kinds]
     return struct.Struct("<" + "".join(codes)).pack, tuple(c != "8x" for c in codes)
 

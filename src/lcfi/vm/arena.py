@@ -5,13 +5,15 @@ handles live below `base` so dereferencing one traps like any wild pointer.
 Stack discipline comes from mark/release: a frame snapshots the top on entry
 and rolls back on return. Bounds are checked on access, not at pointer
 arithmetic, so a getelementptr may wander as long as it is never dereferenced.
+A scalar is stored as it is, in its type's one form (see lcfi.vm.decode),
+with its SCALARS format.
 """
 
 from __future__ import annotations
 
 import struct
 
-from ..ir.nodes import SCALARS, to_f32
+from ..ir.nodes import SCALARS
 
 
 # Heap addresses start here; everything below belongs to the stack arena.
@@ -74,22 +76,10 @@ class MemoryArena:
         off = addr - self.base
         self._mem[off:off + len(data)] = data
 
-    def load(self, addr: int, kind: str):
-        """The scalar of `kind` (see SCALARS) at `addr`; an i1 keeps one bit."""
-        size, fmt = SCALARS[kind]
-        self._check(addr, size)
-        value = struct.unpack_from(fmt, self._mem, addr - self.base)[0]
-        return value & 1 if kind == "i1" else value
-
     def store(self, addr: int, kind: str, value) -> None:
-        """Store a scalar: integers are masked to the width, f32 is rounded."""
+        """Store a value of `kind` (see SCALARS), as it is."""
         size, fmt = SCALARS[kind]
         self._check(addr, size)
-        if kind == "f32":
-            value = to_f32(float(value))
-        elif kind != "f64":
-            value = int(value) & ((1 << 8 * size) - 1)
-            fmt = fmt.upper()  # the unsigned format of the same width
         struct.pack_into(fmt, self._mem, addr - self.base, value)
 
     def read_cstring(self, addr: int, limit: int = 1 << 20) -> str:

@@ -9,11 +9,9 @@ callee). Each op becomes a few lines of Python source, and a segment's ops
 become one function `run(r, m)`, compiled once, that runs them in order on
 the frame's register list `r` for the machine `m` and returns the trace
 words of its indexed ops' values, packed by one precompiled struct
-(traces.words_packer). A pointer that getelementptr took past 64 bits, which
-that struct refuses, sends the segment's records through `m.words`, which
-packs the low 64 bits its line shows. In that source a register is
-`r[slot]`; constants, integer widths and masks, gep strides and f32
-rounding are literals or bound names; a load or store checks the arena's
+(traces.words_packer). In that source a register is `r[slot]`; constants,
+integer widths and masks, gep strides and f32 rounding are literals or bound
+names; a load or store checks the arena's
 `base` and `top` inline and then unpacks or packs with a precompiled
 `struct.Struct`. A load or store whose pointer is one of the function's own
 allocas, or a global's constant address, and whose width fits that
@@ -26,10 +24,11 @@ already assigned all of the block's phis at once, from the values on that
 edge.
 
 A value has one form per type: an integer wraps to its width (an i1 is 0 or
-1) and an f32 is rounded. Ops leave their results so, and decode puts each
-constant and intrinsic result so (`DecodedModule._const`, `_call`); as
-validate keeps each value at its own type, conditions, stores and the trace
-take values as they are. Only getelementptr results are not wrapped.
+1), an f32 is rounded and a pointer is unsigned 64-bit (getelementptr wraps
+modulo 2**64). Ops leave their results so, and decode puts each constant and
+intrinsic result so (`DecodedModule._const`, `_call`); as validate keeps
+each value at its own type, conditions, compares, stores and the trace take
+values as they are.
 
 Each segment's source is registered with linecache under the filename
 `<lcfi @function#segment checksum>`, so a traceback through an op shows its
@@ -39,7 +38,9 @@ the same source cut after k ops, compiled on first use.
 
 `decoded(module)` is the one well-formedness gate: it validates the module
 and that a run can start at its `@main`, and raises VmError with every
-problem (nothing else raises it), so the decoder trusts its input.
+problem, or with the first global that does not fit the stack arena, which
+laying the globals out finds (nothing else raises it), so the decoder trusts
+its input.
 It caches the result on the module, so the golden run and every injection
 run in a process share it. Global addresses are the same in every run (the
 stack arena is a bump allocator), so the module's globals are laid out and
@@ -62,8 +63,8 @@ import zlib
 from array import array
 from typing import NamedTuple
 
-from ..ir.nodes import (SCALARS, IrFunction, IrModule, ValueRef, gep_layout,
-                        to_f32, wrap_int)
+from ..ir.nodes import (PTR_MASK, SCALARS, IrFunction, IrModule, ValueRef,
+                        gep_layout, to_f32, wrap_int)
 from ..ir.validate import validate
 from ..traces import TraceFields, word_packer, words_packer
 from .arena import HEAP_BASE, MemoryArena, OutOfBounds
@@ -71,8 +72,9 @@ from .intrinsics import INTRINSICS, STDERR_HANDLE, STDIN_HANDLE, STDOUT_HANDLE
 
 
 class VmError(Exception):
-    """A program the interpreter cannot run: it fails validation, or it has
-    no `@main` that takes no parameters. Only `decoded` raises it."""
+    """A program the interpreter cannot run: it fails validation, it has no
+    `@main` that takes no parameters, or its globals do not fit the stack
+    arena. Only decoding (`decoded`) raises it."""
 
 
 def _fdiv(a: float, b: float) -> float:
@@ -96,7 +98,7 @@ _RELATIONS = {"eq": "==", "ne": "!=", "gt": ">", "ge": ">=", "lt": "<", "le": "<
 # its precompiled struct functions.
 _GLOBALS = {
     "to_f32": to_f32, "fdiv": _fdiv, "trunc": math.trunc, "isfinite": math.isfinite,
-    "OutOfBounds": OutOfBounds, "INTRINSICS": INTRINSICS, "StructError": struct.error,
+    "OutOfBounds": OutOfBounds, "INTRINSICS": INTRINSICS,
     **{f"{name}_{kind}": getattr(struct.Struct(fmt), name)
        for kind, (_size, fmt) in SCALARS.items()
        for name in ("pack", "unpack", "unpack_from", "pack_into")},
@@ -151,8 +153,10 @@ def _fneg(ins, d, arg):
 def _icmp(ins, d, arg):
     x, y = map(arg, ins.operands)
     pred, t = ins.predicate, ins.operands[0].type
-    if pred[0] != "s":  # eq, ne and the u* predicates compare unsigned
-        mask = (1 << (64 if t.is_pointer() else t.int_bits())) - 1
+    if pred[0] == "s" and t.is_pointer():  # a pointer is unsigned
+        x, y = f"({_wrap(x, 64)})", f"({_wrap(y, 64)})"
+    elif pred[0] != "s" and t.is_integer():  # eq, ne and the u* predicates
+        mask = (1 << t.int_bits()) - 1
         x, y = f"({x} & {mask})", f"({y} & {mask})"
     elif t.kind == "i1":  # a signed i1 true is -1
         x, y = f"-{x}", f"-{y}"
@@ -219,8 +223,6 @@ def _load(ins, d, arg, at):
 
 def _store(ins, d, arg, at):
     v, kind = arg(ins.operands[0]), ins.operands[0].type.kind
-    if kind == "ptr":  # unwrapped getelementptr arithmetic may leave 64 bits
-        v = f"{v} & {(1 << 64) - 1}"
     lines, buf, o = _access(ins.operands[1], SCALARS[kind][0], arg, at)
     return [*lines, f"pack_into_{kind}({buf}, {o}, {v})"]
 
@@ -235,7 +237,7 @@ def _gep(ins, d, arg):
     off, terms, _t = gep_layout(ins.aux_type, ins.operands[1:])
     parts = [arg(ins.operands[0]), *([str(off)] if off else []),
              *(f"{arg(v)} * {stride}" for v, stride in terms)]
-    return [f"r[{d}] = {' + '.join(parts)}"]
+    return [f"r[{d}] = ({' + '.join(parts)}) & {PTR_MASK}"]
 
 
 def _call(ins, d, arg):
@@ -292,8 +294,7 @@ class Segment:
     def _source(self, k: int) -> tuple[str, list]:
         """The source of a function that runs the first `k` ops, and the
         position of the op on each of its lines (None on the others). The
-        struct that packs its records and their indices are bound as Pn and
-        In, for its n records."""
+        struct that packs its n records is bound as Pn."""
         lines, line_op = ["def run(r, m):"], [None, None]  # line numbers from 1
         if self.stack:
             lines.append("    M = m.state.arena._mem")
@@ -302,15 +303,11 @@ class Segment:
             lines += ("    " + line for line in op)
             line_op += [pos] * len(op)
         n = self.traced(k)
-        slots = self.rec_slot[:n]
         if n:
             self._ns[f"P{n}"], takes = words_packer(
                 ins.result_type.kind for ins in self.instrs[:k] if ins.index is not None)
-            self._ns[f"I{n}"] = self.rec_idx[:n]
-            valued = ", ".join(f"r[{s}]" for s, t in zip(slots, takes) if t)
-            lines += ["    try:", f"        return P{n}({valued})",
-                      "    except StructError:  # a pointer past 64 bits",
-                      f"        return m.words(I{n}, ({''.join(f'r[{s}], ' for s in slots)}))"]
+            valued = ", ".join(f"r[{s}]" for s, t in zip(self.rec_slot[:n], takes) if t)
+            lines.append(f"    return P{n}({valued})")
         else:
             lines.append("    return b''")
         return "\n".join(lines), line_op + [None] * (len(lines) + 1 - len(line_op))
@@ -489,9 +486,15 @@ class DecodedModule:
     def __init__(self, module: IrModule):
         self.arena = MemoryArena()
         self.sizes = {g.name: g.type.byte_width() for g in module.globals}
-        self.globals = {g.name: self.arena.alloc(self.sizes[g.name],
-                                                 g.align or g.type.alignment())
-                        for g in module.globals}
+        self.globals = {}
+        for g in module.globals:
+            try:
+                self.globals[g.name] = self.arena.alloc(self.sizes[g.name],
+                                                        g.align or g.type.alignment())
+            except OutOfBounds:
+                raise VmError(f"line {g.line}: @{g.name} of {self.sizes[g.name]} bytes "
+                              f"does not fit the {self.arena.capacity}-byte stack "
+                              "arena") from None
         for g in module.globals:
             self._init_global(g)
         self.fn_index = {f.name: i for i, f in enumerate(module.functions)}
@@ -513,7 +516,7 @@ class DecodedModule:
             return self.globals[v.name]
         if v.kind == "gep":
             offset, _terms, _t = gep_layout(v.gep_source, v.indices)
-            return self._const(v.base) + offset
+            return (self._const(v.base) + offset) & PTR_MASK
         if v.kind == "int":
             return wrap_int(v.ival, v.type.int_bits())
         if v.kind == "float":
@@ -587,7 +590,8 @@ def decoded(module: IrModule) -> DecodedModule:
     """The module's decoded form, built on first use and kept on the module
     (IrModule leaves it out of pickles and comparisons). It validates the
     module and checks that a run can start at its `@main`, with no arguments;
-    VmError lists every problem."""
+    VmError lists every problem, or names a global the stack arena cannot
+    hold."""
     dm = module.__dict__.get("_decoded")
     if dm is None:
         problems, main = list(map(str, validate(module))), module.function("main")

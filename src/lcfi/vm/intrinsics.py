@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 
-from ..ir.nodes import wrap_int
+from ..ir.nodes import to_f32, wrap_int
 
 STDIN_HANDLE = 8
 STDOUT_HANDLE = 16
@@ -206,14 +206,16 @@ def _intrinsic_scanf(machine, args):
             if tok is None:
                 break
             mem, addr = next_ptr()
-            mem.store(addr, "i64" if longs else "i32", int(tok))
+            bits = 64 if longs else 32
+            mem.store(addr, f"i{bits}", wrap_int(int(tok), bits))
         elif conv in ("f", "e", "g"):
             stream.skip_ws()
             tok = stream.match(_FLOAT_TOKEN)
             if tok is None:
                 break
             mem, addr = next_ptr()
-            mem.store(addr, "f64" if longs else "f32", float(tok))
+            kind, value = ("f64", float(tok)) if longs else ("f32", to_f32(float(tok)))
+            mem.store(addr, kind, value)
         elif conv == "s":
             stream.skip_ws()
             tok = stream.match(_WORD_TOKEN)
@@ -226,7 +228,7 @@ def _intrinsic_scanf(machine, args):
             if got is None:
                 break
             mem, addr = next_ptr()
-            mem.store(addr, "i8", ord(got))
+            mem.store(addr, "i8", wrap_int(ord(got), 8))
         else:
             machine.trap("bad_intrinsic_arg", f"scanf: %{conv} unsupported")
         assigned += 1

@@ -4,8 +4,9 @@ Values are host-native, one form for each value of a type (validate checks
 that every register is read at its own type, and decode wraps or rounds
 constants and intrinsic results): integers are signed and wrap at their type
 width, an i1 is 0 or 1, floats are IEEE doubles (an f32 rounded through 32
-bits), and pointers are arena addresses. The call stack is explicit, so
-recursion depth is bounded by `MAX_DEPTH` frames rather than the host stack.
+bits), and pointers are unsigned 64-bit addresses. The call stack is
+explicit, so recursion depth is bounded by `MAX_DEPTH` frames rather than
+the host stack.
 A run starts at `@main` with no arguments. Decode checks that it can, and all
 else the text shows, so a run's only errors are traps on values.
 
@@ -21,8 +22,9 @@ starts as a copy of the decoded globals. A traced run keeps its trace packed,
 as the columns of a RunTrace: an array("i") of instruction indices, which
 each segment's index array extends, and a bytearray of 8-byte words, which
 the words each segment returns extend; a call's return value, a budget-cut
-prefix and the ops before a trap pack the same way (`words` packs records
-one by one). Values become hex only when the trace is read or written.
+prefix and the ops before a trap pack the same way (TraceFields.pack packs
+records one by one). Values become hex only when the trace is read or
+written.
 
 Hook order at a target instruction: the result is computed, the occurrence
 scope is consulted, a sampled error is applied, and only then does the trace
@@ -234,10 +236,6 @@ class Machine:
     def mem_for(self, addr: int) -> MemoryArena:
         return self.state.heap if addr >= HEAP_BASE else self.state.arena
 
-    def words(self, indices: tuple, values: tuple) -> bytes:
-        """The trace words of records, packed one by one."""
-        return self._decoded.fields.pack(indices, values)
-
     def trap(self, kind: str, message: str):
         """Stop the run with a trap; the step loop adds where it happened."""
         assert kind in TRAP_KINDS, kind
@@ -346,8 +344,8 @@ class Machine:
         if state.trace_idx is not None:
             n = seg.traced(done)
             state.trace_idx.extend(seg.rec_arr[:n])
-            state.trace_words += self.words(seg.rec_idx[:n],
-                                            tuple(regs[s] for s in seg.rec_slot[:n]))
+            state.trace_words += self._decoded.fields.pack(
+                seg.rec_idx[:n], [regs[s] for s in seg.rec_slot[:n]])
 
     @staticmethod
     def _count_trip(frame: Frame, watch: tuple, src: str, dst: str) -> None:

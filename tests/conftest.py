@@ -53,9 +53,30 @@ def _main(*body: str) -> str:
             + "  ret i32 0\n}\n")
 
 
+# A pointer that getelementptr takes below address 0, compared signed with
+# its base before and after a store and load, and with itself loaded back.
+# LLVM's pointers are 64-bit and wrap, so each compare holds: the program
+# prints 1, 1 and 1, wherever the base lies below 2**63.
+POINTER_ICMP_PROGRAM = (
+    '@fmt = constant [4 x i8] c"%d\\0A\\00"\ndeclare i32 @printf(i8*, ...)\n'
+    + _main("%a = alloca [16 x i8]",
+            "%b = getelementptr [16 x i8], [16 x i8]* %a, i64 0, i64 0",
+            "%p = getelementptr i8, i8* %b, i64 -9223372036854775807",
+            "%s = alloca i8*",
+            "store i8* %p, i8** %s",
+            "%q = load i8*, i8** %s",
+            "%c1 = icmp slt i8* %p, %b",
+            "%c2 = icmp slt i8* %q, %b",
+            "%c3 = icmp eq i8* %p, %q",
+            "%f = getelementptr [4 x i8], [4 x i8]* @fmt, i64 0, i64 0",
+            *(f"%x{k} = zext i1 %c{k} to i32" for k in (1, 2, 3)),
+            *(f"%r{k} = call i32 (i8*, ...) @printf(i8* %f, i32 %x{k})" for k in (1, 2, 3))))
+
+
 # Programs whose fault shows in their text, in two-type syntax with a declare
 # for each C function, and the error lcfi gives each after "<path>: ". Only
-# the entry-point faults are valid LLVM IR (llvm-as accepts them).
+# the entry-point faults and a global the stack arena cannot hold are valid
+# LLVM IR (llvm-as accepts them).
 UNRUNNABLE = {
     "alloca_void": (_main("%p = alloca void"),
                     "line 3: alloca of unsized type void in @main:%entry"),
@@ -108,6 +129,13 @@ UNRUNNABLE = {
     "fclose_of_a_double": (
         "declare i32 @fclose(i8*)\n" + _main("%r = call i32 @fclose(double 1.5)"),
         "line 4: call to @fclose passes double as argument 1, which is ptr in @main:%entry"),
+    "align_of_a_word": ("@g = global i32 0, align x\n" + _main(),
+                        "1:26: expected an integer alignment"),
+    "align_not_a_power_of_two": (_main("%p = alloca i32, align 3"),
+                                 "3:26: alignment is not a power of two"),
+    "global_past_the_stack_arena": (
+        "@g = global [100000000 x i32] zeroinitializer\n" + _main(),
+        "line 1: @g of 400000000 bytes does not fit the 67108864-byte stack arena"),
     "no_main": ("define i32 @f() {\nentry:\n  ret i32 0\n}\n", "no function @main"),
     "main_with_a_parameter": ("define i32 @main(i32 %x) {\nentry:\n  ret i32 %x\n}\n",
                               "@main takes 1 parameter(s); a run passes none"),

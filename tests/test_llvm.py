@@ -17,10 +17,12 @@ import pytest
 
 from lcfi.cli import main
 
-from conftest import PRINTF_CASES, UNRUNNABLE, fixture_path, printf_program
+from conftest import (POINTER_ICMP_PROGRAM, PRINTF_CASES, UNRUNNABLE, fixture_path,
+                      printf_program)
 
-# Faults in where a run starts: valid IR, which llvm-as accepts.
-ENTRY_POINT = ("no_main", "main_with_a_parameter")
+# Programs lcfi refuses that are valid IR, which llvm-as accepts: faults in
+# where a run starts, and a global larger than lcfi's stack arena.
+VALID_IR = ("no_main", "main_with_a_parameter", "global_past_the_stack_arena")
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +83,7 @@ def test_llvm_as_refuses_what_lcfi_refuses_at_load(llvm, tmp_path, name):
     prog = tmp_path / "bad.ll"
     prog.write_text(UNRUNNABLE[name][0])
     result = _assembles(llvm, prog)
-    if name in ENTRY_POINT:  # lcfi's rule for where a run starts, not LLVM's
+    if name in VALID_IR:  # lcfi's rules for where a run starts and its arena, not LLVM's
         assert result.returncode == 0, result.stderr
     else:
         assert result.returncode != 0 and "error:" in result.stderr
@@ -92,3 +94,9 @@ def test_printf_prints_as_under_lli(llvm, capsys, tmp_path):
     prog.write_text(printf_program(PRINTF_CASES))
     assert _prints_as_lli(llvm, capsys, prog) == "".join(
         printed + "\n" for _fmt, _arg, printed in PRINTF_CASES)
+
+
+def test_a_wrapped_pointer_compares_as_under_lli(llvm, capsys, tmp_path):
+    prog = tmp_path / "icmp.ll"
+    prog.write_text(POINTER_ICMP_PROGRAM)
+    assert _prints_as_lli(llvm, capsys, prog) == "1\n1\n1\n"

@@ -1467,7 +1467,7 @@ class TestBlockRenderer:
         "i8": [-1, -128, 127, 0],
         "i32": [-1, -2 ** 31, 2 ** 31 - 1, 0],
         "i64": [-2 ** 63, 2 ** 63 - 1, -1, 0],
-        "ptr": [0, 2 ** 63, 2 ** 64 - 1, -8, 4096],
+        "ptr": [0, 2 ** 63, 2 ** 64 - 1, 2 ** 64 - 8, 4096],
         "f32": [0.0, -0.0, math.inf, -math.inf, math.nan, _f32(0xFFC00001),
                 _f32(0x7F800001), _f32(0x7FBFFFFF), _f32(0x7F7FFFFF), _f32(1), 0],
         "f64": [0.0, -0.0, math.inf, -math.inf, math.nan, _f64(0xFFF8000000000001),
@@ -1478,16 +1478,14 @@ class TestBlockRenderer:
 
     @classmethod
     def _value(cls, rng: random.Random, kind: str):
-        """A random value of the kind. Pointers at or above 2**63 are left to
-        test_edge_values: each sends its whole block down the per-record
-        path, which would leave few blocks for the vectorized one."""
+        """A random value of the kind."""
         if rng.random() < 0.2:
-            return rng.choice([v for v in cls.EDGES[kind] if kind != "ptr" or v < 2 ** 63])
+            return rng.choice(cls.EDGES[kind])
         if kind in cls.LIMITS:
             bits = cls.LIMITS[kind]
             return rng.randrange(-2 ** (bits - 1), 2 ** (bits - 1))
         if kind == "ptr":  # gep arithmetic can leave a pointer anywhere
-            return rng.randrange(-2 ** 63, 2 ** 62)
+            return rng.randrange(2 ** 64)
         if kind == "f32":
             return _f32(rng.getrandbits(32))
         if kind == "f64":
@@ -1517,7 +1515,7 @@ class TestBlockRenderer:
         assert hex_of(1, -1) == hex_of(2, -1) == hex_of(3, -1) == "ffffffff"
         assert hex_of(2, -128) == "ffffff80"
         assert hex_of(4, -2 ** 63) == "8000000000000000"
-        assert hex_of(5, -8) == "fffffffffffffff8"
+        assert hex_of(5, 2 ** 64 - 8) == "fffffffffffffff8"
         assert hex_of(5, 2 ** 63) == "8000000000000000"
         assert hex_of(5, 2 ** 64 - 1) == "ffffffffffffffff"
         assert hex_of(6, -0.0) == "80000000"

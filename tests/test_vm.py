@@ -15,8 +15,8 @@ from lcfi.vm.machine import DEFAULT_BUDGET, IoConfig, Machine, VmError, value_bi
 
 import lcfi.vm.decode as decode
 
-from conftest import (FIXTURES, PRINTF_CASES, fixture_path, load_fixture_module,
-                      printf_program)
+from conftest import (FIXTURES, POINTER_ICMP_PROGRAM, PRINTF_CASES, fixture_path,
+                      load_fixture_module, printf_program)
 
 
 def run_src(text, **kw):
@@ -921,6 +921,71 @@ define i32 @main() {{
   {op}
 }}
 """) == expected
+
+
+class TestPointersWrap:
+    """A pointer is unsigned 64-bit, in a register as in memory:
+    getelementptr wraps modulo 2**64, and the s* predicates read a pointer
+    as signed."""
+
+    def test_a_pointer_compares_the_same_stored_and_loaded(self):
+        assert run_src(POINTER_ICMP_PROGRAM).stdout == "1\n1\n1\n"
+
+    @pytest.mark.parametrize("pred,expected", [
+        ("eq", 0), ("ne", 1), ("ugt", 1), ("uge", 1), ("ult", 0), ("ule", 0),
+        ("sgt", 0), ("sge", 0), ("slt", 1), ("sle", 1)])
+    def test_every_predicate_on_a_loaded_pointer_below_zero(self, pred, expected):
+        # %q is the base less 2**63 - 1: at or above 2**63 unsigned, negative signed
+        assert ret_of(f"""
+define i32 @main() {{
+  %s = alloca i8
+  %slot = alloca i8*
+  %p = getelementptr i8* %s, i64 -9223372036854775807
+  store i8* %p, i8** %slot
+  %q = load i8** %slot
+  %c = icmp {pred} i8* %q, %s
+  %z = zext i1 %c to i32
+  ret i32 %z
+}}
+""") == expected
+
+    def test_a_gep_below_the_arena_traps_at_the_address_it_traced(self):
+        out = run_src("""
+define i32 @main() {
+  %s = alloca [16 x i8]
+  %b = getelementptr [16 x i8]* %s, i64 0, i64 0
+  %p = getelementptr i8* %b, i64 -100000
+  %c = bitcast i8* %p to i32*
+  %v = load i32* %c
+  ret i32 %v
+}
+""", trace=True)
+        assert out.trap.kind == "out_of_bounds"
+        gep = [r for r in out.trace if r.opcode == "getelementptr"][-1]
+        assert gep.value_hex == "fffffffffffe8960"
+        assert out.trap.message == "access of 4 byte(s) at 0xfffffffffffe8960"
+
+    def test_a_gep_past_two_to_the_64_and_back_is_the_net_offset(self):
+        out = run_src("""
+define i32 @main() {
+  %s = alloca [16 x i8]
+  %b = getelementptr [16 x i8]* %s, i64 0, i64 0
+  %up = getelementptr i8* %b, i64 9223372036854775807
+  %far = getelementptr i8* %up, i64 9223372036854775807
+  %back = getelementptr i8* %far, i64 3
+  %net = getelementptr i8* %b, i64 1
+  store i8 7, i8* %back
+  %v = load i8* %net
+  %c = icmp eq i8* %back, %net
+  %w = sext i8 %v to i32
+  %z = zext i1 %c to i32
+  %r = add i32 %w, %z
+  ret i32 %r
+}
+""", trace=True)
+        assert out.return_value == 8
+        geps = [r.value_hex for r in out.trace if r.opcode == "getelementptr"]
+        assert geps[3] == geps[4] == "%016x" % (int(geps[0], 16) + 1)
 
 
 class TestGoldenDemo:
