@@ -153,7 +153,7 @@ def _fneg(ins, d, arg):
 def _icmp(ins, d, arg):
     x, y = map(arg, ins.operands)
     pred, t = ins.predicate, ins.operands[0].type
-    if pred[0] == "s" and t.is_pointer():  # a pointer is unsigned
+    if pred[0] == "s" and t.is_pointer():  # read the unsigned pointer as signed
         x, y = f"({_wrap(x, 64)})", f"({_wrap(y, 64)})"
     elif pred[0] != "s" and t.is_integer():  # eq, ne and the u* predicates
         mask = (1 << t.int_bits()) - 1
