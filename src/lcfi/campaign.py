@@ -13,12 +13,15 @@ copies golden's rendered lines wherever its records equal golden's.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io as _io
 import json
 import math
 import os
+import pickle
 import re
+import signal
 import sys
 from dataclasses import dataclass, field
 
@@ -433,19 +436,75 @@ def _worker_run(ctx: RunContext, run_index: int) -> RunResult:
     return rr
 
 
-# A pool worker's RunContext, set once by the pool's initializer; tasks then
-# carry only a run index, and every run in the worker shares the context's
-# module and so its decoded form.
-_worker_ctx: RunContext | None = None
+def _worker_main(ctx: RunContext, k: int, n: int, w: int, inherited: list[int]):
+    """A forked worker's whole life: run every n-th run from run k, send one
+    pickle through the pipe end `w` (the RunResults, or the exception raised),
+    and leave through os._exit, so none of the parent's finally blocks or
+    atexit handlers runs here. `inherited` are the pipe ends it does not use."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            payload = [_worker_run(ctx, i) for i in range(k, ctx.config.runs, n)]
+        except BaseException as e:  # the parent re-raises it
+            try:
+                pickle.loads(pickle.dumps(e))
+                payload = e
+            except Exception:
+                payload = RuntimeError(repr(e))
+        with open(w, "wb") as fh:
+            pickle.dump(payload, fh)
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _init_worker(ctx: RunContext) -> None:
-    global _worker_ctx
-    _worker_ctx = ctx
-
-
-def _pool_run(run_index: int) -> RunResult:
-    return _worker_run(_worker_ctx, run_index)
+def _run_forked(ctx: RunContext, n: int) -> list[RunResult]:
+    """The campaign's runs, run by `n` workers forked from this process. Each
+    inherits `ctx` (module, decoded segments, plan, golden's trace, snapshot)
+    and sends its results back through a pipe of its own. On every way out,
+    each worker still running is killed and reaped."""
+    sys.stdout.flush()
+    sys.stderr.flush()
+    fds: list[int] = []  # the pipe ends this process holds open
+    workers: dict[int, int] = {}  # pid -> its pipe's read end, until reaped
+    try:
+        for k in range(n):
+            r, w = os.pipe()
+            fds += (r, w)
+            pid = os.fork()
+            if pid == 0:
+                _worker_main(ctx, k, n, w, [fd for fd in fds if fd != w])
+            workers[pid] = r
+            os.close(w)
+            fds.remove(w)
+        runs: list[RunResult] = []
+        for pid, r in list(workers.items()):
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            os.close(r)
+            fds.remove(r)
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code:  # a worker that sent its pickle exits with 0
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"campaign worker {pid} ended without a result "
+                                   f"({how})")
+            payload = pickle.loads(data)
+            if isinstance(payload, BaseException):
+                raise payload
+            runs += payload
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in workers:
+            # an interrupt can land between a worker's reaping and its del
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return sorted(runs, key=lambda rr: rr.run_index)
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
@@ -479,13 +538,13 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
                      golden_metrics=golden_metrics, golden_text=golden_text,
                      start=(prefix_snapshot(indexed, io_cfg, cfg.budget, plan)
                             if cfg.runs >= 1 else None))
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # jobs=1 never loads multiprocessing
-        with ProcessPoolExecutor(max_workers=cfg.jobs, initializer=_init_worker,
-                                 initargs=(ctx,)) as pool:
-            runs = list(pool.map(_pool_run, range(cfg.runs)))
-    else:
-        runs = [_worker_run(ctx, i) for i in range(cfg.runs)]
+    workers = min(cfg.jobs, cfg.runs)
+    if workers > 1 and not hasattr(os, "fork"):
+        warn("lcfi", [f"jobs: {cfg.jobs} needs os.fork, which this platform lacks; "
+                      "the runs run one after another in this process"])
+        workers = 1
+    runs = (_run_forked(ctx, workers) if workers > 1
+            else [_worker_run(ctx, i) for i in range(cfg.runs)])
 
     counts = {k: 0 for k in OUTCOMES}
     for r in runs:

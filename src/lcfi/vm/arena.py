@@ -82,18 +82,20 @@ class MemoryArena:
         self._check(addr, size)
         struct.pack_into(fmt, self._mem, addr - self.base, value)
 
-    def read_cstring(self, addr: int, limit: int = 1 << 20) -> str:
-        """The NUL-terminated string at `addr`, of at most `limit` bytes."""
+    def read_cbytes(self, addr: int, limit: int = 1 << 20) -> bytearray:
+        """The bytes of the NUL-terminated string at `addr`, of at most
+        `limit` bytes."""
         off = addr - self.base
         if off < 0 < limit:
             raise OutOfBounds(addr, 1)
         end = min(self.top - self.base, off + limit)
         nul = self._mem.find(0, off, end)
         if nul >= 0:
-            return self._mem[off:nul].decode("utf-8", errors="replace")
+            return self._mem[off:nul]
         if end - off >= limit:
             raise OutOfBounds(addr, limit, "unterminated string")
         raise OutOfBounds(self.base + max(off, end), 1)  # the first byte past top
 
-    def write_cstring(self, addr: int, text: str) -> None:
-        self.store_bytes(addr, text.encode("utf-8") + b"\x00")
+    def read_cstring(self, addr: int, limit: int = 1 << 20) -> str:
+        """The NUL-terminated string at `addr`, of at most `limit` bytes."""
+        return self.read_cbytes(addr, limit).decode("utf-8", errors="replace")

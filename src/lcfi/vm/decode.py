@@ -151,14 +151,16 @@ def _fneg(ins, d, arg):
 
 
 def _icmp(ins, d, arg):
+    # Equal values have equal bits, so eq and ne compare values as they are.
     x, y = map(arg, ins.operands)
     pred, t = ins.predicate, ins.operands[0].type
-    if pred[0] == "s" and t.is_pointer():  # read the unsigned pointer as signed
-        x, y = f"({_wrap(x, 64)})", f"({_wrap(y, 64)})"
-    elif pred[0] != "s" and t.is_integer():  # eq, ne and the u* predicates
+    if pred[0] == "u" and t.is_integer():  # unsigned order reads the bits
         mask = (1 << t.int_bits()) - 1
-        x, y = f"({x} & {mask})", f"({y} & {mask})"
-    elif t.kind == "i1":  # a signed i1 true is -1
+        x, y = (f"({s} & {mask})" if v.kind == "reg" else str(int(s) & mask)
+                for v, s in zip(ins.operands, (x, y)))
+    elif pred[0] == "s" and t.is_pointer():  # read the unsigned pointer as signed
+        x, y = f"({_wrap(x, 64)})", f"({_wrap(y, 64)})"
+    elif pred[0] == "s" and t.kind == "i1":  # a signed i1 true is -1
         x, y = f"-{x}", f"-{y}"
     return [f"r[{d}] = 1 if {x} {_RELATIONS[pred[-2:]]} {y} else 0"]
 
@@ -185,8 +187,8 @@ def _cast(ins, d, arg):
     op, src, dst = ins.opcode, ins.operands[0].type, ins.result_type
     if src.kind == "i1" and op in ("sext", "sitofp"):  # a signed i1 true is -1
         x = f"-{x}"
-    if op == "zext":
-        value = f"{x} & {(1 << src.int_bits()) - 1}"
+    if op == "zext":  # an i1 is already 0 or 1
+        value = x if src.kind == "i1" else f"{x} & {(1 << src.int_bits()) - 1}"
     elif op == "trunc":
         value = _wrap(x, dst.int_bits())
     elif op == "fptosi":

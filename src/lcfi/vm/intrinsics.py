@@ -21,45 +21,55 @@ STDERR_HANDLE = 24
 _FIRST_FILE_HANDLE = 32
 
 
+# What C's isspace takes for whitespace: ASCII only.
+_C_SPACE = b" \t\n\v\f\r"
+
+
 class InStream:
-    """Pull-based text input with C-style whitespace handling."""
+    """Pull-based input over the UTF-8 bytes of a text, with C-style
+    whitespace handling: a character is a byte, as for C's stdio."""
 
     def __init__(self, text: str):
-        self.text = text
+        self.data = text.encode("utf-8")
         self.pos = 0
 
-    def getc(self) -> str | None:
-        if self.pos >= len(self.text):
+    @property
+    def text(self) -> str:
+        """The stream's whole content, as the text it was made from."""
+        return self.data.decode("utf-8")
+
+    def getc(self) -> int | None:
+        if self.pos >= len(self.data):
             return None
-        ch = self.text[self.pos]
         self.pos += 1
-        return ch
+        return self.data[self.pos - 1]
 
     def ungetc(self) -> None:
         if self.pos > 0:
             self.pos -= 1
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.data) and self.data[self.pos] in _C_SPACE:
             self.pos += 1
 
-    def match(self, pattern: re.Pattern) -> str | None:
-        m = pattern.match(self.text, self.pos)
+    def match(self, pattern: re.Pattern) -> bytes | None:
+        m = pattern.match(self.data, self.pos)
         if m is None or not m.group(0):
             return None
         self.pos = m.end()
         return m.group(0)
 
     def at_eof(self) -> bool:
-        return self.pos >= len(self.text)
+        return self.pos >= len(self.data)
 
 
 _PRINTF_DIRECTIVE = re.compile(
     r"%([-+0 #]*)(\d+)?(?:\.(\d+))?(l{0,2}|h{0,2})([dioufFeEgGcsxXp%])")
 
-_INT_TOKEN = re.compile(r"[+-]?\d+")
-_FLOAT_TOKEN = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
-_WORD_TOKEN = re.compile(r"\S+")
+# scanf's tokens, over bytes: \d and \S read ASCII only, as C does.
+_INT_TOKEN = re.compile(rb"[+-]?\d+")
+_FLOAT_TOKEN = re.compile(rb"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
+_WORD_TOKEN = re.compile(rb"\S+")
 
 
 def _cstring(machine, addr: int) -> str:
@@ -158,7 +168,7 @@ def _intrinsic_printf(machine, args):
 
 
 def _intrinsic_scanf(machine, args):
-    fmt = _cstring(machine, args[0])
+    fmt = machine.mem_for(args[0]).read_cbytes(args[0])
     stream = machine.state.stdin
     assigned = 0
     argi = 1
@@ -174,11 +184,11 @@ def _intrinsic_scanf(machine, args):
     i = 0
     while i < len(fmt):
         ch = fmt[i]
-        if ch.isspace():
+        if ch in _C_SPACE:
             stream.skip_ws()
             i += 1
             continue
-        if ch != "%":
+        if ch != ord("%"):
             got = stream.getc()
             if got != ch:
                 if got is not None:
@@ -188,16 +198,16 @@ def _intrinsic_scanf(machine, args):
             continue
         i += 1
         longs = 0
-        while i < len(fmt) and fmt[i] == "l":
+        while i < len(fmt) and fmt[i] == ord("l"):
             longs += 1
             i += 1
         if i >= len(fmt):
             machine.trap("bad_intrinsic_arg", "scanf: truncated directive")
-        conv = fmt[i]
+        conv = chr(fmt[i])
         i += 1
         if conv == "%":
             stream.skip_ws()
-            if stream.getc() != "%":
+            if stream.getc() != ord("%"):
                 break
             continue
         if conv == "d":
@@ -222,13 +232,13 @@ def _intrinsic_scanf(machine, args):
             if tok is None:
                 break
             mem, addr = next_ptr()
-            mem.write_cstring(addr, tok)
+            mem.store_bytes(addr, tok + b"\x00")
         elif conv == "c":
             got = stream.getc()
             if got is None:
                 break
             mem, addr = next_ptr()
-            mem.store(addr, "i8", wrap_int(ord(got), 8))
+            mem.store(addr, "i8", wrap_int(got, 8))
         else:
             machine.trap("bad_intrinsic_arg", f"scanf: %{conv} unsupported")
         assigned += 1

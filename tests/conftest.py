@@ -73,6 +73,30 @@ POINTER_ICMP_PROGRAM = (
             *(f"%r{k} = call i32 (i8*, ...) @printf(i8* %f, i32 %x{k})" for k in (1, 2, 3))))
 
 
+# A program that scans two %c and a %s from stdin and prints them with
+# "%d %d %s". C's scanf reads bytes and takes only ASCII whitespace for a
+# separator, so on SCANF_BYTES_STDIN it prints SCANF_BYTES_PRINTED: the two
+# bytes of the UTF-8 é as signed chars, then a word that starts with and
+# holds a no-break space.
+SCANF_BYTES_PROGRAM = (
+    '@in = constant [8 x i8] c"%c%c %s\\00"\n'
+    '@out = constant [10 x i8] c"%d %d %s\\0A\\00"\n'
+    "declare i32 @scanf(i8*, ...)\ndeclare i32 @printf(i8*, ...)\n"
+    + _main("%c1 = alloca i8",
+            "%c2 = alloca i8",
+            "%s = alloca [16 x i8]",
+            "%sp = getelementptr [16 x i8], [16 x i8]* %s, i64 0, i64 0",
+            "%fi = getelementptr [8 x i8], [8 x i8]* @in, i64 0, i64 0",
+            "%n = call i32 (i8*, ...) @scanf(i8* %fi, i8* %c1, i8* %c2, i8* %sp)",
+            "%v1 = load i8, i8* %c1",
+            "%v2 = load i8, i8* %c2",
+            "%w1 = sext i8 %v1 to i32",
+            "%w2 = sext i8 %v2 to i32",
+            "%fo = getelementptr [10 x i8], [10 x i8]* @out, i64 0, i64 0",
+            "%r = call i32 (i8*, ...) @printf(i8* %fo, i32 %w1, i32 %w2, i8* %sp)"))
+SCANF_BYTES_STDIN = "\u00e9\u00a0a\u00a0b c"
+SCANF_BYTES_PRINTED = "-61 -87 \u00a0a\u00a0b\n"
+
 # Programs whose fault shows in their text, in two-type syntax with a declare
 # for each C function, and the error lcfi gives each after "<path>: ". Only
 # the entry-point faults and a global the stack arena cannot hold are valid

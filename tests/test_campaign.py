@@ -2,9 +2,12 @@ import json
 import math
 import os
 import re
+import signal
+import time
 
 import pytest
 
+import lcfi.campaign as campaign
 from lcfi.campaign import (CampaignConfig, CampaignResult, CompareSpec,
                            ConfigError, GoldenRunFailed, MetricSpec,
                            MetricValueError, NonPositiveForLog, OUTCOMES,
@@ -13,7 +16,7 @@ from lcfi.campaign import (CampaignConfig, CampaignResult, CompareSpec,
                            outputs_match, parse_campaign_config, run_campaign)
 from lcfi.vm.machine import RunOutcome, TrapInfo
 
-from conftest import fixture_path
+from conftest import fixture_path, run_python
 
 
 class TestConfigParsing:
@@ -446,6 +449,61 @@ class TestDeterminismAndParallel:
         assert any(p.startswith(os.path.join("llfi", "error_output"))
                    for p in left)
 
+    @pytest.mark.parametrize("runs, jobs, forks", [(3, 8, 3), (1, 2, 0), (0, 2, 0)])
+    def test_one_worker_per_run_up_to_jobs(self, tmp_path, monkeypatch, runs, jobs, forks):
+        """Workers are forked only when two or more would run."""
+        serial = run_campaign(self._cfg(tmp_path / "s", runs=runs))
+        calls = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
+        parallel = run_campaign(self._cfg(tmp_path / "p", runs=runs, jobs=jobs))
+        assert len(calls) == forks
+        assert [r.run_index for r in parallel.runs] == list(range(runs))
+        assert self._tree(serial.config.output_dir) == self._tree(parallel.config.output_dir)
+        assert_no_child_left()
+
+    def test_without_fork_the_runs_run_here(self, tmp_path, monkeypatch, capsys):
+        serial = run_campaign(self._cfg(tmp_path / "s"))
+        serial_err = capsys.readouterr().err
+        monkeypatch.delattr(os, "fork")
+        parallel = run_campaign(self._cfg(tmp_path / "p", jobs=2))
+        assert capsys.readouterr().err == serial_err + (
+            "lcfi: warning: jobs: 2 needs os.fork, which this platform lacks; "
+            "the runs run one after another in this process\n")
+        assert self._tree(serial.config.output_dir) == self._tree(parallel.config.output_dir)
+
+    def test_workers_load_no_process_pool(self, tmp_path):
+        code = ("import sys\n"
+                "from lcfi.campaign import CampaignConfig, run_campaign\n"
+                "cfg = CampaignConfig(program=sys.argv[1], input=sys.argv[2], runs=4,\n"
+                "                     jobs=2, output_dir=sys.argv[3])\n"
+                "assert len(run_campaign(cfg).runs) == 4\n"
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+        assert run_python(code, fixture_path("cg.ll"), fixture_path("cg_input.yaml"),
+                          str(tmp_path)) == "[]\n"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not sent")
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _raise_unpicklable():
+    raise _Unpicklable("run 1")
+
 
 GOLDEN_TRAP_SRC = """
 define i32 @f(i32* %p) {
@@ -529,6 +587,55 @@ class TestFailurePaths:
                              files={"in.txt": "4 3 3\n"})
         with pytest.raises(ConfigError):
             run_campaign(cfg)
+
+    @staticmethod
+    def _parallel_cfg(out, runs=4):
+        return CampaignConfig(program=fixture_path("demo.ll"),
+                              input=fixture_path("demo_input.yaml"), runs=runs, jobs=2,
+                              output_dir=str(out), files={"in.txt": "4 3 3\n"})
+
+    @pytest.mark.parametrize("run_index", [2, 3])
+    def test_a_worker_error_reaches_the_caller(self, tmp_path, run_index):
+        """Run 2 fails in the worker read first, with the other still to be
+        reaped; run 3 in the worker read last."""
+        os.makedirs(tmp_path / "llfi" / "std_output" / f"std_outputfile-run-{run_index}-0")
+        with pytest.raises(IsADirectoryError):
+            run_campaign(self._parallel_cfg(tmp_path, runs=6))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("act, message", [
+        (_kill_self, r"ended without a result \(killed by signal 9\)"),
+        (_exit_3, r"ended without a result \(exit status 3\)"),
+        (_raise_unpicklable, r"^_Unpicklable\('run 1'\)$"),
+    ])
+    def test_a_worker_that_cannot_send_its_outcome_fails_the_campaign(
+            self, tmp_path, monkeypatch, act, message):
+        def run(ctx, i, _real=campaign._worker_run):
+            if i == 1:
+                act()
+            return _real(ctx, i)
+        monkeypatch.setattr(campaign, "_worker_run", run)
+        with pytest.raises(RuntimeError, match=message):
+            run_campaign(self._parallel_cfg(tmp_path))
+        assert_no_child_left()
+
+    def test_an_interrupt_kills_the_workers(self, tmp_path, monkeypatch):
+        """The parent is interrupted after reaping one worker; the other,
+        asleep in its first run, is killed, not waited for."""
+        def run(ctx, i, _real=campaign._worker_run):
+            if i == 1:
+                time.sleep(60)
+            return _real(ctx, i)
+
+        def interrupt(status):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(campaign, "_worker_run", run)
+        monkeypatch.setattr(os, "waitstatus_to_exitcode", interrupt)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(self._parallel_cfg(tmp_path))
+        assert time.monotonic() - t0 < 30
+        assert_no_child_left()
 
     def test_missing_program_file(self, tmp_path):
         cfg = CampaignConfig(program=str(tmp_path / "nope.ll"),

@@ -212,6 +212,56 @@ def _op_source(m, ins) -> list:
     raise KeyError(ins)
 
 
+def test_only_unsigned_order_masks_its_operands():
+    """Equal values have equal bits and an i1 is 0 or 1, so eq, ne and zext
+    from i1 need no mask; the u* predicates mask a register and fold a
+    constant's mask."""
+    m = _module("""
+define i32 @main() {
+  %a = add i32 0, -7
+  %e = icmp eq i32 %a, -7
+  %n = icmp ne i1 %e, 0
+  %u = icmp ult i32 %a, -3
+  %z = zext i1 %n to i32
+  ret i32 %z
+}
+""")
+    assert _op_source(m, "e") == ["r[2] = 1 if r[1] == -7 else 0"]
+    assert _op_source(m, "n") == ["r[3] = 1 if r[2] != 0 else 0"]
+    assert _op_source(m, "u") == ["r[4] = 1 if (r[1] & 4294967295) < 4294967293 else 0"]
+    assert _op_source(m, "z") == ["r[5] = r[3]"]
+    out = Machine(m).run()
+    assert (out.status, out.return_value) == ("ok", 1)
+
+
+@pytest.mark.parametrize("ty, a, b", [
+    ("i8", -1, -1), ("i8", -1, 1), ("i8", -128, 127), ("i8", -3, -7), ("i8", 5, -128),
+    ("i32", -1, -1), ("i32", -1, 1), ("i32", -2**31, 2**31 - 1), ("i32", -3, -7),
+])
+@pytest.mark.parametrize("pred", ["eq", "ne", "ult", "uge"])
+def test_a_compare_of_negative_registers(pred, ty, a, b):
+    """Two registers, and a register and a constant, compare as the
+    predicate reads their bits."""
+    bits = int(ty[1:])
+    want = {"eq": a == b, "ne": a != b, "ult": a % (1 << bits) < b % (1 << bits),
+            "uge": a % (1 << bits) >= b % (1 << bits)}[pred]
+    m = _module(f"""
+define i32 @main() {{
+  %a = add {ty} 0, {a}
+  %b = add {ty} 0, {b}
+  %r = icmp {pred} {ty} %a, %b
+  %c = icmp {pred} {ty} %a, {b}
+  %zr = zext i1 %r to i32
+  %zc = zext i1 %c to i32
+  %twice = mul i32 %zc, 2
+  %both = add i32 %zr, %twice
+  ret i32 %both
+}}
+""")
+    out = Machine(m).run()
+    assert (out.status, out.return_value) == ("ok", 3 * want)
+
+
 def test_an_alloca_load_and_store_read_the_stack_buffer_directly():
     """An access through a function's own alloca register, within its width,
     is a bare unpack_from or pack_into on the stack arena's buffer; so is

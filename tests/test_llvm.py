@@ -17,7 +17,8 @@ import pytest
 
 from lcfi.cli import main
 
-from conftest import (POINTER_ICMP_PROGRAM, PRINTF_CASES, UNRUNNABLE, fixture_path,
+from conftest import (POINTER_ICMP_PROGRAM, PRINTF_CASES, SCANF_BYTES_PRINTED,
+                      SCANF_BYTES_PROGRAM, SCANF_BYTES_STDIN, UNRUNNABLE, fixture_path,
                       printf_program)
 
 # Programs lcfi refuses that are valid IR, which llvm-as accepts: faults in
@@ -48,13 +49,13 @@ def _assembles(llvm: dict, path) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
-def _prints_as_lli(llvm: dict, capsys, path) -> str:
-    """What `lcfi profile` prints for the program at `path`, checked to be
-    what lli prints for it."""
+def _prints_as_lli(llvm: dict, capsys, path, stdin: str = "") -> str:
+    """What `lcfi profile` prints for the program at `path` on `stdin`,
+    checked to be what lli prints for it."""
     assert _assembles(llvm, path).returncode == 0
-    want = subprocess.run([llvm["lli"], str(path)], capture_output=True, text=True,
-                          timeout=120).stdout
-    assert main(["profile", str(path)]) == 0
+    want = subprocess.run([llvm["lli"], str(path)], input=stdin, capture_output=True,
+                          encoding="utf-8", timeout=120).stdout
+    assert main(["profile", str(path), "--stdin", stdin]) == 0
     got = capsys.readouterr().out
     assert got == want
     return got
@@ -100,3 +101,9 @@ def test_a_wrapped_pointer_compares_as_under_lli(llvm, capsys, tmp_path):
     prog = tmp_path / "icmp.ll"
     prog.write_text(POINTER_ICMP_PROGRAM)
     assert _prints_as_lli(llvm, capsys, prog) == "1\n1\n1\n"
+
+
+def test_scanf_reads_bytes_as_under_lli(llvm, capsys, tmp_path):
+    prog = tmp_path / "scanf.ll"
+    prog.write_text(SCANF_BYTES_PROGRAM)
+    assert _prints_as_lli(llvm, capsys, prog, SCANF_BYTES_STDIN) == SCANF_BYTES_PRINTED

@@ -15,7 +15,8 @@ from lcfi.vm.machine import DEFAULT_BUDGET, IoConfig, Machine, VmError, value_bi
 
 import lcfi.vm.decode as decode
 
-from conftest import (FIXTURES, POINTER_ICMP_PROGRAM, PRINTF_CASES, fixture_path,
+from conftest import (FIXTURES, POINTER_ICMP_PROGRAM, PRINTF_CASES, SCANF_BYTES_PRINTED,
+                      SCANF_BYTES_PROGRAM, SCANF_BYTES_STDIN, fixture_path,
                       load_fixture_module, printf_program)
 
 
@@ -732,6 +733,13 @@ define i32 @main() {
         assert out.return_value == 2
 
 
+    def test_reads_bytes_as_c_does(self):
+        """%c takes one byte of a UTF-8 character; a no-break space is no
+        separator."""
+        out = run_src(SCANF_BYTES_PROGRAM, io=IoConfig(stdin_text=SCANF_BYTES_STDIN))
+        assert out.stdout == SCANF_BYTES_PRINTED
+
+
 class TestFilesAndMath:
     def test_freopen_redirects_stdin(self):
         out = run_src("""
@@ -1122,6 +1130,8 @@ ICMP_GRID = [
 ] + [
     ("i64", a, b) for a, b in [(5, 5), (-1, 1), (1, -1), (0, -1), (-2**63, 2**63 - 1),
                                (2**40, -2**40), (-7, -3)]
+] + [
+    ("i8", a, b) for a, b in [(-1, -1), (-1, 1), (1, -1), (-128, 127), (-7, -3)]
 ]
 
 FCMP_GRID = [
